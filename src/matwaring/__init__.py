@@ -32,6 +32,7 @@ from .freealg import NcPolynomial, PolyClass, classify, evaluate, parse
 from .linalg import (
     SimilarityCertificate,
     SubspaceBasis,
+    block_triangular_similarity,
     certify_similarity,
     eigendecompose,
     joint_commutant_dimension,
@@ -53,7 +54,6 @@ from .unitaries import (
 from .verify import verify_certificate
 from .waring import (
     WaringCertificate,
-    block_triangular_similarity,
     diff_of_similar,
     five_term_express,
     four_term_decompose,

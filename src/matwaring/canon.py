@@ -68,6 +68,9 @@ class SpectralPartition:
     case_tag 'A': n even, block_sizes = (n/2, n/2).
     case_tag 'B': block_sizes = (p, q, r) with p, q, r < n/2.
     to_block_diag certifies B = T blkdiag(blocks) T^-1.
+    case_tag 'distinct': the n 1x1 eigenvalue blocks of a witness with
+    distinct eigenvalues; the two-term route certifies that diagonalization
+    itself, so to_block_diag is None.
     """
 
     case_tag: str
@@ -149,11 +152,14 @@ def _check_cluster_gaps(clusters, tols):
                 )
 
 
-def _block_diagonalize(B, clusters, tols, schur=None):
-    """Shared core: reorder the Schur form so the given cluster order is
-    contiguous, then strip the coupling by block-triangular similarity.
+def block_diagonalize_by_cluster(B, clusters, tols: Tolerances = DEFAULT_TOLS,
+                                 schur=None):
+    """B = T blkdiag(C_1..C_k) T^-1 with C_i carrying cluster i's spectrum.
 
-    Returns (blocks, cert) with B = cert.t blkdiag(blocks) cert.t_inv.
+    Reorders the Schur form (computed here unless given as
+    (eigenvalues, T, Q)) so the given cluster order is contiguous, then
+    strips the coupling by block-triangular similarity. Returns
+    (blocks, cert) with B = cert.t blkdiag(blocks) cert.t_inv.
     """
     B = as_cmatrix(B)
     _check_cluster_gaps(clusters, tols)
@@ -173,11 +179,6 @@ def _block_diagonalize(B, clusters, tols, schur=None):
     cert = certify_similarity(T_total, blkdiag(blocks), B, tols,
                               label="block-diagonalize")
     return blocks, cert
-
-
-def block_diagonalize_by_cluster(B, clusters, tols: Tolerances = DEFAULT_TOLS):
-    """B = T blkdiag(C_1..C_k) T^-1 with C_i carrying cluster i's spectrum."""
-    return _block_diagonalize(B, clusters, tols)
 
 
 def partition_spectrum(B, tols: Tolerances = DEFAULT_TOLS):
@@ -242,7 +243,8 @@ def partition_spectrum(B, tols: Tolerances = DEFAULT_TOLS):
                 break
         group_counts = (boundary, len(order) - boundary)
 
-    cluster_blocks, cert = _block_diagonalize(B, order, tols, schur=schur)
+    cluster_blocks, cert = block_diagonalize_by_cluster(B, order, tols,
+                                                        schur=schur)
 
     blocks = []
     spectra = []

@@ -37,9 +37,9 @@ from .waring import (
     GOAL_DISTINCT_EIGS,
     GOAL_MULTIPLICITY_HALF,
     GOAL_NONZERO_TRACE,
-    _is_prime,
     five_term_express,
     image_search,
+    two_term_applies,
     two_term_decompose,
     waring_express,
 )
@@ -51,7 +51,7 @@ EXIT_NOT_GENERIC = 3
 EXIT_BUDGET = 4
 EXIT_RESIDUAL = 5
 
-_TOL_FLAGS = ("gap", "hollow", "split", "cert", "end", "rank")
+_TOL_FLAGS = ("gap", "hollow", "split", "cert", "end")
 
 
 @dataclass
@@ -141,7 +141,7 @@ def cmd_decompose(args):
             print(f"warning: target has trace {trace_mag:.3e}; "
                   "projecting onto trace zero", file=sys.stderr)
             A = project_traceless(A)
-        mode = "two" if (_is_prime(n) or f.is_multilinear()) else "four"
+        mode = "two" if two_term_applies(f, n) else "four"
     elif mode in ("four", "two"):
         trace_mag = abs(complex(A.trace()))
         if trace_mag > tols.hollow_tol * max(fro(A), 1e-300):

@@ -11,8 +11,6 @@ from dataclasses import dataclass, replace
 class Tolerances:
     # minimum admissible eigenvalue gap, relative to the spectral scale
     gap_tol: float = 1e-8
-    # numerical-rank cutoff, relative to the largest singular value
-    rank_tol: float = 1e-10
     # Sylvester solve relative residual
     solve_tol: float = 1e-10
     # similarity certificates: inverse residual and (condition-weighted) map residual
@@ -25,8 +23,6 @@ class Tolerances:
     split_tol: float = 1e-9
     # end-to-end decomposition residual, relative to max(1, ||target||_F)
     end_tol: float = 1e-6
-    # spectra comparison after similarity steps
-    eig_tol: float = 1e-6
     # nonzero-trace witness gate, relative to max(1, ||image||_F)
     trace_tol: float = 1e-8
 

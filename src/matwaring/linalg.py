@@ -16,6 +16,9 @@ from .errors import (
     SpectraOverlapError,
 )
 
+# numerical-rank cutoff, relative to the largest singular value
+RANK_TOL = 1e-10
+
 
 def as_cmatrix(A):
     A = np.asarray(A, dtype=complex)
@@ -100,25 +103,24 @@ class SubspaceBasis:
         return SubspaceBasis(self.n, tuple(U @ M @ U.conj().T for M in self.mats))
 
 
-def _numerical_rank(columns, rank_tol):
+def _numerical_rank(columns):
     if columns.size == 0:
         return 0
     s = np.linalg.svd(columns, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def subspace_sum_rank(V1: SubspaceBasis, V2: SubspaceBasis,
-                      tols: Tolerances = DEFAULT_TOLS):
+def subspace_sum_rank(V1: SubspaceBasis, V2: SubspaceBasis):
     """Numerical rank of the span of V1 together with V2."""
     if V1.n != V2.n:
         raise ValueError("ambient sizes differ")
     cols = np.stack([M.ravel() for M in V1.mats + V2.mats], axis=1)
-    return _numerical_rank(cols, tols.rank_tol)
+    return _numerical_rank(cols)
 
 
-def joint_commutant_dimension(mats, tols: Tolerances = DEFAULT_TOLS):
+def joint_commutant_dimension(mats):
     """Dimension of {A : AM = MA for every M in mats}.
 
     Stacks the linearized commutator operators and counts the null space.
@@ -131,7 +133,7 @@ def joint_commutant_dimension(mats, tols: Tolerances = DEFAULT_TOLS):
     eye = np.eye(n)
     rows = [np.kron(M, eye) - np.kron(eye, M.T) for M in mats]
     K = np.vstack(rows)
-    return n * n - _numerical_rank(K, tols.rank_tol)
+    return n * n - _numerical_rank(K)
 
 
 def project_traceless(A):
@@ -161,12 +163,6 @@ class SimilarityCertificate:
     residual_map: float
     condition_estimate: float
     label: str = ""
-
-    def compose_left(self, S, new_target, tols: Tolerances = DEFAULT_TOLS,
-                     label=""):
-        """Certificate for (S T) source (S T)^-1 = new_target."""
-        return certify_similarity(S @ self.t, self.source, new_target, tols,
-                                  label=label)
 
 
 def certify_similarity(T, source, target, tols: Tolerances = DEFAULT_TOLS,
@@ -200,19 +196,20 @@ def certify_similarity(T, source, target, tols: Tolerances = DEFAULT_TOLS,
 # block-triangular similarity (diagonal blocks with pairwise disjoint spectra)
 # ---------------------------------------------------------------------------
 
+def block_labels(sizes):
+    """Block index of every row (and column) of the block pattern `sizes`."""
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
 def _block_slices(sizes):
     edges = np.concatenate([[0], np.cumsum(sizes)])
     return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _check_strictly_block_upper(off, slices, scale):
-    n = off.shape[0]
-    mask = np.ones((n, n), dtype=bool)
-    for i, si in enumerate(slices):
-        for j, sj in enumerate(slices):
-            if j > i:
-                mask[si, sj] = False
-    bad = np.abs(off[mask]).max(initial=0.0)
+def _check_strictly_block_upper(off, sizes, scale):
+    labels = block_labels(sizes)
+    on_or_below = labels[None, :] <= labels[:, None]
+    bad = np.abs(off[on_or_below]).max(initial=0.0)
     if bad > 1e-13 * max(scale, 1.0):
         raise ValueError("off-diagonal part must vanish on and below the "
                          f"block diagonal (max violation {bad:.3e})")
@@ -267,10 +264,10 @@ def block_triangular_similarity(blocks, off_diag, orientation="upper",
 
     slices = _block_slices(sizes)
     if orientation == "upper":
-        _check_strictly_block_upper(off, slices, fro(off))
+        _check_strictly_block_upper(off, sizes, fro(off))
         T = _unit_upper_transform(blocks, off, slices, tols)
     else:
-        _check_strictly_block_upper(off.T, slices, fro(off))
+        _check_strictly_block_upper(off.T, sizes, fro(off))
         S = _unit_upper_transform([b.T for b in blocks], off.T, slices, tols)
         T = np.linalg.inv(S).T
 

@@ -9,6 +9,7 @@ Output is byte-deterministic: keys are sorted and every float is written
 with 17 significant digits (lossless for doubles).
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -78,18 +79,7 @@ def certificate_to_json(cert, tols, seed=None, budget=None):
         "residual": cert.residual,
         "residual_bound": cert.residual_bound,
         "cert_tol": tols.cert_tol,
-        "tolerances": {
-            "gap_tol": tols.gap_tol,
-            "rank_tol": tols.rank_tol,
-            "solve_tol": tols.solve_tol,
-            "cert_tol": tols.cert_tol,
-            "cluster_tol": tols.cluster_tol,
-            "hollow_tol": tols.hollow_tol,
-            "split_tol": tols.split_tol,
-            "end_tol": tols.end_tol,
-            "eig_tol": tols.eig_tol,
-            "trace_tol": tols.trace_tol,
-        },
+        "tolerances": dataclasses.asdict(tols),
         "seed": cert.seed if cert.seed is not None else seed,
         "budget": cert.budget if cert.budget is not None else budget,
         "similarity_steps": (

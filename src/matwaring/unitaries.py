@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ResidualTooLargeError
-from .linalg import SubspaceBasis, as_cmatrix, fro
+from .linalg import SubspaceBasis, as_cmatrix, block_labels, fro
 
 
 @dataclass(frozen=True)
@@ -260,19 +260,14 @@ def build_decoupling_unitary(n, pattern, tols: Tolerances = DEFAULT_TOLS):
 def hollow_block_basis(n, pattern):
     """Matrix units E_ij for every position outside the diagonal blocks."""
     pattern = _validate_pattern(n, pattern)
-    edges = np.concatenate([[0], np.cumsum(pattern)]).astype(int)
-    block_of = np.zeros(n, dtype=int)
-    for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        block_of[lo:hi] = b
+    labels = block_labels(pattern)
+    off_blocks = labels[:, None] != labels[None, :]
+    positions = [tuple(ij) for ij in np.argwhere(off_blocks).tolist()]
     mats = []
-    positions = []
-    for i in range(n):
-        for j in range(n):
-            if block_of[i] != block_of[j]:
-                E = np.zeros((n, n), dtype=complex)
-                E[i, j] = 1.0
-                mats.append(E)
-                positions.append((i, j))
+    for i, j in positions:
+        E = np.zeros((n, n), dtype=complex)
+        E[i, j] = 1.0
+        mats.append(E)
     return SubspaceBasis(n, tuple(mats)), positions
 
 

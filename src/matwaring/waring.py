@@ -36,6 +36,7 @@ from .freealg import (
 from .linalg import (
     as_cmatrix,
     blkdiag,
+    block_labels,
     block_triangular_similarity,
     certify_similarity,
     fro,
@@ -77,39 +78,15 @@ class WaringCertificate:
     budget: int | None = None
 
 
-# re-exported here because the triangular similarity is the engine of the
-# four-term assembly; implementation lives with the Sylvester solver
-__all__ = [
-    "WaringCertificate",
-    "block_triangular_similarity",
-    "diff_of_similar",
-    "four_term_decompose",
-    "image_search",
-    "waring_express",
-    "two_term_decompose",
-    "five_term_express",
-]
-
-
 def _strict_block_parts(C, sizes):
     """Split C into its strictly-upper and strictly-lower block parts.
 
     Entries are copied, never recomputed, so upper + lower reproduces the
     off-diagonal entries of C exactly.
     """
-    n = C.shape[0]
-    edges = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    block_of = np.zeros(n, dtype=int)
-    for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        block_of[lo:hi] = b
-    upper = np.zeros_like(C)
-    lower = np.zeros_like(C)
-    for i in range(n):
-        for j in range(n):
-            if block_of[j] > block_of[i]:
-                upper[i, j] = C[i, j]
-            elif block_of[j] < block_of[i]:
-                lower[i, j] = C[i, j]
+    labels = block_labels(sizes)
+    upper = np.where(labels[None, :] > labels[:, None], C, 0)
+    lower = np.where(labels[None, :] < labels[:, None], C, 0)
     return upper, lower
 
 
@@ -139,6 +116,56 @@ def diff_of_similar(partition: SpectralPartition, C,
     return Bp, Bpp, (cert_up, cert_low)
 
 
+def _require_traceless(A, tols, name="target"):
+    if abs(np.trace(A)) > tols.hollow_tol * max(fro(A), np.finfo(float).tiny):
+        raise NonzeroTraceError(f"{name} has trace {np.trace(A):.3e}")
+
+
+def _residual_gate(target, coefficients, terms, tols, what):
+    """(residual, bound) of the signed sum of terms against the target;
+    raises when the residual exceeds end_tol * max(1, ||target||_F)."""
+    recon = sum(c * W for c, W in zip(coefficients, terms))
+    residual = fro(target - recon)
+    bound = tols.end_tol * max(1.0, fro(target))
+    if residual > bound:
+        raise ResidualTooLargeError(f"{what} reconstruction failed", residual)
+    return residual, bound
+
+
+def _assemble(witness, partition, to_blocks, hollow, halves, tols):
+    """Terms certified similar to the witness, with signed sum the target.
+
+    to_blocks X satisfies X witness X^-1 = blkdiag(partition.blocks); hollow
+    takes the target to M = sum of U C U* over the halves (C, U), where U
+    None stands for the identity. Each half contributes U Bp U* - U Bpp U*
+    from diff_of_similar, carried back through the hollow similarity.
+
+    Returns (terms, term_certs, triangular certificates), two of each per
+    half, in the order of the halves.
+    """
+    Sh = hollow.to_hollow.t        # M = Sh A Sh^-1
+    Shinv = hollow.to_hollow.t_inv
+    diffs = [diff_of_similar(partition, C, tols) for C, _ in halves]
+    terms = []
+    term_certs = []
+    tri_certs = []
+    for (_, U), (Bp, Bpp, tris) in zip(halves, diffs):
+        tri_certs.extend(tris)
+        for P, tri in zip((Bp, Bpp), tris):
+            if U is None:
+                W = Shinv @ P @ Sh
+                T = Shinv @ tri.t @ to_blocks
+            else:
+                W = Shinv @ U @ P @ U.conj().T @ Sh
+                T = Shinv @ U @ tri.t @ to_blocks
+            terms.append(W)
+            term_certs.append(certify_similarity(
+                T, witness, W, tols,
+                label=f"term{len(terms)}-similar-to-witness",
+            ))
+    return terms, term_certs, tri_certs
+
+
 def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
     """A = B' - B'' + B''' - B'''' with each term certified similar to B.
 
@@ -153,8 +180,8 @@ def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
     n = B.shape[0]
     if A.shape != (n, n):
         raise ValueError("A and B must have the same size")
-    if abs(np.trace(A)) > tols.hollow_tol * max(fro(A), np.finfo(float).tiny):
-        raise NonzeroTraceError(f"A has trace {np.trace(A):.3e}")
+    _require_traceless(A, tols, name="A")
+    coefficients = [1.0, -1.0, 1.0, -1.0]
     if fro(A) == 0.0:
         # nothing to express: four copies of B cancel in signed pairs
         partition_spectrum(B, tols)  # still enforce the multiplicity gate
@@ -164,7 +191,7 @@ def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
             mode=MODE_FOUR_TERM,
             witness=B,
             target=A,
-            coefficients=[1.0, -1.0, 1.0, -1.0],
+            coefficients=coefficients,
             terms=[B.copy() for _ in range(4)],
             residual=0.0,
             residual_bound=tols.end_tol,
@@ -175,41 +202,11 @@ def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
     part = partition_spectrum(B, tols)
     hollow = zero_diagonal_similarity(A, tols)
     split = split_hollow(hollow.m, part.block_sizes, tols)
-
-    bp1, bpp1, (cu1, cl1) = diff_of_similar(part, split.c1, tols)
-    bp2, bpp2, (cu2, cl2) = diff_of_similar(part, split.c2, tols)
-
-    U = split.u
-    Uh = U.conj().T
-    Sh = hollow.to_hollow.t        # M = Sh A Sh^-1
-    Shinv = hollow.to_hollow.t_inv
-    T0inv = part.to_block_diag.t_inv  # blkdiag = T0inv B T0
-
-    raw_terms = [bp1, bpp1, bp2, bpp2]
-    conjs = [None, None, U, U]
-    terms = []
-    term_certs = []
-    for i, (P, conj) in enumerate(zip(raw_terms, conjs)):
-        if conj is None:
-            W = Shinv @ P @ Sh
-            tri = (cu1, cl1)[i % 2]
-            T = Shinv @ tri.t @ T0inv
-        else:
-            W = Shinv @ conj @ P @ Uh @ Sh
-            tri = (cu2, cl2)[i % 2]
-            T = Shinv @ conj @ tri.t @ T0inv
-        terms.append(W)
-        term_certs.append(
-            certify_similarity(T, B, W, tols, label=f"term{i + 1}-similar-to-B")
-        )
-
-    coefficients = [1.0, -1.0, 1.0, -1.0]
-    recon = sum(c * W for c, W in zip(coefficients, terms))
-    residual = fro(A - recon)
-    bound = tols.end_tol * max(1.0, fro(A))
-    if residual > bound:
-        raise ResidualTooLargeError("four-term reconstruction failed", residual)
-
+    terms, term_certs, tri_certs = _assemble(
+        B, part, part.to_block_diag.t_inv, hollow,
+        [(split.c1, None), (split.c2, split.u)], tols,
+    )
+    residual, bound = _residual_gate(A, coefficients, terms, tols, "four-term")
     return WaringCertificate(
         mode=MODE_FOUR_TERM,
         witness=B,
@@ -219,7 +216,7 @@ def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
         residual=residual,
         residual_bound=bound,
         term_certs=term_certs,
-        steps=[part.to_block_diag, hollow.to_hollow, cu1, cl1, cu2, cl2],
+        steps=[part.to_block_diag, hollow.to_hollow, *tri_certs],
     )
 
 
@@ -272,13 +269,23 @@ def image_search(f, n, goal, budget=DEFAULT_BUDGET, seed=0,
     )
 
 
-def _conjugated_tuples(args, term_certs):
-    """Conjugate the argument tuple by each term's transform; evaluating f on
-    the result lands exactly on the conjugated image."""
-    out = []
-    for cert in term_certs:
-        out.append(tuple(cert.t @ a @ cert.t_inv for a in args))
-    return out
+def _finish(cert, f, args, seed, budget, tols, what):
+    """Turn a matrix-level certificate into tuples of f and re-check it.
+
+    Conjugating the witness tuple by each term's transform makes f land on
+    the conjugated image; the terms are replaced by f re-evaluated on those
+    tuples, and their signed sum must reproduce the target.
+    """
+    tuples = [tuple(tc.t @ a @ tc.t_inv for a in args) for tc in cert.term_certs]
+    images = [evaluate(f, tp) for tp in tuples]
+    cert.residual, cert.residual_bound = _residual_gate(
+        cert.target, cert.coefficients, images, tols, what)
+    cert.tuples = tuples
+    cert.terms = images
+    cert.polynomial = f.to_string()
+    cert.seed = seed
+    cert.budget = budget
+    return cert
 
 
 def _require_not_central(f, n, seed, forbid_two_central=False):
@@ -308,37 +315,17 @@ def waring_express(f, A, budget=DEFAULT_BUDGET, seed=0,
     """
     A = as_cmatrix(A)
     n = A.shape[0]
-    if abs(np.trace(A)) > tols.hollow_tol * max(fro(A), np.finfo(float).tiny):
-        raise NonzeroTraceError(f"target has trace {np.trace(A):.3e}")
+    _require_traceless(A, tols)
     _require_not_central(f, n, seed)
-
     B, args = image_search(f, n, GOAL_MULTIPLICITY_HALF, budget, seed, tols)
     cert = four_term_decompose(B, A, tols)
-
-    tuples = _conjugated_tuples(args, cert.term_certs)
-    images = [evaluate(f, tp) for tp in tuples]
-    recon = sum(c * im for c, im in zip(cert.coefficients, images))
-    residual = fro(A - recon)
-    bound = tols.end_tol * max(1.0, fro(A))
-    if residual > bound:
-        raise ResidualTooLargeError(
-            "re-evaluated four-term reconstruction failed", residual
-        )
-
-    cert.tuples = tuples
-    cert.terms = images
-    cert.residual = residual
-    cert.residual_bound = bound
-    cert.polynomial = f.to_string()
-    cert.seed = seed
-    cert.budget = budget
-    return cert
+    return _finish(cert, f, args, seed, budget, tols, "re-evaluated four-term")
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n ** 0.5) + 1))
+def two_term_applies(f, n):
+    """The two-term route needs n prime or f multilinear."""
+    is_prime = n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    return is_prime or f.is_multilinear()
 
 
 def two_term_decompose(f, A, budget=DEFAULT_BUDGET, seed=0,
@@ -347,72 +334,53 @@ def two_term_decompose(f, A, budget=DEFAULT_BUDGET, seed=0,
 
     Valid when n is prime or f is multilinear: the image then contains a
     matrix with n distinct eigenvalues, and every triangular matrix sharing
-    that diagonal is similar to it. The two terms are the upper and (negated)
-    lower triangular halves of the hollow form of A, riding on the witness
-    diagonal.
+    that diagonal is similar to it. This is the four-term assembly on the
+    witness's n eigenvalue blocks with no hollow split: the two terms are
+    the upper and (negated) lower triangular halves of the hollow form of
+    A, riding on the witness diagonal.
     """
     A = as_cmatrix(A)
     n = A.shape[0]
-    if not (_is_prime(n) or f.is_multilinear()):
+    if not two_term_applies(f, n):
         raise PreconditionUnmetError(
             f"n={n} is composite and the polynomial is not multilinear; "
             "use the four-term decomposition instead"
         )
-    if abs(np.trace(A)) > tols.hollow_tol * max(fro(A), np.finfo(float).tiny):
-        raise NonzeroTraceError(f"target has trace {np.trace(A):.3e}")
+    _require_traceless(A, tols)
     _require_not_central(f, n, seed, forbid_two_central=True)
 
     D0, args = image_search(f, n, GOAL_DISTINCT_EIGS, budget, seed, tols)
     w, V = np.linalg.eig(D0)
     Vinv = np.linalg.inv(V)
-    lam = np.diag(w)
-    cert_diag = certify_similarity(Vinv, D0, lam, tols, label="diagonalize-witness")
+    cert_diag = certify_similarity(Vinv, D0, np.diag(w), tols,
+                                   label="diagonalize-witness")
+    eig_blocks = SpectralPartition(
+        case_tag="distinct",
+        block_sizes=(1,) * n,
+        blocks=[np.array([[wi]]) for wi in w],
+        block_spectra=[[wi] for wi in w],
+        to_block_diag=None,
+    )
 
     hollow = zero_diagonal_similarity(A, tols)
+    # the hollow form keeps a diagonal below hollow_tol, which the
+    # triangular halves drop instead of handing it to diff_of_similar
     M = hollow.m
-    upper = np.triu(M, 1)
-    lower = np.tril(M, -1)
-    blocks = [np.array([[wi]]) for wi in w]
-    cert_up = block_triangular_similarity(blocks, upper, "upper", tols)
-    cert_low = block_triangular_similarity(blocks, -lower, "lower", tols)
-
-    Sh = hollow.to_hollow.t
-    Shinv = hollow.to_hollow.t_inv
-    term_certs = []
-    terms = []
-    for tri, P in ((cert_up, lam + upper), (cert_low, lam - lower)):
-        W = Shinv @ P @ Sh
-        T = Shinv @ tri.t @ Vinv
-        terms.append(W)
-        term_certs.append(
-            certify_similarity(T, D0, W, tols,
-                               label=f"term{len(terms)}-similar-to-witness")
-        )
-
-    coefficients = [1.0, -1.0]
-    tuples = _conjugated_tuples(args, term_certs)
-    images = [evaluate(f, tp) for tp in tuples]
-    recon = images[0] - images[1]
-    residual = fro(A - recon)
-    bound = tols.end_tol * max(1.0, fro(A))
-    if residual > bound:
-        raise ResidualTooLargeError("two-term reconstruction failed", residual)
-
-    return WaringCertificate(
+    terms, term_certs, tri_certs = _assemble(
+        D0, eig_blocks, Vinv, hollow, [(M - np.diag(np.diag(M)), None)], tols,
+    )
+    cert = WaringCertificate(
         mode=MODE_TWO_TERM,
         witness=D0,
         target=A,
-        coefficients=coefficients,
-        terms=images,
-        residual=residual,
-        residual_bound=bound,
-        tuples=tuples,
-        polynomial=f.to_string(),
+        coefficients=[1.0, -1.0],
+        terms=terms,
+        residual=np.nan,          # both set by _finish
+        residual_bound=np.nan,
         term_certs=term_certs,
-        steps=[cert_diag, hollow.to_hollow, cert_up, cert_low],
-        seed=seed,
-        budget=budget,
+        steps=[cert_diag, hollow.to_hollow, *tri_certs],
     )
+    return _finish(cert, f, args, seed, budget, tols, "two-term")
 
 
 def five_term_express(f, T, budget=DEFAULT_BUDGET, seed=0,
@@ -437,17 +405,16 @@ def five_term_express(f, T, budget=DEFAULT_BUDGET, seed=0,
         remainder = T - c0 * A0
     remainder = project_traceless(remainder)
 
-    four = waring_express(f, remainder, budget, seed + 1, tols)
+    # the four-term path on the remainder, with f already classified
+    _require_traceless(remainder, tols)
+    B, args = image_search(f, n, GOAL_MULTIPLICITY_HALF, budget, seed + 1, tols)
+    four = _finish(four_term_decompose(B, remainder, tols), f, args,
+                   seed + 1, budget, tols, "re-evaluated four-term")
 
     coefficients = [complex(c0), 1.0, -1.0, 1.0, -1.0]
-    tuples = [tuple(args0)] + list(four.tuples)
-    images = [A0] + list(four.terms)
-    recon = sum(c * im for c, im in zip(coefficients, images))
-    residual = fro(T - recon)
-    bound = tols.end_tol * max(1.0, fro(T))
-    if residual > bound:
-        raise ResidualTooLargeError("five-term reconstruction failed", residual)
-
+    tuples = [tuple(args0)] + four.tuples
+    images = [A0] + four.terms
+    residual, bound = _residual_gate(T, coefficients, images, tols, "five-term")
     return WaringCertificate(
         mode=MODE_FIVE_TERM,
         witness=four.witness,

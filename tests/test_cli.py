@@ -117,6 +117,12 @@ class TestDecompose:
         doc = json.loads(open(out).read())
         assert doc["tolerances"]["end_tol"] == 1e-4
 
+    def test_rank_tolerance_flag_is_gone(self, a3):
+        # no decomposition reads a rank tolerance, so the flag does not exist
+        code, _, err = run_cli("decompose", "[X1,X2]", a3, "--tol-rank", "1e-3")
+        assert code == 2
+        assert "--tol-rank" in err
+
     def test_determinism_byte_identical(self, tmp_path, a3):
         out1, out2 = str(tmp_path / "c1.json"), str(tmp_path / "c2.json")
         run_cli("decompose", "[X1,X2]", a3, "--seed", "9", "--out", out1)

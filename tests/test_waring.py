@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from matwaring import waring
 from matwaring.canon import partition_spectrum
 from matwaring.errors import (
     BudgetExhaustedError,
@@ -9,7 +10,7 @@ from matwaring.errors import (
     NotGenericError,
     PreconditionUnmetError,
 )
-from matwaring.freealg import evaluate, parse
+from matwaring.freealg import classify, evaluate, parse
 from matwaring.linalg import blkdiag, fro
 from matwaring.waring import (
     GOAL_DISTINCT_EIGS,
@@ -23,7 +24,12 @@ from matwaring.waring import (
     waring_express,
 )
 
-from conftest import planted_matrix, random_traceless, sorted_eigs
+from conftest import (
+    planted_matrix,
+    random_complex,
+    random_traceless,
+    sorted_eigs,
+)
 
 
 def check_term_cert(cert, witness):
@@ -221,6 +227,38 @@ class TestTwoTerm:
         with pytest.raises(NotGenericError):
             two_term_decompose(parse("[X1,X2]"), random_traceless(rng, 2), seed=0)
 
+    def test_nearly_hollow_target(self, rng):
+        # deflation stops once the diagonal is below hollow_tol, so the
+        # hollow form keeps this ~1e-10 diagonal; the triangular halves must
+        # drop it rather than fail the exact-assembly check on it
+        A = random_complex(rng, 5)
+        np.fill_diagonal(A, 0.0)
+        d = rng.standard_normal(5)
+        d -= d.mean()
+        A += np.diag(1e-10 * fro(A) * d / np.linalg.norm(d))
+        cert = two_term_decompose(parse("[X1,X2]"), A, seed=0)
+        assert cert.residual <= 1e-8 * fro(A)
+
+
+_TRIANGULAR = ["block-triangular-upper", "block-triangular-lower"]
+
+
+@pytest.mark.parametrize("route,n,first_step,halves", [
+    (waring_express, 4, "spectral-partition", 2),
+    (two_term_decompose, 3, "diagonalize-witness", 1),
+])
+def test_shared_assembly_certificate_layout(rng, route, n, first_step, halves):
+    # both routes run one assembly: block-diagonalizing step, zero-diagonal
+    # step, one triangular pair per half, then one term per triangular part
+    cert = route(parse("[X1,X2]"), random_traceless(rng, n), seed=2)
+    assert [s.label for s in cert.steps] == (
+        [first_step, "zero-diagonal"] + _TRIANGULAR * halves
+    )
+    assert [tc.label for tc in cert.term_certs] == [
+        f"term{k}-similar-to-witness" for k in range(1, 2 * halves + 1)
+    ]
+    assert all(np.array_equal(tc.source, cert.witness) for tc in cert.term_certs)
+
 
 class TestFiveTerm:
     def test_traceless_target_degenerates(self, rng):
@@ -241,6 +279,17 @@ class TestFiveTerm:
         with pytest.raises(BudgetExhaustedError):
             five_term_express(parse("[X1,X2]"), np.eye(3, dtype=complex),
                               budget=60, seed=0)
+
+    def test_classifies_once(self, rng, monkeypatch):
+        calls = []
+
+        def counting_classify(*args, **kwargs):
+            calls.append(args)
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(waring, "classify", counting_classify)
+        five_term_express(parse("X1^2 + X1"), random_complex(rng, 3), seed=0)
+        assert len(calls) == 1
 
     def test_reconstruction_from_tuples(self, rng):
         f = parse("X1^2 + X1")
