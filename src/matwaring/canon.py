@@ -274,27 +274,25 @@ def _deflation_vector(block):
     Candidates are the standard basis vectors plus pairwise sums; the latter
     are needed when every e_k is an eigenvector (e.g. diagonal matrices).
     Score is the sine of the angle between v and block v (1.0 when v lies in
-    the kernel, which also forces a zero leading entry).
+    the kernel, which also forces a zero leading entry). All candidates are
+    scored at once; the first to beat the running best by 1e-15 is kept.
     """
     d = block.shape[0]
-    norm_block = fro(block)
-    candidates = [np.eye(d, dtype=complex)[:, k] for k in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = np.zeros(d, dtype=complex)
-            v[i] = v[j] = 1 / np.sqrt(2)
-            candidates.append(v)
-    best_v, best_score = None, -1.0
-    for v in candidates:
-        w = block @ v
-        nw = np.linalg.norm(w)
-        if nw <= 1e-14 * max(norm_block, 1e-300):
-            score = 1.0
-        else:
-            score = float(np.linalg.norm(w - (v.conj() @ w) * v) / nw)
+    i, j = np.triu_indices(d, 1)
+    pairs = np.arange(d, d + len(i))
+    V = np.zeros((d, d + len(i)), dtype=complex)
+    V[:, :d] = np.eye(d)
+    V[i, pairs] = V[j, pairs] = 1 / np.sqrt(2)
+    W = block @ V
+    nw = np.linalg.norm(W, axis=0)
+    off = np.linalg.norm(W - np.sum(V.conj() * W, axis=0) * V, axis=0)
+    kernel = nw <= 1e-14 * max(fro(block), 1e-300)
+    scores = np.where(kernel, 1.0, off / np.where(kernel, 1.0, nw))
+    best, best_score = None, -1.0
+    for k, score in enumerate(scores.tolist()):
         if score > best_score + 1e-15:
-            best_v, best_score = v, score
-    return best_v, best_score
+            best, best_score = k, score
+    return V[:, best].copy(), best_score
 
 
 def _deflation_step(block):

@@ -43,11 +43,13 @@ class DecouplingLayout:
     """Bookkeeping for the permuted frame.
 
     perm[i] is the original index sitting at permuted position i; cells lists
-    the 2x2 (or corner 3x3) groups with their rotation parameter.
+    the (kind, types) plan of each 2x2 (or corner 3x3) group and cell_indices
+    the original indices it occupies. U is zero between different groups.
     """
 
     perm: tuple
     cells: tuple
+    cell_indices: tuple
     params: ParameterAssignment
     corner: bool
 
@@ -225,11 +227,12 @@ def build_decoupling_unitary(n, pattern, tols: Tolerances = DEFAULT_TOLS):
         }
 
     perm = []
+    cell_indices = []
     rotations = []
     counters = dict.fromkeys("qts", 0)
     for kind, types in cells:
-        for t in types:
-            perm.append(type_pools[t].pop(0))
+        cell_indices.append(tuple(type_pools[t].pop(0) for t in types))
+        perm.extend(cell_indices[-1])
         if kind == "corner":
             rotations.append(corner_unitary())
         else:
@@ -249,7 +252,8 @@ def build_decoupling_unitary(n, pattern, tols: Tolerances = DEFAULT_TOLS):
         U_tilde[pos : pos + d, pos : pos + d] = R
         pos += d
     U = S @ U_tilde @ S.conj().T
-    layout = DecouplingLayout(tuple(perm), tuple(cells), params, corner)
+    layout = DecouplingLayout(tuple(perm), tuple(cells), tuple(cell_indices),
+                              params, corner)
 
     unitarity = fro(U.conj().T @ U - np.eye(n))
     if unitarity > 1e-12:
@@ -271,12 +275,32 @@ def hollow_block_basis(n, pattern):
     return SubspaceBasis(n, tuple(mats)), positions
 
 
-def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS, unitary=None):
+def _solve_cell_pairs(M, U, labels, I, J, C1, C2):
+    """Minimum-norm solves of M[I, J] = C1[I, J] + R_I C2[I, J] R_J* for all
+    pairs of cells (rows of I, rows of J); row-major, the C2 columns are
+    kron(R_I, conj(R_J)). Positions inside a diagonal block are not unknowns:
+    their columns are zeroed and only the free positions are written back."""
+    rows, cols = I[:, None, :, None], J[None, :, None, :]
+    free = labels[rows] != labels[cols]
+    kI, kJ, dI, dJ = free.shape
+    RI = U[I[:, :, None], I[:, None, :]]
+    RJ = U[J[:, :, None], J[:, None, :]]
+    kron = np.einsum("pac,qbd->pqabcd", RI, RJ.conj()).reshape(kI, kJ, dI * dJ, -1)
+    mask = free.reshape(kI, kJ, 1, dI * dJ)
+    system = np.concatenate([np.eye(dI * dJ) * mask, kron * mask], axis=-1)
+    x = np.linalg.pinv(system) @ M[rows, cols].reshape(kI, kJ, -1, 1)
+    C1[rows, cols] = np.where(free, x[..., : dI * dJ, 0].reshape(free.shape), 0)
+    C2[rows, cols] = np.where(free, x[..., dI * dJ :, 0].reshape(free.shape), 0)
+
+
+def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS):
     """Write a hollow M as C1 + U C2 U* with C1, C2 in V(pattern).
 
-    Minimal-norm least squares on the column system assembled from the
-    pattern's matrix units and their U-conjugates; existence is guaranteed
-    for every valid pattern, so a large residual is a numerical failure.
+    U is zero between the cells of its layout, so the system splits into one
+    minimum-norm solve of at most 9 equations and 18 unknowns per pair of
+    cells, batched by cell sizes; the minimum-norm solution of the direct sum
+    is the direct sum of these. Existence is guaranteed for every valid
+    pattern, so a large residual is a numerical failure.
     """
     M = as_cmatrix(M)
     n = M.shape[0]
@@ -285,22 +309,16 @@ def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS, unitary=None):
     if diag_mag > tols.hollow_tol * max(fro(M), np.finfo(float).tiny):
         raise ValueError(f"input is not hollow (max diagonal {diag_mag:.3e})")
 
-    if unitary is None:
-        unitary, _ = build_decoupling_unitary(n, pattern, tols)
-    U = unitary
-    basis, positions = hollow_block_basis(n, pattern)
-    m = len(positions)
-    cols = np.empty((n * n, 2 * m), dtype=complex)
-    for k, E in enumerate(basis.mats):
-        cols[:, k] = E.ravel()
-        cols[:, m + k] = (U @ E @ U.conj().T).ravel()
-    coeffs, *_ = np.linalg.lstsq(cols, M.ravel(), rcond=None)
-
+    U, layout = build_decoupling_unitary(n, pattern, tols)
+    labels = block_labels(pattern)
+    groups = [np.array([c for c in layout.cell_indices if len(c) == d])
+              for d in (2, 3)]
+    groups = [g for g in groups if len(g)]
     C1 = np.zeros((n, n), dtype=complex)
     C2 = np.zeros((n, n), dtype=complex)
-    for k, (i, j) in enumerate(positions):
-        C1[i, j] = coeffs[k]
-        C2[i, j] = coeffs[m + k]
+    for I in groups:
+        for J in groups:
+            _solve_cell_pairs(M, U, labels, I, J, C1, C2)
     residual = fro(M - C1 - U @ C2 @ U.conj().T)
     if residual > tols.split_tol * max(1.0, fro(M)):
         raise ResidualTooLargeError(

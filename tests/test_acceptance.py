@@ -101,7 +101,7 @@ def test_criterion_2_hollow_coverage_and_splits():
                 for _ in range(50):
                     M = random_complex(rng, n)
                     np.fill_diagonal(M, 0.0)
-                    split = split_hollow(M, pattern, unitary=U)
+                    split = split_hollow(M, pattern)
                     assert split.residual <= 1e-9, (n, pattern, split.residual)
 
 

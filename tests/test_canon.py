@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from matwaring.canon import (
+    _deflation_vector,
     block_diagonalize_by_cluster,
     cluster_eigenvalues,
     partition_spectrum,
@@ -13,7 +14,7 @@ from matwaring.errors import (
     MultiplicityTooLargeError,
     NonzeroTraceError,
 )
-from matwaring.linalg import blkdiag
+from matwaring.linalg import blkdiag, fro
 
 from conftest import planted_matrix, random_traceless, random_unitary, sorted_eigs
 
@@ -164,3 +165,51 @@ class TestZeroDiagonal:
         cert = hol.to_hollow
         assert np.linalg.norm(cert.t @ A @ cert.t_inv - hol.m) <= 1e-9 * (
             cert.condition_estimate * np.linalg.norm(A))
+
+
+def deflation_vector_loop(block):
+    """Reference: score one candidate at a time, e_k first, then the pairwise
+    sums (e_i + e_j)/sqrt(2) for i < j; keep the first to beat the running
+    best by 1e-15."""
+    d = block.shape[0]
+    norm_block = fro(block)
+    candidates = [np.eye(d, dtype=complex)[:, k] for k in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            v = np.zeros(d, dtype=complex)
+            v[i] = v[j] = 1 / np.sqrt(2)
+            candidates.append(v)
+    best_v, best_score = None, -1.0
+    for v in candidates:
+        w = block @ v
+        nw = np.linalg.norm(w)
+        if nw <= 1e-14 * max(norm_block, 1e-300):
+            score = 1.0
+        else:
+            score = float(np.linalg.norm(w - (v.conj() @ w) * v) / nw)
+        if score > best_score + 1e-15:
+            best_v, best_score = v, score
+    return best_v, best_score
+
+
+def _deflation_blocks(rng, d):
+    dense = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    zero_col = dense.copy()
+    zero_col[:, d // 2] = 0.0
+    yield "random", dense
+    yield "diagonal", np.diag(np.diag(dense))
+    yield "upper", np.triu(dense)
+    yield "zero-column", zero_col
+    # every e_k scores the same up to rounding: exercises the 1e-15 tie rule
+    yield "circulant", np.array([np.roll(dense[0], k) for k in range(d)])
+
+
+@pytest.mark.parametrize("d", list(range(2, 21)) + [32, 33, 64])
+def test_deflation_vector_matches_loop(rng, d):
+    for kind, block in _deflation_blocks(rng, d):
+        v, score = _deflation_vector(block)
+        v_ref, score_ref = deflation_vector_loop(block)
+        assert np.array_equal(v, v_ref), (kind, d)
+        assert abs(score - score_ref) <= 1e-14, (kind, d)
+        # a strided view would change block @ v in the last bits
+        assert v.flags.c_contiguous

@@ -20,6 +20,27 @@ P2 = np.diag([1.0, 0.0]).astype(complex)
 Q_GRID = np.linspace(0.01, 0.99, 100)
 
 
+def dense_split_oracle(M, pattern):
+    """Reference split: minimum-norm least squares on the dense n^2 x 2m
+    system whose columns are the pattern's matrix units and their
+    U-conjugates."""
+    n = M.shape[0]
+    U, _ = build_decoupling_unitary(n, pattern)
+    basis, positions = hollow_block_basis(n, pattern)
+    m = len(positions)
+    cols = np.empty((n * n, 2 * m), dtype=complex)
+    for k, E in enumerate(basis.mats):
+        cols[:, k] = E.ravel()
+        cols[:, m + k] = (U @ E @ U.conj().T).ravel()
+    coeffs, *_ = np.linalg.lstsq(cols, M.ravel(), rcond=None)
+    C1 = np.zeros((n, n), dtype=complex)
+    C2 = np.zeros((n, n), dtype=complex)
+    r, c = np.array(positions).T
+    C1[r, c] = coeffs[:m]
+    C2[r, c] = coeffs[m:]
+    return C1, C2
+
+
 def all_patterns(n):
     """Every valid pattern at size n: (n/2, n/2) when even, plus all
     (p, q, r) with p + q + r = n and p, q, r < n/2."""
@@ -155,6 +176,18 @@ class TestDecouplingUnitary:
         _, layout = build_decoupling_unitary(7, (3, 3, 1))
         assert sorted(layout.perm) == list(range(7))
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_layout_cells_carry_u(self, n):
+        # U is block diagonal on the layout's cells: zero between cells
+        for pattern in all_patterns(n):
+            U, layout = build_decoupling_unitary(n, pattern)
+            assert sum(layout.cell_indices, ()) == layout.perm
+            assert len(layout.cell_indices) == len(layout.cells)
+            inside = np.zeros((n, n), dtype=bool)
+            for I in layout.cell_indices:
+                inside[np.ix_(I, I)] = True
+            assert np.abs(U[~inside]).max(initial=0.0) == 0
+
     def test_invalid_patterns(self):
         with pytest.raises(ValueError):
             build_decoupling_unitary(4, (1, 3))
@@ -207,3 +240,23 @@ class TestSplitHollow:
     def test_non_hollow_rejected(self, rng):
         with pytest.raises(ValueError):
             split_hollow(np.eye(4), (2, 2))
+
+
+_ORACLE_CASES = [(n, pattern) for n in range(2, 10) for pattern in all_patterns(n)]
+_ORACLE_CASES += [(16, (8, 8)), (33, (16, 1, 16)), (33, (11, 11, 11))]
+
+
+@pytest.mark.parametrize("n,pattern", _ORACLE_CASES,
+                         ids=[f"{n}-{pattern}" for n, pattern in _ORACLE_CASES])
+def test_split_matches_dense_oracle(rng, n, pattern):
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    np.fill_diagonal(M, 0.0)
+    split = split_hollow(M, pattern)
+    C1, C2 = dense_split_oracle(M, pattern)
+    bound = 1e-12 * np.linalg.norm(M)
+    assert np.linalg.norm(split.c1 - C1) <= bound
+    assert np.linalg.norm(split.c2 - C2) <= bound
+    edges = np.concatenate([[0], np.cumsum(pattern)]).astype(int)
+    for a, b in zip(edges[:-1], edges[1:]):
+        assert not split.c1[a:b, a:b].any()
+        assert not split.c2[a:b, a:b].any()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,10 @@ from matwaring.errors import (
     PreconditionUnmetError,
 )
 from matwaring.freealg import classify, evaluate, parse
+from matwaring.config import DEFAULT_TOLS
 from matwaring.linalg import blkdiag, fro
+from matwaring.serialize import certificate_to_json, dumps_canonical
+from matwaring.verify import verify_certificate
 from matwaring.waring import (
     GOAL_DISTINCT_EIGS,
     GOAL_MULTIPLICITY_HALF,
@@ -258,6 +263,21 @@ def test_shared_assembly_certificate_layout(rng, route, n, first_step, halves):
         f"term{k}-similar-to-witness" for k in range(1, 2 * halves + 1)
     ]
     assert all(np.array_equal(tc.source, cert.witness) for tc in cert.term_certs)
+
+
+@pytest.mark.parametrize("route,n", [
+    (waring_express, 16),
+    (waring_express, 32),
+    (waring_express, 33),
+    (waring_express, 64),
+    (two_term_decompose, 64),
+])
+def test_large_n_round_trip(rng, route, n):
+    # the promised range n <= 64, through the canonical bytes and back
+    cert = route(parse("[X1,X2]"), random_traceless(rng, n), seed=1)
+    doc = json.loads(dumps_canonical(certificate_to_json(cert, DEFAULT_TOLS)))
+    assert verify_certificate(doc) == []
+    assert doc["residual"] <= doc["residual_bound"]
 
 
 class TestFiveTerm:
