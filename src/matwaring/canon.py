@@ -8,6 +8,7 @@ and the similarity taking a trace-zero matrix to zero diagonal.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
@@ -24,6 +25,7 @@ from .linalg import (
     certify_similarity,
     eigendecompose,
     fro,
+    spectral_gap,
 )
 
 
@@ -76,7 +78,6 @@ class SpectralPartition:
     case_tag: str
     block_sizes: tuple
     blocks: list
-    block_spectra: list
     to_block_diag: SimilarityCertificate
 
 
@@ -89,39 +90,25 @@ class HollowForm:
 
 
 # ---------------------------------------------------------------------------
-# Schur reordering (bubble adjacent 1x1 swaps with unitary rotations)
+# Schur reordering (LAPACK ztrsen, one call per key boundary)
 # ---------------------------------------------------------------------------
 
-def _swap_adjacent(T, Q, i):
-    """Swap diagonal entries i, i+1 of upper triangular T by a unitary
-    similarity, updating Q in place so Q T Q* is preserved."""
-    a, b, c = T[i, i], T[i, i + 1], T[i + 1, i + 1]
-    v = np.array([b, c - a], dtype=complex)
-    nv = np.linalg.norm(v)
-    if nv == 0:  # already decoupled and equal; nothing to do
-        return
-    v /= nv
-    G = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]], dtype=complex)
-    T[:, i : i + 2] = T[:, i : i + 2] @ G
-    T[i : i + 2, :] = G.conj().T @ T[i : i + 2, :]
-    Q[:, i : i + 2] = Q[:, i : i + 2] @ G
-    T[i + 1, i] = 0.0
-
-
 def _reorder_schur(T, Q, keys):
-    """Stable-sort the diagonal of T by integer keys via adjacent swaps."""
-    T = T.copy()
-    Q = Q.copy()
-    keys = list(keys)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keys) - 1):
-            if keys[i] > keys[i + 1]:
-                _swap_adjacent(T, Q, i)
-                keys[i], keys[i + 1] = keys[i + 1], keys[i]
-                changed = True
-    return T, Q, keys
+    """Stable-sort the diagonal of T by integer keys, keeping Q T Q* fixed.
+
+    ztrsen moves the selected entries to the top and keeps the relative order
+    within the selected and within the unselected ones, so selecting
+    keys <= k for each distinct key k in turn is a stable sort.
+    """
+    keys = np.asarray(keys)
+    for k in np.unique(keys)[:-1]:
+        select = keys <= k
+        T, Q, _, _, _, _, info = lapack.ztrsen(select, T, Q, job="N")
+        if info:
+            raise ClusterGapTooSmallError(
+                f"Schur reordering failed (ztrsen info {info})")
+        keys = np.concatenate([keys[select], keys[~select]])
+    return T, Q
 
 
 def _assign_to_clusters(eigs, clusters):
@@ -140,16 +127,14 @@ def _assign_to_clusters(eigs, clusters):
 
 
 def _check_cluster_gaps(clusters, tols):
-    reps = [c[0] for c in clusters]
-    scale = max((abs(r) for r in reps), default=0.0)
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            gap = abs(reps[i] - reps[j])
-            if gap <= tols.gap_tol * max(scale, np.finfo(float).tiny):
-                raise ClusterGapTooSmallError(
-                    f"clusters {reps[i]} and {reps[j]} are closer than the "
-                    f"gap tolerance (gap {gap:.3e})"
-                )
+    reps = np.array([c[0] for c in clusters], dtype=complex)
+    scale = np.abs(reps).max(initial=0.0)
+    gap, i, j = spectral_gap(reps, np.arange(len(reps)))
+    if gap <= tols.gap_tol * max(scale, np.finfo(float).tiny):
+        raise ClusterGapTooSmallError(
+            f"clusters {reps[i]} and {reps[j]} are closer than the "
+            f"gap tolerance (gap {gap:.3e})"
+        )
 
 
 def block_diagonalize_by_cluster(B, clusters, tols: Tolerances = DEFAULT_TOLS,
@@ -168,16 +153,14 @@ def block_diagonalize_by_cluster(B, clusters, tols: Tolerances = DEFAULT_TOLS,
     else:
         eigs, T, Q = schur
     keys = _assign_to_clusters(eigs, clusters)
-    T, Q, keys = _reorder_schur(T, Q, keys)
+    T, Q = _reorder_schur(T, Q, keys)
 
     sizes = [c[1] for c in clusters]
     edges = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     blocks = [T[a:b, a:b].copy() for a, b in zip(edges[:-1], edges[1:])]
-    off = T - blkdiag(blocks)
-    tri = block_triangular_similarity(blocks, off, "upper", tols)
-    T_total = Q @ tri.t
-    cert = certify_similarity(T_total, blkdiag(blocks), B, tols,
-                              label="block-diagonalize")
+    D = blkdiag(blocks)
+    tri = block_triangular_similarity(blocks, T - D, "upper", tols)
+    cert = certify_similarity(Q @ tri.t, D, B, tols, label="block-diagonalize")
     return blocks, cert
 
 
@@ -246,22 +229,12 @@ def partition_spectrum(B, tols: Tolerances = DEFAULT_TOLS):
     cluster_blocks, cert = block_diagonalize_by_cluster(B, order, tols,
                                                         schur=schur)
 
-    blocks = []
-    spectra = []
-    idx = 0
-    for count in group_counts:
-        group = cluster_blocks[idx : idx + count]
-        blocks.append(blkdiag(group))
-        group_eigs = []
-        for value, mult in order[idx : idx + count]:
-            group_eigs.extend([value] * mult)
-        spectra.append(group_eigs)
-        idx += count
-
-    # the grouped block diagonal coincides with the per-cluster one
+    edges = np.cumsum((0,) + group_counts)
+    blocks = [blkdiag(cluster_blocks[a:b]) for a, b in zip(edges, edges[1:])]
+    # the grouped block diagonal coincides with the per-cluster one, which
+    # is already the certificate's source
     cert.label = "spectral-partition"
-    cert.source = blkdiag(blocks)
-    return SpectralPartition(case_tag, group_sizes, blocks, spectra, cert)
+    return SpectralPartition(case_tag, group_sizes, blocks, cert)
 
 
 # ---------------------------------------------------------------------------

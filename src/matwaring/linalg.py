@@ -45,10 +45,21 @@ def eigendecompose(A):
     return np.diag(T).copy(), T, Q
 
 
-def spectral_gap(eigs1, eigs2):
-    """Minimum |lambda_i - mu_j| over the two spectra."""
-    d = np.abs(np.subtract.outer(np.asarray(eigs1), np.asarray(eigs2)))
-    return float(d.min()) if d.size else np.inf
+def block_labels(sizes):
+    """Block index of every row (and column) of the block pattern `sizes`."""
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
+def spectral_gap(values, labels):
+    """Smallest |v_i - v_j| over pairs with different labels, with the two
+    labels of that pair; the gap is inf when there is no such pair."""
+    values, labels = np.asarray(values), np.asarray(labels)
+    d = np.where(labels[:, None] != labels, np.abs(values[:, None] - values),
+                 np.inf)
+    if not d.size:
+        return np.inf, None, None
+    i, j = np.unravel_index(np.argmin(d), d.shape)
+    return float(d[i, j]), labels[i], labels[j]
 
 
 def sylvester_solve(A1, A2, C, tols: Tolerances = DEFAULT_TOLS):
@@ -61,10 +72,9 @@ def sylvester_solve(A1, A2, C, tols: Tolerances = DEFAULT_TOLS):
     p, q = A1.shape[0], A2.shape[0]
     if C.shape != (p, q):
         raise ValueError(f"C must be {p}x{q}, got {C.shape}")
-    e1 = np.linalg.eigvals(A1)
-    e2 = np.linalg.eigvals(A2)
-    scale = max(np.abs(e1).max(initial=0.0), np.abs(e2).max(initial=0.0))
-    gap = spectral_gap(e1, e2)
+    eigs = np.concatenate([np.linalg.eigvals(A1), np.linalg.eigvals(A2)])
+    scale = np.abs(eigs).max(initial=0.0)
+    gap, _, _ = spectral_gap(eigs, block_labels((p, q)))
     if gap <= tols.gap_tol * max(scale, np.finfo(float).tiny):
         raise SpectraOverlapError(
             f"spectra of the operands are not disjoint (gap {gap:.3e}, "
@@ -196,16 +206,6 @@ def certify_similarity(T, source, target, tols: Tolerances = DEFAULT_TOLS,
 # block-triangular similarity (diagonal blocks with pairwise disjoint spectra)
 # ---------------------------------------------------------------------------
 
-def block_labels(sizes):
-    """Block index of every row (and column) of the block pattern `sizes`."""
-    return np.repeat(np.arange(len(sizes)), sizes)
-
-
-def _block_slices(sizes):
-    edges = np.concatenate([[0], np.cumsum(sizes)])
-    return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
-
-
 def _check_strictly_block_upper(off, sizes, scale):
     labels = block_labels(sizes)
     on_or_below = labels[None, :] <= labels[:, None]
@@ -215,22 +215,21 @@ def _check_strictly_block_upper(off, sizes, scale):
                          f"block diagonal (max violation {bad:.3e})")
 
 
-def _unit_upper_transform(blocks, off, slices, tols):
-    """T with T blkdiag(blocks) T^-1 = blkdiag + off, T unit block upper."""
-    k = len(blocks)
-    n = off.shape[0]
-    if k == 1:
-        return np.eye(n, dtype=complex)
-    s0 = slices[0]
-    rest = slice(s0.stop, n)
-    sub_slices = [slice(s.start - s0.stop, s.stop - s0.stop) for s in slices[1:]]
-    T22 = _unit_upper_transform(blocks[1:], off[rest, rest], sub_slices, tols)
-    D2 = blkdiag(blocks[1:])
-    C1r = off[s0, rest]
-    X = sylvester_solve(blocks[0], D2, -C1r @ T22, tols)
-    T = np.eye(n, dtype=complex)
-    T[s0, rest] = X
-    T[rest, rest] = T22
+def _unit_upper_transform(blocks, upper, tols):
+    """T with T blkdiag(blocks) T^-1 = upper, T unit block upper.
+
+    Column block j of T is (X_j; I; 0) with L_j X_j - X_j B_j =
+    -upper[:s_j, block j], where s_j is the offset of block B_j and L_j the
+    leading s_j x s_j part of upper, whose spectrum is that of the blocks
+    before B_j.
+    """
+    T = np.eye(upper.shape[0], dtype=complex)
+    s = 0
+    for b in blocks:
+        e = s + b.shape[0]
+        if s:
+            T[:s, s:e] = sylvester_solve(upper[:s, :s], b, -upper[:s, s:e], tols)
+        s = e
     return T
 
 
@@ -240,8 +239,8 @@ def block_triangular_similarity(blocks, off_diag, orientation="upper",
 
     off_diag must be strictly block upper (or lower) triangular in the block
     pattern of `blocks`; spectra of the blocks must be pairwise disjoint.
-    The transform is I + N with N strictly block triangular, assembled from
-    pairwise Sylvester solves.
+    The transform is I + N with N strictly block triangular, one Sylvester
+    solve per column block after the first.
     """
     blocks = [as_cmatrix(b) for b in blocks]
     off = as_cmatrix(off_diag)
@@ -252,25 +251,23 @@ def block_triangular_similarity(blocks, off_diag, orientation="upper",
     if orientation not in ("upper", "lower"):
         raise ValueError("orientation must be 'upper' or 'lower'")
 
-    spectra = [np.linalg.eigvals(b) for b in blocks]
-    scale = max((np.abs(e).max(initial=0.0) for e in spectra), default=0.0)
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            gap = spectral_gap(spectra[i], spectra[j])
-            if gap <= tols.gap_tol * max(scale, np.finfo(float).tiny):
-                raise SpectraOverlapError(
-                    f"blocks {i} and {j} have overlapping spectra (gap {gap:.3e})"
-                )
-
-    slices = _block_slices(sizes)
-    if orientation == "upper":
-        _check_strictly_block_upper(off, sizes, fro(off))
-        T = _unit_upper_transform(blocks, off, slices, tols)
-    else:
-        _check_strictly_block_upper(off.T, sizes, fro(off))
-        S = _unit_upper_transform([b.T for b in blocks], off.T, slices, tols)
-        T = np.linalg.inv(S).T
+    eigs = np.concatenate([np.linalg.eigvals(b) for b in blocks])
+    scale = np.abs(eigs).max(initial=0.0)
+    gap, i, j = spectral_gap(eigs, block_labels(sizes))
+    if gap <= tols.gap_tol * max(scale, np.finfo(float).tiny):
+        raise SpectraOverlapError(
+            f"blocks {i} and {j} have overlapping spectra (gap {gap:.3e})"
+        )
 
     D = blkdiag(blocks)
-    return certify_similarity(T, D, D + off, tols,
+    target = D + off
+    if orientation == "upper":
+        _check_strictly_block_upper(off, sizes, fro(off))
+        T = _unit_upper_transform(blocks, target, tols)
+    else:
+        _check_strictly_block_upper(off.T, sizes, fro(off))
+        S = _unit_upper_transform([b.T for b in blocks], target.T, tols)
+        T = np.linalg.inv(S).T
+
+    return certify_similarity(T, D, target, tols,
                               label=f"block-triangular-{orientation}")

@@ -41,6 +41,7 @@ from .linalg import (
     certify_similarity,
     fro,
     project_traceless,
+    spectral_gap,
 )
 from .unitaries import split_hollow
 
@@ -233,11 +234,8 @@ def _goal_satisfied(goal, image, tols):
     if goal == GOAL_DISTINCT_EIGS:
         eigs = np.linalg.eigvals(image)
         scale = max(float(np.abs(eigs).max(initial=0.0)), np.finfo(float).tiny)
-        gaps = [
-            abs(eigs[i] - eigs[j])
-            for i in range(n) for j in range(i + 1, n)
-        ]
-        return min(gaps, default=np.inf) > tols.gap_tol * scale
+        gap, _, _ = spectral_gap(eigs, np.arange(n))
+        return gap > tols.gap_tol * scale
     if goal == GOAL_NONZERO_TRACE:
         return abs(np.trace(image)) > tols.trace_tol * max(1.0, fro(image))
     raise ValueError(f"unknown goal {goal!r}")
@@ -358,7 +356,6 @@ def two_term_decompose(f, A, budget=DEFAULT_BUDGET, seed=0,
         case_tag="distinct",
         block_sizes=(1,) * n,
         blocks=[np.array([[wi]]) for wi in w],
-        block_spectra=[[wi] for wi in w],
         to_block_diag=None,
     )
 

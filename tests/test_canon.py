@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from matwaring.canon import (
     _deflation_vector,
+    _reorder_schur,
     block_diagonalize_by_cluster,
     cluster_eigenvalues,
     partition_spectrum,
@@ -86,7 +88,8 @@ class TestPartitionSpectrum:
         part = partition_spectrum(planted_matrix(rng, [1, 1, 2, 3]))
         assert part.case_tag == "A"
         assert part.block_sizes == (2, 2)
-        assert sorted(np.round(np.real(part.block_spectra[0]), 6)) == [1, 1]
+        spectrum = np.linalg.eigvals(part.blocks[0])
+        assert sorted(np.round(np.real(spectrum), 6)) == [1, 1]
 
     def test_case_a_greedy_prefix(self, rng):
         part = partition_spectrum(planted_matrix(rng, [1, 2, 3, 4]))
@@ -123,7 +126,8 @@ class TestPartitionSpectrum:
     def test_spectra_union(self, rng):
         B = planted_matrix(rng, [1, 1, 2, 2, 3])
         part = partition_spectrum(B)
-        merged = sorted(np.round(np.concatenate(part.block_spectra).real, 6))
+        spectra = [np.linalg.eigvals(b) for b in part.blocks]
+        merged = sorted(np.round(np.concatenate(spectra).real, 6))
         assert merged == [1, 1, 2, 2, 3]
 
 
@@ -213,3 +217,46 @@ def test_deflation_vector_matches_loop(rng, d):
         assert abs(score - score_ref) <= 1e-14, (kind, d)
         # a strided view would change block @ v in the last bits
         assert v.flags.c_contiguous
+
+
+def bubble_reorder_oracle(T, Q, keys):
+    """Reference: stable-sort the diagonal of T by integer keys with a bubble
+    sort of adjacent swaps, each a 2x2 unitary rotation of T and Q."""
+    T, Q, keys = T.copy(), Q.copy(), list(keys)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(keys) - 1):
+            if keys[i] > keys[i + 1]:
+                a, b, c = T[i, i], T[i, i + 1], T[i + 1, i + 1]
+                v = np.array([b, c - a], dtype=complex)
+                nv = np.linalg.norm(v)
+                if nv:
+                    v /= nv
+                    G = np.array([[v[0], -np.conj(v[1])],
+                                  [v[1], np.conj(v[0])]])
+                    T[:, i : i + 2] = T[:, i : i + 2] @ G
+                    T[i : i + 2, :] = G.conj().T @ T[i : i + 2, :]
+                    Q[:, i : i + 2] = Q[:, i : i + 2] @ G
+                    T[i + 1, i] = 0.0
+                keys[i], keys[i + 1] = keys[i + 1], keys[i]
+                changed = True
+    return T, Q, keys
+
+
+@pytest.mark.parametrize("n", list(range(2, 41)))
+def test_reorder_schur_matches_bubble_oracle(rng, n):
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    T0, Q0 = scipy.linalg.schur(A, output="complex")
+    keys = rng.integers(0, max(2, n // 3), n)  # repeated keys
+    T, Q = _reorder_schur(T0, Q0, keys)
+    T_ref, Q_ref, keys_ref = bubble_reorder_oracle(T0, Q0, keys)
+    order = np.argsort(keys, kind="stable")
+    assert keys_ref == sorted(keys)
+    assert np.allclose(np.diag(T), np.diag(T0)[order], rtol=0, atol=1e-12)
+    assert np.allclose(np.diag(T), np.diag(T_ref), rtol=0, atol=1e-12)
+    # same invariant subspaces: Q and Q_ref agree up to column phases
+    assert np.allclose(np.abs(Q.conj().T @ Q_ref), np.eye(n), rtol=0,
+                       atol=1e-12)
+    assert not np.tril(T, -1).any()
+    assert fro(Q @ T @ Q.conj().T - A) <= 1e-12 * fro(A)

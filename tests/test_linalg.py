@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from matwaring.config import DEFAULT_TOLS
 from matwaring.errors import IllConditionedError, SpectraOverlapError
@@ -24,6 +25,24 @@ def kron_sylvester_oracle(A1, A2, C):
     p, q = A1.shape[0], A2.shape[0]
     K = np.kron(A1, np.eye(q)) - np.kron(np.eye(p), A2.T)
     return np.linalg.solve(K, C.ravel()).reshape(p, q)
+
+
+def recursive_transform_oracle(blocks, off):
+    """Reference: unit block-upper T with T blkdiag(blocks) T^-1 =
+    blkdiag(blocks) + off, by recursion on the trailing blocks. The first
+    block row X solves B_0 X - X blkdiag(rest) = -off[0, rest] T_22, where
+    T_22 is the transform of the trailing blocks."""
+    n = off.shape[0]
+    if len(blocks) == 1:
+        return np.eye(n, dtype=complex)
+    s = blocks[0].shape[0]
+    T22 = recursive_transform_oracle(blocks[1:], off[s:, s:])
+    X = scipy.linalg.solve_sylvester(blocks[0], -blkdiag(blocks[1:]),
+                                     -off[:s, s:] @ T22)
+    T = np.eye(n, dtype=complex)
+    T[:s, s:] = X
+    T[s:, s:] = T22
+    return T
 
 
 def matrix_unit(n, i, j):
@@ -177,6 +196,33 @@ class TestBlockTriangular:
         lhs = cert.t @ blkdiag(blocks) @ cert.t_inv
         rhs = blkdiag(blocks) + off
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1, np.linalg.norm(rhs))
+
+    @pytest.mark.parametrize("orientation", ["upper", "lower"])
+    @pytest.mark.parametrize("sizes", [(3, 2), (2, 1, 3), (2, 1, 3, 1, 2),
+                                       (1,) * 8, (1,) * 33, (1,) * 64])
+    def test_matches_recursive_oracle(self, rng, orientation, sizes):
+        n = sum(sizes)
+        eigs = np.linalg.eigvals(random_complex(rng, n))
+        edges = np.cumsum((0,) + sizes)
+        blocks = [planted_matrix(rng, eigs[a:b])
+                  for a, b in zip(edges, edges[1:])]
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        upper = labels[None, :] > labels[:, None]
+        mask = upper if orientation == "upper" else upper.T
+        off = random_complex(rng, n) * mask
+        T = block_triangular_similarity(blocks, off, orientation).t
+        if orientation == "upper":
+            T_ref = recursive_transform_oracle(blocks, off)
+        else:
+            S = recursive_transform_oracle([b.T for b in blocks], off.T)
+            T_ref = np.linalg.inv(S).T
+        assert np.linalg.norm(T - T_ref) <= 1e-12 * np.linalg.norm(T_ref)
+
+    def test_overlap_names_the_two_blocks(self, rng):
+        blocks = [planted_matrix(rng, [1, 2]), planted_matrix(rng, [5]),
+                  planted_matrix(rng, [2, 7])]
+        with pytest.raises(SpectraOverlapError, match="blocks 0 and 2 "):
+            block_triangular_similarity(blocks, np.zeros((5, 5)))
 
     def test_overlapping_spectra_rejected(self, rng):
         blocks = [planted_matrix(rng, [1, 2]), planted_matrix(rng, [2])]

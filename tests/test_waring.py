@@ -12,7 +12,7 @@ from matwaring.errors import (
     NotGenericError,
     PreconditionUnmetError,
 )
-from matwaring.freealg import classify, evaluate, parse
+from matwaring.freealg import classify, evaluate, parse, random_tuple
 from matwaring.config import DEFAULT_TOLS
 from matwaring.linalg import blkdiag, fro
 from matwaring.serialize import certificate_to_json, dumps_canonical
@@ -160,6 +160,31 @@ class TestImageSearch:
         a = image_search(f, 3, GOAL_DISTINCT_EIGS, seed=3)
         b = image_search(f, 3, GOAL_DISTINCT_EIGS, seed=3)
         assert np.array_equal(a[0], b[0])
+
+
+def distinct_eigs_oracle(image, tols):
+    """Reference: the distinct-eigenvalue goal as a loop over pairs."""
+    n = image.shape[0]
+    eigs = np.linalg.eigvals(image)
+    scale = max(float(np.abs(eigs).max(initial=0.0)), np.finfo(float).tiny)
+    gaps = [abs(eigs[i] - eigs[j]) for i in range(n) for j in range(i + 1, n)]
+    return min(gaps, default=np.inf) > tols.gap_tol * scale
+
+
+def test_distinct_eigs_goal_matches_oracle():
+    f = parse("[X1,X2]")
+    images = [evaluate(f, random_tuple(np.random.default_rng([0, i]), 5, 2))
+              for i in range(200)]
+    # one pair at 0.5x and at 2x the gap tolerance, relative to the scale 3
+    for factor, expected in ((0.5, False), (2.0, True)):
+        diag = np.diag([3.0, -1.0, 1.0, 1.0 + factor * DEFAULT_TOLS.gap_tol * 3])
+        assert distinct_eigs_oracle(diag, DEFAULT_TOLS) == expected
+        images.append(diag)
+    images.append(np.array([[2.5 + 1j]]))  # no pairs
+    for image in images:
+        got = waring._goal_satisfied(GOAL_DISTINCT_EIGS, image, DEFAULT_TOLS)
+        assert got == distinct_eigs_oracle(image, DEFAULT_TOLS)
+    assert waring._goal_satisfied(GOAL_DISTINCT_EIGS, images[-1], DEFAULT_TOLS)
 
 
 class TestWaringExpress:
