@@ -12,7 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse/input error,
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 from .config import CLASSIFY_SAMPLES, CLASSIFY_TOL, DEFAULT_BUDGET, DEFAULT_TOLS
 from .errors import (
@@ -54,19 +54,6 @@ EXIT_RESIDUAL = 5
 _TOL_FLAGS = ("gap", "hollow", "split", "cert", "end")
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    budget: int = DEFAULT_BUDGET
-    out: str = "certificate.json"
-    overrides: dict = field(default_factory=dict)
-
-    def tolerances(self):
-        return DEFAULT_TOLS.with_overrides(
-            **{f"{k}_tol": v for k, v in self.overrides.items()}
-        )
-
-
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
@@ -75,16 +62,15 @@ def _add_common(parser):
                             metavar="X", help=f"override {name}_tol")
 
 
-def _config_from(args):
-    cfg = RunConfig(seed=args.seed, budget=args.budget,
-                    out=getattr(args, "out", "certificate.json"))
+def _tolerances(args):
+    overrides = {}
     for name in _TOL_FLAGS:
-        value = getattr(args, f"tol_{name.replace('-', '_')}")
+        value = getattr(args, f"tol_{name}")
         if value is not None:
             if value <= 0:
                 raise ValueError(f"--tol-{name} must be positive")
-            cfg.overrides[name] = value
-    return cfg
+            overrides[f"{name}_tol"] = value
+    return replace(DEFAULT_TOLS, **overrides)
 
 
 def build_parser():
@@ -128,8 +114,7 @@ def build_parser():
 
 
 def cmd_decompose(args):
-    cfg = _config_from(args)
-    tols = cfg.tolerances()
+    tols = _tolerances(args)
     f = parse(args.poly)
     A = matrix_from_json(load_json(args.matrix))
     n = A.shape[0]
@@ -150,13 +135,13 @@ def cmd_decompose(args):
             return EXIT_PARSE
 
     if mode == "two":
-        cert = two_term_decompose(f, A, cfg.budget, cfg.seed, tols)
+        cert = two_term_decompose(f, A, args.budget, args.seed, tols)
     elif mode == "five":
-        cert = five_term_express(f, A, cfg.budget, cfg.seed, tols)
+        cert = five_term_express(f, A, args.budget, args.seed, tols)
     else:
-        cert = waring_express(f, A, cfg.budget, cfg.seed, tols)
+        cert = waring_express(f, A, args.budget, args.seed, tols)
 
-    save_certificate(args.out, cert, tols, seed=cfg.seed, budget=cfg.budget)
+    save_certificate(args.out, cert, tols, seed=args.seed, budget=args.budget)
     print(f"{cert.mode} certificate written to {args.out} "
           f"(residual {cert.residual:.3e})")
     return EXIT_OK
@@ -185,15 +170,15 @@ def cmd_classify(args):
 
 
 def cmd_search_image(args):
-    cfg = _config_from(args)
-    tols = cfg.tolerances()
+    tols = _tolerances(args)
     f = parse(args.poly)
-    image, mats = image_search(f, args.n, args.goal, cfg.budget, cfg.seed, tols)
+    image, mats = image_search(f, args.n, args.goal, args.budget, args.seed,
+                               tols)
     doc = {
         "format": "image-witness",
         "polynomial": f.to_string(),
         "goal": args.goal,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "image": matrix_to_json(image),
         "args": [matrix_to_json(a) for a in mats],
     }

@@ -4,7 +4,7 @@ All tolerances are relative unless stated otherwise; the quantity they are
 measured against is documented on the operation that uses them.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,6 @@ class Tolerances:
     end_tol: float = 1e-6
     # nonzero-trace witness gate, relative to max(1, ||image||_F)
     trace_tol: float = 1e-8
-
-    def with_overrides(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOLS = Tolerances()

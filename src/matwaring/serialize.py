@@ -5,8 +5,10 @@ certificate file is a single self-describing JSON document embedding the
 polynomial text, every matrix, the coefficients, the tolerances in force and
 all similarity steps, so a third party can re-verify without this library.
 
-Output is byte-deterministic: keys are sorted and every float is written
-with 17 significant digits (lossless for doubles).
+Output is byte-deterministic: the standard-library encoder writes the keys
+sorted, no whitespace, and every float as Python's shortest round-trip
+`repr` (lossless for doubles, -0.0 included). NaN and infinities are
+refused, so every certificate is strict JSON.
 """
 
 import dataclasses
@@ -19,14 +21,12 @@ FORMAT_VERSION = 1
 
 
 def matrix_to_json(M):
-    M = np.asarray(M, dtype=complex)
+    M = np.ascontiguousarray(M, dtype=complex)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError(f"expected a square matrix, got {M.shape}")
-    return {
-        "n": n,
-        "entries": [[float(z.real), float(z.imag)] for z in M.ravel()],
-    }
+    # the (n*n, 2) real view holds each entry as its [re, im] pair
+    return {"n": n, "entries": M.view(float).reshape(n * n, 2).tolist()}
 
 
 def matrix_from_json(doc):
@@ -35,8 +35,15 @@ def matrix_from_json(doc):
     if len(entries) != n * n:
         raise ValueError(f"matrix document claims n={n} but has "
                          f"{len(entries)} entries")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(n, n)
+    values = []
+    for k, entry in enumerate(entries):
+        try:
+            re, im = entry
+            values.append(complex(re, im))
+        except (TypeError, ValueError):
+            raise ValueError(f"matrix entry {k} is not a [re, im] pair of "
+                             f"numbers: {entry!r}") from None
+    return np.array(values).reshape(n, n)
 
 
 def complex_to_json(z):
@@ -90,45 +97,11 @@ def certificate_to_json(cert, tols, seed=None, budget=None):
     return doc
 
 
-def _write_value(value, out):
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(format(value, ".17g"))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(value)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _write_value(value[key], out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _write_value(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def dumps_canonical(doc):
-    """Deterministic JSON text: sorted keys, floats at 17 significant digits."""
-    out = []
-    _write_value(doc, out)
-    out.append("\n")
-    return "".join(out)
+    """Deterministic JSON text: sorted keys, no spaces, floats as their
+    shortest round-trip repr; NaN and infinities raise ValueError."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 def save_certificate(path, cert, tols, seed=None, budget=None):

@@ -29,7 +29,8 @@ def verify_certificate(doc):
     """Check every bound stored in a certificate document.
 
     Returns a list of failure descriptions; an empty list means the
-    certificate verifies.
+    certificate verifies. Every gate is written `not value <= bound`, so a
+    NaN residual or a NaN bound fails instead of passing.
     """
     failures = []
     if doc.get("format") != FORMAT_NAME:
@@ -63,7 +64,7 @@ def verify_certificate(doc):
         target = matrix_from_json(step["target"])
         n = T.shape[0]
         r_inv = _fro(T @ T_inv - np.eye(n))
-        if r_inv > cert_tol:
+        if not r_inv <= cert_tol:
             failures.append(
                 f"similarity step {label!r}: inverse residual {r_inv:.3e} "
                 f"exceeds {cert_tol:.1e}"
@@ -71,7 +72,7 @@ def verify_certificate(doc):
         cond = _fro(T) * _fro(T_inv)
         r_map = _fro(T @ source @ T_inv - target)
         bound = cert_tol * cond * _fro(source)
-        if r_map > bound:
+        if not r_map <= bound:
             failures.append(
                 f"similarity step {label!r}: map residual {r_map:.3e} "
                 f"exceeds {bound:.3e}"
@@ -101,7 +102,7 @@ def verify_certificate(doc):
     recon = sum(c * im for c, im in zip(coeffs, images))
     residual = _fro(target - recon)
     bound = float(doc["residual_bound"])
-    if residual > bound:
+    if not residual <= bound:
         failures.append(
             f"reconstruction residual {residual:.3e} exceeds bound {bound:.3e}"
         )

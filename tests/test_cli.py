@@ -123,6 +123,14 @@ class TestDecompose:
         assert code == 2
         assert "--tol-rank" in err
 
+    def test_malformed_matrix_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 2, "entries": [["1", 0], [0, 0], [0, 0], [0, 0]]}')
+        code = main(["decompose", "[X1,X2]", str(path),
+                     "--out", str(tmp_path / "cert.json")])
+        assert code == 2
+        assert "entry 0" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, tmp_path, a3):
         out1, out2 = str(tmp_path / "c1.json"), str(tmp_path / "c2.json")
         run_cli("decompose", "[X1,X2]", a3, "--seed", "9", "--out", out1)
@@ -172,6 +180,38 @@ class TestVerify:
         bad.write_text(json.dumps(doc))
         code, stdout, _ = run_cli("verify", str(bad))
         assert code == 1
+
+    def nan_tampered_verdict(self, tmp_path, rng, capsys, tamper):
+        # json writes and reads the NaN literal; a NaN bound must not pass
+        a4 = write_matrix(tmp_path / "a4.json", random_traceless(rng, 4))
+        out = str(tmp_path / "cert.json")
+        assert main(["decompose", "[X1,X2]", a4, "--out", out]) == 0
+        doc = json.loads(open(out).read())
+        tamper(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["verify", str(bad)])
+        return code, capsys.readouterr().out
+
+    def test_nan_residual_bound_fails(self, tmp_path, rng, capsys):
+        def tamper(doc):
+            doc["target"] = matrix_to_json(random_traceless(rng, 4))
+            doc["residual_bound"] = float("nan")
+
+        code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys, tamper)
+        assert code == 1
+        assert "reconstruction residual" in stdout
+
+    def test_nan_cert_tol_fails(self, tmp_path, rng, capsys):
+        def tamper(doc):
+            doc["similarity_steps"][0]["t"] = matrix_to_json(
+                random_traceless(rng, 4))
+            doc["cert_tol"] = float("nan")
+
+        code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys, tamper)
+        assert code == 1
+        assert "similarity step" in stdout
 
     def test_garbage_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,0 +1,142 @@
+import json
+import math
+
+import numpy as np
+import pytest
+
+from matwaring.config import DEFAULT_TOLS
+from matwaring.freealg import parse
+from matwaring.serialize import (
+    certificate_to_json,
+    dumps_canonical,
+    matrix_from_json,
+    matrix_to_json,
+)
+from matwaring.waring import (
+    five_term_express,
+    two_term_decompose,
+    waring_express,
+)
+
+from conftest import random_complex, random_traceless
+
+
+def _write_value(value, out):
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, str):
+        out.append(json.dumps(value))
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(format(value, ".17g"))
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            if i:
+                out.append(",")
+            out.append(json.dumps(key))
+            out.append(":")
+            _write_value(value[key], out)
+        out.append("}")
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(",")
+            _write_value(item, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def canonical_writer_oracle(doc):
+    """The hand-written writer `dumps_canonical` replaced: sorted keys,
+    floats at 17 significant digits."""
+    out = []
+    _write_value(doc, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def bit_identical(a, b):
+    """Same structure and types, every float equal by `float.hex` (so -0.0
+    and 0.0 differ)."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a.hex() == b.hex()
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(bit_identical(a[k], b[k])
+                                            for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(bit_identical, a, b))
+    return a == b
+
+
+def _oracle_certificate(kind, n):
+    rng = np.random.default_rng([20260810, n])
+    if kind == "four-term":
+        cert = waring_express(parse("[X1,X2]"), random_traceless(rng, n),
+                              seed=3)
+    elif kind == "two-term":
+        cert = two_term_decompose(parse("[X1,X2]"), random_traceless(rng, n),
+                                  seed=3)
+    else:
+        cert = five_term_express(parse("(X1+X2*X3+X3*X1)^4"),
+                                 random_complex(rng, n), seed=3)
+    assert cert.mode == kind
+    return certificate_to_json(cert, DEFAULT_TOLS, seed=3, budget=1000)
+
+
+@pytest.fixture(scope="module", params=[
+    ("four-term", 8), ("four-term", 9), ("two-term", 7), ("five-term", 12),
+], ids=lambda p: f"{p[0]}-n{p[1]}")
+def certificate_doc(request):
+    return _oracle_certificate(*request.param)
+
+
+def test_writer_matches_oracle(certificate_doc):
+    text = dumps_canonical(certificate_doc)
+    oracle = canonical_writer_oracle(certificate_doc)
+    # `.17g` writes integral floats without a point ("1", "-0"), which a
+    # plain parse reads back as ints; reading every number as a float
+    # compares the doubles both writers put down, signed zeros included
+    as_floats = {"parse_int": float}
+    assert bit_identical(json.loads(text, **as_floats),
+                         json.loads(oracle, **as_floats))
+    # the new text keeps every int an int and every float a float
+    assert bit_identical(json.loads(text), certificate_doc)
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_writer_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        dumps_canonical({"x": value})
+    with pytest.raises(ValueError):
+        dumps_canonical(matrix_to_json(np.array([[0.0, 1.0], [value, 0.0]])))
+
+
+def test_matrix_round_trip_is_bit_exact():
+    M = np.empty((2, 2), dtype=complex)
+    M.real = [[-0.0, 0.1], [1e-310, -1.0]]
+    M.imag = [[0.0, 0.2], [-0.0, 2.0]]
+    for A in (M, M.T):  # the transposed view is not contiguous
+        back = matrix_from_json(json.loads(dumps_canonical(matrix_to_json(A))))
+        assert np.array_equal(back, A)
+        assert np.array_equal(np.signbit(back.real), np.signbit(A.real))
+        assert np.array_equal(np.signbit(back.imag), np.signbit(A.imag))
+
+
+@pytest.mark.parametrize("entry", [["1", 0], [0, None], [1.0], 2.0,
+                                   [1.0, 2.0, 3.0]])
+def test_matrix_from_json_names_a_malformed_entry(entry):
+    doc = {"n": 2, "entries": [[0, 0], entry, [0, 0], [0, 0]]}
+    with pytest.raises(ValueError, match="entry 1"):
+        matrix_from_json(doc)
