@@ -30,7 +30,7 @@ from .linalg import (
 
 
 def cluster_eigenvalues(eigs, tol):
-    """Union-find clustering of eigenvalues under |a - b| <= tol * scale.
+    """Connected components of eigenvalues under |a - b| <= tol * scale.
 
     Returns a list of (representative, multiplicity) with the representative
     the cluster mean, sorted by (real, imag). Multiplicities sum to len(eigs).
@@ -38,27 +38,18 @@ def cluster_eigenvalues(eigs, tol):
     if tol <= 0:
         raise ValueError("tol must be positive")
     eigs = np.asarray(eigs, dtype=complex)
-    m = len(eigs)
     scale = max(float(np.abs(eigs).max(initial=0.0)), 1e-300)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(eigs[i] - eigs[j]) <= tol * scale:
-                parent[find(i)] = find(j)
-
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [
-        (complex(np.mean(eigs[idx])), len(idx)) for idx in groups.values()
-    ]
+    close = np.abs(eigs[:, None] - eigs) <= tol * scale
+    # labels drop to the smallest index in reach, the first member of each
+    # connected component; that orders components for the stable sort below
+    labels, reached = None, np.arange(len(eigs))
+    while not np.array_equal(labels, reached):
+        labels = reached
+        reached = np.where(close, labels, len(eigs)).min(1, initial=len(eigs))
+    clusters = []
+    for label in np.unique(labels):
+        members = eigs[labels == label]
+        clusters.append((complex(np.mean(members)), len(members)))
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
     return clusters
 
@@ -113,9 +104,7 @@ def _reorder_schur(T, Q, keys):
 
 def _assign_to_clusters(eigs, clusters):
     reps = np.array([c[0] for c in clusters])
-    keys = []
-    for lam in eigs:
-        keys.append(int(np.argmin(np.abs(reps - lam))))
+    keys = np.argmin(np.abs(reps - np.asarray(eigs)[:, None]), axis=1)
     counts = np.bincount(keys, minlength=len(clusters))
     expected = np.array([c[1] for c in clusters])
     if not np.array_equal(counts, expected):
@@ -182,8 +171,6 @@ def partition_spectrum(B, tols: Tolerances = DEFAULT_TOLS):
             raise MultiplicityTooLargeError(value, mult, n)
 
     order = None
-    case_tag = None
-    group_sizes = None
     if n % 2 == 0:
         half = n // 2
         halves = [i for i, c in enumerate(clusters) if c[1] == half]
@@ -191,16 +178,18 @@ def partition_spectrum(B, tols: Tolerances = DEFAULT_TOLS):
             big = halves[0]
             if len(halves) == 2:
                 # two equal halves: keep the order B already leads with
-                leading = int(np.argmin([abs(eigs[0] - c[0]) for c in clusters]))
-                big = leading
+                big = int(np.argmin([abs(eigs[0] - c[0]) for c in clusters]))
             order = [clusters[big]] + [c for i, c in enumerate(clusters) if i != big]
             case_tag, group_sizes = "A", (half, half)
+            group_counts = (1, len(order) - 1)
         else:
+            # a prefix of clusters whose multiplicities sum to n/2
             cum = np.cumsum([c[1] for c in clusters])
             j = int(np.searchsorted(cum, half))
             if j < len(cum) and cum[j] == half:
                 order = clusters
                 case_tag, group_sizes = "A", (half, half)
+                group_counts = (j + 1, len(order) - j - 1)
     if order is None:
         order = clusters
         cum = 0
@@ -215,16 +204,6 @@ def partition_spectrum(B, tols: Tolerances = DEFAULT_TOLS):
             raise MultiplicityTooLargeError(order[j][0], q, n)  # unreachable
         case_tag, group_sizes = "B", (p, q, r)
         group_counts = (j, 1, len(order) - j - 1)
-    if case_tag == "A":
-        # first group = clusters summing to n/2; locate the boundary
-        cum = 0
-        boundary = 0
-        for i, c in enumerate(order):
-            cum += c[1]
-            if cum == n // 2:
-                boundary = i + 1
-                break
-        group_counts = (boundary, len(order) - boundary)
 
     cluster_blocks, cert = block_diagonalize_by_cluster(B, order, tols,
                                                         schur=schur)
@@ -241,59 +220,72 @@ def partition_spectrum(B, tols: Tolerances = DEFAULT_TOLS):
 # zero-diagonal similarity
 # ---------------------------------------------------------------------------
 
-def _deflation_vector(block):
-    """Unit vector v whose image under `block` is usably non-parallel to v.
+def _fov_vector(C, s):
+    """Unit v with v* C v = (1 - s) C[0, 0] + s C[1, 1], for 2x2 C, s in [0, 1].
 
-    Candidates are the standard basis vectors plus pairwise sums; the latter
-    are needed when every e_k is an eigenvector (e.g. diagonal matrices).
-    Score is the sine of the angle between v and block v (1.0 when v lies in
-    the kernel, which also forces a zero leading entry). All candidates are
-    scored at once; the first to beat the running best by 1e-15 is kept.
+    Closed-form 2x2 inverse field of values (Carden 2009; Meurant 2012):
+    with v = (cos phi, e^{i psi} sin phi), the phase psi turns the cross
+    term onto the line through the diagonal entries and phi moves the
+    value along that line.
     """
-    d = block.shape[0]
-    i, j = np.triu_indices(d, 1)
-    pairs = np.arange(d, d + len(i))
-    V = np.zeros((d, d + len(i)), dtype=complex)
-    V[:, :d] = np.eye(d)
-    V[i, pairs] = V[j, pairs] = 1 / np.sqrt(2)
-    W = block @ V
-    nw = np.linalg.norm(W, axis=0)
-    off = np.linalg.norm(W - np.sum(V.conj() * W, axis=0) * V, axis=0)
-    kernel = nw <= 1e-14 * max(fro(block), 1e-300)
-    scores = np.where(kernel, 1.0, off / np.where(kernel, 1.0, nw))
-    best, best_score = None, -1.0
-    for k, score in enumerate(scores.tolist()):
-        if score > best_score + 1e-15:
-            best, best_score = k, score
-    return V[:, best].copy(), best_score
+    (a, b), (c, d) = C
+    delta = d - a
+    kappa = b * np.conj(delta) - np.conj(c) * delta
+    phase = np.conj(kappa) / abs(kappa) if kappa else 1.0
+    r = ((b * np.conj(delta) + np.conj(c) * delta) * phase).real
+    p = abs(delta) ** 2
+    # r sin(theta) - p cos(theta) = (2s - 1) p with theta = 2 phi
+    radius = np.hypot(p, r)
+    cos = (1 - 2 * s) * p / radius if radius else 1.0
+    theta = np.arccos(np.clip(cos, -1.0, 1.0)) - np.arctan2(r, p)
+    return np.array([np.cos(theta / 2), phase * np.sin(theta / 2)])
 
 
-def _deflation_step(block):
-    """Invertible T (columns: v, then an orthonormal basis of a hyperplane
-    containing block v but not v) with (T^-1 block T)[0, 0] = 0."""
-    d = block.shape[0]
-    v, _ = _deflation_vector(block)
-    w = block @ v
-    nw = np.linalg.norm(w)
-    if nw <= 1e-14 * max(fro(block), 1e-300):
-        u = v  # block v = 0: any hyperplane missing v works
+def _isotropic_vector(B):
+    """Unit x with x* B x = 0 (to rounding) for a trace-zero B, d >= 2.
+
+    With b_i the diagonal entry of largest modulus, the other diagonal
+    entries average to a point on the ray through -b_i. A 2x2 solve on the
+    span of e_j, e_k, the entries angularly next to that ray, gives y with
+    y* B y on it; 0 then lies between b_i and y* B y, and a second 2x2
+    solve on the span of e_i, y gives x. O(d) work.
+    """
+    diag = np.diag(B)
+    i = int(np.argmax(np.abs(diag)))
+    rest = np.delete(np.arange(B.shape[0]), i)
+    # the other diagonal entries, turned so that -b_i points along +1
+    z = diag[rest] * -np.conj(diag[i])
+    angle = np.angle(z)
+    jj, kk = np.argmin(angle % (2 * np.pi)), np.argmax(angle % (2 * np.pi))
+    if z[jj].imag > 0 > z[kk].imag and (np.conj(z[jj]) * z[kk]).imag < 0:
+        # the segment from z_j to z_k crosses the ray
+        s = z[jj].imag / (z[jj].imag - z[kk].imag)
     else:
-        w = w / nw
-        u = v - (w.conj() @ v) * w
-        u = u / np.linalg.norm(u)
-    # orthonormal basis of the hyperplane u-perp
-    Q, _ = np.linalg.qr(np.column_stack([u, np.eye(d, dtype=complex)]))
-    T = np.column_stack([v, Q[:, 1:]])
-    return T
+        # an entry lies on the ray (up to rounding of the trace)
+        s = 0.0 if abs(angle[jj]) <= abs(angle[kk]) else 1.0
+    # j == k leaves v = e_1, so y = e_j
+    jk = rest[[jj, kk]]
+    v = _fov_vector(B[np.ix_(jk, jk)], s)
+    y = np.zeros(B.shape[0], dtype=complex)
+    np.add.at(y, jk, v)
+    By = B[:, jk] @ v
+    w = y.conj() @ By
+    C = np.array([[diag[i], By[i]], [v.conj() @ B[jk, i], w]])
+    total = abs(diag[i]) + abs(w)
+    v = _fov_vector(C, abs(diag[i]) / total if total else 0.0)
+    x = v[1] * y
+    x[i] += v[0]
+    return x
 
 
 def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
-    """Similarity M = T A T^-1 with zero diagonal; requires trace zero.
+    """Unitary similarity M = T A T* with zero diagonal; requires trace zero.
 
-    Recursive deflation: each step changes basis so the leading basis vector
-    maps into the span of the others, zeroing one diagonal entry, then
-    recurses on the trailing block (whose trace is again zero). Stops early
-    whenever the remaining diagonal is already negligible.
+    One Householder reflector per diagonal entry: step k maps e_k to a unit
+    isotropic vector x of the trailing block W[k:, k:] (x* W x = 0), which
+    zeroes W[k, k] and leaves a trailing block of trace zero again
+    (Fillmore 1969). Stops early whenever the remaining diagonal is
+    already negligible. T is unitary, so its condition estimate is n.
     """
     A = as_cmatrix(A)
     n = A.shape[0]
@@ -303,22 +295,22 @@ def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
             f"matrix has trace {np.trace(A):.3e}; project it first"
         )
     W = A.copy()
-    P = np.eye(n, dtype=complex)  # accumulated right factor: M = P^-1 A P
+    P = np.eye(n, dtype=complex)  # accumulated unitary: M = P* A P
     for k in range(n - 1):
-        tail_diag = np.abs(np.diag(W)[k:]).max(initial=0.0)
-        if tail_diag <= tols.hollow_tol * max(fro(W), np.finfo(float).tiny):
+        if np.abs(np.diag(W)[k:]).max() <= tols.hollow_tol * norm_a:
             break
-        Tk = _deflation_step(W[k:, k:])
-        G = np.eye(n, dtype=complex)
-        G[k:, k:] = Tk
-        W = np.linalg.solve(G, W @ G)
-        P = P @ G
-    T = np.linalg.inv(P)
-    M = W
-    cert = certify_similarity(T, A, M, tols, label="zero-diagonal")
-    worst = float(np.abs(np.diag(M)).max(initial=0.0))
-    if worst > tols.hollow_tol * max(fro(M), np.finfo(float).tiny):
+        # reflector H = I - 2 u u* with H x = -e^{i arg x_1} e_1, so H e_1 is
+        # a unit multiple of x and (H W H)[k, k] = x* W x
+        u = _isotropic_vector(W[k:, k:])
+        u[0] += np.exp(1j * np.angle(u[0]))
+        u /= np.linalg.norm(u)
+        W[k:, :] -= 2 * np.outer(u, u.conj() @ W[k:, :])
+        W[:, k:] -= 2 * np.outer(W[:, k:] @ u, u.conj())
+        P[:, k:] -= 2 * np.outer(P[:, k:] @ u, u.conj())
+    cert = certify_similarity(P.conj().T, A, W, tols, label="zero-diagonal")
+    worst = float(np.abs(np.diag(W)).max(initial=0.0))
+    if worst > tols.hollow_tol * max(fro(W), np.finfo(float).tiny):
         raise ResidualTooLargeError(
             "deflation left a nonzero diagonal on the result", worst
         )
-    return HollowForm(M, cert)
+    return HollowForm(W, cert)

@@ -189,15 +189,17 @@ def certify_similarity(T, source, target, tols: Tolerances = DEFAULT_TOLS,
     residual_map = fro(T @ source @ T_inv - target)
     cert = SimilarityCertificate(T, T_inv, source, target, residual_inverse,
                                  residual_map, cond, label)
+    context = f"condition estimate {cond:.3e}, {label or 'unlabeled'}"
     if residual_inverse > tols.cert_tol:
         raise IllConditionedError(
             f"certificate inverse residual {residual_inverse:.3e} exceeds "
-            f"{tols.cert_tol:.1e} ({label or 'unlabeled'})"
+            f"{tols.cert_tol:.1e} ({context})"
         )
-    if residual_map > tols.cert_tol * cond * fro(source):
+    bound = tols.cert_tol * cond * fro(source)
+    if residual_map > bound:
         raise IllConditionedError(
             f"certificate map residual {residual_map:.3e} exceeds bound "
-            f"({label or 'unlabeled'})"
+            f"{bound:.3e} ({context})"
         )
     return cert
 

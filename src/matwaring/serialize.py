@@ -30,6 +30,9 @@ def matrix_to_json(M):
 
 
 def matrix_from_json(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("matrix document must be a JSON object with n and "
+                         f"entries, got a {type(doc).__name__}")
     n = int(doc["n"])
     entries = doc["entries"]
     if len(entries) != n * n:

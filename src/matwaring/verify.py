@@ -33,6 +33,8 @@ def verify_certificate(doc):
     NaN residual or a NaN bound fails instead of passing.
     """
     failures = []
+    if not isinstance(doc, dict):
+        return [f"not a certificate document (a JSON {type(doc).__name__})"]
     if doc.get("format") != FORMAT_NAME:
         return [f"not a certificate document (format={doc.get('format')!r})"]
     mode = doc.get("mode")

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matwaring.canon import (
-    _deflation_vector,
+    _assign_to_clusters,
+    _isotropic_vector,
     _reorder_schur,
     block_diagonalize_by_cluster,
     cluster_eigenvalues,
@@ -171,52 +174,143 @@ class TestZeroDiagonal:
             cert.condition_estimate * np.linalg.norm(A))
 
 
-def deflation_vector_loop(block):
-    """Reference: score one candidate at a time, e_k first, then the pairwise
-    sums (e_i + e_j)/sqrt(2) for i < j; keep the first to beat the running
-    best by 1e-15."""
-    d = block.shape[0]
-    norm_block = fro(block)
-    candidates = [np.eye(d, dtype=complex)[:, k] for k in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = np.zeros(d, dtype=complex)
-            v[i] = v[j] = 1 / np.sqrt(2)
-            candidates.append(v)
-    best_v, best_score = None, -1.0
-    for v in candidates:
-        w = block @ v
-        nw = np.linalg.norm(w)
-        if nw <= 1e-14 * max(norm_block, 1e-300):
-            score = 1.0
-        else:
-            score = float(np.linalg.norm(w - (v.conj() @ w) * v) / nw)
-        if score > best_score + 1e-15:
-            best_v, best_score = v, score
-    return best_v, best_score
-
-
-def _deflation_blocks(rng, d):
+def _test_blocks(rng, d):
     dense = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     zero_col = dense.copy()
     zero_col[:, d // 2] = 0.0
     yield "random", dense
     yield "diagonal", np.diag(np.diag(dense))
+    # every angle from the ray is 0 or pi: the neighbours tie
+    yield "real-diagonal", np.diag(dense.real.diagonal())
     yield "upper", np.triu(dense)
     yield "zero-column", zero_col
-    # every e_k scores the same up to rounding: exercises the 1e-15 tie rule
+    # constant diagonal: zero up to rounding once the trace is removed
     yield "circulant", np.array([np.roll(dense[0], k) for k in range(d)])
 
 
+def _jordan(rng, n):
+    """Unitarily rotated J_a(lam) + J_b(mu) with a lam + b mu = 0."""
+    a = int(rng.integers(1, n))
+    lam = complex(rng.standard_normal(), rng.standard_normal())
+    J = np.diag(np.r_[np.full(a, lam), np.full(n - a, -lam * a / (n - a))])
+    J += np.diag(np.r_[np.ones(a - 1), 0.0, np.ones(n - a - 1)], 1)
+    Q = random_unitary(rng, n)
+    return Q @ J @ Q.conj().T
+
+
+def _graded(rng, n):
+    """D A D^-1 with the diagonal D spanning 1e8."""
+    D = np.logspace(-4, 4, n) * np.exp(2j * np.pi * rng.random(n))
+    return (D[:, None] / D) * random_traceless(rng, n)
+
+
+def _target(kind, n, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "jordan":
+        A = _jordan(rng, n)
+    elif kind == "graded":
+        A = _graded(rng, n)
+    else:
+        A = dict(_test_blocks(rng, n))[kind]
+    return 10.0 ** log_scale * (A - np.trace(A) / n * np.eye(n))
+
+
+_KINDS = ["random", "diagonal", "real-diagonal", "upper", "zero-column",
+          "circulant", "jordan", "graded"]
+_EPS = np.finfo(float).eps
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                     database=None)
+_targets = st.tuples(st.sampled_from(_KINDS), st.integers(2, 64),
+                     st.floats(-8, 8), st.integers(0, 2**32 - 1))
+
+
+def assert_isotropic(B, case):
+    """A unit x with |x* B x| at rounding level relative to ||B||_F."""
+    x = _isotropic_vector(B)
+    assert abs(np.linalg.norm(x) - 1) <= 4 * _EPS, case
+    assert abs(x.conj() @ B @ x) <= 32 * _EPS * fro(B), case
+
+
 @pytest.mark.parametrize("d", list(range(2, 21)) + [32, 33, 64])
-def test_deflation_vector_matches_loop(rng, d):
-    for kind, block in _deflation_blocks(rng, d):
-        v, score = _deflation_vector(block)
-        v_ref, score_ref = deflation_vector_loop(block)
-        assert np.array_equal(v, v_ref), (kind, d)
-        assert abs(score - score_ref) <= 1e-14, (kind, d)
-        # a strided view would change block @ v in the last bits
-        assert v.flags.c_contiguous
+def test_isotropic_vector_block_kinds(rng, d):
+    for kind, block in _test_blocks(rng, d):
+        assert_isotropic(block - np.trace(block) / d * np.eye(d), (kind, d))
+
+
+@_PROPERTY
+@given(_targets)
+def test_isotropic_vector_property(case):
+    assert_isotropic(_target(*case), case)
+
+
+@_PROPERTY
+@given(_targets)
+def test_zero_diagonal_similarity_property(case):
+    A = _target(*case)
+    n = A.shape[0]
+    hol = zero_diagonal_similarity(A)
+    T, M = hol.to_hollow.t, hol.m
+    assert fro(T @ T.conj().T - np.eye(n)) <= 1e-13 * n
+    assert fro(T @ A @ T.conj().T - M) <= 1e-13 * n * fro(A)
+    assert np.abs(np.diag(M)).max() <= DEFAULT_TOLS.hollow_tol * fro(M)
+    # every eigenvalue of M is one of A up to a perturbation of size
+    # sigma_min(A - mu I); Jordan and graded spectra are too ill-conditioned
+    # to compare eigenvalue lists directly
+    for mu in np.linalg.eigvals(M):
+        sigma = np.linalg.svd(A - mu * np.eye(n), compute_uv=False)[-1]
+        assert sigma <= 1e-12 * n * fro(A)
+
+
+def cluster_eigenvalues_union_find(eigs, tol):
+    """Reference: union-find over every pair with |a - b| <= tol * scale,
+    groups in order of their first member, then a stable sort by mean."""
+    eigs = np.asarray(eigs, dtype=complex)
+    m = len(eigs)
+    scale = max(float(np.abs(eigs).max(initial=0.0)), 1e-300)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(eigs[i] - eigs[j]) <= tol * scale:
+                parent[find(i)] = find(j)
+
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    clusters = [
+        (complex(np.mean(eigs[idx])), len(idx)) for idx in groups.values()
+    ]
+    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
+    return clusters
+
+
+def test_clusters_match_union_find(rng):
+    for _ in range(300):
+        m = int(rng.integers(0, 30))
+        # lattice points with perturbations around every tolerance below
+        eigs = rng.integers(-3, 4, m) + 1j * rng.integers(-2, 3, m)
+        eigs = eigs + rng.choice([0, 1e-9, 1e-7, 1e-3], m) * (
+            rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        tol = float(rng.choice([1e-8, 1e-7, 1e-3, 0.3]))
+        clusters = cluster_eigenvalues(eigs, tol)
+        # bit-equal means, same multiplicities, same order
+        assert clusters == cluster_eigenvalues_union_find(eigs, tol)
+        if not m:
+            continue
+        reps = np.array([c[0] for c in clusters])
+        keys = [int(np.argmin(np.abs(reps - lam))) for lam in eigs]
+        counts = np.bincount(keys, minlength=len(clusters)).tolist()
+        if counts == [c[1] for c in clusters]:
+            assert _assign_to_clusters(eigs, clusters).tolist() == keys
+        else:
+            with pytest.raises(ClusterGapTooSmallError):
+                _assign_to_clusters(eigs, clusters)
 
 
 def bubble_reorder_oracle(T, Q, keys):

@@ -131,6 +131,14 @@ class TestDecompose:
         assert code == 2
         assert "entry 0" in capsys.readouterr().err
 
+    def test_non_object_matrix_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[[1, 0]]")
+        code = main(["decompose", "[X1,X2]", str(path),
+                     "--out", str(tmp_path / "cert.json")])
+        assert code == 2
+        assert "JSON object" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, tmp_path, a3):
         out1, out2 = str(tmp_path / "c1.json"), str(tmp_path / "c2.json")
         run_cli("decompose", "[X1,X2]", a3, "--seed", "9", "--out", out1)
@@ -221,6 +229,16 @@ class TestVerify:
         missing = tmp_path / "missing.json"
         code, _, _ = run_cli("verify", str(missing))
         assert code == 2
+
+
+    def test_non_object_document_fails_cleanly(self, tmp_path, capsys):
+        for text in ("[1, 2]", '"x"'):
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            capsys.readouterr()
+            code = main(["verify", str(bad)])
+            assert code == 1
+            assert "not a certificate document" in capsys.readouterr().out
 
 
 class TestClassifyCommand:

@@ -162,6 +162,16 @@ class TestCertificates:
         with pytest.raises(IllConditionedError):
             certify_similarity(T, X, X + np.eye(3))
 
+    def test_messages_carry_condition_estimate(self, rng):
+        # the Hilbert matrix fails the inverse gate, a wrong target the map gate
+        X = random_complex(rng, 12)
+        hilbert = scipy.linalg.hilbert(12).astype(complex)
+        for T, target in ((hilbert, X), (random_complex(rng, 12), X + np.eye(12))):
+            cond = np.linalg.norm(T) * np.linalg.norm(np.linalg.inv(T))
+            with pytest.raises(IllConditionedError) as err:
+                certify_similarity(T, X, target)
+            assert f"condition estimate {cond:.3e}" in str(err.value)
+
 
 class TestBlockTriangular:
     def test_zero_offdiag_gives_identity(self, rng):
