@@ -1,14 +1,17 @@
 """Dense complex matrix substrate.
 
-Eigen/Schur wrappers, a Sylvester solver, subspace and commutant rank
-computations, and similarity certificates. Matrices are numpy complex
-arrays; everything here targets desk scale (n <= 64).
+Eigen/Schur wrappers, a Sylvester solver for upper-triangular operands
+(slices of a reordered Schur form or 1x1 eigenvalues, one LAPACK ztrsyl
+each), subspace and commutant rank computations, and similarity
+certificates. Matrices are numpy complex arrays; everything here targets
+desk scale (n <= 64).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
@@ -62,17 +65,25 @@ def spectral_gap(values, labels):
     return float(d[i, j]), labels[i], labels[j]
 
 
-def sylvester_solve(A1, A2, C, tols: Tolerances = DEFAULT_TOLS):
-    """Solve A1 X - X A2 = C. Requires disjoint spectra.
+def _require_upper_triangular(M, what):
+    if np.tril(M, -1).any():
+        raise ValueError(f"{what} must be upper triangular")
 
-    Uses the Schur-based dense solver; the dense Kronecker linearization is
-    kept as an independent oracle in the test suite.
+
+def sylvester_solve(R1, R2, C, tols: Tolerances = DEFAULT_TOLS):
+    """Solve R1 X - X R2 = C for upper-triangular R1, R2 with disjoint spectra.
+
+    The spectra are read off the diagonals and one LAPACK ztrsyl call does
+    the Bartels-Stewart back substitution; the dense Kronecker
+    linearization is kept as an independent oracle in the test suite.
     """
-    A1, A2, C = as_cmatrix(A1), as_cmatrix(A2), np.asarray(C, dtype=complex)
-    p, q = A1.shape[0], A2.shape[0]
+    R1, R2, C = as_cmatrix(R1), as_cmatrix(R2), np.asarray(C, dtype=complex)
+    p, q = R1.shape[0], R2.shape[0]
     if C.shape != (p, q):
         raise ValueError(f"C must be {p}x{q}, got {C.shape}")
-    eigs = np.concatenate([np.linalg.eigvals(A1), np.linalg.eigvals(A2)])
+    _require_upper_triangular(R1, "R1")
+    _require_upper_triangular(R2, "R2")
+    eigs = np.concatenate([np.diag(R1), np.diag(R2)])
     scale = np.abs(eigs).max(initial=0.0)
     gap, _, _ = spectral_gap(eigs, block_labels((p, q)))
     if gap <= tols.gap_tol * max(scale, np.finfo(float).tiny):
@@ -80,12 +91,17 @@ def sylvester_solve(A1, A2, C, tols: Tolerances = DEFAULT_TOLS):
             f"spectra of the operands are not disjoint (gap {gap:.3e}, "
             f"scale {scale:.3e})"
         )
-    X = scipy.linalg.solve_sylvester(A1, -A2, C)
+    X, s, info = lapack.ztrsyl(R1, R2, C, isgn=-1)
+    if info:
+        raise SpectraOverlapError(
+            f"triangular Sylvester solve failed (ztrsyl info {info})")
+    X /= s
     denom = fro(C) or 1.0
-    residual = fro(A1 @ X - X @ A2 - C) / denom
+    residual = fro(R1 @ X - X @ R2 - C) / denom
     if residual > tols.solve_tol:
         raise IllConditionedError(
-            f"Sylvester solve residual {residual:.3e} exceeds {tols.solve_tol:.1e}"
+            f"Sylvester solve residual {residual:.3e} exceeds "
+            f"{tols.solve_tol:.1e} (gap {gap:.3e}, scale {scale:.3e})"
         )
     return X
 
@@ -208,11 +224,9 @@ def certify_similarity(T, source, target, tols: Tolerances = DEFAULT_TOLS,
 # block-triangular similarity (diagonal blocks with pairwise disjoint spectra)
 # ---------------------------------------------------------------------------
 
-def _check_strictly_block_upper(off, sizes, scale):
-    labels = block_labels(sizes)
-    on_or_below = labels[None, :] <= labels[:, None]
-    bad = np.abs(off[on_or_below]).max(initial=0.0)
-    if bad > 1e-13 * max(scale, 1.0):
+def _check_strictly_block_upper(off, labels):
+    bad = np.abs(off[labels[None, :] <= labels[:, None]]).max(initial=0.0)
+    if bad:
         raise ValueError("off-diagonal part must vanish on and below the "
                          f"block diagonal (max violation {bad:.3e})")
 
@@ -220,10 +234,11 @@ def _check_strictly_block_upper(off, sizes, scale):
 def _unit_upper_transform(blocks, upper, tols):
     """T with T blkdiag(blocks) T^-1 = upper, T unit block upper.
 
-    Column block j of T is (X_j; I; 0) with L_j X_j - X_j B_j =
-    -upper[:s_j, block j], where s_j is the offset of block B_j and L_j the
-    leading s_j x s_j part of upper, whose spectrum is that of the blocks
-    before B_j.
+    The blocks and upper are upper triangular. Column block j of T is
+    (X_j; I; 0) with L_j X_j - X_j B_j = -upper[:s_j, block j], where s_j is
+    the offset of block B_j and L_j the leading s_j x s_j part of upper,
+    whose spectrum is that of the blocks before B_j; both operands are
+    triangular, so each column block is one ztrsyl call.
     """
     T = np.eye(upper.shape[0], dtype=complex)
     s = 0
@@ -239,10 +254,12 @@ def block_triangular_similarity(blocks, off_diag, orientation="upper",
                                 tols: Tolerances = DEFAULT_TOLS):
     """Certify blkdiag(blocks) similar to blkdiag + off_diag.
 
-    off_diag must be strictly block upper (or lower) triangular in the block
-    pattern of `blocks`; spectra of the blocks must be pairwise disjoint.
-    The transform is I + N with N strictly block triangular, one Sylvester
-    solve per column block after the first.
+    Every block must be upper triangular, with pairwise disjoint spectra
+    read off the diagonal; off_diag must vanish on and below (or above) the
+    block diagonal. The transform is I + N with N strictly block triangular,
+    one Sylvester solve per column block after the first. The lower
+    orientation lists the blocks last to first, an exact index permutation
+    that makes the target block upper over the same triangular blocks.
     """
     blocks = [as_cmatrix(b) for b in blocks]
     off = as_cmatrix(off_diag)
@@ -252,24 +269,26 @@ def block_triangular_similarity(blocks, off_diag, orientation="upper",
         raise ValueError(f"off-diagonal part must be {n}x{n}")
     if orientation not in ("upper", "lower"):
         raise ValueError("orientation must be 'upper' or 'lower'")
+    D = blkdiag(blocks)
+    _require_upper_triangular(D, "every block")
 
-    eigs = np.concatenate([np.linalg.eigvals(b) for b in blocks])
+    labels = block_labels(sizes)
+    eigs = np.diag(D)
     scale = np.abs(eigs).max(initial=0.0)
-    gap, i, j = spectral_gap(eigs, block_labels(sizes))
+    gap, i, j = spectral_gap(eigs, labels)
     if gap <= tols.gap_tol * max(scale, np.finfo(float).tiny):
         raise SpectraOverlapError(
             f"blocks {i} and {j} have overlapping spectra (gap {gap:.3e})"
         )
 
-    D = blkdiag(blocks)
+    upper = orientation == "upper"
+    keys = labels if upper else -labels
+    p = np.argsort(keys, kind="stable")
+    ix = np.ix_(p, p)
+    _check_strictly_block_upper(off[ix], keys[p])
     target = D + off
-    if orientation == "upper":
-        _check_strictly_block_upper(off, sizes, fro(off))
-        T = _unit_upper_transform(blocks, target, tols)
-    else:
-        _check_strictly_block_upper(off.T, sizes, fro(off))
-        S = _unit_upper_transform([b.T for b in blocks], target.T, tols)
-        T = np.linalg.inv(S).T
-
+    T = np.empty_like(target)
+    T[ix] = _unit_upper_transform(blocks if upper else blocks[::-1],
+                                  target[ix], tols)
     return certify_similarity(T, D, target, tols,
                               label=f"block-triangular-{orientation}")

@@ -216,42 +216,28 @@ def build_decoupling_unitary(n, pattern, tols: Tolerances = DEFAULT_TOLS):
     cells, (r1, r2, r3), corner = _cells_for_pattern(n, pattern)
     params = assign_parameters(r1, r2, r3, odd_corner=corner)
 
-    if len(pattern) == 2:
-        type_pools = {"a": list(range(pattern[0])), "c": list(range(pattern[0], n))}
-    else:
-        p, q, _ = pattern
-        type_pools = {
-            "a": list(range(p)),
-            "b": list(range(p, p + q)),
-            "c": list(range(p + q, n)),
-        }
+    # the original indices of each block, by index class
+    edges = np.cumsum((0,) + pattern)
+    type_pools = {t: list(range(a, b)) for t, a, b in
+                  zip("abc" if len(pattern) == 3 else "ac", edges, edges[1:])}
 
+    U = np.zeros((n, n), dtype=complex)
     perm = []
     cell_indices = []
-    rotations = []
     counters = dict.fromkeys("qts", 0)
     for kind, types in cells:
-        cell_indices.append(tuple(type_pools[t].pop(0) for t in types))
-        perm.extend(cell_indices[-1])
+        idx = tuple(type_pools[t].pop(0) for t in types)
+        cell_indices.append(idx)
+        perm.extend(idx)
         if kind == "corner":
-            rotations.append(corner_unitary())
+            U[np.ix_(idx, idx)] = corner_unitary()
         else:
             values = {"q": params.qs, "t": params.ts, "s": params.ss}[kind]
-            rotations.append(conjugating_rotation(values[counters[kind]]))
+            U[np.ix_(idx, idx)] = conjugating_rotation(values[counters[kind]])
             counters[kind] += 1
     if any(type_pools.values()):
         raise AssertionError("cell plan did not consume every index")
 
-    S = np.zeros((n, n), dtype=complex)
-    for tilde, orig in enumerate(perm):
-        S[orig, tilde] = 1.0
-    U_tilde = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for R in rotations:
-        d = R.shape[0]
-        U_tilde[pos : pos + d, pos : pos + d] = R
-        pos += d
-    U = S @ U_tilde @ S.conj().T
     layout = DecouplingLayout(tuple(perm), tuple(cells), tuple(cell_indices),
                               params, corner)
 

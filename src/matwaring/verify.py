@@ -25,6 +25,10 @@ def _fro(M):
     return float(np.linalg.norm(M))
 
 
+def _list_of(value, kind):
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
 def verify_certificate(doc):
     """Check every bound stored in a certificate document.
 
@@ -38,7 +42,10 @@ def verify_certificate(doc):
     if doc.get("format") != FORMAT_NAME:
         return [f"not a certificate document (format={doc.get('format')!r})"]
     mode = doc.get("mode")
-    coeffs = [complex_from_json(c) for c in doc["coefficients"]]
+    try:
+        coeffs = [complex_from_json(c) for c in doc.get("coefficients")]
+    except (TypeError, ValueError, IndexError, KeyError):
+        return ["malformed field 'coefficients': not a list of [re, im] pairs"]
 
     # sign discipline: only +-1 coefficients are admissible, plus one free
     # trace coefficient in five-term mode
@@ -58,7 +65,11 @@ def verify_certificate(doc):
         return [f"unknown mode {mode!r}"]
 
     cert_tol = float(doc["cert_tol"])
-    for idx, step in enumerate(doc.get("similarity_steps", [])):
+    steps = doc.get("similarity_steps", [])
+    if not _list_of(steps, dict):
+        return failures + ["malformed field 'similarity_steps': not a list "
+                           "of objects"]
+    for idx, step in enumerate(steps):
         label = step.get("label") or f"step {idx}"
         T = matrix_from_json(step["t"])
         T_inv = matrix_from_json(step["t_inv"])
@@ -85,6 +96,9 @@ def verify_certificate(doc):
     if doc.get("tuples") is not None:
         if doc.get("polynomial") is None:
             return failures + ["certificate has tuples but no polynomial text"]
+        if not _list_of(doc["tuples"], list):
+            return failures + ["malformed field 'tuples': not a list of "
+                               "lists of matrices"]
         f = parse(doc["polynomial"])
         images = []
         for k, tp in enumerate(doc["tuples"]):

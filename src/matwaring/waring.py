@@ -35,7 +35,6 @@ from .freealg import (
 )
 from .linalg import (
     as_cmatrix,
-    blkdiag,
     block_labels,
     block_triangular_similarity,
     certify_similarity,
@@ -79,42 +78,33 @@ class WaringCertificate:
     budget: int | None = None
 
 
-def _strict_block_parts(C, sizes):
-    """Split C into its strictly-upper and strictly-lower block parts.
-
-    Entries are copied, never recomputed, so upper + lower reproduces the
-    off-diagonal entries of C exactly.
-    """
-    labels = block_labels(sizes)
-    upper = np.where(labels[None, :] > labels[:, None], C, 0)
-    lower = np.where(labels[None, :] < labels[:, None], C, 0)
-    return upper, lower
-
-
 def diff_of_similar(partition: SpectralPartition, C,
                     tols: Tolerances = DEFAULT_TOLS):
     """Write C (vanishing on the partition's diagonal blocks) as Bp - Bpp
     with both parts certified similar to blkdiag(partition.blocks).
 
     Bp keeps the blocks with C's upper coupling; Bpp keeps the blocks with
-    C's lower coupling negated. The difference reproduces C exactly because
-    the entries are assembled, not solved for.
+    C's lower coupling negated; they are the targets of the two triangular
+    certificates. The difference reproduces C exactly because the entries
+    are assembled, not solved for.
     """
     C = as_cmatrix(C)
     sizes = partition.block_sizes
-    D = blkdiag(partition.blocks)
-    if C.shape != D.shape:
+    n = sum(sizes)
+    if C.shape != (n, n):
         raise ValueError("C has the wrong size for this partition")
-    upper, lower = _strict_block_parts(C, sizes)
+    # entries are copied, never recomputed, so upper + lower reproduces the
+    # off-diagonal entries of C exactly
+    labels = block_labels(sizes)
+    upper = np.where(labels[None, :] > labels[:, None], C, 0)
+    lower = np.where(labels[None, :] < labels[:, None], C, 0)
     leftover = fro(C - upper - lower)
     if leftover > 1e-13 * max(1.0, fro(C)):
         raise ValueError("C must vanish on the partition's diagonal blocks")
 
     cert_up = block_triangular_similarity(partition.blocks, upper, "upper", tols)
     cert_low = block_triangular_similarity(partition.blocks, -lower, "lower", tols)
-    Bp = D + upper
-    Bpp = D - lower
-    return Bp, Bpp, (cert_up, cert_low)
+    return cert_up.target, cert_low.target, (cert_up, cert_low)
 
 
 def _require_traceless(A, tols, name="target"):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 
 def random_complex(rng, n):
@@ -21,6 +22,13 @@ def planted_matrix(rng, spectrum):
     n = len(spectrum)
     Q = random_unitary(rng, n)
     return Q @ np.diag(np.asarray(spectrum, dtype=complex)) @ Q.conj().T
+
+
+def planted_triangular(rng, spectrum):
+    """Complex Schur factor of planted_matrix(rng, spectrum): upper
+    triangular, with the same eigenvalues from the same draws of rng."""
+    T, _ = scipy.linalg.schur(planted_matrix(rng, spectrum), output="complex")
+    return T
 
 
 def sorted_eigs(M):

@@ -221,6 +221,34 @@ class TestVerify:
         assert code == 1
         assert "similarity step" in stdout
 
+    def malformed_verdict(self, tmp_path, a3, field, value):
+        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        return run_cli("verify", str(bad))
+
+    def test_malformed_coefficients_fail_cleanly(self, tmp_path, a3):
+        code, stdout, stderr = self.malformed_verdict(tmp_path, a3,
+                                                      "coefficients", 5)
+        assert code == 1
+        assert stdout.startswith("FAIL: malformed field 'coefficients'")
+        assert "Traceback" not in stderr
+
+    def test_malformed_similarity_step_fails_cleanly(self, tmp_path, a3):
+        code, stdout, stderr = self.malformed_verdict(tmp_path, a3,
+                                                      "similarity_steps", [5])
+        assert code == 1
+        assert stdout.startswith("FAIL: malformed field 'similarity_steps'")
+        assert "Traceback" not in stderr
+
+    def test_malformed_tuple_fails_cleanly(self, tmp_path, a3):
+        code, stdout, stderr = self.malformed_verdict(tmp_path, a3,
+                                                      "tuples", [5])
+        assert code == 1
+        assert stdout.startswith("FAIL: malformed field 'tuples'")
+        assert "Traceback" not in stderr
+
     def test_garbage_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "something-else"}')

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matwaring.config import DEFAULT_TOLS
 from matwaring.errors import IllConditionedError, SpectraOverlapError
@@ -16,7 +20,7 @@ from matwaring.linalg import (
     sylvester_solve,
 )
 
-from conftest import planted_matrix, random_complex
+from conftest import planted_matrix, planted_triangular, random_complex
 
 
 def kron_sylvester_oracle(A1, A2, C):
@@ -25,6 +29,15 @@ def kron_sylvester_oracle(A1, A2, C):
     p, q = A1.shape[0], A2.shape[0]
     K = np.kron(A1, np.eye(q)) - np.kron(np.eye(p), A2.T)
     return np.linalg.solve(K, C.ravel()).reshape(p, q)
+
+
+def schur_sylvester(A1, A2, C):
+    """sylvester_solve on dense operands through their complex Schur forms
+    A_i = Q_i R_i Q_i*: solve R1 Y - Y R2 = Q1* C Q2, return Q1 Y Q2*."""
+    R1, Q1 = scipy.linalg.schur(A1, output="complex")
+    R2, Q2 = scipy.linalg.schur(A2, output="complex")
+    Y = sylvester_solve(R1, R2, Q1.conj().T @ C @ Q2)
+    return Q1 @ Y @ Q2.conj().T
 
 
 def recursive_transform_oracle(blocks, off):
@@ -76,8 +89,8 @@ class TestSylvester:
         assert np.allclose(X, [[-3.0]])
 
     def test_zero_rhs(self, rng):
-        A1 = planted_matrix(rng, [1, 2])
-        A2 = planted_matrix(rng, [5, 6, 7])
+        A1 = planted_triangular(rng, [1, 2])
+        A2 = planted_triangular(rng, [5, 6, 7])
         X = sylvester_solve(A1, A2, np.zeros((2, 3)))
         assert np.abs(X).max() < 1e-12
 
@@ -87,14 +100,32 @@ class TestSylvester:
             A1 = random_complex(rng, p)
             A2 = random_complex(rng, q) + 10 * np.eye(q)  # shift spectra apart
             C = random_complex(rng, p)[:, :1] @ random_complex(rng, q)[:1, :]
-            X = sylvester_solve(A1, A2, C)
+            X = schur_sylvester(A1, A2, C)
             X_ref = kron_sylvester_oracle(A1, A2, C)
             assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
 
     def test_spectra_overlap_rejected(self, rng):
-        A = planted_matrix(rng, [1, 2])
+        A = planted_triangular(rng, [1, 2])
         with pytest.raises(SpectraOverlapError):
             sylvester_solve(A, np.array([[2.0]]), np.ones((2, 1)))
+
+    def test_non_triangular_operand_rejected(self, rng):
+        A = planted_matrix(rng, [1, 2, 3])
+        with pytest.raises(ValueError, match="R1 must be upper triangular"):
+            sylvester_solve(A, np.array([[20.0]]), np.ones((3, 1)))
+        with pytest.raises(ValueError, match="R2 must be upper triangular"):
+            sylvester_solve(np.array([[20.0]]), A, np.ones((1, 3)))
+
+    def test_residual_message_carries_gap_and_scale(self, rng):
+        R1 = np.triu(random_complex(rng, 3))
+        R2 = np.triu(random_complex(rng, 2)) + 10 * np.eye(2)
+        d1, d2 = np.diag(R1), np.diag(R2)
+        gap = np.abs(d1[:, None] - d2).min()
+        scale = np.abs(np.concatenate([d1, d2])).max()
+        tols = dataclasses.replace(DEFAULT_TOLS, solve_tol=1e-300)
+        with pytest.raises(IllConditionedError) as err:
+            sylvester_solve(R1, R2, random_complex(rng, 3)[:, :2], tols)
+        assert f"(gap {gap:.3e}, scale {scale:.3e})" in str(err.value)
 
 
 class TestSubspaces:
@@ -175,7 +206,7 @@ class TestCertificates:
 
 class TestBlockTriangular:
     def test_zero_offdiag_gives_identity(self, rng):
-        blocks = [planted_matrix(rng, [1, 2]), planted_matrix(rng, [5])]
+        blocks = [planted_triangular(rng, [1, 2]), planted_triangular(rng, [5])]
         cert = block_triangular_similarity(blocks, np.zeros((3, 3)))
         assert np.allclose(cert.t, np.eye(3))
 
@@ -190,8 +221,8 @@ class TestBlockTriangular:
 
     @pytest.mark.parametrize("orientation", ["upper", "lower"])
     def test_three_blocks_round_trip(self, rng, orientation):
-        blocks = [planted_matrix(rng, [1, 1.5]), planted_matrix(rng, [4]),
-                  planted_matrix(rng, [7, 8, 9])]
+        blocks = [planted_triangular(rng, [1, 1.5]), planted_triangular(rng, [4]),
+                  planted_triangular(rng, [7, 8, 9])]
         sizes = [2, 1, 3]
         n = 6
         edges = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
@@ -214,7 +245,7 @@ class TestBlockTriangular:
         n = sum(sizes)
         eigs = np.linalg.eigvals(random_complex(rng, n))
         edges = np.cumsum((0,) + sizes)
-        blocks = [planted_matrix(rng, eigs[a:b])
+        blocks = [planted_triangular(rng, eigs[a:b])
                   for a, b in zip(edges, edges[1:])]
         labels = np.repeat(np.arange(len(sizes)), sizes)
         upper = labels[None, :] > labels[:, None]
@@ -229,20 +260,77 @@ class TestBlockTriangular:
         assert np.linalg.norm(T - T_ref) <= 1e-12 * np.linalg.norm(T_ref)
 
     def test_overlap_names_the_two_blocks(self, rng):
-        blocks = [planted_matrix(rng, [1, 2]), planted_matrix(rng, [5]),
-                  planted_matrix(rng, [2, 7])]
+        blocks = [planted_triangular(rng, [1, 2]), planted_triangular(rng, [5]),
+                  planted_triangular(rng, [2, 7])]
         with pytest.raises(SpectraOverlapError, match="blocks 0 and 2 "):
             block_triangular_similarity(blocks, np.zeros((5, 5)))
 
     def test_overlapping_spectra_rejected(self, rng):
-        blocks = [planted_matrix(rng, [1, 2]), planted_matrix(rng, [2])]
+        blocks = [planted_triangular(rng, [1, 2]), planted_triangular(rng, [2])]
         off = np.zeros((3, 3))
         off[0, 2] = 1.0
         with pytest.raises(SpectraOverlapError):
             block_triangular_similarity(blocks, off)
+
+    @pytest.mark.parametrize("orientation", ["upper", "lower"])
+    def test_non_triangular_block_rejected(self, rng, orientation):
+        blocks = [planted_matrix(rng, [1, 2]), planted_matrix(rng, [5])]
+        with pytest.raises(ValueError, match="every block must be upper"):
+            block_triangular_similarity(blocks, np.zeros((3, 3)), orientation)
 
     def test_misplaced_entries_rejected(self, rng):
         blocks = [planted_matrix(rng, [1]), planted_matrix(rng, [2])]
         off = np.array([[0, 0], [1.0, 0]])
         with pytest.raises(ValueError):
             block_triangular_similarity(blocks, off, "upper")
+
+
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                     database=None)
+
+
+@_PROPERTY
+@given(st.integers(1, 8), st.integers(1, 8), st.floats(-8, 8),
+       st.integers(0, 2**32 - 1))
+def test_triangular_sylvester_property(p, q, log_scale, seed):
+    # triangular operands with spectra shifted apart, at scales 1e-8..1e8
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    R1 = scale * np.triu(random_complex(rng, p))
+    R2 = scale * (np.triu(random_complex(rng, q)) + 10 * np.eye(q))
+    C = scale * random_complex(rng, max(p, q))[:p, :q]
+    X = sylvester_solve(R1, R2, C)
+    X_ref = kron_sylvester_oracle(R1, R2, C)
+    assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
+
+
+@_PROPERTY
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=6),
+       st.sampled_from(["upper", "lower"]), st.floats(-8, 8),
+       st.integers(0, 2**32 - 1))
+def test_block_triangular_property(sizes, orientation, log_scale, seed):
+    # non-normal triangular blocks whose eigenvalues lie within 0.2 of
+    # distinct points of a grid of spacing 0.5, so the block spectra are at
+    # least 0.1 apart before scaling
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    grid = rng.permutation(25)[:len(sizes)]
+    blocks = []
+    for point, d in zip(grid, sizes):
+        radius = 0.2 * np.sqrt(rng.random(d))
+        eigs = 0.5 * (point % 5 + 1j * (point // 5)) + radius * np.exp(
+            2j * np.pi * rng.random(d))
+        strict = np.triu(random_complex(rng, d), 1) / d
+        blocks.append(scale * (np.diag(eigs) + strict))
+    n = sum(sizes)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    upper = labels[None, :] > labels[:, None]
+    mask = upper if orientation == "upper" else upper.T
+    off = scale * random_complex(rng, n) * mask
+    T = block_triangular_similarity(blocks, off, orientation).t
+    if orientation == "upper":
+        T_ref = recursive_transform_oracle(blocks, off)
+    else:
+        S = recursive_transform_oracle([b.T for b in blocks], off.T)
+        T_ref = np.linalg.inv(S).T
+    assert np.linalg.norm(T - T_ref) <= 1e-12 * np.linalg.norm(T_ref)
