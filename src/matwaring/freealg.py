@@ -28,7 +28,13 @@ Word = tuple  # tuple of 1-based variable indices; () is the constant word
 
 
 class NcPolynomial:
-    """Canonical form: a dict mapping each word to its nonzero coefficient."""
+    """Canonical form: a dict mapping each word to its nonzero coefficient.
+
+    The words are kept in prefix order: depth first over the trie of their
+    prefixes, siblings in order of first appearance, every word before its
+    extensions. Words sharing a prefix are therefore adjacent, which is what
+    lets `evaluate` form each prefix product once.
+    """
 
     def __init__(self, terms=None):
         merged = {}
@@ -38,7 +44,13 @@ class NcPolynomial:
                 raise ValueError(f"variable indices must be >= 1, got {word}")
             c = merged.get(word, 0j) + complex(coeff)
             merged[word] = c
-        self.terms = {w: c for w, c in merged.items() if c != 0}
+        nonzero = [w for w, c in merged.items() if c != 0]
+        rank = {}
+        for w in nonzero:
+            for i in range(1, len(w) + 1):
+                rank.setdefault(w[:i], len(rank))
+        nonzero.sort(key=lambda w: [rank[w[:i]] for i in range(1, len(w) + 1)])
+        self.terms = {w: merged[w] for w in nonzero}
         self.num_vars = max((max(w) for w in self.terms if w), default=0)
 
     @classmethod
@@ -54,11 +66,7 @@ class NcPolynomial:
         return cls({(index,): 1.0})
 
     def __add__(self, other):
-        other = _coerce(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0j) + c
-        return NcPolynomial(out)
+        return _sum((self, _coerce(other)))
 
     __radd__ = __add__
 
@@ -126,6 +134,15 @@ class NcPolynomial:
 
     def __repr__(self):
         return f"NcPolynomial({self.to_string()!r})"
+
+
+def _sum(polys):
+    """The sum of polys, canonicalized once rather than once per addition."""
+    out = {}
+    for p in polys:
+        for w, c in p.terms.items():
+            out[w] = out.get(w, 0j) + c
+    return NcPolynomial(out)
 
 
 def _coerce(value):
@@ -266,12 +283,12 @@ class _Parser:
         sign = 1.0
         if self.peek()[0] in "+-":
             sign = -1.0 if self.next()[0] == "-" else 1.0
-        poly = sign * self.term()
+        summands = [sign * self.term()]
         while self.peek()[0] in "+-":
             op = self.next()[0]
             rhs = self.term()
-            poly = poly + rhs if op == "+" else poly - rhs
-        return poly
+            summands.append(rhs if op == "+" else -rhs)
+        return _sum(summands)
 
     def term(self):
         poly = self.factor()
@@ -340,28 +357,68 @@ def parse(text):
 # evaluation
 # ---------------------------------------------------------------------------
 
+# A stack is walked in blocks of tuples whose arguments take at most this
+# many bytes each (a whole stack at n = 12 and 32 tuples). Larger
+# temporaries cost more in page faults and cache misses than batching
+# saves: on a 2-core VM with BLAS at one thread, [X1,X2] on 32 tuples at
+# n = 64 took 7-12 ms in one block and 4.3-4.8 ms in blocks of 4, about as
+# long as one tuple at a time.
+_BLOCK_BYTES = 1 << 18
+
+
 def evaluate(f, args):
-    """Substitute the matrices `args` into f and return the image matrix.
+    """Substitute the matrices `args` into f and return the image.
 
     args[k] stands for X(k+1); extra arguments beyond f.num_vars are ignored.
+    The arguments share one shape: (n, n) for one tuple, or (S, n, n) for a
+    stack of S tuples, where slice s of every argument is tuple s. The image
+    has that same shape, and slice s of it equals the image of tuple s bit
+    for bit.
+
+    The words are summed in the order of f.terms, each as coeff times its
+    left-to-right product. f.terms is in prefix order (see NcPolynomial), so
+    the walk keeps the products of the current word's prefixes and extends
+    the prefix it shares with the previous word: one batched `@` per node of
+    the prefix trie, with only the current path's products alive.
     """
-    mats = [np.asarray(a, dtype=complex) for a in args]
-    if not mats:
+    stacks = [np.asarray(a, dtype=complex) for a in args]
+    if not stacks:
         raise ValueError("need at least one matrix to fix the evaluation size")
-    n = mats[0].shape[0]
-    for a in mats:
-        if a.shape != (n, n):
-            raise ValueError(f"arguments must all be {n}x{n}, got {a.shape}")
-    if len(mats) < f.num_vars:
+    shape = stacks[0].shape
+    if len(shape) not in (2, 3) or shape[-2] != shape[-1]:
+        raise ValueError(f"arguments must be (n, n) or (S, n, n), got {shape}")
+    for a in stacks:
+        if a.shape != shape:
+            raise ValueError(f"arguments must all have shape {shape}, "
+                             f"got {a.shape}")
+    if len(stacks) < f.num_vars:
         raise ValueError(f"polynomial uses X{f.num_vars} but only "
-                         f"{len(mats)} arguments were given")
-    out = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
+                         f"{len(stacks)} arguments were given")
+    if len(shape) == 2:
+        return _walk(f, stacks)
+    out = np.empty(shape, dtype=complex)
+    block = max(1, _BLOCK_BYTES // (16 * shape[-1] ** 2))
+    for lo in range(0, shape[0], block):
+        out[lo:lo + block] = _walk(f, [a[lo:lo + block] for a in stacks])
+    return out
+
+
+def _walk(f, stacks):
+    """f on arguments of one shape, words in the order of f.terms."""
+    shape = stacks[0].shape
+    out = np.zeros(shape, dtype=complex)
+    path = []           # path[i]: product of the first i+1 letters of prev
+    prev = ()
     for word, coeff in f.terms.items():
-        prod = eye
-        for v in word:
-            prod = prod @ mats[v - 1]
-        out += coeff * prod
+        shared = 0
+        while (shared < min(len(prev), len(word))
+               and prev[shared] == word[shared]):
+            shared += 1
+        del path[shared:]
+        for v in word[shared:]:
+            path.append(path[-1] @ stacks[v - 1] if path else stacks[v - 1])
+        out += coeff * (path[-1] if word else np.eye(shape[-1], dtype=complex))
+        prev = word
     return out
 
 
@@ -422,17 +479,23 @@ def classify(f, n, samples=CLASSIFY_SAMPLES, tol=CLASSIFY_TOL, seed=0,
         raise ValueError("need n >= 1 and samples >= 1")
     rng = np.random.default_rng(seed)
     m = max(f.num_vars, 1)
-    images = [evaluate(f, random_tuple(rng, n, m)) for _ in range(samples)]
-    scale = max(float(np.linalg.norm(M)) for M in images)
+    stacks = [np.empty((samples, n, n), dtype=complex) for _ in range(m)]
+    for s in range(samples):
+        for stack, a in zip(stacks, random_tuple(rng, n, m)):
+            stack[s] = a
+    images = evaluate(f, stacks)
+    del stacks  # free the samples before the powers are formed
+    scale = float(np.linalg.norm(images, axis=(1, 2)).max())
     if scale <= tol:
         return PolyClass(VERDICT_IDENTITY, None, n, samples, tol)
-    powers = list(images)
+    powers = images
     for k in range(1, k_max + 1):
         if k > 1:
-            powers = [P @ M for P, M in zip(powers, images)]
-        power_scale = max(float(np.linalg.norm(P)) for P in powers)
+            powers = powers @ images
+        power_scale = float(np.linalg.norm(powers, axis=(1, 2)).max())
         if power_scale <= tol * scale ** k:
             break  # f^k vanished on all samples; no higher power turns central
+        # one slice at a time: the first nonscalar power decides
         if all(scalar_distance(P) <= tol * power_scale for P in powers):
             verdict = VERDICT_CENTRAL if k == 1 else VERDICT_K_CENTRAL
             return PolyClass(verdict, k, n, samples, tol)

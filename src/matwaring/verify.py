@@ -29,6 +29,14 @@ def _list_of(value, kind):
     return isinstance(value, list) and all(isinstance(v, kind) for v in value)
 
 
+def _number(doc, name):
+    """doc[name] as a float, or None when it is missing or not a number."""
+    value = doc.get(name)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return float(value)
+
+
 def verify_certificate(doc):
     """Check every bound stored in a certificate document.
 
@@ -64,7 +72,9 @@ def verify_certificate(doc):
     else:
         return [f"unknown mode {mode!r}"]
 
-    cert_tol = float(doc["cert_tol"])
+    cert_tol = _number(doc, "cert_tol")
+    if cert_tol is None:
+        return failures + ["malformed field 'cert_tol': not a number"]
     steps = doc.get("similarity_steps", [])
     if not _list_of(steps, dict):
         return failures + ["malformed field 'similarity_steps': not a list "
@@ -91,22 +101,36 @@ def verify_certificate(doc):
                 f"exceeds {bound:.3e}"
             )
 
-    target = matrix_from_json(doc["target"])
+    try:
+        target = matrix_from_json(doc["target"])
+    except (KeyError, TypeError, ValueError):
+        return failures + ["malformed field 'target': not a matrix document"]
     n = target.shape[0]
     if doc.get("tuples") is not None:
         if doc.get("polynomial") is None:
             return failures + ["certificate has tuples but no polynomial text"]
+        if not isinstance(doc["polynomial"], str):
+            return failures + ["malformed field 'polynomial': not a string"]
         if not _list_of(doc["tuples"], list):
             return failures + ["malformed field 'tuples': not a list of "
                                "lists of matrices"]
         f = parse(doc["polynomial"])
-        images = []
+        need = max(f.num_vars, 1)  # a constant still needs one matrix
+        tuples = []
         for k, tp in enumerate(doc["tuples"]):
+            # checked before stacking, which would cut every tuple to the
+            # shortest; extra matrices are ignored, as evaluate ignores them
+            if len(tp) < need:
+                return failures + [f"tuple {k} has {len(tp)} matrices; "
+                                   f"polynomial needs {need}"]
             mats = [matrix_from_json(a) for a in tp]
             if any(a.shape != (n, n) for a in mats):
                 failures.append(f"tuple {k} has matrices of the wrong size")
                 return failures
-            images.append(evaluate(f, mats))
+            tuples.append(mats[:need])
+        images = []
+        if tuples:
+            images = list(evaluate(f, [np.stack(m) for m in zip(*tuples)]))
     else:
         images = [matrix_from_json(W) for W in doc["terms"]]
 
@@ -117,7 +141,9 @@ def verify_certificate(doc):
         return failures
     recon = sum(c * im for c, im in zip(coeffs, images))
     residual = _fro(target - recon)
-    bound = float(doc["residual_bound"])
+    bound = _number(doc, "residual_bound")
+    if bound is None:
+        return failures + ["malformed field 'residual_bound': not a number"]
     if not residual <= bound:
         failures.append(
             f"reconstruction residual {residual:.3e} exceeds bound {bound:.3e}"

@@ -265,7 +265,7 @@ def _finish(cert, f, args, seed, budget, tols, what):
     tuples, and their signed sum must reproduce the target.
     """
     tuples = [tuple(tc.t @ a @ tc.t_inv for a in args) for tc in cert.term_certs]
-    images = [evaluate(f, tp) for tp in tuples]
+    images = list(evaluate(f, [np.stack(mats) for mats in zip(*tuples)]))
     cert.residual, cert.residual_bound = _residual_gate(
         cert.target, cert.coefficients, images, tols, what)
     cert.tuples = tuples

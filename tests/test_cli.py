@@ -249,6 +249,34 @@ class TestVerify:
         assert stdout.startswith("FAIL: malformed field 'tuples'")
         assert "Traceback" not in stderr
 
+    @pytest.mark.parametrize("field, tamper", [
+        ("cert_tol", lambda doc: doc.update(cert_tol=[1])),
+        ("residual_bound", lambda doc: doc.update(residual_bound=None)),
+        ("target", lambda doc: doc.pop("target")),
+        ("polynomial", lambda doc: doc.update(polynomial=5)),
+    ])
+    def test_malformed_scalar_fails_cleanly(self, tmp_path, a3, field, tamper):
+        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        tamper(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, stdout, stderr = run_cli("verify", str(bad))
+        assert code == 1
+        assert stdout.startswith(f"FAIL: malformed field '{field}'")
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("keep", [1, 0])
+    def test_short_tuple_is_named(self, tmp_path, a3, keep):
+        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc["tuples"][1] = doc["tuples"][1][:keep]
+        assert verify_certificate(doc) == [
+            f"tuple 1 has {keep} matrices; polynomial needs 2"]
+
+    def test_extra_tuple_matrix_ignored(self, tmp_path, a3):
+        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc["tuples"][0].append(doc["target"])
+        assert verify_certificate(doc) == []
+
     def test_garbage_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "something-else"}')

@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matwaring.errors import ParseError
 from matwaring.freealg import (
@@ -12,6 +16,31 @@ from matwaring.freealg import (
 )
 
 from conftest import random_complex
+
+
+def word_by_word_oracle(f, args):
+    """The evaluator without prefix sharing: every word multiplied out from
+    the identity in the order of f.terms, one tuple at a time. A stack of
+    tuples (arguments of shape (S, n, n)) is evaluated slice by slice."""
+    mats = [np.asarray(a, dtype=complex) for a in args]
+    if mats[0].ndim == 3:
+        return np.stack([word_by_word_oracle(f, [a[s] for a in mats])
+                         for s in range(mats[0].shape[0])])
+    n = mats[0].shape[0]
+    out = np.zeros((n, n), dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    for word, coeff in f.terms.items():
+        prod = eye
+        for v in word:
+            prod = prod @ mats[v - 1]
+        out += coeff * prod
+    return out
+
+
+def stacked_tuples(rng, n, m, S):
+    """S random m-tuples, returned with their (S, n, n) argument stacks."""
+    tuples = [random_tuple(rng, n, m) for _ in range(S)]
+    return tuples, [np.stack(mats) for mats in zip(*tuples)]
 
 
 class TestParse:
@@ -132,6 +161,39 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(parse("X1*X2"), (np.eye(2), np.eye(3)))
 
+    def test_batch_size_mismatch(self):
+        with pytest.raises(ValueError):
+            evaluate(parse("X1*X2"), (np.zeros((2, 3, 3)), np.zeros((4, 3, 3))))
+        with pytest.raises(ValueError):
+            evaluate(parse("X1*X2"), (np.zeros((2, 3, 3)), np.eye(3)))
+
+    def test_words_kept_in_prefix_order(self):
+        # depth first over the prefix trie, siblings by first appearance
+        f = parse("X1^2*X2 - X2*X1^2 + [X1,X2]")
+        assert list(f.terms) == [(1, 1, 2), (1, 2), (2, 1), (2, 1, 1)]
+        assert list(parse("[X1,X2] + (0.5)").terms) == [(), (1, 2), (2, 1)]
+
+    @pytest.mark.parametrize("text", [
+        "[X1,X2]",
+        "X1^2*X2 - X2*X1^2 + [X1,X2]",
+        "(X1+X2*X3+X3*X1)^4",
+    ])
+    @pytest.mark.parametrize("S", [None, 1, 4, 32])
+    def test_bit_identical_to_word_by_word(self, rng, text, S):
+        f = parse(text)
+        tuples, stacks = stacked_tuples(rng, 12, 3, S or 1)
+        args = tuples[0] if S is None else stacks
+        assert np.array_equal(evaluate(f, args), word_by_word_oracle(f, args))
+
+    @pytest.mark.parametrize("n", [12, 64])   # one block, and two blocks
+    def test_batch_invariance(self, rng, n):
+        f = parse("(X1+X2*X3+X3*X1)^4 + [X1,X2] + (0.5-1i)")
+        tuples, stacks = stacked_tuples(rng, n, 3, 5)
+        batched = evaluate(f, stacks)
+        assert batched.shape == (5, n, n)
+        for s, tp in enumerate(tuples):
+            assert np.array_equal(batched[s], evaluate(f, tp))
+
     def test_linearity(self, rng):
         for _ in range(20):
             f = parse("X1*X2 - 2*X2^2")
@@ -204,3 +266,46 @@ class TestClassify:
         a = classify(parse("X1*X2"), 3, seed=42)
         b = classify(parse("X1*X2"), 3, seed=42)
         assert a == b
+
+    @pytest.mark.parametrize("text, n, verdict, k", [
+        ("[X1,X2]", 1, "identity", None),
+        ("[X1,X2]", 2, "k-central", 2),
+        ("[X1,X2]", 3, "generic", None),
+        ("[X1,X2]^2", 2, "central", 1),
+        ("[X1,X2]^2", 3, "generic", None),
+        ("X1*X2", 3, "generic", None),
+        ("(2.0)", 3, "central", 1),
+        ("0", 2, "identity", None),
+    ])
+    def test_verdict_table(self, text, n, verdict, k):
+        cls = classify(parse(text), n)
+        assert (cls.verdict, cls.k) == (verdict, k)
+
+
+_words = st.lists(st.integers(1, 3), max_size=5).map(tuple)
+_coeffs = st.complex_numbers(max_magnitude=4, allow_nan=False,
+                             allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_words, _coeffs), min_size=1, max_size=10),
+       _coeffs, st.integers(1, 4), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_evaluate_matches_oracle_property(draws, constant, S, n, seed):
+    # each drawn word and its first half are added as monomials, so repeated
+    # words merge and prefixes of other words are words themselves
+    f = NcPolynomial.constant(constant)
+    for word, c in draws:
+        f = f + NcPolynomial({word: c}) + NcPolynomial({word[:len(word) // 2]: c})
+    _, stacks = stacked_tuples(np.random.default_rng(seed), n, 3, S)
+    got = evaluate(f, stacks)
+    # the oracle sums the words in reverse, so the comparison does not rest
+    # on the two summing in the same order
+    reverse = SimpleNamespace(terms=dict(reversed(f.terms.items())))
+    ref = word_by_word_oracle(reverse, stacks)
+    scale = sum(
+        abs(c) * np.linalg.norm(word_by_word_oracle(NcPolynomial({w: 1}), stacks),
+                                axis=(1, 2))
+        for w, c in f.terms.items()
+    )
+    assert np.all(np.linalg.norm(got - ref, axis=(1, 2)) <= 1e-12 * scale)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from matwaring import waring
+from matwaring import freealg, waring
 from matwaring.canon import partition_spectrum
 from matwaring.errors import (
     BudgetExhaustedError,
@@ -35,6 +35,7 @@ from conftest import (
     random_traceless,
     sorted_eigs,
 )
+from test_freealg import word_by_word_oracle
 
 
 def check_term_cert(cert, witness):
@@ -343,6 +344,28 @@ class TestFiveTerm:
         recon = sum(c * evaluate(f, tp)
                     for c, tp in zip(cert.coefficients, cert.tuples))
         assert fro(T - recon) <= 1e-6 * max(1.0, fro(T))
+
+
+@pytest.mark.parametrize("route, text, n", [
+    (waring_express, "[X1,X2]", 9),
+    (two_term_decompose, "[X1,X2]", 7),
+    (five_term_express, "(X1+X2*X3+X3*X1)^4", 12),
+])
+def test_certificate_text_same_as_word_by_word(monkeypatch, route, text, n):
+    # prefix sharing and stacked tuples must not move a single certificate byte
+    f = parse(text)
+    A = random_complex(np.random.default_rng(n), n)
+    if route is not five_term_express:
+        A = A - (np.trace(A) / n) * np.eye(n)
+
+    def certificate_text():
+        cert = route(f, A, seed=5)
+        return dumps_canonical(certificate_to_json(cert, DEFAULT_TOLS))
+
+    shared = certificate_text()
+    monkeypatch.setattr(freealg, "evaluate", word_by_word_oracle)
+    monkeypatch.setattr(waring, "evaluate", word_by_word_oracle)
+    assert certificate_text() == shared
 
 
 class TestMultilinearityDetector:
