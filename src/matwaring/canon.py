@@ -62,8 +62,8 @@ class SpectralPartition:
     case_tag 'B': block_sizes = (p, q, r) with p, q, r < n/2.
     to_block_diag certifies B = T blkdiag(blocks) T^-1.
     case_tag 'distinct': the n 1x1 eigenvalue blocks of a witness with
-    distinct eigenvalues; the two-term route certifies that diagonalization
-    itself, so to_block_diag is None.
+    distinct eigenvalues, block_sizes = (1,) * n; to_block_diag certifies
+    the witness's eigendecomposition.
     """
 
     case_tag: str
@@ -156,10 +156,12 @@ def block_diagonalize_by_cluster(B, clusters, tols: Tolerances = DEFAULT_TOLS,
 def partition_spectrum(B, tols: Tolerances = DEFAULT_TOLS):
     """Split B into 2 or 3 certified diagonal blocks with disjoint spectra.
 
-    Requires every eigenvalue cluster to have multiplicity <= n/2. Case A is
-    chosen when n is even and either a single cluster or a greedy prefix of
-    clusters reaches exactly n/2; otherwise the greedy split yields case B
-    with all three sizes strictly below n/2.
+    Requires every eigenvalue cluster to have multiplicity <= n/2. One
+    greedy pass groups the clusters: a cluster of multiplicity n/2 goes
+    first (of two such, the one B's Schur form leads with), then clusters
+    are taken while they fit in n/2. A pass that reaches exactly n/2 is
+    case A; otherwise the first cluster that does not fit is the middle
+    group of case B, with all three sizes strictly below n/2.
     """
     B = as_cmatrix(B)
     n = B.shape[0]
@@ -170,42 +172,24 @@ def partition_spectrum(B, tols: Tolerances = DEFAULT_TOLS):
         if 2 * mult > n:
             raise MultiplicityTooLargeError(value, mult, n)
 
-    order = None
-    if n % 2 == 0:
-        half = n // 2
-        halves = [i for i, c in enumerate(clusters) if c[1] == half]
-        if halves:
-            big = halves[0]
-            if len(halves) == 2:
-                # two equal halves: keep the order B already leads with
-                big = int(np.argmin([abs(eigs[0] - c[0]) for c in clusters]))
-            order = [clusters[big]] + [c for i, c in enumerate(clusters) if i != big]
-            case_tag, group_sizes = "A", (half, half)
-            group_counts = (1, len(order) - 1)
-        else:
-            # a prefix of clusters whose multiplicities sum to n/2
-            cum = np.cumsum([c[1] for c in clusters])
-            j = int(np.searchsorted(cum, half))
-            if j < len(cum) and cum[j] == half:
-                order = clusters
-                case_tag, group_sizes = "A", (half, half)
-                group_counts = (j + 1, len(order) - j - 1)
-    if order is None:
-        order = clusters
-        cum = 0
-        j = 0
-        while j < len(order) and 2 * (cum + order[j][1]) <= n:
-            cum += order[j][1]
-            j += 1
-        p = cum
-        q = order[j][1]
-        r = n - p - q
-        if not (2 * p < n and 2 * q < n and 2 * r < n and p and q and r):
-            raise MultiplicityTooLargeError(order[j][0], q, n)  # unreachable
-        case_tag, group_sizes = "B", (p, q, r)
-        group_counts = (j, 1, len(order) - j - 1)
+    halves = [c for c in clusters if 2 * c[1] == n]
+    if halves:
+        big = min(halves, key=lambda c: abs(eigs[0] - c[0]))
+        clusters.remove(big)
+        clusters.insert(0, big)
+    taken = j = 0
+    while 2 * (taken + clusters[j][1]) <= n:
+        taken += clusters[j][1]
+        j += 1
+    if 2 * taken == n:
+        case_tag, group_sizes = "A", (taken, taken)
+        group_counts = (j, len(clusters) - j)
+    else:
+        q = clusters[j][1]
+        case_tag, group_sizes = "B", (taken, q, n - taken - q)
+        group_counts = (j, 1, len(clusters) - j - 1)
 
-    cluster_blocks, cert = block_diagonalize_by_cluster(B, order, tols,
+    cluster_blocks, cert = block_diagonalize_by_cluster(B, clusters, tols,
                                                         schur=schur)
 
     edges = np.cumsum((0,) + group_counts)

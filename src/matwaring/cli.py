@@ -156,7 +156,8 @@ def cmd_verify(args):
             print(f"      {extra}")
         return EXIT_VERIFY_FAILED
     print(f"OK: {doc['mode']} certificate verifies "
-          f"(n={doc['n']}, residual bound {doc['residual_bound']:.3e})")
+          f"(n={int(doc['target']['n'])}, "
+          f"residual bound {doc['residual_bound']:.3e})")
     return EXIT_OK
 
 

@@ -45,12 +45,7 @@ class NcPolynomial:
             c = merged.get(word, 0j) + complex(coeff)
             merged[word] = c
         nonzero = [w for w, c in merged.items() if c != 0]
-        rank = {}
-        for w in nonzero:
-            for i in range(1, len(w) + 1):
-                rank.setdefault(w[:i], len(rank))
-        nonzero.sort(key=lambda w: [rank[w[:i]] for i in range(1, len(w) + 1)])
-        self.terms = {w: merged[w] for w in nonzero}
+        self.terms = {w: merged[w] for w in _prefix_order(nonzero)}
         self.num_vars = max((max(w) for w in self.terms if w), default=0)
 
     @classmethod
@@ -77,13 +72,7 @@ class NcPolynomial:
         return self + (-_coerce(other))
 
     def __mul__(self, other):
-        other = _coerce(other)
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, 0j) + c1 * c2
-        return NcPolynomial(out)
+        return _product((self, _coerce(other)))
 
     def __rmul__(self, scalar):
         return NcPolynomial({w: scalar * c for w, c in self.terms.items()})
@@ -91,10 +80,7 @@ class NcPolynomial:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = NcPolynomial.constant(1.0)
-        for _ in range(int(k)):
-            result = result * self
-        return result
+        return _product((NcPolynomial.constant(1.0),) + (self,) * int(k))
 
     def __eq__(self, other):
         return isinstance(other, NcPolynomial) and self.terms == other.terms
@@ -143,6 +129,38 @@ def _sum(polys):
         for w, c in p.terms.items():
             out[w] = out.get(w, 0j) + c
     return NcPolynomial(out)
+
+
+def _prefix_order(words):
+    """words depth first over the trie of their prefixes, siblings in order
+    of first appearance, every word before its extensions."""
+    if len(words) < 2:
+        return list(words)
+    rank = {}
+    for w in words:
+        for i in range(1, len(w) + 1):
+            rank.setdefault(w[:i], len(rank))
+    return sorted(words, key=lambda w: [rank[w[:i]] for i in range(1, len(w) + 1)])
+
+
+def _product(polys):
+    """The left-to-right product of polys, canonicalized once rather than
+    once per factor. Each partial product drops its cancelled words and is
+    walked in prefix order, as its canonical form would be, so the words
+    and coefficients come out as multiplying two at a time gives them."""
+    first, *rest = polys
+    out = first.terms
+    for i, p in enumerate(rest):
+        if i:
+            out = {w: out[w] for w in
+                   _prefix_order([w for w, c in out.items() if c != 0])}
+        prod = {}
+        for w1, c1 in out.items():
+            for w2, c2 in p.terms.items():
+                w = w1 + w2
+                prod[w] = prod.get(w, 0j) + c1 * c2
+        out = prod
+    return NcPolynomial(out) if rest else first
 
 
 def _coerce(value):
@@ -291,18 +309,18 @@ class _Parser:
         return _sum(summands)
 
     def term(self):
-        poly = self.factor()
+        factors = [self.factor()]
         while self.peek()[0] == "*":
             self.next()
-            poly = poly * self.factor()
-        return poly
+            factors.append(self.factor())
+        return _product(factors)
 
     def factor(self):
         poly = self.atom()
         if self.peek()[0] == "^":
             self.next()
             tok = self.expect("num")
-            if tok[2] or tok[1] != int(tok[1]) or tok[1] < 0:
+            if tok[2] or not tok[1].is_integer() or tok[1] < 0:
                 raise ParseError("exponent must be a nonnegative integer", tok[3])
             poly = poly ** int(tok[1])
         return poly

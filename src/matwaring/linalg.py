@@ -91,6 +91,16 @@ def sylvester_solve(R1, R2, C, tols: Tolerances = DEFAULT_TOLS):
             f"spectra of the operands are not disjoint (gap {gap:.3e}, "
             f"scale {scale:.3e})"
         )
+    return _trsyl(R1, R2, C, tols)
+
+
+def _trsyl(R1, R2, C, tols):
+    """R1 X - X R2 = C by one ztrsyl call, gated on its relative residual.
+
+    The caller has checked that R1, R2 are finite, upper triangular and of
+    disjoint spectra; the gap and scale are recomputed only for the message
+    of a failing residual gate.
+    """
     X, s, info = lapack.ztrsyl(R1, R2, C, isgn=-1)
     if info:
         raise SpectraOverlapError(
@@ -99,9 +109,12 @@ def sylvester_solve(R1, R2, C, tols: Tolerances = DEFAULT_TOLS):
     denom = fro(C) or 1.0
     residual = fro(R1 @ X - X @ R2 - C) / denom
     if residual > tols.solve_tol:
+        eigs = np.concatenate([np.diag(R1), np.diag(R2)])
+        gap, _, _ = spectral_gap(eigs, block_labels((len(R1), len(R2))))
         raise IllConditionedError(
             f"Sylvester solve residual {residual:.3e} exceeds "
-            f"{tols.solve_tol:.1e} (gap {gap:.3e}, scale {scale:.3e})"
+            f"{tols.solve_tol:.1e} (gap {gap:.3e}, "
+            f"scale {np.abs(eigs).max(initial=0.0):.3e})"
         )
     return X
 
@@ -245,7 +258,7 @@ def _unit_upper_transform(blocks, upper, tols):
     for b in blocks:
         e = s + b.shape[0]
         if s:
-            T[:s, s:e] = sylvester_solve(upper[:s, :s], b, -upper[:s, s:e], tols)
+            T[:s, s:e] = _trsyl(upper[:s, :s], b, -upper[:s, s:e], tols)
         s = e
     return T
 

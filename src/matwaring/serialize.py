@@ -81,7 +81,12 @@ def certificate_to_json(cert, tols, seed=None, budget=None):
         "target": matrix_to_json(cert.target),
         "witness": matrix_to_json(cert.witness),
         "coefficients": [complex_to_json(c) for c in cert.coefficients],
-        "terms": [matrix_to_json(W) for W in cert.terms],
+        # the verifier re-evaluates f on the tuples; terms stand in for them
+        # only in matrix-level certificates
+        "terms": (
+            [matrix_to_json(W) for W in cert.terms] if cert.tuples is None
+            else None
+        ),
         "tuples": (
             None if cert.tuples is None
             else [[matrix_to_json(a) for a in tp] for tp in cert.tuples]

@@ -8,6 +8,7 @@ construction pipeline is imported, so a passing verdict does not trust it.
 
 import numpy as np
 
+from .errors import ParseError
 from .freealg import evaluate, parse
 from .serialize import (
     FORMAT_NAME,
@@ -35,6 +36,22 @@ def _number(doc, name):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
     return float(value)
+
+
+def _matrices(docs, n):
+    """The n x n matrices of a list of matrix documents, or None when docs
+    is not a list or one of them is not such a matrix."""
+    if not isinstance(docs, list):
+        return None
+    mats = []
+    for d in docs:
+        try:
+            mats.append(matrix_from_json(d))
+        except (KeyError, TypeError, ValueError):
+            return None
+        if mats[-1].shape != (n, n):
+            return None
+    return mats
 
 
 def verify_certificate(doc):
@@ -75,17 +92,24 @@ def verify_certificate(doc):
     cert_tol = _number(doc, "cert_tol")
     if cert_tol is None:
         return failures + ["malformed field 'cert_tol': not a number"]
+    try:
+        target = matrix_from_json(doc["target"])
+    except (KeyError, TypeError, ValueError):
+        return failures + ["malformed field 'target': not a matrix document"]
+    n = target.shape[0]
     steps = doc.get("similarity_steps", [])
     if not _list_of(steps, dict):
         return failures + ["malformed field 'similarity_steps': not a list "
                            "of objects"]
     for idx, step in enumerate(steps):
         label = step.get("label") or f"step {idx}"
-        T = matrix_from_json(step["t"])
-        T_inv = matrix_from_json(step["t_inv"])
-        source = matrix_from_json(step["source"])
-        target = matrix_from_json(step["target"])
-        n = T.shape[0]
+        mats = _matrices([step.get(k) for k in ("t", "t_inv", "source",
+                                                "target")], n)
+        if mats is None:
+            return failures + [
+                f"malformed field 'similarity_steps': step {label!r} needs "
+                f"{n}x{n} matrices t, t_inv, source and target"]
+        T, T_inv, source, step_target = mats
         r_inv = _fro(T @ T_inv - np.eye(n))
         if not r_inv <= cert_tol:
             failures.append(
@@ -93,7 +117,7 @@ def verify_certificate(doc):
                 f"exceeds {cert_tol:.1e}"
             )
         cond = _fro(T) * _fro(T_inv)
-        r_map = _fro(T @ source @ T_inv - target)
+        r_map = _fro(T @ source @ T_inv - step_target)
         bound = cert_tol * cond * _fro(source)
         if not r_map <= bound:
             failures.append(
@@ -101,11 +125,6 @@ def verify_certificate(doc):
                 f"exceeds {bound:.3e}"
             )
 
-    try:
-        target = matrix_from_json(doc["target"])
-    except (KeyError, TypeError, ValueError):
-        return failures + ["malformed field 'target': not a matrix document"]
-    n = target.shape[0]
     if doc.get("tuples") is not None:
         if doc.get("polynomial") is None:
             return failures + ["certificate has tuples but no polynomial text"]
@@ -114,7 +133,10 @@ def verify_certificate(doc):
         if not _list_of(doc["tuples"], list):
             return failures + ["malformed field 'tuples': not a list of "
                                "lists of matrices"]
-        f = parse(doc["polynomial"])
+        try:
+            f = parse(doc["polynomial"])
+        except ParseError as exc:
+            return failures + [f"malformed field 'polynomial': {exc}"]
         need = max(f.num_vars, 1)  # a constant still needs one matrix
         tuples = []
         for k, tp in enumerate(doc["tuples"]):
@@ -123,16 +145,19 @@ def verify_certificate(doc):
             if len(tp) < need:
                 return failures + [f"tuple {k} has {len(tp)} matrices; "
                                    f"polynomial needs {need}"]
-            mats = [matrix_from_json(a) for a in tp]
-            if any(a.shape != (n, n) for a in mats):
-                failures.append(f"tuple {k} has matrices of the wrong size")
-                return failures
+            mats = _matrices(tp, n)
+            if mats is None:
+                return failures + [f"malformed field 'tuples': tuple {k} "
+                                   f"needs {n}x{n} matrices"]
             tuples.append(mats[:need])
         images = []
         if tuples:
             images = list(evaluate(f, [np.stack(m) for m in zip(*tuples)]))
     else:
-        images = [matrix_from_json(W) for W in doc["terms"]]
+        images = _matrices(doc.get("terms"), n)
+        if images is None:
+            return failures + [f"malformed field 'terms': not a list of "
+                               f"{n}x{n} matrices"]
 
     if len(images) != len(coeffs):
         failures.append(

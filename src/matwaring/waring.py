@@ -9,7 +9,7 @@ brings the count down to two terms, and a nonzero-trace image point lifts
 the result to arbitrary matrices with five scalar coefficients.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,17 +123,17 @@ def _residual_gate(target, coefficients, terms, tols, what):
     return residual, bound
 
 
-def _assemble(witness, partition, to_blocks, hollow, halves, tols):
-    """Terms certified similar to the witness, with signed sum the target.
+def _assemble(mode, witness, target, partition, hollow, halves, tols):
+    """The route's certificate: terms certified similar to the witness, with
+    signed sum the target.
 
-    to_blocks X satisfies X witness X^-1 = blkdiag(partition.blocks); hollow
-    takes the target to M = sum of U C U* over the halves (C, U), where U
-    None stands for the identity. Each half contributes U Bp U* - U Bpp U*
-    from diff_of_similar, carried back through the hollow similarity.
-
-    Returns (terms, term_certs, triangular certificates), two of each per
-    half, in the order of the halves.
+    partition.to_block_diag certifies witness = X blkdiag(blocks) X^-1;
+    hollow takes the target to M = sum of U C U* over the halves (C, U),
+    where U None stands for the identity. Each half contributes
+    U Bp U* - U Bpp U* from diff_of_similar, carried back through the hollow
+    similarity. The residual is left to the caller's gate.
     """
+    Xinv = partition.to_block_diag.t_inv
     Sh = hollow.to_hollow.t        # M = Sh A Sh^-1
     Shinv = hollow.to_hollow.t_inv
     diffs = [diff_of_similar(partition, C, tols) for C, _ in halves]
@@ -145,16 +145,26 @@ def _assemble(witness, partition, to_blocks, hollow, halves, tols):
         for P, tri in zip((Bp, Bpp), tris):
             if U is None:
                 W = Shinv @ P @ Sh
-                T = Shinv @ tri.t @ to_blocks
+                T = Shinv @ tri.t @ Xinv
             else:
                 W = Shinv @ U @ P @ U.conj().T @ Sh
-                T = Shinv @ U @ tri.t @ to_blocks
+                T = Shinv @ U @ tri.t @ Xinv
             terms.append(W)
             term_certs.append(certify_similarity(
                 T, witness, W, tols,
                 label=f"term{len(terms)}-similar-to-witness",
             ))
-    return terms, term_certs, tri_certs
+    return WaringCertificate(
+        mode=mode,
+        witness=witness,
+        target=target,
+        coefficients=[1.0, -1.0] * len(halves),
+        terms=terms,
+        residual=np.nan,
+        residual_bound=np.nan,
+        term_certs=term_certs,
+        steps=[partition.to_block_diag, hollow.to_hollow, *tri_certs],
+    )
 
 
 def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
@@ -172,7 +182,6 @@ def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
     if A.shape != (n, n):
         raise ValueError("A and B must have the same size")
     _require_traceless(A, tols, name="A")
-    coefficients = [1.0, -1.0, 1.0, -1.0]
     if fro(A) == 0.0:
         # nothing to express: four copies of B cancel in signed pairs
         partition_spectrum(B, tols)  # still enforce the multiplicity gate
@@ -182,7 +191,7 @@ def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
             mode=MODE_FOUR_TERM,
             witness=B,
             target=A,
-            coefficients=coefficients,
+            coefficients=[1.0, -1.0, 1.0, -1.0],
             terms=[B.copy() for _ in range(4)],
             residual=0.0,
             residual_bound=tols.end_tol,
@@ -193,22 +202,11 @@ def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
     part = partition_spectrum(B, tols)
     hollow = zero_diagonal_similarity(A, tols)
     split = split_hollow(hollow.m, part.block_sizes, tols)
-    terms, term_certs, tri_certs = _assemble(
-        B, part, part.to_block_diag.t_inv, hollow,
-        [(split.c1, None), (split.c2, split.u)], tols,
-    )
-    residual, bound = _residual_gate(A, coefficients, terms, tols, "four-term")
-    return WaringCertificate(
-        mode=MODE_FOUR_TERM,
-        witness=B,
-        target=A,
-        coefficients=coefficients,
-        terms=terms,
-        residual=residual,
-        residual_bound=bound,
-        term_certs=term_certs,
-        steps=[part.to_block_diag, hollow.to_hollow, *tri_certs],
-    )
+    cert = _assemble(MODE_FOUR_TERM, B, A, part, hollow,
+                     [(split.c1, None), (split.c2, split.u)], tols)
+    cert.residual, cert.residual_bound = _residual_gate(
+        A, cert.coefficients, cert.terms, tols, "four-term")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +291,15 @@ def _require_not_central(f, n, seed, forbid_two_central=False):
     return cls
 
 
+def _four_term_tuples(f, A, budget, seed, tols):
+    """The four-term certificate of trace-zero A with its tuples of f, on a
+    searched image point with all eigenvalue multiplicities <= n/2."""
+    B, args = image_search(f, A.shape[0], GOAL_MULTIPLICITY_HALF, budget,
+                           seed, tols)
+    cert = four_term_decompose(B, A, tols)
+    return _finish(cert, f, args, seed, budget, tols, "re-evaluated four-term")
+
+
 def waring_express(f, A, budget=DEFAULT_BUDGET, seed=0,
                    tols: Tolerances = DEFAULT_TOLS):
     """Express trace-zero A as f(t1) - f(t2) + f(t3) - f(t4).
@@ -302,12 +309,9 @@ def waring_express(f, A, budget=DEFAULT_BUDGET, seed=0,
     a verifier can recompute f from scratch on each one.
     """
     A = as_cmatrix(A)
-    n = A.shape[0]
     _require_traceless(A, tols)
-    _require_not_central(f, n, seed)
-    B, args = image_search(f, n, GOAL_MULTIPLICITY_HALF, budget, seed, tols)
-    cert = four_term_decompose(B, A, tols)
-    return _finish(cert, f, args, seed, budget, tols, "re-evaluated four-term")
+    _require_not_central(f, A.shape[0], seed)
+    return _four_term_tuples(f, A, budget, seed, tols)
 
 
 def two_term_applies(f, n):
@@ -339,34 +343,20 @@ def two_term_decompose(f, A, budget=DEFAULT_BUDGET, seed=0,
 
     D0, args = image_search(f, n, GOAL_DISTINCT_EIGS, budget, seed, tols)
     w, V = np.linalg.eig(D0)
-    Vinv = np.linalg.inv(V)
-    cert_diag = certify_similarity(Vinv, D0, np.diag(w), tols,
-                                   label="diagonalize-witness")
     eig_blocks = SpectralPartition(
         case_tag="distinct",
         block_sizes=(1,) * n,
         blocks=[np.array([[wi]]) for wi in w],
-        to_block_diag=None,
+        to_block_diag=certify_similarity(V, np.diag(w), D0, tols,
+                                         label="diagonalize-witness"),
     )
 
     hollow = zero_diagonal_similarity(A, tols)
     # the hollow form keeps a diagonal below hollow_tol, which the
     # triangular halves drop instead of handing it to diff_of_similar
     M = hollow.m
-    terms, term_certs, tri_certs = _assemble(
-        D0, eig_blocks, Vinv, hollow, [(M - np.diag(np.diag(M)), None)], tols,
-    )
-    cert = WaringCertificate(
-        mode=MODE_TWO_TERM,
-        witness=D0,
-        target=A,
-        coefficients=[1.0, -1.0],
-        terms=terms,
-        residual=np.nan,          # both set by _finish
-        residual_bound=np.nan,
-        term_certs=term_certs,
-        steps=[cert_diag, hollow.to_hollow, *tri_certs],
-    )
+    cert = _assemble(MODE_TWO_TERM, D0, A, eig_blocks, hollow,
+                     [(M - np.diag(np.diag(M)), None)], tols)
     return _finish(cert, f, args, seed, budget, tols, "two-term")
 
 
@@ -394,26 +384,12 @@ def five_term_express(f, T, budget=DEFAULT_BUDGET, seed=0,
 
     # the four-term path on the remainder, with f already classified
     _require_traceless(remainder, tols)
-    B, args = image_search(f, n, GOAL_MULTIPLICITY_HALF, budget, seed + 1, tols)
-    four = _finish(four_term_decompose(B, remainder, tols), f, args,
-                   seed + 1, budget, tols, "re-evaluated four-term")
+    four = _four_term_tuples(f, remainder, budget, seed + 1, tols)
 
     coefficients = [complex(c0), 1.0, -1.0, 1.0, -1.0]
-    tuples = [tuple(args0)] + four.tuples
     images = [A0] + four.terms
     residual, bound = _residual_gate(T, coefficients, images, tols, "five-term")
-    return WaringCertificate(
-        mode=MODE_FIVE_TERM,
-        witness=four.witness,
-        target=T,
-        coefficients=coefficients,
-        terms=images,
-        residual=residual,
-        residual_bound=bound,
-        tuples=tuples,
-        polynomial=f.to_string(),
-        term_certs=four.term_certs,
-        steps=four.steps,
-        seed=seed,
-        budget=budget,
-    )
+    return replace(four, mode=MODE_FIVE_TERM, target=T,
+                   coefficients=coefficients, terms=images, residual=residual,
+                   residual_bound=bound, tuples=[tuple(args0)] + four.tuples,
+                   seed=seed, budget=budget)

@@ -19,7 +19,7 @@ from matwaring.errors import (
     MultiplicityTooLargeError,
     NonzeroTraceError,
 )
-from matwaring.linalg import blkdiag, fro
+from matwaring.linalg import blkdiag, eigendecompose, fro
 
 from conftest import planted_matrix, random_traceless, random_unitary, sorted_eigs
 
@@ -354,3 +354,78 @@ def test_reorder_schur_matches_bubble_oracle(rng, n):
                        atol=1e-12)
     assert not np.tril(T, -1).any()
     assert fro(Q @ T @ Q.conj().T - A) <= 1e-12 * fro(A)
+
+
+def grouping_oracle(B, tols=DEFAULT_TOLS):
+    """The three-branch group selection that partition_spectrum made before
+    its one greedy pass: (case_tag, block_sizes, the clusters of each
+    block)."""
+    eigs = eigendecompose(B)[0]
+    n = len(eigs)
+    clusters = cluster_eigenvalues(eigs, tols.cluster_tol)
+    if n % 2 == 0:
+        half = n // 2
+        halves = [i for i, c in enumerate(clusters) if c[1] == half]
+        if halves:
+            big = halves[0]
+            if len(halves) == 2:
+                # two equal halves: keep the order B already leads with
+                big = int(np.argmin([abs(eigs[0] - c[0]) for c in clusters]))
+            rest = [c for i, c in enumerate(clusters) if i != big]
+            return "A", (half, half), [[clusters[big]], rest]
+        # a prefix of clusters whose multiplicities sum to n/2
+        cum = np.cumsum([c[1] for c in clusters])
+        j = int(np.searchsorted(cum, half))
+        if j < len(cum) and cum[j] == half:
+            return "A", (half, half), [clusters[:j + 1], clusters[j + 1:]]
+    cum = j = 0
+    while j < len(clusters) and 2 * (cum + clusters[j][1]) <= n:
+        cum += clusters[j][1]
+        j += 1
+    q = clusters[j][1]
+    return ("B", (cum, q, n - cum - q),
+            [clusters[:j], clusters[j:j + 1], clusters[j + 1:]])
+
+
+def assert_grouping_matches_oracle(diagonal):
+    """partition_spectrum of diag(diagonal), distinct integers repeated,
+    has the oracle's case, sizes and eigenvalue multiset per block."""
+    B = np.diag(np.asarray(diagonal, dtype=complex))
+    part = partition_spectrum(B)
+    case_tag, sizes, groups = grouping_oracle(B)
+    assert (part.case_tag, part.block_sizes) == (case_tag, sizes), diagonal
+    assert len(part.blocks) == len(groups)
+    for block, group in zip(part.blocks, groups):
+        got = sorted(np.rint(np.diag(block).real).astype(int).tolist())
+        assert got == sorted(round(v.real) for v, m in group
+                             for _ in range(m)), diagonal
+    return part
+
+
+@pytest.mark.parametrize("diagonal, blocks", [
+    # two n/2 clusters: the one B's Schur form leads with goes first
+    ([5, 5, 5, 1, 1, 1], [[5, 5, 5], [1, 1, 1]]),
+    ([1, 1, 1, 5, 5, 5], [[1, 1, 1], [5, 5, 5]]),
+    # one n/2 cluster that sorts last still goes first
+    ([1, 2, 2, 3, 3, 3], [[3, 3, 3], [1, 2, 2]]),
+    # a prefix that sums to n/2
+    ([1, 2, 2, 3, 4, 4], [[1, 2, 2], [3, 4, 4]]),
+])
+def test_grouping_explicit_cases(diagonal, blocks):
+    part = assert_grouping_matches_oracle(diagonal)
+    assert part.case_tag == "A"
+    assert [sorted(np.rint(np.diag(b).real).astype(int).tolist())
+            for b in part.blocks] == blocks
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_grouping_matches_oracle_property(data):
+    n = data.draw(st.integers(2, 12), label="n")
+    mults = []
+    while sum(mults) < n:
+        mults.append(data.draw(st.integers(1, min(n // 2, n - sum(mults)))))
+    values = data.draw(st.lists(st.integers(-20, 20), min_size=len(mults),
+                                max_size=len(mults), unique=True))
+    diagonal = data.draw(st.permutations(np.repeat(values, mults).tolist()))
+    assert_grouping_matches_oracle(diagonal)

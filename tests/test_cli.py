@@ -277,6 +277,38 @@ class TestVerify:
         doc["tuples"][0].append(doc["target"])
         assert verify_certificate(doc) == []
 
+    @pytest.mark.parametrize("field, tamper", [
+        ("similarity_steps", lambda doc: doc["similarity_steps"][0].pop("t")),
+        ("similarity_steps",
+         lambda doc: doc["similarity_steps"][0].update(t=5)),
+        ("similarity_steps", lambda doc: doc["similarity_steps"][0].update(
+            t=matrix_to_json(np.eye(2)), t_inv=matrix_to_json(np.eye(2)))),
+        ("tuples", lambda doc: doc["tuples"][0].__setitem__(0, 5)),
+        ("terms", lambda doc: (doc.update(tuples=None), doc.pop("terms"))),
+        ("terms", lambda doc: doc.update(
+            tuples=None, terms=[matrix_to_json(np.eye(2))] * 2)),
+        ("polynomial", lambda doc: doc.update(polynomial="X1+")),
+        (None, lambda doc: doc.pop("n")),
+    ], ids=["step-without-t", "step-t-not-a-matrix", "step-wrong-size",
+            "tuple-entry-not-a-matrix", "no-terms", "terms-wrong-size",
+            "polynomial-unparsable", "no-n"])
+    def test_hand_edited_document_never_raises(self, tmp_path, a3, capsys,
+                                               field, tamper):
+        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        tamper(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["verify", str(bad)])
+        stdout = capsys.readouterr().out
+        if field is None:
+            # verifies; n is read from the target
+            assert code == 0
+            assert stdout.startswith("OK") and "(n=3," in stdout
+        else:
+            assert code == 1
+            assert stdout.startswith(f"FAIL: malformed field '{field}'")
+
     def test_garbage_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "something-else"}')

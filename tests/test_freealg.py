@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from matwaring.errors import ParseError
 from matwaring.freealg import (
     NcPolynomial,
+    _Parser,
     classify,
     evaluate,
     parse,
@@ -41,6 +42,64 @@ def stacked_tuples(rng, n, m, S):
     """S random m-tuples, returned with their (S, n, n) argument stacks."""
     tuples = [random_tuple(rng, n, m) for _ in range(S)]
     return tuples, [np.stack(mats) for mats in zip(*tuples)]
+
+
+def pairwise_product_oracle(p, q):
+    """NcPolynomial.__mul__ before products were formed in one pass: the
+    product of two polynomials, canonicalized."""
+    out = {}
+    for w1, c1 in p.terms.items():
+        for w2, c2 in q.terms.items():
+            out[w1 + w2] = out.get(w1 + w2, 0j) + c1 * c2
+    return NcPolynomial(out)
+
+
+class PairwiseParser(_Parser):
+    """The parser with every '*' and every power multiplying two canonical
+    polynomials at a time, left to right, as before products were formed
+    in one pass."""
+
+    def term(self):
+        poly = self.factor()
+        while self.peek()[0] == "*":
+            self.next()
+            poly = pairwise_product_oracle(poly, self.factor())
+        return poly
+
+    def factor(self):
+        poly = self.atom()
+        if self.peek()[0] != "^":
+            return poly
+        self.next()
+        result = NcPolynomial.constant(1.0)
+        for _ in range(int(self.expect("num")[1])):
+            result = pairwise_product_oracle(result, poly)
+        return result
+
+
+# every polynomial text of the test suite and the benchmark, products of
+# sums, and a power whose partial products list their words out of prefix
+# order
+_PARSE_TEXTS = [
+    "[X1,X2]", "[X1,X2]^2", "X1", "X1*X2", "X1*X2 + X1", "X1^2 + X2",
+    "X1^2+X1", "X1^2*X2 - X2*X1^2", "X1^2*X2 - X2*X1^2 + [X1,X2]",
+    "X1*X2*X3 - X3*X2*X1", "[[X1,X2],X3]", "(X1 + X2)*X3", "-X1 + X2",
+    "X1 - X1", "[X1,X1]", "X1*X2 - 2*X2^2", "[X1,X2] + (0.25)",
+    "[X1,X2] + (0.5)", "(0.5+0.3i)*X1 - (1.5-2i)", "2.5*X1^3 - 0.125*X2*X1",
+    "(X1+X2*X3+X3*X1)^4", "(X1+X2*X3+X3*X1)^4 + [X1,X2] + (0.5-1i)",
+    "(X1+X2)*(X1-X2)*(X2+X1)", "(X1+X2)^3*(X1-X2)^2",
+    "(0.1*X1+0.3*X2)*(0.7*X1-0.2*X2+X3)*(X3+0.1)",
+    "(X1+X2*X1)*(X2-X1*X2)*(X1+X2)^2", "(X3 + X3*X2 + X2*X3*X1)^3",
+]
+
+
+@pytest.mark.parametrize("text", _PARSE_TEXTS)
+def test_parse_keeps_pairwise_word_order(text):
+    # the word order fixes evaluate's summation order, and so the bits of
+    # every certificate
+    for t in (text, parse(text).to_string()):
+        expected = PairwiseParser(t).parse()
+        assert list(parse(t).terms.items()) == list(expected.terms.items())
 
 
 class TestParse:
@@ -100,6 +159,11 @@ class TestParse:
     def test_bad_exponent(self):
         with pytest.raises(ParseError):
             parse("X1^1.5")
+
+    def test_infinite_exponent(self):
+        # 1e400 reads as inf, which has no integer value to check against
+        with pytest.raises(ParseError, match="exponent"):
+            parse("X1^1e400")
 
 
 class TestPrintRoundTrip:

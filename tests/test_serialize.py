@@ -12,13 +12,15 @@ from matwaring.serialize import (
     matrix_from_json,
     matrix_to_json,
 )
+from matwaring.verify import verify_certificate
 from matwaring.waring import (
     five_term_express,
+    four_term_decompose,
     two_term_decompose,
     waring_express,
 )
 
-from conftest import random_complex, random_traceless
+from conftest import planted_matrix, random_complex, random_traceless
 
 
 def _write_value(value, out):
@@ -140,3 +142,20 @@ def test_matrix_from_json_names_a_malformed_entry(entry):
     doc = {"n": 2, "entries": [[0, 0], entry, [0, 0], [0, 0]]}
     with pytest.raises(ValueError, match="entry 1"):
         matrix_from_json(doc)
+
+
+def test_tuple_certificate_stores_no_terms(certificate_doc):
+    # the verifier re-evaluates f on the tuples instead
+    assert certificate_doc["tuples"] is not None
+    assert certificate_doc["terms"] is None
+    assert verify_certificate(json.loads(dumps_canonical(certificate_doc))) == []
+
+
+def test_matrix_level_certificate_keeps_terms(rng):
+    B = planted_matrix(rng, [1, 1, 2, 3, 4])
+    A = random_traceless(rng, 5)
+    doc = json.loads(dumps_canonical(
+        certificate_to_json(four_term_decompose(B, A), DEFAULT_TOLS)))
+    assert doc["tuples"] is None
+    assert len(doc["terms"]) == 4
+    assert verify_certificate(doc) == []
