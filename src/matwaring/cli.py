@@ -32,7 +32,7 @@ from .serialize import (
     matrix_to_json,
     save_certificate,
 )
-from .verify import verify_certificate
+from .verify import check_certificate
 from .waring import (
     GOAL_DISTINCT_EIGS,
     GOAL_MULTIPLICITY_HALF,
@@ -88,6 +88,9 @@ def build_parser():
     p.add_argument("--mode", choices=["four", "two", "five", "auto"],
                    default="auto")
     p.add_argument("--out", default="certificate.json")
+    p.add_argument("--audit", action="store_true",
+                   help="also write the witness and every similarity step "
+                        "of the construction")
     _add_common(p)
 
     p = sub.add_parser("verify", help="re-verify a certificate file")
@@ -141,7 +144,8 @@ def cmd_decompose(args):
     else:
         cert = waring_express(f, A, args.budget, args.seed, tols)
 
-    save_certificate(args.out, cert, tols, seed=args.seed, budget=args.budget)
+    save_certificate(args.out, cert, tols, seed=args.seed, budget=args.budget,
+                     audit=args.audit)
     print(f"{cert.mode} certificate written to {args.out} "
           f"(residual {cert.residual:.3e})")
     return EXIT_OK
@@ -149,15 +153,16 @@ def cmd_decompose(args):
 
 def cmd_verify(args):
     doc = load_json(args.certificate)
-    failures = verify_certificate(doc)
-    if failures:
-        print(f"FAIL: {failures[0]}")
-        for extra in failures[1:]:
+    verdict = check_certificate(doc)
+    if verdict.failures:
+        print(f"FAIL: {verdict.failures[0]}")
+        for extra in verdict.failures[1:]:
             print(f"      {extra}")
         return EXIT_VERIFY_FAILED
-    print(f"OK: {doc['mode']} certificate verifies "
-          f"(n={int(doc['target']['n'])}, "
-          f"residual bound {doc['residual_bound']:.3e})")
+    steps = "step" if verdict.steps == 1 else "steps"
+    print(f"OK: {doc['mode']} certificate verifies (n={verdict.n}, "
+          f"residual {verdict.residual:.1e} <= {verdict.bound:.1e}, "
+          f"{verdict.steps} similarity {steps})")
     return EXIT_OK
 
 

@@ -26,6 +26,15 @@ from .errors import ParseError
 
 Word = tuple  # tuple of 1-based variable indices; () is the constant word
 
+# Limits on a product, so that polynomial text cannot stall its parser: the
+# work of multiplying out X1^k grows with the square of k, and (X1+X2)^k has
+# 2^k words. `_product` refuses a product whose words would grow longer than
+# MAX_WORD_LENGTH, or that would form more than MAX_WORDS word products in
+# one step, and `parse` reports that as a ParseError. The largest polynomial
+# in use, (X1+X2*X3+X3*X1)^4, has 81 words of length at most 8.
+MAX_WORD_LENGTH = 64
+MAX_WORDS = 1 << 12
+
 
 class NcPolynomial:
     """Canonical form: a dict mapping each word to its nonzero coefficient.
@@ -80,6 +89,11 @@ class NcPolynomial:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative polynomial powers are not defined")
+        if k > MAX_WORD_LENGTH:
+            # checked before the k factors are listed; a power of a
+            # constant is refused too, which no certificate needs
+            raise ValueError(f"power exceeds the limit of {MAX_WORD_LENGTH} "
+                             "factors")
         return _product((NcPolynomial.constant(1.0),) + (self,) * int(k))
 
     def __eq__(self, other):
@@ -149,11 +163,18 @@ def _product(polys):
     walked in prefix order, as its canonical form would be, so the words
     and coefficients come out as multiplying two at a time gives them."""
     first, *rest = polys
+    length = sum(max(map(len, p.terms), default=0) for p in polys)
+    if length > MAX_WORD_LENGTH:
+        raise ValueError(f"product has words of length up to {length}, "
+                         f"beyond the limit of {MAX_WORD_LENGTH}")
     out = first.terms
     for i, p in enumerate(rest):
         if i:
             out = {w: out[w] for w in
                    _prefix_order([w for w, c in out.items() if c != 0])}
+        if len(out) * len(p.terms) > MAX_WORDS:
+            raise ValueError(f"product forms {len(out) * len(p.terms)} "
+                             f"words, beyond the limit of {MAX_WORDS}")
         prod = {}
         for w1, c1 in out.items():
             for w2, c2 in p.terms.items():
@@ -309,11 +330,12 @@ class _Parser:
         return _sum(summands)
 
     def term(self):
+        start = self.peek()[3]
         factors = [self.factor()]
         while self.peek()[0] == "*":
             self.next()
             factors.append(self.factor())
-        return _product(factors)
+        return _limited(start, _product, factors)
 
     def factor(self):
         poly = self.atom()
@@ -322,7 +344,7 @@ class _Parser:
             tok = self.expect("num")
             if tok[2] or not tok[1].is_integer() or tok[1] < 0:
                 raise ParseError("exponent must be a nonnegative integer", tok[3])
-            poly = poly ** int(tok[1])
+            poly = _limited(tok[3], pow, poly, int(tok[1]))
         return poly
 
     def atom(self):
@@ -348,7 +370,7 @@ class _Parser:
             self.expect(",")
             b = self.expr()
             self.expect("]")
-            return a * b - b * a
+            return _limited(tok[3], lambda: a * b - b * a)
         raise ParseError("expected a variable, number, '(' or '['", tok[3])
 
     def _complex_literal(self):
@@ -364,6 +386,15 @@ class _Parser:
             imag = t2[1] if t1[0] == "+" else -t2[1]
             return NcPolynomial.constant(complex(t0[1], imag))
         return None
+
+
+def _limited(position, build, *args):
+    """build(*args), with a product beyond the limits reported as a
+    ParseError at the given text position."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), position) from None
 
 
 def parse(text):

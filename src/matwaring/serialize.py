@@ -2,8 +2,13 @@
 
 Matrices travel as {"n": n, "entries": [[re, im], ...]} row-major. The
 certificate file is a single self-describing JSON document embedding the
-polynomial text, every matrix, the coefficients, the tolerances in force and
-all similarity steps, so a third party can re-verify without this library.
+polynomial text, the target, the argument tuples, the coefficients and the
+tolerances in force, so a third party can re-verify without this library.
+The tuples, f and the target prove A = sum c_i f(t_i) on their own, so the
+similarity steps of the construction and the witness they start from are
+written only on request (`audit=True`). A matrix-level certificate (no
+tuples) always carries them: its steps are what tie its terms to the
+witness.
 
 Output is byte-deterministic: the standard-library encoder writes the keys
 sorted, no whitespace, and every float as Python's shortest round-trip
@@ -71,7 +76,7 @@ def similarity_step_to_json(cert):
     }
 
 
-def certificate_to_json(cert, tols, seed=None, budget=None):
+def certificate_to_json(cert, tols, seed=None, budget=None, audit=False):
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -79,7 +84,6 @@ def certificate_to_json(cert, tols, seed=None, budget=None):
         "n": int(cert.target.shape[0]),
         "polynomial": cert.polynomial,
         "target": matrix_to_json(cert.target),
-        "witness": matrix_to_json(cert.witness),
         "coefficients": [complex_to_json(c) for c in cert.coefficients],
         # the verifier re-evaluates f on the tuples; terms stand in for them
         # only in matrix-level certificates
@@ -97,11 +101,11 @@ def certificate_to_json(cert, tols, seed=None, budget=None):
         "tolerances": dataclasses.asdict(tols),
         "seed": cert.seed if cert.seed is not None else seed,
         "budget": cert.budget if cert.budget is not None else budget,
-        "similarity_steps": (
-            [similarity_step_to_json(c) for c in cert.steps]
-            + [similarity_step_to_json(c) for c in cert.term_certs]
-        ),
     }
+    if audit or cert.tuples is None:
+        doc["witness"] = matrix_to_json(cert.witness)
+        doc["similarity_steps"] = [similarity_step_to_json(c)
+                                   for c in (*cert.steps, *cert.term_certs)]
     return doc
 
 
@@ -112,8 +116,9 @@ def dumps_canonical(doc):
                       allow_nan=False) + "\n"
 
 
-def save_certificate(path, cert, tols, seed=None, budget=None):
-    doc = certificate_to_json(cert, tols, seed=seed, budget=budget)
+def save_certificate(path, cert, tols, seed=None, budget=None, audit=False):
+    doc = certificate_to_json(cert, tols, seed=seed, budget=budget,
+                              audit=audit)
     with open(path, "w") as fh:
         fh.write(dumps_canonical(doc))
 

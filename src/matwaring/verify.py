@@ -1,13 +1,24 @@
 """Independent certificate verification.
 
 Works purely from the serialized document: re-parses the embedded polynomial,
-re-evaluates it on every stored argument tuple, recomputes the signed sum and
-every similarity residual from the stored transforms. None of the
-construction pipeline is imported, so a passing verdict does not trust it.
+re-evaluates it on every stored argument tuple and recomputes the signed sum
+against the target. That reconstruction gate is what a pass proves. The
+similarity steps, present in `--audit` and matrix-level certificates, are
+checked too: every residual is recomputed from the stored transform and its
+stored inverse. None of the construction pipeline is imported, so a passing
+verdict does not trust it.
+
+The verifier sets its own bounds: the reconstruction residual must be at
+most `DEFAULT_TOLS.end_tol * max(1, ||target||_F)` and the step gates use
+`DEFAULT_TOLS.cert_tol`. A bound stored in the document may only tighten
+them, so no document can loosen the check it is put to.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_TOLS
 from .errors import ParseError
 from .freealg import evaluate, parse
 from .serialize import (
@@ -24,6 +35,25 @@ _SIGNS = {
 
 def _fro(M):
     return float(np.linalg.norm(M))
+
+
+@dataclass
+class Verdict:
+    """What `check_certificate` found: the failures (none means the
+    certificate verifies) and, as far as the check got, the matrix size,
+    the reconstruction residual, the bound it was held to and the number of
+    similarity steps checked."""
+    failures: list = field(default_factory=list)
+    n: int | None = None
+    residual: float | None = None
+    bound: float | None = None
+    steps: int = 0
+
+
+def _tightened(stored, own):
+    """The verifier's own bound `own`, or the stored bound where that is
+    tighter. A NaN stored bound is kept, so that its gate fails."""
+    return own if stored > own else stored
 
 
 def _list_of(value, kind):
@@ -55,12 +85,23 @@ def _matrices(docs, n):
 
 
 def verify_certificate(doc):
-    """Check every bound stored in a certificate document.
+    """Check a certificate document against the verifier's own bounds.
 
     Returns a list of failure descriptions; an empty list means the
     certificate verifies. Every gate is written `not value <= bound`, so a
     NaN residual or a NaN bound fails instead of passing.
     """
+    return check_certificate(doc).failures
+
+
+def check_certificate(doc):
+    """`verify_certificate` with what it checked, as a Verdict."""
+    verdict = Verdict()
+    verdict.failures = _check(doc, verdict)
+    return verdict
+
+
+def _check(doc, verdict):
     failures = []
     if not isinstance(doc, dict):
         return [f"not a certificate document (a JSON {type(doc).__name__})"]
@@ -92,11 +133,12 @@ def verify_certificate(doc):
     cert_tol = _number(doc, "cert_tol")
     if cert_tol is None:
         return failures + ["malformed field 'cert_tol': not a number"]
+    cert_tol = _tightened(cert_tol, DEFAULT_TOLS.cert_tol)
     try:
         target = matrix_from_json(doc["target"])
     except (KeyError, TypeError, ValueError):
         return failures + ["malformed field 'target': not a matrix document"]
-    n = target.shape[0]
+    n = verdict.n = target.shape[0]
     steps = doc.get("similarity_steps", [])
     if not _list_of(steps, dict):
         return failures + ["malformed field 'similarity_steps': not a list "
@@ -124,6 +166,7 @@ def verify_certificate(doc):
                 f"similarity step {label!r}: map residual {r_map:.3e} "
                 f"exceeds {bound:.3e}"
             )
+    verdict.steps = len(steps)
 
     if doc.get("tuples") is not None:
         if doc.get("polynomial") is None:
@@ -165,10 +208,12 @@ def verify_certificate(doc):
         )
         return failures
     recon = sum(c * im for c, im in zip(coeffs, images))
-    residual = _fro(target - recon)
+    residual = verdict.residual = _fro(target - recon)
     bound = _number(doc, "residual_bound")
     if bound is None:
         return failures + ["malformed field 'residual_bound': not a number"]
+    bound = verdict.bound = _tightened(
+        bound, DEFAULT_TOLS.end_tol * max(1.0, _fro(target)))
     if not residual <= bound:
         failures.append(
             f"reconstruction residual {residual:.3e} exceeds bound {bound:.3e}"

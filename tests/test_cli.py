@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from matwaring.cli import main
+from matwaring.config import DEFAULT_TOLS
 from matwaring.serialize import (
     dumps_canonical,
     matrix_from_json,
     matrix_to_json,
 )
-from matwaring.verify import verify_certificate
+from matwaring.verify import check_certificate, verify_certificate
 
 from conftest import random_traceless
 
@@ -145,17 +146,122 @@ class TestDecompose:
         run_cli("decompose", "[X1,X2]", a3, "--seed", "9", "--out", out2)
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    def test_audit_determinism_byte_identical(self, tmp_path, a3):
+        out1, out2 = str(tmp_path / "c1.json"), str(tmp_path / "c2.json")
+        for out in (out1, out2):
+            code, _, _ = run_cli("decompose", "[X1,X2]", a3, "--seed", "9",
+                                 "--audit", "--out", out)
+            assert code == 0
+        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert "similarity_steps" in json.loads(open(out1).read())
+
+    def test_audit_adds_steps_and_witness(self, tmp_path, a3):
+        docs = {}
+        for flags in ((), ("--audit",)):
+            out = str(tmp_path / "cert.json")
+            assert main(["decompose", "[X1,X2]", a3, "--seed", "9",
+                         "--out", out, *flags]) == 0
+            docs[flags] = json.loads(open(out).read())
+        plain, audit = docs[()], docs[("--audit",)]
+        assert audit.keys() - plain.keys() == {"witness", "similarity_steps"}
+        assert {k: audit[k] for k in plain} == plain
+
 
 class TestVerify:
-    def make_cert(self, tmp_path, a3):
+    def make_cert(self, tmp_path, a3, audit=False):
         out = str(tmp_path / "cert.json")
-        assert main(["decompose", "[X1,X2]", a3, "--out", out]) == 0
+        flags = ["--audit"] if audit else []
+        assert main(["decompose", "[X1,X2]", a3, "--out", out, *flags]) == 0
         return out
 
     def test_fresh_certificate_passes(self, tmp_path, a3):
         out = self.make_cert(tmp_path, a3)
         code, stdout, _ = run_cli("verify", out)
         assert code == 0 and stdout.startswith("OK")
+
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_ok_line_says_what_was_checked(self, tmp_path, a3, capsys, audit):
+        doc = json.loads(open(self.make_cert(tmp_path, a3, audit)).read())
+        target = matrix_from_json(doc["target"])
+        bound = DEFAULT_TOLS.end_tol * max(1.0, np.linalg.norm(target))
+        steps = len(doc.get("similarity_steps", []))
+        assert (steps > 0) == audit
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "cert.json")]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("OK: two-term certificate verifies (n=3, "
+                                 "residual ")
+        assert stdout.endswith(f" <= {bound:.1e}, {steps} similarity "
+                               "steps)\n")
+
+    def test_looser_tol_end_is_held_to_the_verifiers_bound(self, tmp_path,
+                                                           a3, capsys):
+        out = str(tmp_path / "cert.json")
+        assert main(["decompose", "[X1,X2]", a3, "--tol-end", "1e-4",
+                     "--out", out]) == 0
+        doc = json.loads(open(out).read())
+        target = matrix_from_json(doc["target"])
+        own = DEFAULT_TOLS.end_tol * max(1.0, np.linalg.norm(target))
+        assert doc["residual_bound"] > own
+        capsys.readouterr()
+        assert main(["verify", out]) == 0
+        assert f" <= {own:.1e}," in capsys.readouterr().out
+        # a residual between the verifier's bound and the stored one fails
+        doc["target"]["entries"][0][0] += 10 * own
+        verdict = check_certificate(doc)
+        assert own < verdict.residual <= doc["residual_bound"]
+        assert verdict.bound == pytest.approx(own, rel=1e-3)
+        assert len(verdict.failures) == 1
+        assert verdict.failures[0].startswith("reconstruction residual")
+
+    def test_raised_residual_bound_cannot_pass_a_replaced_target(
+            self, tmp_path, rng, capsys):
+        # the bound tamper of a stored bound raised to hide a new target
+        def tamper(doc):
+            doc["target"] = matrix_to_json(random_traceless(rng, 4))
+            doc["residual_bound"] = 1e6
+
+        code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys, tamper)
+        assert code == 1
+        assert "reconstruction residual" in stdout
+
+    def test_raised_cert_tol_cannot_pass_a_corrupted_transform(
+            self, tmp_path, rng, capsys):
+        def tamper(doc):
+            doc["similarity_steps"][0]["t"]["entries"][0][0] += 1.0
+            doc["cert_tol"] = 1e9
+
+        code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys, tamper,
+                                                 flags=["--audit"])
+        assert code == 1
+        assert "similarity step" in stdout
+
+    def test_tighter_stored_bound_is_enforced(self, tmp_path, a3):
+        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc["residual_bound"] = doc["residual"] / 2
+        failures = verify_certificate(doc)
+        assert len(failures) == 1
+        assert failures[0].startswith("reconstruction residual")
+
+    def test_audit_steps_are_checked(self, tmp_path, a3):
+        doc = json.loads(open(self.make_cert(tmp_path, a3, audit=True)).read())
+        assert doc["similarity_steps"]
+        assert verify_certificate(doc) == []
+        for step in doc["similarity_steps"]:
+            step["t_inv"]["entries"][0][0] += 0.5
+        failures = verify_certificate(doc)
+        assert len(failures) >= len(doc["similarity_steps"])
+        assert all(f.startswith("similarity step") for f in failures)
+
+    @pytest.mark.parametrize("text", ["X1^1000000", "(X1+X2)^40"])
+    def test_oversized_polynomial_fails_without_stalling(self, tmp_path, a3,
+                                                         text):
+        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc["polynomial"] = text
+        failures = verify_certificate(doc)
+        assert len(failures) == 1
+        assert failures[0].startswith("malformed field 'polynomial': ")
+        assert "limit" in failures[0]
 
     def test_tampered_tuple_fails(self, tmp_path, a3):
         out = self.make_cert(tmp_path, a3)
@@ -181,7 +287,7 @@ class TestVerify:
         assert "discipline" in stdout
 
     def test_tampered_transform_fails(self, tmp_path, a3):
-        out = self.make_cert(tmp_path, a3)
+        out = self.make_cert(tmp_path, a3, audit=True)
         doc = json.loads(open(out).read())
         doc["similarity_steps"][0]["t"]["entries"][0][0] *= 1.5
         bad = tmp_path / "bad.json"
@@ -189,11 +295,11 @@ class TestVerify:
         code, stdout, _ = run_cli("verify", str(bad))
         assert code == 1
 
-    def nan_tampered_verdict(self, tmp_path, rng, capsys, tamper):
+    def nan_tampered_verdict(self, tmp_path, rng, capsys, tamper, flags=()):
         # json writes and reads the NaN literal; a NaN bound must not pass
         a4 = write_matrix(tmp_path / "a4.json", random_traceless(rng, 4))
         out = str(tmp_path / "cert.json")
-        assert main(["decompose", "[X1,X2]", a4, "--out", out]) == 0
+        assert main(["decompose", "[X1,X2]", a4, "--out", out, *flags]) == 0
         doc = json.loads(open(out).read())
         tamper(doc)
         bad = tmp_path / "bad.json"
@@ -217,7 +323,8 @@ class TestVerify:
                 random_traceless(rng, 4))
             doc["cert_tol"] = float("nan")
 
-        code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys, tamper)
+        code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys, tamper,
+                                                 flags=["--audit"])
         assert code == 1
         assert "similarity step" in stdout
 
@@ -294,7 +401,9 @@ class TestVerify:
             "polynomial-unparsable", "no-n"])
     def test_hand_edited_document_never_raises(self, tmp_path, a3, capsys,
                                                field, tamper):
-        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        # the step tampers need the steps, which only --audit writes
+        audit = field == "similarity_steps"
+        doc = json.loads(open(self.make_cert(tmp_path, a3, audit)).read())
         tamper(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from matwaring.errors import ParseError
 from matwaring.freealg import (
+    MAX_WORD_LENGTH,
+    MAX_WORDS,
     NcPolynomial,
     _Parser,
     classify,
@@ -164,6 +167,46 @@ class TestParse:
         # 1e400 reads as inf, which has no integer value to check against
         with pytest.raises(ParseError, match="exponent"):
             parse("X1^1e400")
+
+
+class TestProductLimits:
+    @pytest.mark.parametrize("text, position", [
+        ("X1^1000000", 3),                 # one word, far too long
+        ("X1^1e300", 3),
+        ("(X1+X2)^40", 8),                 # 2^40 words
+        ("X1^40*X2^40", 0),                # each power fits, the product not
+        ("[X1^40,X2^40]", 0),
+        ("X3 + (X1*X2+X2*X1+X1)^12", 22),
+    ])
+    def test_oversized_product_is_a_parse_error(self, text, position):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="limit") as err:
+            parse(text)
+        assert err.value.position == position
+        # refused before the work, not after (a stall took hours)
+        assert time.perf_counter() - start < 5.0
+
+    def test_polynomials_in_use_are_well_inside(self):
+        for text in ["(X1+X2*X3+X3*X1)^4 + [X1,X2] + (0.5-1i)",
+                     "(X3 + X3*X2 + X2*X3*X1)^3",
+                     "(X1+X2*X1)*(X2-X1*X2)*(X1+X2)^2", "[X1,X2]^2"]:
+            f = parse(text)
+            assert 4 * max(map(len, f.terms)) <= MAX_WORD_LENGTH
+            assert 16 * len(f.terms) <= MAX_WORDS
+
+    def test_limits_are_inclusive(self):
+        assert len(parse(f"X1^{MAX_WORD_LENGTH}").terms) == 1
+        assert len(parse("(X1+X2)^12").terms) == MAX_WORDS == 4096
+        # (1+X1)^k has k+1 words: a count of merged words, not 2^k
+        assert len(parse(f"(1+X1)^{MAX_WORD_LENGTH}").terms) == (
+            MAX_WORD_LENGTH + 1)
+
+    def test_library_products_share_the_limits(self):
+        x = NcPolynomial.variable(1)
+        with pytest.raises(ValueError, match="limit"):
+            x ** (MAX_WORD_LENGTH + 1)
+        with pytest.raises(ValueError, match="limit"):
+            (x ** MAX_WORD_LENGTH) * x
 
 
 class TestPrintRoundTrip:

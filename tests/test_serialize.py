@@ -80,7 +80,7 @@ def bit_identical(a, b):
     return a == b
 
 
-def _oracle_certificate(kind, n):
+def _oracle_waring_certificate(kind, n):
     rng = np.random.default_rng([20260810, n])
     if kind == "four-term":
         cert = waring_express(parse("[X1,X2]"), random_traceless(rng, n),
@@ -92,14 +92,20 @@ def _oracle_certificate(kind, n):
         cert = five_term_express(parse("(X1+X2*X3+X3*X1)^4"),
                                  random_complex(rng, n), seed=3)
     assert cert.mode == kind
-    return certificate_to_json(cert, DEFAULT_TOLS, seed=3, budget=1000)
+    return cert
 
 
 @pytest.fixture(scope="module", params=[
     ("four-term", 8), ("four-term", 9), ("two-term", 7), ("five-term", 12),
 ], ids=lambda p: f"{p[0]}-n{p[1]}")
-def certificate_doc(request):
-    return _oracle_certificate(*request.param)
+def waring_certificate(request):
+    return _oracle_waring_certificate(*request.param)
+
+
+@pytest.fixture(scope="module")
+def certificate_doc(waring_certificate):
+    return certificate_to_json(waring_certificate, DEFAULT_TOLS, seed=3,
+                               budget=1000)
 
 
 def test_writer_matches_oracle(certificate_doc):
@@ -158,4 +164,43 @@ def test_matrix_level_certificate_keeps_terms(rng):
         certificate_to_json(four_term_decompose(B, A), DEFAULT_TOLS)))
     assert doc["tuples"] is None
     assert len(doc["terms"]) == 4
+    assert verify_certificate(doc) == []
+
+
+AUDIT_KEYS = {"witness", "similarity_steps"}
+
+
+def test_tuple_certificate_leaves_out_steps_and_witness(certificate_doc):
+    # the tuples, f and the target prove the claim on their own
+    assert not AUDIT_KEYS & certificate_doc.keys()
+    assert verify_certificate(json.loads(dumps_canonical(certificate_doc))) == []
+
+
+def test_audit_adds_exactly_steps_and_witness(waring_certificate,
+                                              certificate_doc):
+    cert = waring_certificate
+    audit = certificate_to_json(cert, DEFAULT_TOLS, seed=3, budget=1000,
+                                audit=True)
+    assert audit.keys() - certificate_doc.keys() == AUDIT_KEYS
+    assert {k: audit[k] for k in certificate_doc} == certificate_doc
+    assert audit["witness"] == matrix_to_json(cert.witness)
+    steps = [*cert.steps, *cert.term_certs]
+    assert [s["label"] for s in audit["similarity_steps"]] == [
+        c.label for c in steps]
+    assert len(steps) > 0
+    assert verify_certificate(json.loads(dumps_canonical(audit))) == []
+
+
+def test_matrix_level_certificate_keeps_steps_and_witness(rng):
+    # its steps are the only link from its terms to the witness
+    B = planted_matrix(rng, [1, 1, 2, 3, 4])
+    A = random_traceless(rng, 5)
+    cert = four_term_decompose(B, A)
+    doc = json.loads(dumps_canonical(certificate_to_json(cert, DEFAULT_TOLS)))
+    assert doc["witness"] == matrix_to_json(B)
+    assert len(doc["similarity_steps"]) == len(cert.steps) + len(
+        cert.term_certs) > 0
+    audit = json.loads(dumps_canonical(
+        certificate_to_json(cert, DEFAULT_TOLS, audit=True)))
+    assert audit == doc
     assert verify_certificate(doc) == []
