@@ -88,9 +88,6 @@ def build_parser():
     p.add_argument("--mode", choices=["four", "two", "five", "auto"],
                    default="auto")
     p.add_argument("--out", default="certificate.json")
-    p.add_argument("--audit", action="store_true",
-                   help="also write the witness and every similarity step "
-                        "of the construction")
     _add_common(p)
 
     p = sub.add_parser("verify", help="re-verify a certificate file")
@@ -144,8 +141,7 @@ def cmd_decompose(args):
     else:
         cert = waring_express(f, A, args.budget, args.seed, tols)
 
-    save_certificate(args.out, cert, tols, seed=args.seed, budget=args.budget,
-                     audit=args.audit)
+    save_certificate(args.out, cert, tols, seed=args.seed, budget=args.budget)
     print(f"{cert.mode} certificate written to {args.out} "
           f"(residual {cert.residual:.3e})")
     return EXIT_OK

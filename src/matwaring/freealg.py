@@ -26,14 +26,14 @@ from .errors import ParseError
 
 Word = tuple  # tuple of 1-based variable indices; () is the constant word
 
-# Limits on a product, so that polynomial text cannot stall its parser: the
-# work of multiplying out X1^k grows with the square of k, and (X1+X2)^k has
-# 2^k words. `_product` refuses a product whose words would grow longer than
-# MAX_WORD_LENGTH, or that would form more than MAX_WORDS word products in
-# one step, and `parse` reports that as a ParseError. The largest polynomial
-# in use, (X1+X2*X3+X3*X1)^4, has 81 words of length at most 8.
-MAX_WORD_LENGTH = 64
-MAX_WORDS = 1 << 12
+# The parse of one polynomial text may write at most PARSE_BUDGET units of
+# words, one unit per word and one per letter, over all the products and sums
+# it forms; beyond that `parse` raises ParseError. Without a bound, text could
+# stall its parser: multiplying out X1^k writes k^2/2 letters, and (X1+X2)^k
+# has 2^k words. The largest polynomial in use, (X1+X2*X3+X3*X1)^4, takes
+# about 1500 units to parse, and its 81-word expansion, which a certificate
+# stores, about 3100.
+PARSE_BUDGET = 1 << 14
 
 
 class NcPolynomial:
@@ -87,14 +87,7 @@ class NcPolynomial:
         return NcPolynomial({w: scalar * c for w, c in self.terms.items()})
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        if k > MAX_WORD_LENGTH:
-            # checked before the k factors are listed; a power of a
-            # constant is refused too, which no certificate needs
-            raise ValueError(f"power exceeds the limit of {MAX_WORD_LENGTH} "
-                             "factors")
-        return _product((NcPolynomial.constant(1.0),) + (self,) * int(k))
+        return _power(self, k)
 
     def __eq__(self, other):
         return isinstance(other, NcPolynomial) and self.terms == other.terms
@@ -145,6 +138,11 @@ def _sum(polys):
     return NcPolynomial(out)
 
 
+def _units(words):
+    """The size of some words: one unit per word and one per letter."""
+    return len(words) + sum(map(len, words))
+
+
 def _prefix_order(words):
     """words depth first over the trie of their prefixes, siblings in order
     of first appearance, every word before its extensions."""
@@ -157,24 +155,23 @@ def _prefix_order(words):
     return sorted(words, key=lambda w: [rank[w[:i]] for i in range(1, len(w) + 1)])
 
 
-def _product(polys):
+def _product(polys, charge=None):
     """The left-to-right product of polys, canonicalized once rather than
     once per factor. Each partial product drops its cancelled words and is
     walked in prefix order, as its canonical form would be, so the words
-    and coefficients come out as multiplying two at a time gives them."""
+    and coefficients come out as multiplying two at a time gives them.
+    charge, when given, is called before each step with the units of the
+    words it will write (see PARSE_BUDGET)."""
     first, *rest = polys
-    length = sum(max(map(len, p.terms), default=0) for p in polys)
-    if length > MAX_WORD_LENGTH:
-        raise ValueError(f"product has words of length up to {length}, "
-                         f"beyond the limit of {MAX_WORD_LENGTH}")
     out = first.terms
     for i, p in enumerate(rest):
         if i:
             out = {w: out[w] for w in
                    _prefix_order([w for w, c in out.items() if c != 0])}
-        if len(out) * len(p.terms) > MAX_WORDS:
-            raise ValueError(f"product forms {len(out) * len(p.terms)} "
-                             f"words, beyond the limit of {MAX_WORDS}")
+        if charge is not None:
+            letters = (len(p.terms) * sum(map(len, out))
+                       + len(out) * sum(map(len, p.terms)))
+            charge(len(out) * len(p.terms) + letters)
         prod = {}
         for w1, c1 in out.items():
             for w2, c2 in p.terms.items():
@@ -182,6 +179,16 @@ def _product(polys):
                 prod[w] = prod.get(w, 0j) + c1 * c2
         out = prod
     return NcPolynomial(out) if rest else first
+
+
+def _power(poly, k, charge=None):
+    if k < 0:
+        raise ValueError("negative polynomial powers are not defined")
+    if k > PARSE_BUDGET:
+        # refused before the k factors are listed; every factor costs a
+        # parse at least one unit, so no parse could afford more
+        raise ValueError(f"power exceeds the limit of {PARSE_BUDGET} factors")
+    return _product((NcPolynomial.constant(1.0),) + (poly,) * int(k), charge)
 
 
 def _coerce(value):
@@ -295,6 +302,14 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.units = 0
+
+    def charge(self, units):
+        """Count units of words written toward the parse's PARSE_BUDGET."""
+        self.units += units
+        if self.units > PARSE_BUDGET:
+            raise ValueError("polynomial multiplies out beyond the limit of "
+                             f"{PARSE_BUDGET} units (words and letters)")
 
     def peek(self, offset=0):
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -322,12 +337,20 @@ class _Parser:
         sign = 1.0
         if self.peek()[0] in "+-":
             sign = -1.0 if self.next()[0] == "-" else 1.0
-        summands = [sign * self.term()]
+        summands = [sign * self.summand()]
         while self.peek()[0] in "+-":
             op = self.next()[0]
-            rhs = self.term()
+            rhs = self.summand()
             summands.append(rhs if op == "+" else -rhs)
         return _sum(summands)
+
+    def summand(self):
+        """A term, charged as it is read for the copy the sum makes, so a
+        long sum fails where it runs out of budget."""
+        start = self.peek()[3]
+        poly = self.term()
+        _limited(start, self.charge, _units(poly.terms))
+        return poly
 
     def term(self):
         start = self.peek()[3]
@@ -335,7 +358,7 @@ class _Parser:
         while self.peek()[0] == "*":
             self.next()
             factors.append(self.factor())
-        return _limited(start, _product, factors)
+        return _limited(start, _product, factors, self.charge)
 
     def factor(self):
         poly = self.atom()
@@ -344,7 +367,7 @@ class _Parser:
             tok = self.expect("num")
             if tok[2] or not tok[1].is_integer() or tok[1] < 0:
                 raise ParseError("exponent must be a nonnegative integer", tok[3])
-            poly = _limited(tok[3], pow, poly, int(tok[1]))
+            poly = _limited(tok[3], _power, poly, int(tok[1]), self.charge)
         return poly
 
     def atom(self):
@@ -370,8 +393,13 @@ class _Parser:
             self.expect(",")
             b = self.expr()
             self.expect("]")
-            return _limited(tok[3], lambda: a * b - b * a)
+            return _limited(tok[3], self.commutator, a, b)
         raise ParseError("expected a variable, number, '(' or '['", tok[3])
+
+    def commutator(self, a, b):
+        ab, ba = (_product(pair, self.charge) for pair in ((a, b), (b, a)))
+        self.charge(_units(ab.terms) + _units(ba.terms))
+        return _sum((ab, -ba))
 
     def _complex_literal(self):
         """Consume 'a±bi)' right after '(' when it matches; else leave alone."""
@@ -389,8 +417,8 @@ class _Parser:
 
 
 def _limited(position, build, *args):
-    """build(*args), with a product beyond the limits reported as a
-    ParseError at the given text position."""
+    """build(*args), with a product or sum beyond the parse's budget
+    reported as a ParseError at the given text position."""
     try:
         return build(*args)
     except ValueError as exc:
@@ -399,7 +427,10 @@ def _limited(position, build, *args):
 
 def parse(text):
     """Parse polynomial text into canonical form. Raises ParseError."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ParseError("polynomial text is nested too deeply", 0) from None
 
 
 # ---------------------------------------------------------------------------

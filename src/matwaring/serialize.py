@@ -4,11 +4,11 @@ Matrices travel as {"n": n, "entries": [[re, im], ...]} row-major. The
 certificate file is a single self-describing JSON document embedding the
 polynomial text, the target, the argument tuples, the coefficients and the
 tolerances in force, so a third party can re-verify without this library.
-The tuples, f and the target prove A = sum c_i f(t_i) on their own, so the
-similarity steps of the construction and the witness they start from are
-written only on request (`audit=True`). A matrix-level certificate (no
-tuples) always carries them: its steps are what tie its terms to the
-witness.
+The tuples, f and the target prove A = sum c_i f(t_i) on their own, so a
+certificate with tuples leaves out the similarity steps of the construction
+and the witness they start from; they stay in memory on the
+WaringCertificate. A matrix-level certificate (no tuples) carries them: its
+steps are what tie its terms to the witness.
 
 Output is byte-deterministic: the standard-library encoder writes the keys
 sorted, no whitespace, and every float as Python's shortest round-trip
@@ -76,7 +76,7 @@ def similarity_step_to_json(cert):
     }
 
 
-def certificate_to_json(cert, tols, seed=None, budget=None, audit=False):
+def certificate_to_json(cert, tols, seed=None, budget=None):
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -102,7 +102,7 @@ def certificate_to_json(cert, tols, seed=None, budget=None, audit=False):
         "seed": cert.seed if cert.seed is not None else seed,
         "budget": cert.budget if cert.budget is not None else budget,
     }
-    if audit or cert.tuples is None:
+    if cert.tuples is None:
         doc["witness"] = matrix_to_json(cert.witness)
         doc["similarity_steps"] = [similarity_step_to_json(c)
                                    for c in (*cert.steps, *cert.term_certs)]
@@ -116,9 +116,8 @@ def dumps_canonical(doc):
                       allow_nan=False) + "\n"
 
 
-def save_certificate(path, cert, tols, seed=None, budget=None, audit=False):
-    doc = certificate_to_json(cert, tols, seed=seed, budget=budget,
-                              audit=audit)
+def save_certificate(path, cert, tols, seed=None, budget=None):
+    doc = certificate_to_json(cert, tols, seed=seed, budget=budget)
     with open(path, "w") as fh:
         fh.write(dumps_canonical(doc))
 

@@ -3,15 +3,16 @@
 Works purely from the serialized document: re-parses the embedded polynomial,
 re-evaluates it on every stored argument tuple and recomputes the signed sum
 against the target. That reconstruction gate is what a pass proves. The
-similarity steps, present in `--audit` and matrix-level certificates, are
-checked too: every residual is recomputed from the stored transform and its
-stored inverse. None of the construction pipeline is imported, so a passing
+similarity steps, which only matrix-level certificates carry, are checked
+too: every residual is recomputed from the stored transform and its stored
+inverse. None of the construction pipeline is imported, so a passing
 verdict does not trust it.
 
 The verifier sets its own bounds: the reconstruction residual must be at
 most `DEFAULT_TOLS.end_tol * max(1, ||target||_F)` and the step gates use
 `DEFAULT_TOLS.cert_tol`. A bound stored in the document may only tighten
-them, so no document can loosen the check it is put to.
+them, and a gate whose bound is NaN or infinite fails, so no document can
+loosen the check it is put to.
 """
 
 from dataclasses import dataclass, field
@@ -88,8 +89,9 @@ def verify_certificate(doc):
     """Check a certificate document against the verifier's own bounds.
 
     Returns a list of failure descriptions; an empty list means the
-    certificate verifies. Every gate is written `not value <= bound`, so a
-    NaN residual or a NaN bound fails instead of passing.
+    certificate verifies. Every gate is written `not value <= bound < inf`,
+    so a NaN residual, a NaN bound or an infinite bound (a target whose norm
+    overflows) fails instead of passing.
     """
     return check_certificate(doc).failures
 
@@ -133,6 +135,9 @@ def _check(doc, verdict):
     cert_tol = _number(doc, "cert_tol")
     if cert_tol is None:
         return failures + ["malformed field 'cert_tol': not a number"]
+    if np.isnan(cert_tol):
+        # a failure even when no step gate would use it
+        failures.append("malformed field 'cert_tol': NaN")
     cert_tol = _tightened(cert_tol, DEFAULT_TOLS.cert_tol)
     try:
         target = matrix_from_json(doc["target"])
@@ -161,7 +166,7 @@ def _check(doc, verdict):
         cond = _fro(T) * _fro(T_inv)
         r_map = _fro(T @ source @ T_inv - step_target)
         bound = cert_tol * cond * _fro(source)
-        if not r_map <= bound:
+        if not r_map <= bound < np.inf:
             failures.append(
                 f"similarity step {label!r}: map residual {r_map:.3e} "
                 f"exceeds {bound:.3e}"
@@ -214,7 +219,7 @@ def _check(doc, verdict):
         return failures + ["malformed field 'residual_bound': not a number"]
     bound = verdict.bound = _tightened(
         bound, DEFAULT_TOLS.end_tol * max(1.0, _fro(target)))
-    if not residual <= bound:
+    if not residual <= bound < np.inf:
         failures.append(
             f"reconstruction residual {residual:.3e} exceeds bound {bound:.3e}"
         )

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -9,17 +10,30 @@ from matwaring.cli import main
 from matwaring.config import DEFAULT_TOLS
 from matwaring.serialize import (
     dumps_canonical,
+    load_json,
     matrix_from_json,
     matrix_to_json,
+    save_certificate,
 )
 from matwaring.verify import check_certificate, verify_certificate
+from matwaring.waring import four_term_decompose
 
-from conftest import random_traceless
+from conftest import planted_matrix, random_traceless
 
 
 def write_matrix(path, A):
     path.write_text(dumps_canonical(matrix_to_json(A)))
     return str(path)
+
+
+def save_matrix_level_cert(out, target_path):
+    """Write a four-term certificate of the stored target over a fixed
+    witness, without tuples: the kind of certificate that carries the
+    similarity steps and the witness."""
+    A = matrix_from_json(load_json(target_path))
+    n = A.shape[0]
+    B = planted_matrix(np.random.default_rng(n), np.arange(1.0, n + 1))
+    save_certificate(out, four_term_decompose(B, A), DEFAULT_TOLS)
 
 
 def run_cli(*args):
@@ -146,32 +160,14 @@ class TestDecompose:
         run_cli("decompose", "[X1,X2]", a3, "--seed", "9", "--out", out2)
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
-    def test_audit_determinism_byte_identical(self, tmp_path, a3):
-        out1, out2 = str(tmp_path / "c1.json"), str(tmp_path / "c2.json")
-        for out in (out1, out2):
-            code, _, _ = run_cli("decompose", "[X1,X2]", a3, "--seed", "9",
-                                 "--audit", "--out", out)
-            assert code == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
-        assert "similarity_steps" in json.loads(open(out1).read())
-
-    def test_audit_adds_steps_and_witness(self, tmp_path, a3):
-        docs = {}
-        for flags in ((), ("--audit",)):
-            out = str(tmp_path / "cert.json")
-            assert main(["decompose", "[X1,X2]", a3, "--seed", "9",
-                         "--out", out, *flags]) == 0
-            docs[flags] = json.loads(open(out).read())
-        plain, audit = docs[()], docs[("--audit",)]
-        assert audit.keys() - plain.keys() == {"witness", "similarity_steps"}
-        assert {k: audit[k] for k in plain} == plain
-
 
 class TestVerify:
-    def make_cert(self, tmp_path, a3, audit=False):
+    def make_cert(self, tmp_path, a3, matrix_level=False):
         out = str(tmp_path / "cert.json")
-        flags = ["--audit"] if audit else []
-        assert main(["decompose", "[X1,X2]", a3, "--out", out, *flags]) == 0
+        if matrix_level:
+            save_matrix_level_cert(out, a3)
+        else:
+            assert main(["decompose", "[X1,X2]", a3, "--out", out]) == 0
         return out
 
     def test_fresh_certificate_passes(self, tmp_path, a3):
@@ -179,18 +175,20 @@ class TestVerify:
         code, stdout, _ = run_cli("verify", out)
         assert code == 0 and stdout.startswith("OK")
 
-    @pytest.mark.parametrize("audit", [False, True])
-    def test_ok_line_says_what_was_checked(self, tmp_path, a3, capsys, audit):
-        doc = json.loads(open(self.make_cert(tmp_path, a3, audit)).read())
+    @pytest.mark.parametrize("matrix_level", [False, True])
+    def test_ok_line_says_what_was_checked(self, tmp_path, a3, capsys,
+                                           matrix_level):
+        doc = json.loads(open(self.make_cert(tmp_path, a3,
+                                             matrix_level)).read())
         target = matrix_from_json(doc["target"])
         bound = DEFAULT_TOLS.end_tol * max(1.0, np.linalg.norm(target))
         steps = len(doc.get("similarity_steps", []))
-        assert (steps > 0) == audit
+        assert (steps > 0) == matrix_level
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "cert.json")]) == 0
         stdout = capsys.readouterr().out
-        assert stdout.startswith("OK: two-term certificate verifies (n=3, "
-                                 "residual ")
+        assert stdout.startswith(f"OK: {doc['mode']} certificate verifies "
+                                 "(n=3, residual ")
         assert stdout.endswith(f" <= {bound:.1e}, {steps} similarity "
                                "steps)\n")
 
@@ -232,7 +230,7 @@ class TestVerify:
             doc["cert_tol"] = 1e9
 
         code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys, tamper,
-                                                 flags=["--audit"])
+                                                 matrix_level=True)
         assert code == 1
         assert "similarity step" in stdout
 
@@ -243,8 +241,9 @@ class TestVerify:
         assert len(failures) == 1
         assert failures[0].startswith("reconstruction residual")
 
-    def test_audit_steps_are_checked(self, tmp_path, a3):
-        doc = json.loads(open(self.make_cert(tmp_path, a3, audit=True)).read())
+    def test_matrix_level_steps_are_checked(self, tmp_path, a3):
+        doc = json.loads(open(self.make_cert(tmp_path, a3,
+                                             matrix_level=True)).read())
         assert doc["similarity_steps"]
         assert verify_certificate(doc) == []
         for step in doc["similarity_steps"]:
@@ -253,15 +252,19 @@ class TestVerify:
         assert len(failures) >= len(doc["similarity_steps"])
         assert all(f.startswith("similarity step") for f in failures)
 
-    @pytest.mark.parametrize("text", ["X1^1000000", "(X1+X2)^40"])
+    @pytest.mark.parametrize("text, reason", [
+        ("X1^1000000", "limit"), ("(X1+X2)^40", "limit"),
+        ("+".join(["(X1+X2)^8"] * 1000), "limit"),
+        ("(" * 5000 + "X1" + ")" * 5000, "nested too deeply"),
+    ], ids=["long-word", "many-words", "many-products", "deep-nesting"])
     def test_oversized_polynomial_fails_without_stalling(self, tmp_path, a3,
-                                                         text):
+                                                         text, reason):
         doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
         doc["polynomial"] = text
         failures = verify_certificate(doc)
         assert len(failures) == 1
         assert failures[0].startswith("malformed field 'polynomial': ")
-        assert "limit" in failures[0]
+        assert reason in failures[0]
 
     def test_tampered_tuple_fails(self, tmp_path, a3):
         out = self.make_cert(tmp_path, a3)
@@ -287,7 +290,7 @@ class TestVerify:
         assert "discipline" in stdout
 
     def test_tampered_transform_fails(self, tmp_path, a3):
-        out = self.make_cert(tmp_path, a3, audit=True)
+        out = self.make_cert(tmp_path, a3, matrix_level=True)
         doc = json.loads(open(out).read())
         doc["similarity_steps"][0]["t"]["entries"][0][0] *= 1.5
         bad = tmp_path / "bad.json"
@@ -295,11 +298,11 @@ class TestVerify:
         code, stdout, _ = run_cli("verify", str(bad))
         assert code == 1
 
-    def nan_tampered_verdict(self, tmp_path, rng, capsys, tamper, flags=()):
+    def nan_tampered_verdict(self, tmp_path, rng, capsys, tamper,
+                             matrix_level=False):
         # json writes and reads the NaN literal; a NaN bound must not pass
         a4 = write_matrix(tmp_path / "a4.json", random_traceless(rng, 4))
-        out = str(tmp_path / "cert.json")
-        assert main(["decompose", "[X1,X2]", a4, "--out", out, *flags]) == 0
+        out = self.make_cert(tmp_path, a4, matrix_level)
         doc = json.loads(open(out).read())
         tamper(doc)
         bad = tmp_path / "bad.json"
@@ -324,9 +327,31 @@ class TestVerify:
             doc["cert_tol"] = float("nan")
 
         code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys, tamper,
-                                                 flags=["--audit"])
+                                                 matrix_level=True)
         assert code == 1
         assert "similarity step" in stdout
+
+    @pytest.mark.parametrize("matrix_level", [False, True])
+    @pytest.mark.parametrize("field", ["residual_bound", "cert_tol"])
+    def test_nan_stored_bound_alone_fails(self, tmp_path, rng, capsys, field,
+                                          matrix_level):
+        # an untampered certificate, but for one NaN bound
+        code, stdout = self.nan_tampered_verdict(
+            tmp_path, rng, capsys, lambda doc: doc.update({field: math.nan}),
+            matrix_level)
+        assert code == 1
+        assert stdout.startswith("FAIL: ") and "nan" in stdout.lower()
+
+    def test_infinite_bound_cannot_pass_an_overflowing_target(
+            self, tmp_path, rng, capsys):
+        # ||target||_F overflows, so the verifier's own bound is infinite too
+        def tamper(doc):
+            doc["target"]["entries"][1][0] = 1e200
+            doc["residual_bound"] = math.inf
+
+        code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys, tamper)
+        assert code == 1
+        assert "reconstruction residual inf exceeds bound inf" in stdout
 
     def malformed_verdict(self, tmp_path, a3, field, value):
         doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
@@ -401,9 +426,11 @@ class TestVerify:
             "polynomial-unparsable", "no-n"])
     def test_hand_edited_document_never_raises(self, tmp_path, a3, capsys,
                                                field, tamper):
-        # the step tampers need the steps, which only --audit writes
-        audit = field == "similarity_steps"
-        doc = json.loads(open(self.make_cert(tmp_path, a3, audit)).read())
+        # the step tampers need the steps, which only matrix-level
+        # certificates carry
+        matrix_level = field == "similarity_steps"
+        doc = json.loads(open(self.make_cert(tmp_path, a3,
+                                             matrix_level)).read())
         tamper(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from matwaring.errors import ParseError
 from matwaring.freealg import (
-    MAX_WORD_LENGTH,
-    MAX_WORDS,
+    PARSE_BUDGET,
     NcPolynomial,
     _Parser,
     classify,
@@ -169,44 +168,54 @@ class TestParse:
             parse("X1^1e400")
 
 
-class TestProductLimits:
+class TestParseBudget:
     @pytest.mark.parametrize("text, position", [
-        ("X1^1000000", 3),                 # one word, far too long
+        ("X1^1000000", 3),                 # refused before listing factors
         ("X1^1e300", 3),
         ("(X1+X2)^40", 8),                 # 2^40 words
-        ("X1^40*X2^40", 0),                # each power fits, the product not
-        ("[X1^40,X2^40]", 0),
+        ("X1^200*X2^200", 3),              # words of 200 letters
         ("X3 + (X1*X2+X2*X1+X1)^12", 22),
-    ])
-    def test_oversized_product_is_a_parse_error(self, text, position):
+        # each power fits; the text runs out at the third and second
+        ("+".join(["(X1+X2)^8"] * 1000), 28),
+        ("+".join(["(2)^16000"] * 1000), 14),
+        ("(" * 5000 + "X1" + ")" * 5000, 0),
+    ], ids=["long-power", "huge-power", "many-words", "long-words",
+            "many-words-late", "many-products", "many-constant-factors",
+            "deep-nesting"])
+    def test_oversized_text_is_a_parse_error(self, text, position):
         start = time.perf_counter()
-        with pytest.raises(ParseError, match="limit") as err:
+        with pytest.raises(ParseError, match="limit|nested too deeply") as err:
             parse(text)
         assert err.value.position == position
         # refused before the work, not after (a stall took hours)
         assert time.perf_counter() - start < 5.0
 
+    @staticmethod
+    def units(text):
+        parser = _Parser(text)
+        parser.parse()
+        return parser.units
+
     def test_polynomials_in_use_are_well_inside(self):
-        for text in ["(X1+X2*X3+X3*X1)^4 + [X1,X2] + (0.5-1i)",
-                     "(X3 + X3*X2 + X2*X3*X1)^3",
-                     "(X1+X2*X1)*(X2-X1*X2)*(X1+X2)^2", "[X1,X2]^2"]:
-            f = parse(text)
-            assert 4 * max(map(len, f.terms)) <= MAX_WORD_LENGTH
-            assert 16 * len(f.terms) <= MAX_WORDS
+        texts = ["(X1+X2*X3+X3*X1)^4 + [X1,X2] + (0.5-1i)",
+                 "(X3 + X3*X2 + X2*X3*X1)^3",
+                 "(X1+X2*X1)*(X2-X1*X2)*(X1+X2)^2", "[X1,X2]^2"]
+        # a certificate stores the expanded text, 81 words at degree 8
+        texts.append(parse("(X1+X2*X3+X3*X1)^4").to_string())
+        for text in texts:
+            assert 4 * self.units(text) <= PARSE_BUDGET
 
-    def test_limits_are_inclusive(self):
-        assert len(parse(f"X1^{MAX_WORD_LENGTH}").terms) == 1
-        assert len(parse("(X1+X2)^12").terms) == MAX_WORDS == 4096
-        # (1+X1)^k has k+1 words: a count of merged words, not 2^k
-        assert len(parse(f"(1+X1)^{MAX_WORD_LENGTH}").terms) == (
-            MAX_WORD_LENGTH + 1)
+    def test_text_inside_the_budget_parses(self):
+        assert self.units("(X1+X2)^9") <= PARSE_BUDGET
+        assert len(parse("(X1+X2)^9").terms) == 512
+        assert len(parse("X1^100*X2^100").terms) == 1
 
-    def test_library_products_share_the_limits(self):
+    def test_library_power_is_refused_before_its_factors_are_listed(self):
         x = NcPolynomial.variable(1)
         with pytest.raises(ValueError, match="limit"):
-            x ** (MAX_WORD_LENGTH + 1)
-        with pytest.raises(ValueError, match="limit"):
-            (x ** MAX_WORD_LENGTH) * x
+            x ** (10 ** 300)
+        # library products are not charged to any budget
+        assert (x ** 200 * x).terms == {(1,) * 201: 1.0}
 
 
 class TestPrintRoundTrip:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -108,7 +109,24 @@ def certificate_doc(waring_certificate):
                                budget=1000)
 
 
+@pytest.fixture(scope="module")
+def matrix_level_doc(waring_certificate):
+    """The same construction written without its tuples: terms, witness and
+    every similarity step, as the route documents held them before."""
+    cert = dataclasses.replace(waring_certificate, tuples=None)
+    return certificate_to_json(cert, DEFAULT_TOLS, seed=3, budget=1000)
+
+
 def test_writer_matches_oracle(certificate_doc):
+    assert_writer_matches_oracle(certificate_doc)
+
+
+def test_writer_matches_oracle_on_similarity_steps(matrix_level_doc):
+    # the step matrices are where the -0.0 and integral floats turn up
+    assert_writer_matches_oracle(matrix_level_doc)
+
+
+def assert_writer_matches_oracle(certificate_doc):
     text = dumps_canonical(certificate_doc)
     oracle = canonical_writer_oracle(certificate_doc)
     # `.17g` writes integral floats without a point ("1", "-0"), which a
@@ -167,28 +185,30 @@ def test_matrix_level_certificate_keeps_terms(rng):
     assert verify_certificate(doc) == []
 
 
-AUDIT_KEYS = {"witness", "similarity_steps"}
+CONSTRUCTION_KEYS = {"witness", "similarity_steps"}
 
 
 def test_tuple_certificate_leaves_out_steps_and_witness(certificate_doc):
     # the tuples, f and the target prove the claim on their own
-    assert not AUDIT_KEYS & certificate_doc.keys()
+    assert not CONSTRUCTION_KEYS & certificate_doc.keys()
     assert verify_certificate(json.loads(dumps_canonical(certificate_doc))) == []
 
 
-def test_audit_adds_exactly_steps_and_witness(waring_certificate,
-                                              certificate_doc):
+def test_matrix_level_document_adds_steps_and_witness(waring_certificate,
+                                                      certificate_doc,
+                                                      matrix_level_doc):
     cert = waring_certificate
-    audit = certificate_to_json(cert, DEFAULT_TOLS, seed=3, budget=1000,
-                                audit=True)
-    assert audit.keys() - certificate_doc.keys() == AUDIT_KEYS
-    assert {k: audit[k] for k in certificate_doc} == certificate_doc
-    assert audit["witness"] == matrix_to_json(cert.witness)
+    doc = matrix_level_doc
+    assert doc.keys() - certificate_doc.keys() == CONSTRUCTION_KEYS
+    shared = certificate_doc.keys() - {"tuples", "terms"}
+    assert {k: doc[k] for k in shared} == {k: certificate_doc[k]
+                                           for k in shared}
+    assert doc["witness"] == matrix_to_json(cert.witness)
     steps = [*cert.steps, *cert.term_certs]
-    assert [s["label"] for s in audit["similarity_steps"]] == [
+    assert [s["label"] for s in doc["similarity_steps"]] == [
         c.label for c in steps]
     assert len(steps) > 0
-    assert verify_certificate(json.loads(dumps_canonical(audit))) == []
+    assert verify_certificate(json.loads(dumps_canonical(doc))) == []
 
 
 def test_matrix_level_certificate_keeps_steps_and_witness(rng):
@@ -200,7 +220,4 @@ def test_matrix_level_certificate_keeps_steps_and_witness(rng):
     assert doc["witness"] == matrix_to_json(B)
     assert len(doc["similarity_steps"]) == len(cert.steps) + len(
         cert.term_certs) > 0
-    audit = json.loads(dumps_canonical(
-        certificate_to_json(cert, DEFAULT_TOLS, audit=True)))
-    assert audit == doc
     assert verify_certificate(doc) == []
