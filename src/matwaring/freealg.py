@@ -5,6 +5,13 @@ Words multiply by concatenation; nothing commutes except scalars. Evaluation
 substitutes square matrices for the variables; the empty word contributes a
 multiple of the identity.
 
+`parse` keeps a polynomial as its text is written: it compiles the text into
+a straight-line program (see `_Program`), and `evaluate` runs that program.
+(X1+X2*X3+X3*X1)^4 costs two products for its base and two squarings, where
+its 81 words would cost 197 products. The words are multiplied out only for
+the structure queries that need them (`terms`, `is_multilinear`, equality,
+`to_word_string`).
+
 The text grammar (parsed by `parse`, printed by `NcPolynomial.to_string`):
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
@@ -14,7 +21,7 @@ The text grammar (parsed by `parse`, printed by `NcPolynomial.to_string`):
     var    := 'X' uint              (uint >= 1)
     scalar := '(' decimal ('+'|'-') decimal 'i' ')' | decimal
 
-Commutator brackets desugar to a*b - b*a.
+The commutator [a,b] is a*b - b*a.
 """
 
 from dataclasses import dataclass
@@ -26,23 +33,35 @@ from .errors import ParseError
 
 Word = tuple  # tuple of 1-based variable indices; () is the constant word
 
-# The parse of one polynomial text may write at most PARSE_BUDGET units of
-# words, one unit per word and one per letter, over all the products and sums
-# it forms; beyond that `parse` raises ParseError. Without a bound, text could
-# stall its parser: multiplying out X1^k writes k^2/2 letters, and (X1+X2)^k
-# has 2^k words. The largest polynomial in use, (X1+X2*X3+X3*X1)^4, takes
-# about 1500 units to parse, and its 81-word expansion, which a certificate
-# stores, about 3100.
+# The program of one text may cost at most PROGRAM_BUDGET units: one per
+# node, one per summand and two per exponent bit, an upper bound on the
+# matrix products and sums of one evaluation. No word of the text may be
+# longer than DEGREE_LIMIT letters: powers by squaring make X1^1000000 cheap,
+# but no double survives that degree. Beyond either bound `parse` raises
+# ParseError, so text can neither stall its evaluator nor swamp its memory.
+# (X1+X2*X3+X3*X1)^4 costs 16 units, and the 81-word expansion that older
+# certificates store 301.
+PROGRAM_BUDGET = 1 << 12
+DEGREE_LIMIT = 1 << 10
+
+# Multiplying out the words of parsed text may write at most PARSE_BUDGET
+# units, one per word and one per letter, over all the products and sums it
+# forms; beyond that the structure query raises ParseError. A cheap program
+# can have many words ((X1+X2)^k has 2^k), so the expansion keeps a bound of
+# its own. (X1+X2*X3+X3*X1)^4 takes 843 units to multiply out, and its
+# 81-word text 1966.
 PARSE_BUDGET = 1 << 14
 
 
 class NcPolynomial:
-    """Canonical form: a dict mapping each word to its nonzero coefficient.
+    """A polynomial, held as its words, as a program or as both.
 
-    The words are kept in prefix order: depth first over the trie of their
-    prefixes, siblings in order of first appearance, every word before its
-    extensions. Words sharing a prefix are therefore adjacent, which is what
-    lets `evaluate` form each prefix product once.
+    `terms` maps each word to its nonzero coefficient. A polynomial built
+    from terms (the constructor and the arithmetic operators) evaluates as
+    the sum of its words in the order of `terms`, each word a left-to-right
+    product, with the product of a shared prefix formed once. A parsed
+    polynomial evaluates as its text is written, and multiplies its words
+    out only when `terms` is first read, within PARSE_BUDGET.
     """
 
     def __init__(self, terms=None):
@@ -51,11 +70,15 @@ class NcPolynomial:
             word = tuple(int(i) for i in word)
             if any(i < 1 for i in word):
                 raise ValueError(f"variable indices must be >= 1, got {word}")
-            c = merged.get(word, 0j) + complex(coeff)
-            merged[word] = c
-        nonzero = [w for w, c in merged.items() if c != 0]
-        self.terms = {w: merged[w] for w in _prefix_order(nonzero)}
-        self.num_vars = max((max(w) for w in self.terms if w), default=0)
+            merged[word] = merged.get(word, 0j) + complex(coeff)
+        self._terms = {w: c for w, c in merged.items() if c != 0}
+        self._program = None
+
+    @classmethod
+    def _compiled(cls, program):
+        poly = cls.__new__(cls)
+        poly._terms, poly._program = None, program
+        return poly
 
     @classmethod
     def zero(cls):
@@ -69,8 +92,26 @@ class NcPolynomial:
     def variable(cls, index):
         return cls({(index,): 1.0})
 
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = self._program.expand()
+        return self._terms
+
+    @property
+    def program(self):
+        if self._program is None:
+            self._program = _word_sum(self._terms)
+        return self._program
+
+    @property
+    def num_vars(self):
+        """How many arguments evaluation reads: the largest variable index
+        of the program."""
+        return self.program.num_vars
+
     def __add__(self, other):
-        return _sum((self, _coerce(other)))
+        return NcPolynomial(_sum((self.terms, _coerce(other).terms)))
 
     __radd__ = __add__
 
@@ -81,13 +122,13 @@ class NcPolynomial:
         return self + (-_coerce(other))
 
     def __mul__(self, other):
-        return _product((self, _coerce(other)))
+        return NcPolynomial(_times(self.terms, _coerce(other).terms))
 
     def __rmul__(self, scalar):
         return NcPolynomial({w: scalar * c for w, c in self.terms.items()})
 
     def __pow__(self, k):
-        return _power(self, k)
+        return NcPolynomial(_power(self.terms, k))
 
     def __eq__(self, other):
         return isinstance(other, NcPolynomial) and self.terms == other.terms
@@ -104,8 +145,8 @@ class NcPolynomial:
         The constant polynomial and polynomials with a constant term are not
         multilinear (the empty word misses every variable).
         """
-        m = self.num_vars
-        if m == 0 or not self.terms:
+        m = max((max(w) for w in self.terms if w), default=0)
+        if m == 0:
             return False
         target = tuple(range(1, m + 1))
         return all(tuple(sorted(w)) == target for w in self.terms)
@@ -114,81 +155,17 @@ class NcPolynomial:
         return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
 
     def to_string(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for word, coeff in self.sorted_terms():
-            sign, body = _format_term(word, coeff)
-            if not parts:
-                parts.append(body if sign == "+" else "-" + body)
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        """The program as text: parsing it gives back this program."""
+        return self.program.text()
+
+    def to_word_string(self):
+        """The words and coefficients as text, shortest words first."""
+        return _join_terms(_format_term(c, "*".join(_format_run(v, k)
+                                                   for v, k in _runs(w)))
+                           for w, c in self.sorted_terms())
 
     def __repr__(self):
         return f"NcPolynomial({self.to_string()!r})"
-
-
-def _sum(polys):
-    """The sum of polys, canonicalized once rather than once per addition."""
-    out = {}
-    for p in polys:
-        for w, c in p.terms.items():
-            out[w] = out.get(w, 0j) + c
-    return NcPolynomial(out)
-
-
-def _units(words):
-    """The size of some words: one unit per word and one per letter."""
-    return len(words) + sum(map(len, words))
-
-
-def _prefix_order(words):
-    """words depth first over the trie of their prefixes, siblings in order
-    of first appearance, every word before its extensions."""
-    if len(words) < 2:
-        return list(words)
-    rank = {}
-    for w in words:
-        for i in range(1, len(w) + 1):
-            rank.setdefault(w[:i], len(rank))
-    return sorted(words, key=lambda w: [rank[w[:i]] for i in range(1, len(w) + 1)])
-
-
-def _product(polys, charge=None):
-    """The left-to-right product of polys, canonicalized once rather than
-    once per factor. Each partial product drops its cancelled words and is
-    walked in prefix order, as its canonical form would be, so the words
-    and coefficients come out as multiplying two at a time gives them.
-    charge, when given, is called before each step with the units of the
-    words it will write (see PARSE_BUDGET)."""
-    first, *rest = polys
-    out = first.terms
-    for i, p in enumerate(rest):
-        if i:
-            out = {w: out[w] for w in
-                   _prefix_order([w for w, c in out.items() if c != 0])}
-        if charge is not None:
-            letters = (len(p.terms) * sum(map(len, out))
-                       + len(out) * sum(map(len, p.terms)))
-            charge(len(out) * len(p.terms) + letters)
-        prod = {}
-        for w1, c1 in out.items():
-            for w2, c2 in p.terms.items():
-                w = w1 + w2
-                prod[w] = prod.get(w, 0j) + c1 * c2
-        out = prod
-    return NcPolynomial(out) if rest else first
-
-
-def _power(poly, k, charge=None):
-    if k < 0:
-        raise ValueError("negative polynomial powers are not defined")
-    if k > PARSE_BUDGET:
-        # refused before the k factors are listed; every factor costs a
-        # parse at least one unit, so no parse could afford more
-        raise ValueError(f"power exceeds the limit of {PARSE_BUDGET} factors")
-    return _product((NcPolynomial.constant(1.0),) + (poly,) * int(k), charge)
 
 
 def _coerce(value):
@@ -199,28 +176,93 @@ def _coerce(value):
     raise TypeError(f"cannot combine NcPolynomial with {type(value).__name__}")
 
 
+# ---------------------------------------------------------------------------
+# words: the expansion behind `terms`
+# ---------------------------------------------------------------------------
+
+def _units(words):
+    """The size of some words: one unit per word and one per letter."""
+    return len(words) + sum(map(len, words))
+
+
+def _sum(term_dicts, charge=None):
+    """The sum of some term dicts, cancelled words dropped. charge, when
+    given, is called with the units of each summand (see PARSE_BUDGET)."""
+    out = {}
+    for terms in term_dicts:
+        if charge is not None:
+            charge(_units(terms))
+        for w, c in terms.items():
+            out[w] = out.get(w, 0j) + c
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def _times(p, q, charge=None):
+    """The product of two term dicts, cancelled words dropped. charge, when
+    given, is called first with the units of the words it will write."""
+    if charge is not None:
+        charge(len(p) * len(q) + len(q) * sum(map(len, p))
+               + len(p) * sum(map(len, q)))
+    out = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            w = w1 + w2
+            out[w] = out.get(w, 0j) + c1 * c2
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def _power(terms, k, charge=None):
+    """terms to the k-th power, one factor at a time from the left."""
+    if k < 0:
+        raise ValueError("negative polynomial powers are not defined")
+    if k > PARSE_BUDGET:
+        # refused before any factor is formed; every factor costs an
+        # expansion at least one unit, so none could afford more
+        raise ValueError(f"power exceeds the limit of {PARSE_BUDGET} factors")
+    out = {(): 1.0 + 0j}
+    for _ in range(int(k)):
+        out = _times(out, terms, charge)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# printing
+# ---------------------------------------------------------------------------
+
 def _format_decimal(x):
     # repr round-trips doubles exactly
     return repr(float(x))
 
 
-def _format_term(word, coeff):
-    """Return (sign, body) with the sign factored out of the real part."""
-    wstr = "*".join(_format_run(v, k) for v, k in _runs(word))
+def _format_term(coeff, body):
+    """(sign, text) of coeff times body (body "" for the identity), with
+    the sign factored out of the real part."""
+    coeff = complex(coeff)
     if coeff.imag == 0:
         sign = "-" if coeff.real < 0 else "+"
         mag = abs(coeff.real)
-        if wstr and mag == 1.0:
-            return sign, wstr
+        if body and mag == 1.0:
+            return sign, body
         cstr = _format_decimal(mag)
-        return sign, f"{cstr}*{wstr}" if wstr else cstr
+        return sign, f"{cstr}*{body}" if body else cstr
     # complex coefficient: parenthesized literal, sign factored from Re (or Im)
     sign = "+"
     if coeff.real < 0 or (coeff.real == 0 and coeff.imag < 0):
         sign, coeff = "-", -coeff
     mid = "+" if coeff.imag >= 0 else "-"
     cstr = f"({_format_decimal(coeff.real)}{mid}{_format_decimal(abs(coeff.imag))}i)"
-    return sign, f"{cstr}*{wstr}" if wstr else cstr
+    return sign, f"{cstr}*{body}" if body else cstr
+
+
+def _join_terms(signed):
+    """A sum of (sign, text) terms as text; "0" when there are none."""
+    parts = []
+    for sign, body in signed:
+        if not parts:
+            parts.append(body if sign == "+" else "-" + body)
+        else:
+            parts.append(f" {sign} {body}")
+    return "".join(parts) or "0"
 
 
 def _runs(word):
@@ -238,6 +280,231 @@ def _format_run(v, k):
 
 
 # ---------------------------------------------------------------------------
+# programs
+# ---------------------------------------------------------------------------
+
+# binding strength of a node's place in text: a node binding more loosely
+# than its place is parenthesized
+_IN_SUM, _IN_PRODUCT, _RIGHT_FACTOR, _BASE = range(4)
+_BINDS = {"+": _IN_SUM, "*": _IN_PRODUCT, "^": _RIGHT_FACTOR}
+
+
+class _Program:
+    """A straight-line program over matrix stacks.
+
+    nodes[k] is (op, operands, parameter), one of
+
+        ("x", (), i)              the variable Xi
+        ("1", (), None)           the identity
+        ("+", (j, ...), (c, ...)) the sum of c times node j, left to right
+        ("*", (j, k), None)       the product node j @ node k
+        ("^", (j,), e)            node j to the power e >= 2, by squaring
+        ("[]", (j, k), None)      the commutator j @ k - k @ j
+
+    and reads only nodes before it. Equal nodes are made once, so a shared
+    subexpression is evaluated once. `add` makes nodes, charging each to
+    `budget` when one is given; `finish` fixes the value, keeping only the
+    nodes it reads: the value is the last node.
+    """
+
+    def __init__(self, budget=None):
+        self.nodes = []
+        self.positions = []   # where in the text each node was made
+        self._index = {}
+        self._degrees = []
+        self._budget = budget
+        self.cost = 0
+
+    def add(self, node, position=0):
+        k = self._index.get(node)
+        if k is not None:
+            return k
+        op, operands, parameter = node
+        degrees = [self._degrees[j] for j in operands]
+        cost = 2 if op == "[]" else 1
+        if op == "x":
+            degree = 1
+        elif op == "+":
+            degree = max(degrees, default=0)
+            cost += len(operands)
+        elif op == "^":
+            degree = degrees[0] * parameter
+            cost += 2 * parameter.bit_length()
+        else:
+            degree = sum(degrees)
+        if self._budget is not None:
+            if degree > DEGREE_LIMIT:
+                raise ValueError(f"polynomial degree {degree} exceeds the "
+                                 f"limit of {DEGREE_LIMIT}")
+            if self.cost + cost > self._budget:
+                raise ValueError("polynomial program exceeds the limit of "
+                                 f"{self._budget} units (nodes, summands "
+                                 "and exponent bits)")
+        self.cost += cost
+        self._index[node] = len(self.nodes)
+        self.nodes.append(node)
+        self.positions.append(position)
+        self._degrees.append(degree)
+        return len(self.nodes) - 1
+
+    def finish(self, coeff, j):
+        """Make coeff times node j (the identity when j is None) the value."""
+        if j is None or coeff != 1 or self.nodes[j][0] in ("x", "1"):
+            # a sum node, so that evaluation always returns a new array
+            if j is None:
+                j = self.add(("1", (), None))
+            j = self.add(("+", (j,), (coeff,)))
+        live = [False] * (j + 1)
+        live[j] = True
+        for k in range(j, -1, -1):
+            if live[k]:
+                for o in self.nodes[k][1]:
+                    live[o] = True
+        renumber = {}
+        nodes, positions = [], []
+        for k in range(j + 1):
+            if live[k]:
+                op, operands, parameter = self.nodes[k]
+                renumber[k] = len(nodes)
+                nodes.append((op, tuple(renumber[o] for o in operands),
+                              parameter))
+                positions.append(self.positions[k])
+        self.nodes, self.positions = tuple(nodes), positions
+        del self._index, self._degrees
+        self.num_vars = max((n[2] for n in nodes if n[0] == "x"), default=0)
+        # release[k]: the values last read by node k, freed after it runs
+        last = {}
+        for k, node in enumerate(nodes):
+            for o in node[1]:
+                last[o] = k
+        self.release = [[] for _ in nodes]
+        for o, k in last.items():
+            self.release[k].append(o)
+        return self
+
+    def run(self, stacks):
+        """The value on arguments of one shape, (n, n) or (S, n, n)."""
+        shape = stacks[0].shape
+        values = [None] * len(self.nodes)
+        for k, (op, operands, parameter) in enumerate(self.nodes):
+            args = [values[j] for j in operands]
+            if op == "x":
+                value = stacks[parameter - 1]
+            elif op == "1":
+                value = np.eye(shape[-1], dtype=complex)
+            elif op == "+":
+                value = np.zeros(shape, dtype=complex)
+                for c, a in zip(parameter, args):
+                    if c == 1:
+                        value += a
+                    elif c == -1:
+                        value -= a
+                    else:
+                        value += c * a
+            elif op == "*":
+                value = args[0] @ args[1]
+            elif op == "^":
+                value = _power_by_squaring(args[0], parameter)
+            else:
+                value = args[0] @ args[1] - args[1] @ args[0]
+            values[k] = value
+            for o in self.release[k]:
+                values[o] = None
+        return values[-1]
+
+    def expand(self):
+        """The words of the value, formed within PARSE_BUDGET units."""
+        units = 0
+
+        def charge(n):
+            nonlocal units
+            units += n
+            if units > PARSE_BUDGET:
+                raise ValueError(
+                    "polynomial multiplies out beyond the limit of "
+                    f"{PARSE_BUDGET} units (words and letters)")
+
+        words = []
+        for (op, operands, parameter), position in zip(self.nodes,
+                                                       self.positions):
+            args = [words[j] for j in operands]
+            try:
+                if op == "x":
+                    terms = {(parameter,): 1.0 + 0j}
+                elif op == "1":
+                    terms = {(): 1.0 + 0j}
+                elif op == "+":
+                    terms = _sum(({w: c * x for w, x in a.items()}
+                                  for c, a in zip(parameter, args)), charge)
+                elif op == "*":
+                    terms = _times(*args, charge)
+                elif op == "^":
+                    terms = _power(args[0], parameter, charge)
+                else:
+                    a, b = args
+                    ba = _times(b, a, charge)
+                    terms = _sum((_times(a, b, charge),
+                                  {w: -c for w, c in ba.items()}), charge)
+            except ValueError as exc:
+                raise ParseError(str(exc), position) from None
+            words.append(terms)
+        return words[-1]
+
+    def text(self):
+        return self._text(len(self.nodes) - 1, _IN_SUM)
+
+    def _text(self, k, place):
+        op, operands, parameter = self.nodes[k]
+        if op == "x":
+            return f"X{parameter}"
+        if op == "[]":
+            a, b = (self._text(j, _IN_SUM) for j in operands)
+            return f"[{a},{b}]"
+        if op == "+":
+            text = _join_terms(
+                _format_term(c, "" if self.nodes[j][0] == "1"
+                             else self._text(j, _IN_PRODUCT))
+                for c, j in zip(parameter, operands))
+        elif op == "^":
+            text = f"{self._text(operands[0], _BASE)}^{parameter}"
+        else:
+            factors = []
+            while self.nodes[k][0] == "*":   # the left spine, not recursion
+                k, right = self.nodes[k][1]
+                factors.append(self._text(right, _RIGHT_FACTOR))
+            factors.append(self._text(k, _IN_PRODUCT))
+            text = "*".join(reversed(factors))
+        if _BINDS[op] < place:
+            return f"({text})"
+        return text
+
+
+def _power_by_squaring(x, e):
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else result @ x
+        e >>= 1
+        if not e:
+            return result
+        x = x @ x
+
+
+def _word_sum(terms):
+    """The program of a sum of words: each word a left-to-right chain of
+    products, summed in the order of terms."""
+    program = _Program()
+    words = []
+    for word in terms:
+        j = program.add(("x", (), word[0]) if word else ("1", (), None))
+        for v in word[1:]:
+            j = program.add(("*", (j, program.add(("x", (), v))), None))
+        words.append(j)
+    return program.finish(1.0, program.add(
+        ("+", tuple(words), tuple(terms.values()))))
+
+
+# ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 
@@ -245,6 +512,7 @@ _OPERATORS = set("+-*^()[],")
 
 
 def _tokenize(text):
+
     """Tokens: ('num', value, is_imag, pos), ('var', index, pos), (op, pos)."""
     tokens = []
     i, n = 0, len(text)
@@ -298,18 +566,18 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Compiles text into a program as it reads it.
+
+    Each subexpression's value is a pair (c, j): the scalar c times node j
+    of the program, or times the identity when j is None. Scalar factors
+    fold into c as they are read, so they cost no matrix products. The
+    methods `variable` to `commutator` form the values.
+    """
+
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.units = 0
-
-    def charge(self, units):
-        """Count units of words written toward the parse's PARSE_BUDGET."""
-        self.units += units
-        if self.units > PARSE_BUDGET:
-            raise ValueError("polynomial multiplies out beyond the limit of "
-                             f"{PARSE_BUDGET} units (words and letters)")
+        self.program = _Program(PROGRAM_BUDGET)
 
     def peek(self, offset=0):
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -327,30 +595,20 @@ class _Parser:
         return tok
 
     def parse(self):
-        poly = self.expr()
+        value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing {tok[0]!r}", tok[3])
-        return poly
+        return value
 
     def expr(self):
-        sign = 1.0
-        if self.peek()[0] in "+-":
-            sign = -1.0 if self.next()[0] == "-" else 1.0
-        summands = [sign * self.summand()]
-        while self.peek()[0] in "+-":
-            op = self.next()[0]
-            rhs = self.summand()
-            summands.append(rhs if op == "+" else -rhs)
-        return _sum(summands)
-
-    def summand(self):
-        """A term, charged as it is read for the copy the sum makes, so a
-        long sum fails where it runs out of budget."""
         start = self.peek()[3]
-        poly = self.term()
-        _limited(start, self.charge, _units(poly.terms))
-        return poly
+        sign = self.next()[0] if self.peek()[0] in "+-" else "+"
+        signed = [(sign, self.term())]
+        while self.peek()[0] in "+-":
+            sign = self.next()[0]
+            signed.append((sign, self.term()))
+        return _limited(start, self.sum, signed, start)
 
     def term(self):
         start = self.peek()[3]
@@ -358,48 +616,43 @@ class _Parser:
         while self.peek()[0] == "*":
             self.next()
             factors.append(self.factor())
-        return _limited(start, _product, factors, self.charge)
+        return _limited(start, self.product, factors, start)
 
     def factor(self):
-        poly = self.atom()
+        value = self.atom()
         if self.peek()[0] == "^":
             self.next()
             tok = self.expect("num")
             if tok[2] or not tok[1].is_integer() or tok[1] < 0:
                 raise ParseError("exponent must be a nonnegative integer", tok[3])
-            poly = _limited(tok[3], _power, poly, int(tok[1]), self.charge)
-        return poly
+            value = _limited(tok[3], self.power, value, int(tok[1]), tok[3])
+        return value
 
     def atom(self):
         tok = self.peek()
         kind = tok[0]
         if kind == "var":
             self.next()
-            return NcPolynomial.variable(tok[1])
+            return _limited(tok[3], self.variable, tok[1], tok[3])
         if kind == "num":
             self.next()
-            return NcPolynomial.constant(tok[1] * 1j if tok[2] else tok[1])
+            return self.scalar(tok[1] * 1j if tok[2] else tok[1])
         if kind == "(":
             self.next()
             lit = self._complex_literal()
             if lit is not None:
                 return lit
-            poly = self.expr()
+            value = self.expr()
             self.expect(")")
-            return poly
+            return value
         if kind == "[":
             self.next()
             a = self.expr()
             self.expect(",")
             b = self.expr()
             self.expect("]")
-            return _limited(tok[3], self.commutator, a, b)
+            return _limited(tok[3], self.commutator, a, b, tok[3])
         raise ParseError("expected a variable, number, '(' or '['", tok[3])
-
-    def commutator(self, a, b):
-        ab, ba = (_product(pair, self.charge) for pair in ((a, b), (b, a)))
-        self.charge(_units(ab.terms) + _units(ba.terms))
-        return _sum((ab, -ba))
 
     def _complex_literal(self):
         """Consume 'a±bi)' right after '(' when it matches; else leave alone."""
@@ -412,13 +665,71 @@ class _Parser:
         ):
             self.pos += 4
             imag = t2[1] if t1[0] == "+" else -t2[1]
-            return NcPolynomial.constant(complex(t0[1], imag))
+            return self.scalar(complex(t0[1], imag))
         return None
+
+    def variable(self, index, position):
+        return 1.0, self.program.add(("x", (), index), position)
+
+    def scalar(self, c):
+        return c, None
+
+    def sum(self, signed, position):
+        summands = [(-c if sign == "-" else c, j) for sign, (c, j) in signed]
+        if len(summands) == 1:
+            return summands[0]
+        if all(j is None for _, j in summands):
+            total = 0j
+            for c, _ in summands:
+                total += c
+            return total, None
+        one = None
+        if any(j is None for _, j in summands):
+            one = self.program.add(("1", (), None), position)
+        operands = tuple(one if j is None else j for _, j in summands)
+        node = ("+", operands, tuple(c for c, _ in summands))
+        return 1.0, self.program.add(node, position)
+
+    def product(self, factors, position):
+        c, j = factors[0]
+        for c2, j2 in factors[1:]:
+            c = c * c2
+            if j is None:
+                j = j2
+            elif j2 is not None:
+                j = self.program.add(("*", (j, j2), None), position)
+        return c, j
+
+    def power(self, value, e, position):
+        c, j = value
+        if e == 0:
+            return 1.0, None
+        if j is None or e == 1:
+            return _scalar_power(c, e), j
+        return _scalar_power(c, e), self.program.add(("^", (j,), e), position)
+
+    def commutator(self, a, b, position):
+        (ca, ja), (cb, jb) = a, b
+        if ja is None or jb is None:
+            return 0.0, None     # a scalar commutes with everything
+        return ca * cb, self.program.add(("[]", (ja, jb), None), position)
+
+
+def _scalar_power(c, e):
+    """c**e by squaring; overflows to infinity instead of raising."""
+    result = 1.0
+    while e:
+        if e & 1:
+            result = result * c
+        e >>= 1
+        if e:
+            c = c * c
+    return result
 
 
 def _limited(position, build, *args):
-    """build(*args), with a product or sum beyond the parse's budget
-    reported as a ParseError at the given text position."""
+    """build(*args), with a program beyond its bounds reported as a
+    ParseError at the given text position."""
     try:
         return build(*args)
     except ValueError as exc:
@@ -426,23 +737,24 @@ def _limited(position, build, *args):
 
 
 def parse(text):
-    """Parse polynomial text into canonical form. Raises ParseError."""
+    """Compile polynomial text into its program. Raises ParseError."""
     try:
-        return _Parser(text).parse()
+        parser = _Parser(text)
+        value = parser.parse()
     except RecursionError:
         raise ParseError("polynomial text is nested too deeply", 0) from None
+    return NcPolynomial._compiled(_limited(0, parser.program.finish, *value))
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
-# A stack is walked in blocks of tuples whose arguments take at most this
+# A stack is evaluated in blocks of tuples whose arguments take at most this
 # many bytes each (a whole stack at n = 12 and 32 tuples). Larger
 # temporaries cost more in page faults and cache misses than batching
 # saves: on a 2-core VM with BLAS at one thread, [X1,X2] on 32 tuples at
-# n = 64 took 7-12 ms in one block and 4.3-4.8 ms in blocks of 4, about as
-# long as one tuple at a time.
+# n = 64 took 4.5 ms in one block and 2.6 ms in blocks of 4.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -455,11 +767,8 @@ def evaluate(f, args):
     has that same shape, and slice s of it equals the image of tuple s bit
     for bit.
 
-    The words are summed in the order of f.terms, each as coeff times its
-    left-to-right product. f.terms is in prefix order (see NcPolynomial), so
-    the walk keeps the products of the current word's prefixes and extends
-    the prefix it shares with the previous word: one batched `@` per node of
-    the prefix trie, with only the current path's products alive.
+    f's program runs over the stack with one batched `@` per product, each
+    value freed after the last node that reads it.
     """
     stacks = [np.asarray(a, dtype=complex) for a in args]
     if not stacks:
@@ -471,34 +780,16 @@ def evaluate(f, args):
         if a.shape != shape:
             raise ValueError(f"arguments must all have shape {shape}, "
                              f"got {a.shape}")
-    if len(stacks) < f.num_vars:
-        raise ValueError(f"polynomial uses X{f.num_vars} but only "
+    program = f.program
+    if len(stacks) < program.num_vars:
+        raise ValueError(f"polynomial uses X{program.num_vars} but only "
                          f"{len(stacks)} arguments were given")
     if len(shape) == 2:
-        return _walk(f, stacks)
+        return program.run(stacks)
     out = np.empty(shape, dtype=complex)
     block = max(1, _BLOCK_BYTES // (16 * shape[-1] ** 2))
     for lo in range(0, shape[0], block):
-        out[lo:lo + block] = _walk(f, [a[lo:lo + block] for a in stacks])
-    return out
-
-
-def _walk(f, stacks):
-    """f on arguments of one shape, words in the order of f.terms."""
-    shape = stacks[0].shape
-    out = np.zeros(shape, dtype=complex)
-    path = []           # path[i]: product of the first i+1 letters of prev
-    prev = ()
-    for word, coeff in f.terms.items():
-        shared = 0
-        while (shared < min(len(prev), len(word))
-               and prev[shared] == word[shared]):
-            shared += 1
-        del path[shared:]
-        for v in word[shared:]:
-            path.append(path[-1] @ stacks[v - 1] if path else stacks[v - 1])
-        out += coeff * (path[-1] if word else np.eye(shape[-1], dtype=complex))
-        prev = word
+        out[lo:lo + block] = program.run([a[lo:lo + block] for a in stacks])
     return out
 
 
@@ -568,9 +859,17 @@ def classify(f, n, samples=CLASSIFY_SAMPLES, tol=CLASSIFY_TOL, seed=0,
     scale = float(np.linalg.norm(images, axis=(1, 2)).max())
     if scale <= tol:
         return PolyClass(VERDICT_IDENTITY, None, n, samples, tol)
-    powers = images
+    powers, formed = images, 1     # powers: images to the power `formed`
+    first = images[0]              # sample 0's power, formed on its own
     for k in range(1, k_max + 1):
         if k > 1:
+            first = first @ images[0]
+            # ||P||_F <= scale**k for every sample's power P (Frobenius
+            # submultiplicativity), so a sample 0 this far from the scalars
+            # fails the test below and leaves power_scale above the break
+            if scalar_distance(first) > 2 * tol * scale ** k:
+                continue
+        for formed in range(formed + 1, k + 1):
             powers = powers @ images
         power_scale = float(np.linalg.norm(powers, axis=(1, 2)).max())
         if power_scale <= tol * scale ** k:

@@ -1,12 +1,12 @@
 """Independent certificate verification.
 
-Works purely from the serialized document: re-parses the embedded polynomial,
-re-evaluates it on every stored argument tuple and recomputes the signed sum
-against the target. That reconstruction gate is what a pass proves. The
-similarity steps, which only matrix-level certificates carry, are checked
-too: every residual is recomputed from the stored transform and its stored
-inverse. None of the construction pipeline is imported, so a passing
-verdict does not trust it.
+Works purely from the serialized document: compiles the embedded polynomial
+text into its program, without multiplying it out, runs it on every stored
+argument tuple and recomputes the signed sum against the target. That
+reconstruction gate is what a pass proves. The similarity steps, which only
+matrix-level certificates carry, are checked too: every residual is
+recomputed from the stored transform and its stored inverse. None of the
+construction pipeline is imported, so a passing verdict does not trust it.
 
 The verifier sets its own bounds: the reconstruction residual must be at
 most `DEFAULT_TOLS.end_tol * max(1, ||target||_F)` and the step gates use
@@ -35,7 +35,9 @@ _SIGNS = {
 
 
 def _fro(M):
-    return float(np.linalg.norm(M))
+    # a norm past the double range is inf, which every gate refuses
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(M))
 
 
 @dataclass

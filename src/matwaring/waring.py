@@ -255,6 +255,41 @@ def image_search(f, n, goal, budget=DEFAULT_BUDGET, seed=0,
     )
 
 
+def _scaled_up(f, image, args, A, goal, tols):
+    """The searched image and tuple, scaled up toward the target.
+
+    A Gaussian tuple's image has a fixed scale, while the coupling split
+    from A grows with ||A||, and with it the condition of the transforms
+    (about ||A|| / gap of the witness). When ||f(t)||_F < 10 ||A||_F this
+    bisects on log2 sigma >= 0 until ||f(sigma t)||_F is within a factor of
+    2 of 10 ||A||_F, at one evaluation per step, and keeps sigma t only if
+    its image is finite and still meets the goal.
+    """
+    want = 10 * fro(A)
+    if not fro(image) < want:
+        return image, args
+
+    def scaled(log2_sigma):
+        t = tuple(np.exp2(log2_sigma) * a for a in args)
+        return evaluate(f, t), t
+
+    lo, hi = 0.0, None      # fro(f) at 2^lo falls short; at 2^hi it does not
+    step = 1.0
+    for _ in range(64):     # far more than a double's exponent range needs
+        mid = lo + step if hi is None else (lo + hi) / 2
+        candidate = scaled(mid)
+        norm = fro(candidate[0])
+        if want / 2 <= norm <= 2 * want:
+            if _goal_satisfied(goal, candidate[0], tols):
+                return candidate
+            break
+        if norm < want / 2:
+            lo, step = mid, 2 * step
+        else:                # too large, or not finite
+            hi = mid
+    return image, args
+
+
 def _finish(cert, f, args, seed, budget, tols, what):
     """Turn a matrix-level certificate into tuples of f and re-check it.
 
@@ -296,6 +331,7 @@ def _four_term_tuples(f, A, budget, seed, tols):
     searched image point with all eigenvalue multiplicities <= n/2."""
     B, args = image_search(f, A.shape[0], GOAL_MULTIPLICITY_HALF, budget,
                            seed, tols)
+    B, args = _scaled_up(f, B, args, A, GOAL_MULTIPLICITY_HALF, tols)
     cert = four_term_decompose(B, A, tols)
     return _finish(cert, f, args, seed, budget, tols, "re-evaluated four-term")
 
@@ -342,6 +378,7 @@ def two_term_decompose(f, A, budget=DEFAULT_BUDGET, seed=0,
     _require_not_central(f, n, seed, forbid_two_central=True)
 
     D0, args = image_search(f, n, GOAL_DISTINCT_EIGS, budget, seed, tols)
+    D0, args = _scaled_up(f, D0, args, A, GOAL_DISTINCT_EIGS, tols)
     w, V = np.linalg.eig(D0)
     eig_blocks = SpectralPartition(
         case_tag="distinct",

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from matwaring.serialize import (
 from matwaring.verify import check_certificate, verify_certificate
 from matwaring.waring import four_term_decompose
 
-from conftest import planted_matrix, random_traceless
+from conftest import planted_matrix, random_complex, random_traceless
 
 
 def write_matrix(path, A):
@@ -160,6 +163,25 @@ class TestDecompose:
         run_cli("decompose", "[X1,X2]", a3, "--seed", "9", "--out", out2)
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    @pytest.mark.parametrize("poly, mode, n", [
+        ("[X1,X2]", "four", 24), ("(X1+X2*X3+X3*X1)^4", "five", 12)])
+    def test_determinism_across_blas_threads(self, tmp_path, poly, mode, n):
+        A = random_complex(np.random.default_rng(n), n)
+        if mode == "four":
+            A -= (np.trace(A) / n) * np.eye(n)
+        target = write_matrix(tmp_path / "a.json", A)
+        texts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"cert{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "matwaring.cli", "decompose", poly,
+                 target, "--mode", mode, "--seed", "7", "--out", str(out)],
+                capture_output=True, text=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
 
 class TestVerify:
     def make_cert(self, tmp_path, a3, matrix_level=False):
@@ -252,19 +274,27 @@ class TestVerify:
         assert len(failures) >= len(doc["similarity_steps"])
         assert all(f.startswith("similarity step") for f in failures)
 
-    @pytest.mark.parametrize("text, reason", [
-        ("X1^1000000", "limit"), ("(X1+X2)^40", "limit"),
-        ("+".join(["(X1+X2)^8"] * 1000), "limit"),
-        ("(" * 5000 + "X1" + ")" * 5000, "nested too deeply"),
-    ], ids=["long-word", "many-words", "many-products", "deep-nesting"])
+    @pytest.mark.parametrize("text, failure", [
+        ("X1^1000000", "malformed field 'polynomial': polynomial degree"),
+        # cheap programs now, however many their words: they run, and the
+        # reconstruction gate refuses their images
+        ("(X1+X2)^40", "reconstruction residual"),
+        ("+".join(["(X1+X2)^8"] * 1000), "reconstruction residual"),
+        ("+".join(f"X{i}*X{i + 1}" for i in range(1, 3000)),
+         "malformed field 'polynomial': polynomial program exceeds the limit"),
+        ("(" * 5000 + "X1" + ")" * 5000,
+         "malformed field 'polynomial': polynomial text is nested too deeply"),
+    ], ids=["long-word", "many-words", "many-products", "many-nodes",
+            "deep-nesting"])
     def test_oversized_polynomial_fails_without_stalling(self, tmp_path, a3,
-                                                         text, reason):
+                                                         text, failure):
         doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
         doc["polynomial"] = text
+        start = time.perf_counter()
         failures = verify_certificate(doc)
+        assert time.perf_counter() - start < 5.0
         assert len(failures) == 1
-        assert failures[0].startswith("malformed field 'polynomial': ")
-        assert reason in failures[0]
+        assert failures[0].startswith(failure)
 
     def test_tampered_tuple_fails(self, tmp_path, a3):
         out = self.make_cert(tmp_path, a3)
@@ -349,9 +379,15 @@ class TestVerify:
             doc["target"]["entries"][1][0] = 1e200
             doc["residual_bound"] = math.inf
 
-        code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys, tamper)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys,
+                                                     tamper)
         assert code == 1
         assert "reconstruction residual inf exceeds bound inf" in stdout
+        # and no NumPy overflow warning beside it
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
 
     def malformed_verdict(self, tmp_path, a3, field, value):
         doc = json.loads(open(self.make_cert(tmp_path, a3)).read())

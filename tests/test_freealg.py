@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matwaring import freealg
 from matwaring.errors import ParseError
 from matwaring.freealg import (
     PARSE_BUDGET,
+    PROGRAM_BUDGET,
     NcPolynomial,
     _Parser,
     classify,
@@ -57,26 +59,36 @@ def pairwise_product_oracle(p, q):
 
 
 class PairwiseParser(_Parser):
-    """The parser with every '*' and every power multiplying two canonical
-    polynomials at a time, left to right, as before products were formed
-    in one pass."""
+    """The parser with every value a canonical polynomial: every sum, '*'
+    and power multiplies out two polynomials at a time, left to right, as
+    before text was compiled into a program."""
 
-    def term(self):
-        poly = self.factor()
-        while self.peek()[0] == "*":
-            self.next()
-            poly = pairwise_product_oracle(poly, self.factor())
+    def variable(self, index, position):
+        return NcPolynomial.variable(index)
+
+    def scalar(self, c):
+        return NcPolynomial.constant(c)
+
+    def sum(self, signed, position):
+        out = NcPolynomial.zero()
+        for sign, p in signed:
+            out = out + (-1.0 if sign == "-" else 1.0) * p
+        return out
+
+    def product(self, factors, position):
+        poly = factors[0]
+        for p in factors[1:]:
+            poly = pairwise_product_oracle(poly, p)
         return poly
 
-    def factor(self):
-        poly = self.atom()
-        if self.peek()[0] != "^":
-            return poly
-        self.next()
+    def power(self, poly, k, position):
         result = NcPolynomial.constant(1.0)
-        for _ in range(int(self.expect("num")[1])):
+        for _ in range(k):
             result = pairwise_product_oracle(result, poly)
         return result
+
+    def commutator(self, a, b, position):
+        return pairwise_product_oracle(a, b) - pairwise_product_oracle(b, a)
 
 
 # every polynomial text of the test suite and the benchmark, products of
@@ -97,9 +109,11 @@ _PARSE_TEXTS = [
 
 @pytest.mark.parametrize("text", _PARSE_TEXTS)
 def test_parse_keeps_pairwise_word_order(text):
-    # the word order fixes evaluate's summation order, and so the bits of
-    # every certificate
-    for t in (text, parse(text).to_string()):
+    # the expansion behind `terms` forms the words and coefficients that
+    # multiplying out two at a time gives, in that order, from the text, its
+    # program text and its word text alike
+    f = parse(text)
+    for t in (text, f.to_string(), f.to_word_string()):
         expected = PairwiseParser(t).parse()
         assert list(parse(t).terms.items()) == list(expected.terms.items())
 
@@ -170,43 +184,49 @@ class TestParse:
 
 class TestParseBudget:
     @pytest.mark.parametrize("text, position", [
-        ("X1^1000000", 3),                 # refused before listing factors
+        ("X1^1000000", 3),                 # degree beyond DEGREE_LIMIT
         ("X1^1e300", 3),
-        ("(X1+X2)^40", 8),                 # 2^40 words
+        ("(X1+X2)^40", 8),                 # a cheap program of 2^40 words
         ("X1^200*X2^200", 3),              # words of 200 letters
         ("X3 + (X1*X2+X2*X1+X1)^12", 22),
-        # each power fits; the text runs out at the third and second
-        ("+".join(["(X1+X2)^8"] * 1000), 28),
-        ("+".join(["(2)^16000"] * 1000), 14),
+        # the power is made once; the sum of its 1000 copies runs out
+        ("+".join(["(X1+X2)^8"] * 1000), 0),
+        # two nodes a product: the 2048th product runs out
+        ("+".join(f"X{i}*X{i + 1}" for i in range(1, 3000)), 22353),
+        ("((X1^1000)^1000)^1000", 11),     # each power cheap, degree 10^9
         ("(" * 5000 + "X1" + ")" * 5000, 0),
     ], ids=["long-power", "huge-power", "many-words", "long-words",
-            "many-words-late", "many-products", "many-constant-factors",
-            "deep-nesting"])
+            "many-words-late", "many-products", "many-nodes",
+            "nested-powers", "deep-nesting"])
     def test_oversized_text_is_a_parse_error(self, text, position):
+        # refused by the program's bounds when parsed, or by PARSE_BUDGET
+        # when its words are multiplied out
         start = time.perf_counter()
         with pytest.raises(ParseError, match="limit|nested too deeply") as err:
-            parse(text)
+            parse(text).terms
         assert err.value.position == position
         # refused before the work, not after (a stall took hours)
         assert time.perf_counter() - start < 5.0
 
-    @staticmethod
-    def units(text):
-        parser = _Parser(text)
-        parser.parse()
-        return parser.units
+    def test_program_cost_counts_products_not_words(self):
+        # 2^40 words, but 18 units: two variables, a sum of two and a power
+        # whose exponent has 6 bits (5 squarings and 1 product)
+        assert parse("(X1+X2)^40").program.cost == 18
+        assert parse("X1^1024").program.cost <= PROGRAM_BUDGET
 
-    def test_polynomials_in_use_are_well_inside(self):
+    def test_polynomials_in_use_are_well_inside(self, monkeypatch):
+        monkeypatch.setattr(freealg, "PARSE_BUDGET", PARSE_BUDGET // 4)
         texts = ["(X1+X2*X3+X3*X1)^4 + [X1,X2] + (0.5-1i)",
                  "(X3 + X3*X2 + X2*X3*X1)^3",
                  "(X1+X2*X1)*(X2-X1*X2)*(X1+X2)^2", "[X1,X2]^2"]
-        # a certificate stores the expanded text, 81 words at degree 8
-        texts.append(parse("(X1+X2*X3+X3*X1)^4").to_string())
+        # older certificates store the expanded text, 81 words at degree 8
+        texts.append(parse("(X1+X2*X3+X3*X1)^4").to_word_string())
         for text in texts:
-            assert 4 * self.units(text) <= PARSE_BUDGET
+            f = parse(text)
+            assert 4 * f.program.cost <= PROGRAM_BUDGET
+            f.terms     # multiplied out within a quarter of PARSE_BUDGET
 
     def test_text_inside_the_budget_parses(self):
-        assert self.units("(X1+X2)^9") <= PARSE_BUDGET
         assert len(parse("(X1+X2)^9").terms) == 512
         assert len(parse("X1^100*X2^100").terms) == 1
 
@@ -283,12 +303,6 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(parse("X1*X2"), (np.zeros((2, 3, 3)), np.eye(3)))
 
-    def test_words_kept_in_prefix_order(self):
-        # depth first over the prefix trie, siblings by first appearance
-        f = parse("X1^2*X2 - X2*X1^2 + [X1,X2]")
-        assert list(f.terms) == [(1, 1, 2), (1, 2), (2, 1), (2, 1, 1)]
-        assert list(parse("[X1,X2] + (0.5)").terms) == [(), (1, 2), (2, 1)]
-
     @pytest.mark.parametrize("text", [
         "[X1,X2]",
         "X1^2*X2 - X2*X1^2 + [X1,X2]",
@@ -296,10 +310,16 @@ class TestEvaluate:
     ])
     @pytest.mark.parametrize("S", [None, 1, 4, 32])
     def test_bit_identical_to_word_by_word(self, rng, text, S):
+        # a polynomial built from its words is their sum, word by word; the
+        # program of [X1,X2] makes the same two products and one difference
         f = parse(text)
+        words = NcPolynomial(f.terms)
         tuples, stacks = stacked_tuples(rng, 12, 3, S or 1)
         args = tuples[0] if S is None else stacks
-        assert np.array_equal(evaluate(f, args), word_by_word_oracle(f, args))
+        assert np.array_equal(evaluate(words, args),
+                              word_by_word_oracle(f, args))
+        if text == "[X1,X2]":
+            assert np.array_equal(evaluate(f, args), evaluate(words, args))
 
     @pytest.mark.parametrize("n", [12, 64])   # one block, and two blocks
     def test_batch_invariance(self, rng, n):
@@ -425,3 +445,75 @@ def test_evaluate_matches_oracle_property(draws, constant, S, n, seed):
         for w, c in f.terms.items()
     )
     assert np.all(np.linalg.norm(got - ref, axis=(1, 2)) <= 1e-12 * scale)
+
+
+def absolute_run(program, stacks):
+    """The program with every coefficient, argument and product made
+    nonnegative (a commutator becomes a*b + b*a): an entrywise bound on
+    every value the program forms, the scale of its rounding."""
+    values = []
+    for op, operands, parameter in program.nodes:
+        args = [values[j] for j in operands]
+        if op == "x":
+            value = np.abs(stacks[parameter - 1])
+        elif op == "1":
+            value = np.eye(stacks[0].shape[-1])
+        elif op == "+":
+            value = sum(abs(c) * a for c, a in zip(parameter, args))
+        elif op == "*":
+            value = args[0] @ args[1]
+        elif op == "^":
+            value = np.linalg.matrix_power(args[0], parameter)
+        else:
+            value = args[0] @ args[1] + args[1] @ args[0]
+        values.append(value + 0 * stacks[0].real)  # broadcast to the stack
+    return values[-1]
+
+
+_VARIABLES = st.integers(1, 3).map(lambda i: f"X{i}")
+_ATOMS = st.one_of(_VARIABLES, _VARIABLES, _VARIABLES,
+                   st.sampled_from(["2", "0.5", "(0.5-1.5i)", "3.25"]))
+
+
+@st.composite
+def grammar_texts(draw, depth=5):
+    """Random text of the grammar: sums, differences, products with and
+    without parentheses (precedence rebinds those without), powers,
+    commutators and negations, nested up to `depth`."""
+    if depth == 0 or draw(st.integers(0, 4)) == 4:
+        return draw(_ATOMS)
+    a = draw(grammar_texts(depth - 1))
+    kind = draw(st.integers(0, 6))
+    if kind == 4:
+        return f"({a})^{draw(st.integers(0, 4))}"
+    if kind == 5:
+        return f"(-{a})"
+    b = draw(grammar_texts(depth - 1))
+    return [f"{a} + {b}", f"{a} - {b}", f"({a})*({b})", f"{a}*{b}",
+            None, None, f"[{a},{b}]"][kind]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grammar_texts(), st.integers(1, 3), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_program_matches_word_sum_property(text, S, n, seed):
+    f = parse(text)
+    tuples, stacks = stacked_tuples(np.random.default_rng(seed), n, 3, S)
+    got = evaluate(f, stacks)
+    # slices of a stack are the single-tuple images, bit for bit
+    for s, tp in enumerate(tuples):
+        assert np.array_equal(got[s], evaluate(f, tp))
+    # print then parse: the same text, and (below) the same words
+    g = parse(f.to_string())
+    assert g.to_string() == f.to_string()
+    try:
+        words = f.terms
+    except ParseError:
+        return      # a few powers of long sums multiply out past PARSE_BUDGET
+    assert list(g.terms.items()) == list(words.items())
+    # the program and the sum of its words agree to rounding: both err by
+    # at most a few hundred ulps (the degree and n are small) of the
+    # absolute program, which bounds every value either one forms
+    ref = evaluate(NcPolynomial(words), stacks)
+    scale = np.linalg.norm(absolute_run(f.program, stacks), axis=(1, 2))
+    assert np.all(np.linalg.norm(got - ref, axis=(1, 2)) <= 1e-13 * scale)

@@ -352,20 +352,65 @@ class TestFiveTerm:
     (five_term_express, "(X1+X2*X3+X3*X1)^4", 12),
 ])
 def test_certificate_text_same_as_word_by_word(monkeypatch, route, text, n):
-    # prefix sharing and stacked tuples must not move a single certificate byte
+    # the program of [X1,X2] makes the products that its two words make,
+    # and stacked tuples must not move a single certificate byte
     f = parse(text)
     A = random_complex(np.random.default_rng(n), n)
     if route is not five_term_express:
         A = A - (np.trace(A) / n) * np.eye(n)
 
-    def certificate_text():
+    def certificate():
         cert = route(f, A, seed=5)
-        return dumps_canonical(certificate_to_json(cert, DEFAULT_TOLS))
+        return cert, dumps_canonical(certificate_to_json(cert, DEFAULT_TOLS))
 
-    shared = certificate_text()
+    program, program_text = certificate()
     monkeypatch.setattr(freealg, "evaluate", word_by_word_oracle)
     monkeypatch.setattr(waring, "evaluate", word_by_word_oracle)
-    assert certificate_text() == shared
+    words, words_text = certificate()
+    if route is not five_term_express:
+        assert words_text == program_text
+        return
+    # two squarings round differently from 81 words, and the construction
+    # after the witness may take another of its valid branches on that: the
+    # certificates share the trace tuple and, to rounding, its coefficient,
+    # and both verify
+    assert words_text != program_text
+    for text_ in (program_text, words_text):
+        assert verify_certificate(json.loads(text_)) == []
+    assert all(np.array_equal(a, b)
+               for a, b in zip(program.tuples[0], words.tuples[0]))
+    c0, w0 = program.coefficients[0], words.coefficients[0]
+    assert abs(c0 - w0) <= 1e-12 * abs(w0)
+
+
+_ROADMAP_TARGET = random_traceless(np.random.default_rng(5), 8)
+
+
+@pytest.mark.parametrize("route, A", [
+    *[(waring_express, s * _ROADMAP_TARGET) for s in (1e4, 1e6, 1e8)],
+    (waring_express, 1e4 * np.diag(np.ones(7), 1)),
+    *[(two_term_decompose,
+       s * random_traceless(np.random.default_rng(5), 7))
+      for s in (1e2, 1e4, 1e6)],
+], ids=["four-1e4", "four-1e6", "four-1e8", "jordan-1e4", "two-1e2",
+        "two-1e4", "two-1e6"])
+def test_large_targets_verify(route, A):
+    # a witness of fixed scale made these ill-conditioned; scaled up toward
+    # the target, it keeps every transform well conditioned
+    cert = route(parse("[X1,X2]"), A)
+    assert verify_certificate(json.loads(dumps_canonical(
+        certificate_to_json(cert, DEFAULT_TOLS)))) == []
+    assert 5 * fro(A) <= fro(cert.witness) <= 20 * fro(A)
+    assert max(c.condition_estimate
+               for c in cert.steps + cert.term_certs) < 100
+
+
+def test_witness_not_scaled_when_large_enough(rng):
+    f = parse("[X1,X2]")
+    B, _ = image_search(f, 6, GOAL_MULTIPLICITY_HALF)
+    A = random_traceless(rng, 6)
+    A *= fro(B) / (20 * fro(A))
+    assert np.array_equal(waring_express(f, A).witness, B)
 
 
 class TestMultilinearityDetector:
