@@ -24,6 +24,7 @@ The text grammar (parsed by `parse`, printed by `NcPolynomial.to_string`):
 The commutator [a,b] is a*b - b*a.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,10 @@ class NcPolynomial:
     product, with the product of a shared prefix formed once. A parsed
     polynomial evaluates as its text is written, and multiplies its words
     out only when `terms` is first read, within PARSE_BUDGET.
+
+    `_prepared` holds what the decomposition routes derive from the
+    polynomial before they see a target (waring._prepared), so it lives and
+    dies with the polynomial.
     """
 
     def __init__(self, terms=None):
@@ -73,11 +78,12 @@ class NcPolynomial:
             merged[word] = merged.get(word, 0j) + complex(coeff)
         self._terms = {w: c for w, c in merged.items() if c != 0}
         self._program = None
+        self._prepared = {}
 
     @classmethod
     def _compiled(cls, program):
         poly = cls.__new__(cls)
-        poly._terms, poly._program = None, program
+        poly._terms, poly._program, poly._prepared = None, program, {}
         return poly
 
     @classmethod
@@ -636,7 +642,8 @@ class _Parser:
             return _limited(tok[3], self.variable, tok[1], tok[3])
         if kind == "num":
             self.next()
-            return self.scalar(tok[1] * 1j if tok[2] else tok[1])
+            return _limited(tok[3], self.scalar,
+                            tok[1] * 1j if tok[2] else tok[1])
         if kind == "(":
             self.next()
             lit = self._complex_literal()
@@ -665,14 +672,14 @@ class _Parser:
         ):
             self.pos += 4
             imag = t2[1] if t1[0] == "+" else -t2[1]
-            return self.scalar(complex(t0[1], imag))
+            return _limited(t0[3], self.scalar, complex(t0[1], imag))
         return None
 
     def variable(self, index, position):
         return 1.0, self.program.add(("x", (), index), position)
 
     def scalar(self, c):
-        return c, None
+        return _finite(c), None
 
     def sum(self, signed, position):
         summands = [(-c if sign == "-" else c, j) for sign, (c, j) in signed]
@@ -682,7 +689,7 @@ class _Parser:
             total = 0j
             for c, _ in summands:
                 total += c
-            return total, None
+            return _finite(total), None
         one = None
         if any(j is None for _, j in summands):
             one = self.program.add(("1", (), None), position)
@@ -698,21 +705,31 @@ class _Parser:
                 j = j2
             elif j2 is not None:
                 j = self.program.add(("*", (j, j2), None), position)
-        return c, j
+        return _finite(c), j
 
     def power(self, value, e, position):
         c, j = value
         if e == 0:
             return 1.0, None
+        c = _finite(_scalar_power(c, e))
         if j is None or e == 1:
-            return _scalar_power(c, e), j
-        return _scalar_power(c, e), self.program.add(("^", (j,), e), position)
+            return c, j
+        return c, self.program.add(("^", (j,), e), position)
 
     def commutator(self, a, b, position):
         (ca, ja), (cb, jb) = a, b
         if ja is None or jb is None:
             return 0.0, None     # a scalar commutes with everything
-        return ca * cb, self.program.add(("[]", (ja, jb), None), position)
+        return _finite(ca * cb), self.program.add(("[]", (ja, jb), None),
+                                                  position)
+
+
+def _finite(c):
+    """The scalar c, refused when it is not finite: text cannot spell an
+    infinite or NaN coefficient, so printing one would not parse back."""
+    if not cmath.isfinite(c):
+        raise ValueError("scalar overflows the double range")
+    return c
 
 
 def _scalar_power(c, e):

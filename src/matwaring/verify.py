@@ -146,6 +146,13 @@ def _check(doc, verdict):
     except (KeyError, TypeError, ValueError):
         return failures + ["malformed field 'target': not a matrix document"]
     n = verdict.n = target.shape[0]
+    if "n" in doc:
+        stored = doc["n"]
+        if isinstance(stored, bool) or not isinstance(stored, int):
+            return failures + ["malformed field 'n': not an integer"]
+        if stored != n:
+            return failures + [f"malformed field 'n': {stored}, but the "
+                               f"target is {n}x{n}"]
     steps = doc.get("similarity_steps", [])
     if not _list_of(steps, dict):
         return failures + ["malformed field 'similarity_steps': not a list "

@@ -182,10 +182,15 @@ def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
     if A.shape != (n, n):
         raise ValueError("A and B must have the same size")
     _require_traceless(A, tols, name="A")
+    return _four_term(B, A, partition_spectrum(B, tols), tols)
+
+
+def _four_term(B, A, part, tols):
+    """four_term_decompose of trace-zero A on part, B's spectral partition."""
     if fro(A) == 0.0:
-        # nothing to express: four copies of B cancel in signed pairs
-        partition_spectrum(B, tols)  # still enforce the multiplicity gate
-        eye = np.eye(n, dtype=complex)
+        # nothing to express: four copies of B cancel in signed pairs (the
+        # partition has enforced the multiplicity gate)
+        eye = np.eye(B.shape[0], dtype=complex)
         trivial = certify_similarity(eye, B, B, tols, label="trivial-term")
         return WaringCertificate(
             mode=MODE_FOUR_TERM,
@@ -199,7 +204,6 @@ def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
             steps=[],
         )
 
-    part = partition_spectrum(B, tols)
     hollow = zero_diagonal_similarity(A, tols)
     split = split_hollow(hollow.m, part.block_sizes, tols)
     cert = _assemble(MODE_FOUR_TERM, B, A, part, hollow,
@@ -309,8 +313,80 @@ def _finish(cert, f, args, seed, budget, tols, what):
     return cert
 
 
-def _require_not_central(f, n, seed, forbid_two_central=False):
-    cls = classify(f, n, seed=seed)
+# ---------------------------------------------------------------------------
+# target-independent work, kept on f
+# ---------------------------------------------------------------------------
+
+# A route's witness depends on f, n, its goal, budget, seed and tolerances,
+# never on the target, so f keeps it for the next target: each polynomial
+# holds the work of its most recently used _PREPARED_KEYS keys.
+_PREPARED_KEYS = 8
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+class _Prepared:
+    """What a route derives from f at one (n, goal, budget, seed, tols)
+    before it sees a target: the classifier's verdict, the searched image
+    with its tuple, and the image's factorization. Each part is made on
+    first use and kept once it succeeds; a failure is raised again on the
+    next use. The arrays are read-only, because certificates share them.
+    """
+
+    def __init__(self, n, goal, budget, seed, tols):
+        self.n, self.goal, self.budget, self.seed, self.tols = (
+            n, goal, budget, seed, tols)
+        self._verdict = self._found = self._factored = None
+
+    def verdict(self, f):
+        if self._verdict is None:
+            self._verdict = classify(f, self.n, seed=self.seed)
+        return self._verdict
+
+    def found(self, f):
+        """image_search's (image, args)."""
+        if self._found is None:
+            image, args = image_search(f, self.n, self.goal, self.budget,
+                                       self.seed, self.tols)
+            self._found = _read_only(image), tuple(map(_read_only, args))
+        return self._found
+
+    def factored(self, witness, factor):
+        """factor(witness, tols), a SpectralPartition; kept when the witness
+        is the searched image itself, made afresh for a scaled-up one."""
+        if witness is not self._found[0]:
+            return factor(witness, self.tols)
+        if self._factored is None:
+            part = factor(witness, self.tols)
+            cert = part.to_block_diag
+            for a in (*part.blocks, cert.t, cert.t_inv, cert.source,
+                      cert.target):
+                _read_only(a)
+            self._factored = part
+        return self._factored
+
+
+def _prepared(f, n, goal, budget, seed, tols):
+    """f's _Prepared entry for this key, made if missing and moved to the
+    most recent end of f's memo."""
+    key = (n, goal, budget, seed, tols)
+    memo = f._prepared
+    entry = memo.pop(key, None) or _Prepared(*key)
+    memo[key] = entry
+    if len(memo) > _PREPARED_KEYS:
+        del memo[next(iter(memo))]
+    return entry
+
+
+# ---------------------------------------------------------------------------
+# the tuple routes
+# ---------------------------------------------------------------------------
+
+def _require_not_central(f, prep, forbid_two_central=False):
+    cls, n = prep.verdict(f), prep.n
     if cls.is_identity_or_central:
         raise NotGenericError(
             f"polynomial classifies as {cls.describe()} on M_{n}(C); "
@@ -326,14 +402,14 @@ def _require_not_central(f, n, seed, forbid_two_central=False):
     return cls
 
 
-def _four_term_tuples(f, A, budget, seed, tols):
-    """The four-term certificate of trace-zero A with its tuples of f, on a
-    searched image point with all eigenvalue multiplicities <= n/2."""
-    B, args = image_search(f, A.shape[0], GOAL_MULTIPLICITY_HALF, budget,
-                           seed, tols)
-    B, args = _scaled_up(f, B, args, A, GOAL_MULTIPLICITY_HALF, tols)
-    cert = four_term_decompose(B, A, tols)
-    return _finish(cert, f, args, seed, budget, tols, "re-evaluated four-term")
+def _four_term_tuples(f, A, prep):
+    """The four-term certificate of trace-zero A with its tuples of f, on the
+    image point of prep, which has all eigenvalue multiplicities <= n/2."""
+    tols = prep.tols
+    B, args = _scaled_up(f, *prep.found(f), A, GOAL_MULTIPLICITY_HALF, tols)
+    cert = _four_term(B, A, prep.factored(B, partition_spectrum), tols)
+    return _finish(cert, f, args, prep.seed, prep.budget, tols,
+                   "re-evaluated four-term")
 
 
 def waring_express(f, A, budget=DEFAULT_BUDGET, seed=0,
@@ -346,14 +422,29 @@ def waring_express(f, A, budget=DEFAULT_BUDGET, seed=0,
     """
     A = as_cmatrix(A)
     _require_traceless(A, tols)
-    _require_not_central(f, A.shape[0], seed)
-    return _four_term_tuples(f, A, budget, seed, tols)
+    prep = _prepared(f, A.shape[0], GOAL_MULTIPLICITY_HALF, budget, seed,
+                     tols)
+    _require_not_central(f, prep)
+    return _four_term_tuples(f, A, prep)
 
 
 def two_term_applies(f, n):
     """The two-term route needs n prime or f multilinear."""
     is_prime = n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
     return is_prime or f.is_multilinear()
+
+
+def _diagonalized(D0, tols):
+    """The n 1x1 eigenvalue blocks of D0, with the certificate of its
+    eigendecomposition."""
+    w, V = np.linalg.eig(D0)
+    return SpectralPartition(
+        case_tag="distinct",
+        block_sizes=(1,) * len(w),
+        blocks=[np.array([[wi]]) for wi in w],
+        to_block_diag=certify_similarity(V, np.diag(w), D0, tols,
+                                         label="diagonalize-witness"),
+    )
 
 
 def two_term_decompose(f, A, budget=DEFAULT_BUDGET, seed=0,
@@ -375,18 +466,11 @@ def two_term_decompose(f, A, budget=DEFAULT_BUDGET, seed=0,
             "use the four-term decomposition instead"
         )
     _require_traceless(A, tols)
-    _require_not_central(f, n, seed, forbid_two_central=True)
+    prep = _prepared(f, n, GOAL_DISTINCT_EIGS, budget, seed, tols)
+    _require_not_central(f, prep, forbid_two_central=True)
 
-    D0, args = image_search(f, n, GOAL_DISTINCT_EIGS, budget, seed, tols)
-    D0, args = _scaled_up(f, D0, args, A, GOAL_DISTINCT_EIGS, tols)
-    w, V = np.linalg.eig(D0)
-    eig_blocks = SpectralPartition(
-        case_tag="distinct",
-        block_sizes=(1,) * n,
-        blocks=[np.array([[wi]]) for wi in w],
-        to_block_diag=certify_similarity(V, np.diag(w), D0, tols,
-                                         label="diagonalize-witness"),
-    )
+    D0, args = _scaled_up(f, *prep.found(f), A, GOAL_DISTINCT_EIGS, tols)
+    eig_blocks = prep.factored(D0, _diagonalized)
 
     hollow = zero_diagonal_similarity(A, tols)
     # the hollow form keeps a diagonal below hollow_tol, which the
@@ -408,9 +492,10 @@ def five_term_express(f, T, budget=DEFAULT_BUDGET, seed=0,
     """
     T = as_cmatrix(T)
     n = T.shape[0]
-    _require_not_central(f, n, seed)
+    prep = _prepared(f, n, GOAL_NONZERO_TRACE, budget, seed, tols)
+    _require_not_central(f, prep)
 
-    A0, args0 = image_search(f, n, GOAL_NONZERO_TRACE, budget, seed, tols)
+    A0, args0 = prep.found(f)
     if abs(np.trace(T)) <= tols.hollow_tol * max(1.0, fro(T)):
         c0 = 0j
         remainder = T
@@ -421,12 +506,13 @@ def five_term_express(f, T, budget=DEFAULT_BUDGET, seed=0,
 
     # the four-term path on the remainder, with f already classified
     _require_traceless(remainder, tols)
-    four = _four_term_tuples(f, remainder, budget, seed + 1, tols)
+    four = _four_term_tuples(f, remainder, _prepared(
+        f, n, GOAL_MULTIPLICITY_HALF, budget, seed + 1, tols))
 
     coefficients = [complex(c0), 1.0, -1.0, 1.0, -1.0]
     images = [A0] + four.terms
     residual, bound = _residual_gate(T, coefficients, images, tols, "five-term")
     return replace(four, mode=MODE_FIVE_TERM, target=T,
                    coefficients=coefficients, terms=images, residual=residual,
-                   residual_bound=bound, tuples=[tuple(args0)] + four.tuples,
+                   residual_bound=bound, tuples=[args0] + four.tuples,
                    seed=seed, budget=budget)

@@ -481,6 +481,28 @@ class TestVerify:
             assert code == 1
             assert stdout.startswith(f"FAIL: malformed field '{field}'")
 
+    @pytest.mark.parametrize("stored, failure", [
+        (99, "99, but the target is 5x5"),
+        ("x", "not an integer"),
+        (5.0, "not an integer"),
+        (True, "not an integer"),
+    ])
+    def test_stored_n_is_the_target_size(self, tmp_path, rng, capsys, stored,
+                                         failure):
+        a5 = write_matrix(tmp_path / "a5.json", random_traceless(rng, 5))
+        out = tmp_path / "cert.json"
+        assert main(["decompose", "[X1,X2]", a5, "--mode", "four",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["mode"] == "four-term" and doc["n"] == 5
+        doc["n"] = stored
+        assert verify_certificate(doc) == [f"malformed field 'n': {failure}"]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert capsys.readouterr().out.startswith(
+            f"FAIL: malformed field 'n': {failure}")
+
     def test_garbage_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "something-else"}')

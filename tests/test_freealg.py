@@ -181,6 +181,25 @@ class TestParse:
         with pytest.raises(ParseError, match="exponent"):
             parse("X1^1e400")
 
+    @pytest.mark.parametrize("text, position", [
+        ("(2)^16000*X1 + X2", 4),      # the power overflows at its exponent
+        ("1e999*X1", 0),
+        ("1e200*1e200*X1", 0),         # the product of a term, at its start
+        ("X2 + [1e200*X1, 1e200*X2]", 5),
+        ("(1+1e999i)*X1", 1),
+    ])
+    def test_non_finite_scalar_is_refused(self, text, position):
+        # printed, it would read inf, which the grammar cannot read back
+        with pytest.raises(ParseError, match="overflows") as err:
+            parse(text)
+        assert err.value.position == position
+
+    def test_large_finite_scalar_round_trips(self):
+        f = parse("1e300*X1")
+        assert f.to_string() == "1e+300*X1"
+        assert parse(f.to_string()).to_string() == f.to_string()
+        assert f.terms == {(1,): 1e300}
+
 
 class TestParseBudget:
     @pytest.mark.parametrize("text, position", [

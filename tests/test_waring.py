@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -354,13 +355,14 @@ class TestFiveTerm:
 def test_certificate_text_same_as_word_by_word(monkeypatch, route, text, n):
     # the program of [X1,X2] makes the products that its two words make,
     # and stacked tuples must not move a single certificate byte
-    f = parse(text)
     A = random_complex(np.random.default_rng(n), n)
     if route is not five_term_express:
         A = A - (np.trace(A) / n) * np.eye(n)
 
     def certificate():
-        cert = route(f, A, seed=5)
+        # a fresh f, so the witness search runs on the evaluator in force
+        # instead of being taken from the first f's memo
+        cert = route(parse(text), A, seed=5)
         return cert, dumps_canonical(certificate_to_json(cert, DEFAULT_TOLS))
 
     program, program_text = certificate()
@@ -425,3 +427,106 @@ class TestMultilinearityDetector:
     ])
     def test_cases(self, text, expected):
         assert parse(text).is_multilinear() is expected
+
+
+def _certificate_text(cert):
+    return dumps_canonical(certificate_to_json(cert, DEFAULT_TOLS))
+
+
+class TestWitnessMemo:
+    """A parsed f keeps its witness per (n, goal, budget, seed, tols), so
+    later targets skip classification, search and witness factorization."""
+
+    @pytest.mark.parametrize("route, text, n", [
+        (waring_express, "[X1,X2]", 6),
+        (two_term_decompose, "[X1,X2]", 5),
+        (five_term_express, "X1^2 + X1*X2", 4),
+    ])
+    def test_reused_f_writes_what_a_fresh_f_writes(self, route, text, n):
+        rng = np.random.default_rng(n)
+        # small enough for the searched witness; the middle one is scaled
+        # far past it, so _scaled_up replaces the witness, which is then
+        # factored afresh
+        targets = [s * random_complex(rng, n) for s in (1e-2, 1e8, 1e-2)]
+        if route is not five_term_express:
+            targets = [A - (np.trace(A) / n) * np.eye(n) for A in targets]
+        f = parse(text)
+        for k, A in enumerate(targets):
+            cert = route(f, A, seed=3)
+            assert _certificate_text(cert) == _certificate_text(
+                route(parse(text), A, seed=3))
+            # only the memo's witness is shared, and so read-only
+            assert cert.witness.flags.writeable == (k == 1)
+
+    @pytest.mark.parametrize("route", [waring_express, two_term_decompose])
+    def test_prefix_runs_once_per_key(self, monkeypatch, route):
+        calls = {"classify": 0, "image_search": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(waring, name,
+                                counting(name, getattr(waring, name)))
+        rng = np.random.default_rng(0)
+        f = parse("[X1,X2]")
+
+        def run(n=5, **kwargs):
+            route(f, random_traceless(rng, n), **kwargs)
+            return calls["classify"], calls["image_search"]
+
+        assert [run() for _ in range(3)] == [(1, 1)] * 3
+        assert run(n=7) == (2, 2)
+        assert run(seed=1) == (3, 3)
+        assert run(budget=999) == (4, 4)
+        tighter = replace(DEFAULT_TOLS, end_tol=1e-7)
+        assert run(tols=tighter) == (5, 5)
+        assert run(tols=tighter) == (5, 5)
+        assert run() == (5, 5)
+        # eight keys are kept, the least recently used dropped: a sweep over
+        # seeds cannot grow the memo
+        for seed in range(2, 10):
+            run(seed=seed)
+        assert run(seed=9) == (13, 13)
+        assert run() == (14, 14)
+
+    @pytest.mark.parametrize("route, text, n", [
+        (waring_express, "[X1,X2]", 4),
+        (two_term_decompose, "[X1,X2]", 3),
+        (five_term_express, "X1^2 + X1*X2", 3),
+    ])
+    def test_shared_arrays_are_read_only(self, rng, route, text, n):
+        f = parse(text)
+        A = 1e-2 * random_traceless(rng, n)   # the witness is not scaled up
+        first = route(f, A, seed=2)
+        text_ = _certificate_text(first)
+        shared = [first.witness, first.steps[0].t, first.steps[0].t_inv,
+                  first.steps[0].source, first.term_certs[0].source]
+        if route is five_term_express:
+            shared += [*first.tuples[0], first.terms[0]]
+        for M in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = 7.0
+        assert _certificate_text(route(f, A, seed=2)) == text_
+
+    def test_failures_are_raised_again(self, monkeypatch):
+        # [X1,X2] is 2-central on M_2 (its square is scalar)
+        f = parse("[X1,X2]")
+        for _ in range(2):
+            with pytest.raises(NotGenericError, match="2-central"):
+                two_term_decompose(f, np.diag([1.0, -1.0]), seed=0)
+        # a search that ran out of samples is searched again, not stored
+        searches = []
+
+        def counting_search(*args, **kwargs):
+            searches.append(args)
+            return image_search(*args, **kwargs)
+
+        monkeypatch.setattr(waring, "image_search", counting_search)
+        for _ in range(2):
+            with pytest.raises(BudgetExhaustedError):
+                five_term_express(f, np.eye(3, dtype=complex), budget=20)
+        assert len(searches) == 2
