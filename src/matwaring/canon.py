@@ -8,7 +8,6 @@ and the similarity taking a trace-zero matrix to zero diagonal.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
@@ -91,6 +90,8 @@ def _reorder_schur(T, Q, keys):
     within the selected and within the unselected ones, so selecting
     keys <= k for each distinct key k in turn is a stable sort.
     """
+    from scipy.linalg import lapack
+
     keys = np.asarray(keys)
     for k in np.unique(keys)[:-1]:
         select = keys <= k

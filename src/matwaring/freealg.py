@@ -451,6 +451,8 @@ class _Program:
                     ba = _times(b, a, charge)
                     terms = _sum((_times(a, b, charge),
                                   {w: -c for w, c in ba.items()}), charge)
+                if not all(map(cmath.isfinite, terms.values())):
+                    raise ValueError("coefficient overflows the double range")
             except ValueError as exc:
                 raise ParseError(str(exc), position) from None
             words.append(terms)

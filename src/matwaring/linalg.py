@@ -1,17 +1,17 @@
 """Dense complex matrix substrate.
 
 Eigen/Schur wrappers, a Sylvester solver for upper-triangular operands
-(slices of a reordered Schur form or 1x1 eigenvalues, one LAPACK ztrsyl
-each), subspace and commutant rank computations, and similarity
-certificates. Matrices are numpy complex arrays; everything here targets
-desk scale (n <= 64).
+(slices of a reordered Schur form, one LAPACK ztrsyl each), the
+eigenvector recurrence of a triangular matrix for 1x1 blocks, subspace and
+commutant rank computations, and similarity certificates. Matrices are
+numpy complex arrays; everything here targets desk scale (n <= 64). scipy
+is imported by the Schur and ztrsyl steps only, so the two-term route and
+the verifier run without loading it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
@@ -33,16 +33,28 @@ def as_cmatrix(A):
 
 
 def fro(A):
-    return float(np.linalg.norm(A))
+    # a norm past the double range is inf, which every gate refuses
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(A))
 
 
 def blkdiag(blocks):
-    return scipy.linalg.block_diag(*[as_cmatrix(b) for b in blocks]).astype(complex)
+    blocks = [as_cmatrix(b) for b in blocks]
+    n = sum(b.shape[0] for b in blocks)
+    D = np.zeros((n, n), dtype=complex)
+    s = 0
+    for b in blocks:
+        e = s + b.shape[0]
+        D[s:e, s:e] = b
+        s = e
+    return D
 
 
 def eigendecompose(A):
     """Complex Schur form. Returns (eigenvalues, schur_form, schur_unitary)
     with A = Q T Q*, Q unitary, T upper triangular, eigenvalues = diag(T)."""
+    import scipy.linalg
+
     A = as_cmatrix(A)
     T, Q = scipy.linalg.schur(A, output="complex")
     return np.diag(T).copy(), T, Q
@@ -101,6 +113,8 @@ def _trsyl(R1, R2, C, tols):
     disjoint spectra; the gap and scale are recomputed only for the message
     of a failing residual gate.
     """
+    from scipy.linalg import lapack
+
     X, s, info = lapack.ztrsyl(R1, R2, C, isgn=-1)
     if info:
         raise SpectraOverlapError(
@@ -109,14 +123,20 @@ def _trsyl(R1, R2, C, tols):
     denom = fro(C) or 1.0
     residual = fro(R1 @ X - X @ R2 - C) / denom
     if residual > tols.solve_tol:
-        eigs = np.concatenate([np.diag(R1), np.diag(R2)])
-        gap, _, _ = spectral_gap(eigs, block_labels((len(R1), len(R2))))
-        raise IllConditionedError(
-            f"Sylvester solve residual {residual:.3e} exceeds "
-            f"{tols.solve_tol:.1e} (gap {gap:.3e}, "
-            f"scale {np.abs(eigs).max(initial=0.0):.3e})"
-        )
+        raise _solve_residual_error(residual, np.diag(R1), np.diag(R2), tols)
     return X
+
+
+def _solve_residual_error(residual, eigs1, eigs2, tols):
+    """The IllConditionedError of a Sylvester residual over solve_tol, with
+    the gap between the two spectra and their scale."""
+    eigs = np.concatenate([eigs1, eigs2])
+    gap, _, _ = spectral_gap(eigs, block_labels((len(eigs1), len(eigs2))))
+    return IllConditionedError(
+        f"Sylvester solve residual {residual:.3e} exceeds "
+        f"{tols.solve_tol:.1e} (gap {gap:.3e}, "
+        f"scale {np.abs(eigs).max(initial=0.0):.3e})"
+    )
 
 
 @dataclass(frozen=True)
@@ -219,6 +239,9 @@ def certify_similarity(T, source, target, tols: Tolerances = DEFAULT_TOLS,
     cert = SimilarityCertificate(T, T_inv, source, target, residual_inverse,
                                  residual_map, cond, label)
     context = f"condition estimate {cond:.3e}, {label or 'unlabeled'}"
+    if not cond < np.inf:
+        raise IllConditionedError(
+            f"certificate transform exceeds the double range ({context})")
     if residual_inverse > tols.cert_tol:
         raise IllConditionedError(
             f"certificate inverse residual {residual_inverse:.3e} exceeds "
@@ -251,8 +274,11 @@ def _unit_upper_transform(blocks, upper, tols):
     (X_j; I; 0) with L_j X_j - X_j B_j = -upper[:s_j, block j], where s_j is
     the offset of block B_j and L_j the leading s_j x s_j part of upper,
     whose spectrum is that of the blocks before B_j; both operands are
-    triangular, so each column block is one ztrsyl call.
+    triangular, so each column block is one ztrsyl call. When every block
+    is 1x1, T is the unit eigenvector matrix of upper (_eigenvector_transform).
     """
+    if len(blocks) == upper.shape[0]:
+        return _eigenvector_transform(upper, tols)
     T = np.eye(upper.shape[0], dtype=complex)
     s = 0
     for b in blocks:
@@ -260,6 +286,38 @@ def _unit_upper_transform(blocks, upper, tols):
         if s:
             T[:s, s:e] = _trsyl(upper[:s, :s], b, -upper[:s, s:e], tols)
         s = e
+    return T
+
+
+def _eigenvector_transform(U, tols):
+    """Unit upper T with U T = T diag(U), for upper triangular U with
+    distinct diagonal entries.
+
+    Row i of T follows from the rows below it (the ztrevc recurrence):
+    T[i, j] (U[i, i] - U[j, j]) = -U[i, i+1:] T[i+1:, j] for j > i. Column
+    j is the 1x1 Sylvester solve of the column loop, and is gated the same
+    way: the relative residual of (U T - T diag(U))[:j, j] against
+    U[:j, j] stays within solve_tol.
+    """
+    n = U.shape[0]
+    lam = np.diag(U)
+    T = np.eye(n, dtype=complex)
+    with np.errstate(all="ignore"):
+        for i in range(n - 2, -1, -1):
+            T[i, i + 1:] = (-(U[i, i + 1:] @ T[i + 1:, i + 1:])
+                            / (lam[i] - lam[i + 1:]))
+        if not np.isfinite(T).all():
+            gap, _, _ = spectral_gap(lam, np.arange(n))
+            raise IllConditionedError(
+                f"triangular transform overflows (gap {gap:.3e}, "
+                f"scale {np.abs(lam).max():.3e})")
+        defect = np.linalg.norm(np.triu(U @ T - T * lam, 1), axis=0)
+        rhs = np.linalg.norm(np.triu(U, 1), axis=0)
+        residual = defect / np.where(rhs > 0, rhs, 1.0)
+    bad = np.flatnonzero(~(residual <= tols.solve_tol))
+    if bad.size:
+        j = bad[0]
+        raise _solve_residual_error(residual[j], lam[:j], lam[j:j + 1], tols)
     return T
 
 

@@ -285,8 +285,11 @@ def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS):
     U is zero between the cells of its layout, so the system splits into one
     minimum-norm solve of at most 9 equations and 18 unknowns per pair of
     cells, batched by cell sizes; the minimum-norm solution of the direct sum
-    is the direct sum of these. Existence is guaranteed for every valid
-    pattern, so a large residual is a numerical failure.
+    is the direct sum of these. A solution exists for every valid pattern
+    when M's diagonal is zero, but the diagonal that hollow_tol lets through
+    is not absorbed: on a graded M it can exceed split_tol. A failure
+    reports ||M||_F, the spread of M's entries and its largest diagonal
+    entry.
     """
     M = as_cmatrix(M)
     n = M.shape[0]
@@ -307,8 +310,11 @@ def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS):
             _solve_cell_pairs(M, U, labels, I, J, C1, C2)
     residual = fro(M - C1 - U @ C2 @ U.conj().T)
     if residual > tols.split_tol * max(1.0, fro(M)):
+        mags = np.abs(M[M != 0])
         raise ResidualTooLargeError(
-            "hollow split failed; this should be impossible for a valid "
-            "pattern and indicates a numerical breakdown", residual
+            f"hollow split of the zero-diagonal form M over {pattern} failed "
+            f"(||M||_F {fro(M):.3e}, max/min nonzero |M_ij| "
+            f"{mags.max() / mags.min():.3e}, max |M_ii| {diag_mag:.3e})",
+            residual,
         )
     return HollowSplit(U, pattern, C1, C2, residual)

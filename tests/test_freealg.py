@@ -194,6 +194,22 @@ class TestParse:
             parse(text)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("text, position", [
+        ("1e308*X1 + 1e308*X1", 0),    # the sum of two finite coefficients
+        ("(1e200*X1 + X2)^2", 16),     # the square of a finite coefficient
+    ])
+    @pytest.mark.parametrize("query", [
+        lambda f: f.terms, lambda f: f.to_word_string(),
+        lambda f: f.is_multilinear(), lambda f: f == parse("X1"),
+    ], ids=["terms", "word-string", "multilinear", "equality"])
+    def test_overflowing_expansion_is_refused(self, text, position, query):
+        # every scalar as written is finite, so the text parses; multiplying
+        # it out overflows, and no structure query may see an inf
+        f = parse(text)
+        with pytest.raises(ParseError, match="coefficient overflows") as err:
+            query(f)
+        assert err.value.position == position
+
     def test_large_finite_scalar_round_trips(self):
         f = parse("1e300*X1")
         assert f.to_string() == "1e+300*X1"

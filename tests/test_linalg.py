@@ -259,6 +259,37 @@ class TestBlockTriangular:
             T_ref = np.linalg.inv(S).T
         assert np.linalg.norm(T - T_ref) <= 1e-12 * np.linalg.norm(T_ref)
 
+    @pytest.mark.parametrize("orientation", ["upper", "lower"])
+    def test_scalar_blocks_residual_message(self, rng, orientation):
+        # the 1x1 transform gates every column like the ztrsyl loop, and
+        # reports the gap and scale of the failing column's solve
+        n = 6
+        eigs = np.linalg.eigvals(random_complex(rng, n))
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        off = random_complex(rng, n) * (upper if orientation == "upper"
+                                        else upper.T)
+        tols = dataclasses.replace(DEFAULT_TOLS, solve_tol=1e-300)
+        with pytest.raises(IllConditionedError) as err:
+            block_triangular_similarity([np.array([[e]]) for e in eigs], off,
+                                        orientation, tols)
+        order = eigs if orientation == "upper" else eigs[::-1]
+        messages = {f"(gap {np.abs(order[:j] - order[j]).min():.3e}, "
+                    f"scale {np.abs(order[:j + 1]).max():.3e})"
+                    for j in range(1, n)}
+        assert any(m in str(err.value) for m in messages)
+
+    @pytest.mark.parametrize("orientation", ["upper", "lower"])
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_scalar_blocks_overflow_raises_without_warning(self, n,
+                                                           orientation):
+        # the suite turns a RuntimeWarning into an error, so a NumPy overflow
+        # warning on the way would fail this test as well
+        upper = np.triu(np.full((n, n), 1e300), 1)
+        off = upper if orientation == "upper" else upper.T
+        blocks = [np.array([[k + 1.0]]) for k in range(n)]
+        with pytest.raises(IllConditionedError):
+            block_triangular_similarity(blocks, off, orientation)
+
     def test_overlap_names_the_two_blocks(self, rng):
         blocks = [planted_triangular(rng, [1, 2]), planted_triangular(rng, [5]),
                   planted_triangular(rng, [2, 7])]
