@@ -2,7 +2,9 @@
 
 Eigenvalue clustering, certified block diagonalization along clusters, the
 spectral partition into two or three blocks with pairwise disjoint spectra,
-and the similarity taking a trace-zero matrix to zero diagonal.
+and the similarity taking a trace-zero matrix to zero diagonal. The
+clusters are contiguous because the Schur form is built in cluster order
+(linalg.eigendecompose with a key), not reordered afterwards.
 """
 
 from dataclasses import dataclass
@@ -80,28 +82,8 @@ class HollowForm:
 
 
 # ---------------------------------------------------------------------------
-# Schur reordering (LAPACK ztrsen, one call per key boundary)
+# block diagonalization along eigenvalue clusters
 # ---------------------------------------------------------------------------
-
-def _reorder_schur(T, Q, keys):
-    """Stable-sort the diagonal of T by integer keys, keeping Q T Q* fixed.
-
-    ztrsen moves the selected entries to the top and keeps the relative order
-    within the selected and within the unselected ones, so selecting
-    keys <= k for each distinct key k in turn is a stable sort.
-    """
-    from scipy.linalg import lapack
-
-    keys = np.asarray(keys)
-    for k in np.unique(keys)[:-1]:
-        select = keys <= k
-        T, Q, _, _, _, _, info = lapack.ztrsen(select, T, Q, job="N")
-        if info:
-            raise ClusterGapTooSmallError(
-                f"Schur reordering failed (ztrsen info {info})")
-        keys = np.concatenate([keys[select], keys[~select]])
-    return T, Q
-
 
 def _assign_to_clusters(eigs, clusters):
     reps = np.array([c[0] for c in clusters])
@@ -127,47 +109,36 @@ def _check_cluster_gaps(clusters, tols):
         )
 
 
-def block_diagonalize_by_cluster(B, clusters, tols: Tolerances = DEFAULT_TOLS,
-                                 schur=None):
+def block_diagonalize_by_cluster(B, clusters, tols: Tolerances = DEFAULT_TOLS):
     """B = T blkdiag(C_1..C_k) T^-1 with C_i carrying cluster i's spectrum.
 
-    Reorders the Schur form (computed here unless given as
-    (eigenvalues, T, Q)) so the given cluster order is contiguous, then
-    strips the coupling by block-triangular similarity. Returns
+    Builds the Schur form of B with the clusters contiguous in the given
+    order, then strips the coupling by block-triangular similarity. Returns
     (blocks, cert) with B = cert.t blkdiag(blocks) cert.t_inv.
     """
     B = as_cmatrix(B)
     _check_cluster_gaps(clusters, tols)
-    if schur is None:
-        eigs, T, Q = eigendecompose(B)
-    else:
-        eigs, T, Q = schur
-    keys = _assign_to_clusters(eigs, clusters)
-    T, Q = _reorder_schur(T, Q, keys)
+    _, T, Q = eigendecompose(
+        B, key=lambda eigs: _assign_to_clusters(eigs, clusters))
+    return _decoupled(B, T, Q, [c[1] for c in clusters], tols)
 
-    sizes = [c[1] for c in clusters]
-    edges = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    blocks = [T[a:b, a:b].copy() for a, b in zip(edges[:-1], edges[1:])]
+
+def _decoupled(B, T, Q, sizes, tols):
+    """block_diagonalize_by_cluster's (blocks, cert) from B's Schur form
+    B = Q T Q*, whose diagonal blocks of the given sizes have pairwise
+    disjoint spectra."""
+    edges = np.cumsum((0, *sizes))
+    blocks = [T[a:b, a:b].copy() for a, b in zip(edges, edges[1:])]
     D = blkdiag(blocks)
     tri = block_triangular_similarity(blocks, T - D, "upper", tols)
     cert = certify_similarity(Q @ tri.t, D, B, tols, label="block-diagonalize")
     return blocks, cert
 
 
-def partition_spectrum(B, tols: Tolerances = DEFAULT_TOLS):
-    """Split B into 2 or 3 certified diagonal blocks with disjoint spectra.
-
-    Requires every eigenvalue cluster to have multiplicity <= n/2. One
-    greedy pass groups the clusters: a cluster of multiplicity n/2 goes
-    first (of two such, the one B's Schur form leads with), then clusters
-    are taken while they fit in n/2. A pass that reaches exactly n/2 is
-    case A; otherwise the first cluster that does not fit is the middle
-    group of case B, with all three sizes strictly below n/2.
-    """
-    B = as_cmatrix(B)
-    n = B.shape[0]
-    schur = eigendecompose(B)
-    eigs = schur[0]
+def _grouped_clusters(eigs, tols):
+    """partition_spectrum's clusters of eigs in block order, with the case
+    tag, the group sizes and the number of clusters in each group."""
+    n = len(eigs)
     clusters = cluster_eigenvalues(eigs, tols.cluster_tol)
     for value, mult in clusters:
         if 2 * mult > n:
@@ -182,16 +153,36 @@ def partition_spectrum(B, tols: Tolerances = DEFAULT_TOLS):
     while 2 * (taken + clusters[j][1]) <= n:
         taken += clusters[j][1]
         j += 1
+    _check_cluster_gaps(clusters, tols)
     if 2 * taken == n:
-        case_tag, group_sizes = "A", (taken, taken)
-        group_counts = (j, len(clusters) - j)
-    else:
-        q = clusters[j][1]
-        case_tag, group_sizes = "B", (taken, q, n - taken - q)
-        group_counts = (j, 1, len(clusters) - j - 1)
+        return clusters, "A", (taken, taken), (j, len(clusters) - j)
+    q = clusters[j][1]
+    return (clusters, "B", (taken, q, n - taken - q),
+            (j, 1, len(clusters) - j - 1))
 
-    cluster_blocks, cert = block_diagonalize_by_cluster(B, clusters, tols,
-                                                        schur=schur)
+
+def partition_spectrum(B, tols: Tolerances = DEFAULT_TOLS):
+    """Split B into 2 or 3 certified diagonal blocks with disjoint spectra.
+
+    Requires every eigenvalue cluster to have multiplicity <= n/2. One
+    greedy pass groups the clusters: a cluster of multiplicity n/2 goes
+    first (of two such, the one np.linalg.eig lists first), then clusters
+    are taken while they fit in n/2. A pass that reaches exactly n/2 is
+    case A; otherwise the first cluster that does not fit is the middle
+    group of case B, with all three sizes strictly below n/2. The grouping
+    is the key of B's Schur form, so the form comes out in cluster order.
+    """
+    B = as_cmatrix(B)
+    grouping = None
+
+    def cluster_keys(eigs):
+        nonlocal grouping
+        grouping = _grouped_clusters(eigs, tols)
+        return _assign_to_clusters(eigs, grouping[0])
+
+    _, T, Q = eigendecompose(B, key=cluster_keys)
+    clusters, case_tag, group_sizes, group_counts = grouping
+    cluster_blocks, cert = _decoupled(B, T, Q, [c[1] for c in clusters], tols)
 
     edges = np.cumsum((0,) + group_counts)
     blocks = [blkdiag(cluster_blocks[a:b]) for a, b in zip(edges, edges[1:])]

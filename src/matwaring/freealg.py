@@ -53,6 +53,11 @@ DEGREE_LIMIT = 1 << 10
 # 81-word text 1966.
 PARSE_BUDGET = 1 << 14
 
+# Variables are X1 .. X{VARIABLE_LIMIT}. Classification and the witness
+# search draw one random matrix per variable up to the largest index used,
+# so an unbounded index (X100000000) would let short text exhaust memory.
+VARIABLE_LIMIT = 64
+
 
 class NcPolynomial:
     """A polynomial, held as its words, as a program or as both.
@@ -539,9 +544,14 @@ def _tokenize(text):
                 j += 1
             if j == i + 1:
                 raise ParseError("variable needs a numeric index after 'X'", i)
-            index = int(text[i + 1 : j])
-            if index == 0:
+            digits = text[i + 1 : j].lstrip("0")
+            if not digits:
                 raise ParseError("variable index 0 is not allowed", i)
+            if (len(digits) > len(str(VARIABLE_LIMIT))
+                    or int(digits) > VARIABLE_LIMIT):
+                raise ParseError(
+                    f"variable index exceeds the limit of {VARIABLE_LIMIT}", i)
+            index = int(digits)
             tokens.append(("var", index, None, i))
             i = j
             continue

@@ -1,12 +1,11 @@
-"""Dense complex matrix substrate.
+"""Dense complex matrix substrate, on numpy alone.
 
-Eigen/Schur wrappers, a Sylvester solver for upper-triangular operands
-(slices of a reordered Schur form, one LAPACK ztrsyl each), the
-eigenvector recurrence of a triangular matrix for 1x1 blocks, subspace and
-commutant rank computations, and similarity certificates. Matrices are
-numpy complex arrays; everything here targets desk scale (n <= 64). scipy
-is imported by the Schur and ztrsyl steps only, so the two-term route and
-the verifier run without loading it.
+A complex Schur form in a given eigenvalue order (unitary deflation from
+one eigendecomposition), the block back-substitution that makes a block
+upper-triangular matrix block diagonal (with a Sylvester solver for
+upper-triangular operands on top of it), subspace and commutant rank
+computations, and similarity certificates. Matrices are numpy complex
+arrays; everything here targets desk scale (n <= 64).
 """
 
 from dataclasses import dataclass
@@ -50,14 +49,69 @@ def blkdiag(blocks):
     return D
 
 
-def eigendecompose(A):
-    """Complex Schur form. Returns (eigenvalues, schur_form, schur_unitary)
-    with A = Q T Q*, Q unitary, T upper triangular, eigenvalues = diag(T)."""
-    import scipy.linalg
+def eigendecompose(A, key=None):
+    """Complex Schur form in key order. Returns (eigenvalues, schur_form,
+    schur_unitary) with A = Q T Q*, Q unitary, T upper triangular,
+    eigenvalues = diag(T).
 
+    key, if given, maps the array of A's eigenvalues to one integer key
+    each, and the diagonal of T runs in stable key order; without it, in
+    the order np.linalg.eig lists them.
+
+    T is built by unitary deflation from one eig. Householder QR of the
+    ordered eigenvector matrix is one reflector per step: step k maps e_k
+    onto the k-th eigenvector as carried through the reflectors before it,
+    which deflates column k of Q* A Q up to that vector's residual. Column
+    k is kept while the part dropped below its diagonal stays within
+    sqrt(n) eps ||A||_F. Inside a Jordan block or a tight cluster the
+    carried vectors lose that accuracy; from the first column past it, the
+    trailing block W gets a fresh eig, whose eigenvalues take the keys of
+    the nearest ones they replace. Should its first vector miss too, the
+    least right singular vector of W - lambda I replaces it (lambda is an
+    eigenvalue of a matrix near W), and is kept in any case.
+    """
     A = as_cmatrix(A)
-    T, Q = scipy.linalg.schur(A, output="complex")
+    n = A.shape[0]
+    W, Q = A.copy(), np.eye(n, dtype=complex)
+    tol = np.sqrt(n) * np.finfo(float).eps * fro(A)
+    w, V = np.linalg.eig(A)
+    keys = np.zeros(n, dtype=int) if key is None else np.asarray(key(w))
+    k = 0
+    while n - k > 1:
+        order = np.argsort(keys, kind="stable")
+        w, keys, V = w[order], keys[order], V[:, order]
+        H, M, kept = _deflation(W[k:, k:], V, tol)
+        if not kept:
+            # in a tight cluster eig's own vector can miss by far more
+            shifted = W[k:, k:] - w[0] * np.eye(n - k)
+            V[:, 0] = np.linalg.svd(shifted)[2][-1].conj()
+            H, M, kept = _deflation(W[k:, k:], V, tol)
+            kept = max(kept, 1)
+        W[:k, k:] = W[:k, k:] @ H
+        W[k:, k:] = M
+        Q[:, k:] = Q[:, k:] @ H
+        k += kept
+        if n - k > 1:
+            fresh, V = np.linalg.eig(W[k:, k:])
+            nearest = np.argmin(np.abs(fresh[:, None] - w[kept:]), axis=1)
+            w, keys, left = fresh, keys[kept:][nearest], keys[kept:]
+            if not np.array_equal(np.sort(keys), left):
+                raise SpectraOverlapError(
+                    "the trailing eigenvalues could not be matched to their "
+                    f"keys {left.tolist()}")
+    T = np.triu(W)
     return np.diag(T).copy(), T, Q
+
+
+def _deflation(W, V, tol):
+    """(H, H* W H, m): H the unitary QR factor of V, and m the number of
+    leading columns of H* W H whose part below the diagonal is within tol,
+    len(W) when every column is."""
+    H = np.linalg.qr(V)[0]
+    M = H.conj().T @ W @ H
+    dropped = np.linalg.norm(np.tril(M, -1), axis=0)[:-1]
+    late = np.flatnonzero(dropped > tol)
+    return H, M, late[0] if late.size else len(W)
 
 
 def block_labels(sizes):
@@ -85,9 +139,11 @@ def _require_upper_triangular(M, what):
 def sylvester_solve(R1, R2, C, tols: Tolerances = DEFAULT_TOLS):
     """Solve R1 X - X R2 = C for upper-triangular R1, R2 with disjoint spectra.
 
-    The spectra are read off the diagonals and one LAPACK ztrsyl call does
-    the Bartels-Stewart back substitution; the dense Kronecker
-    linearization is kept as an independent oracle in the test suite.
+    The spectra are read off the diagonals. X is the coupling of the unit
+    block-upper transform of [[R1, -C], [0, R2]] over the blocks R1, R2,
+    so the Bartels-Stewart back substitution is _unit_upper_transform's;
+    the dense Kronecker linearization is kept as an independent oracle in
+    the test suite.
     """
     R1, R2, C = as_cmatrix(R1), as_cmatrix(R2), np.asarray(C, dtype=complex)
     p, q = R1.shape[0], R2.shape[0]
@@ -103,28 +159,8 @@ def sylvester_solve(R1, R2, C, tols: Tolerances = DEFAULT_TOLS):
             f"spectra of the operands are not disjoint (gap {gap:.3e}, "
             f"scale {scale:.3e})"
         )
-    return _trsyl(R1, R2, C, tols)
-
-
-def _trsyl(R1, R2, C, tols):
-    """R1 X - X R2 = C by one ztrsyl call, gated on its relative residual.
-
-    The caller has checked that R1, R2 are finite, upper triangular and of
-    disjoint spectra; the gap and scale are recomputed only for the message
-    of a failing residual gate.
-    """
-    from scipy.linalg import lapack
-
-    X, s, info = lapack.ztrsyl(R1, R2, C, isgn=-1)
-    if info:
-        raise SpectraOverlapError(
-            f"triangular Sylvester solve failed (ztrsyl info {info})")
-    X /= s
-    denom = fro(C) or 1.0
-    residual = fro(R1 @ X - X @ R2 - C) / denom
-    if residual > tols.solve_tol:
-        raise _solve_residual_error(residual, np.diag(R1), np.diag(R2), tols)
-    return X
+    upper = np.block([[R1, -C], [np.zeros((q, p)), R2]])
+    return _unit_upper_transform((p, q), upper, tols)[:p, p:]
 
 
 def _solve_residual_error(residual, eigs1, eigs2, tols):
@@ -267,57 +303,58 @@ def _check_strictly_block_upper(off, labels):
                          f"block diagonal (max violation {bad:.3e})")
 
 
-def _unit_upper_transform(blocks, upper, tols):
-    """T with T blkdiag(blocks) T^-1 = upper, T unit block upper.
+def _unit_upper_transform(sizes, upper, tols):
+    """Unit block-upper T with upper T = T D, so T D T^-1 = upper, where D
+    is the block diagonal of upper over the block sizes.
 
-    The blocks and upper are upper triangular. Column block j of T is
-    (X_j; I; 0) with L_j X_j - X_j B_j = -upper[:s_j, block j], where s_j is
-    the offset of block B_j and L_j the leading s_j x s_j part of upper,
-    whose spectrum is that of the blocks before B_j; both operands are
-    triangular, so each column block is one ztrsyl call. When every block
-    is 1x1, T is the unit eigenvector matrix of upper (_eigenvector_transform).
+    The diagonal blocks are upper triangular, with disjoint spectra. T is
+    built bottom-up, one block row at a time (the ztrevc recurrence,
+    blocked: Bartels-Stewart). With e the end of row i's block, the part of
+    row i right of its block solves
+        T[i, e:] (upper[i, i] - D[e:, e:]) = -upper[i, i+1:] T[i+1:, e:],
+    which needs only the rows below it. When D[e:, e:] is diagonal this is
+    a division, and a diagonal block's rows are one vectorized step;
+    otherwise each row is a small solve. Column block J of T is the
+    Sylvester solve of block J against everything before it, and is gated
+    the same way: the relative residual of (upper T - T D) above block J
+    against upper above block J stays within solve_tol.
     """
-    if len(blocks) == upper.shape[0]:
-        return _eigenvector_transform(upper, tols)
-    T = np.eye(upper.shape[0], dtype=complex)
-    s = 0
-    for b in blocks:
-        e = s + b.shape[0]
-        if s:
-            T[:s, s:e] = _trsyl(upper[:s, :s], b, -upper[:s, s:e], tols)
-        s = e
-    return T
-
-
-def _eigenvector_transform(U, tols):
-    """Unit upper T with U T = T diag(U), for upper triangular U with
-    distinct diagonal entries.
-
-    Row i of T follows from the rows below it (the ztrevc recurrence):
-    T[i, j] (U[i, i] - U[j, j]) = -U[i, i+1:] T[i+1:, j] for j > i. Column
-    j is the 1x1 Sylvester solve of the column loop, and is gated the same
-    way: the relative residual of (U T - T diag(U))[:j, j] against
-    U[:j, j] stays within solve_tol.
-    """
-    n = U.shape[0]
-    lam = np.diag(U)
+    n = upper.shape[0]
+    lam = np.diag(upper)
+    labels = block_labels(sizes)
+    D = np.where(labels[:, None] == labels, upper, 0)
+    edges = np.cumsum((0, *sizes)).tolist()
+    # whether each block, and every block after it, is diagonal
+    coupled = np.logical_or.reduceat(np.triu(D, 1).any(axis=1), edges[:-1])
+    diagonal_on = (~np.logical_or.accumulate(coupled[::-1])[::-1]).tolist()
     T = np.eye(n, dtype=complex)
     with np.errstate(all="ignore"):
-        for i in range(n - 2, -1, -1):
-            T[i, i + 1:] = (-(U[i, i + 1:] @ T[i + 1:, i + 1:])
-                            / (lam[i] - lam[i + 1:]))
+        for b in range(len(sizes) - 2, -1, -1):
+            s, e = edges[b], edges[b + 1]
+            if diagonal_on[b]:
+                T[s:e, e:] = (-(upper[s:e, e:] @ T[e:, e:])
+                              / (lam[s:e, None] - lam[e:]))
+                continue
+            for i in range(e - 1, s - 1, -1):
+                rhs = -(upper[i, i + 1:] @ T[i + 1:, e:])
+                T[i, e:] = (rhs / (lam[i] - lam[e:]) if diagonal_on[b + 1]
+                            else np.linalg.solve(
+                                lam[i] * np.eye(n - e) - D[e:, e:].T, rhs))
         if not np.isfinite(T).all():
-            gap, _, _ = spectral_gap(lam, np.arange(n))
+            gap, _, _ = spectral_gap(lam, labels)
             raise IllConditionedError(
                 f"triangular transform overflows (gap {gap:.3e}, "
                 f"scale {np.abs(lam).max():.3e})")
-        defect = np.linalg.norm(np.triu(U @ T - T * lam, 1), axis=0)
-        rhs = np.linalg.norm(np.triu(U, 1), axis=0)
+        # Frobenius norm of each column block; both vanish on and below
+        # the block diagonal, exactly
+        TD = T * lam if diagonal_on[0] else T @ D
+        defect, rhs = (np.hypot.reduceat(np.linalg.norm(M, axis=0), edges[:-1])
+                       for M in (upper @ T - TD, upper - D))
         residual = defect / np.where(rhs > 0, rhs, 1.0)
     bad = np.flatnonzero(~(residual <= tols.solve_tol))
     if bad.size:
-        j = bad[0]
-        raise _solve_residual_error(residual[j], lam[:j], lam[j:j + 1], tols)
+        s, e = edges[bad[0]:bad[0] + 2]
+        raise _solve_residual_error(residual[bad[0]], lam[:s], lam[s:e], tols)
     return T
 
 
@@ -328,7 +365,7 @@ def block_triangular_similarity(blocks, off_diag, orientation="upper",
     Every block must be upper triangular, with pairwise disjoint spectra
     read off the diagonal; off_diag must vanish on and below (or above) the
     block diagonal. The transform is I + N with N strictly block triangular,
-    one Sylvester solve per column block after the first. The lower
+    found by one bottom-up block back-substitution. The lower
     orientation lists the blocks last to first, an exact index permutation
     that makes the target block upper over the same triangular blocks.
     """
@@ -359,7 +396,7 @@ def block_triangular_similarity(blocks, off_diag, orientation="upper",
     _check_strictly_block_upper(off[ix], keys[p])
     target = D + off
     T = np.empty_like(target)
-    T[ix] = _unit_upper_transform(blocks if upper else blocks[::-1],
+    T[ix] = _unit_upper_transform(sizes if upper else sizes[::-1],
                                   target[ix], tols)
     return certify_similarity(T, D, target, tols,
                               label=f"block-triangular-{orientation}")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from matwaring.canon import (
     _assign_to_clusters,
     _isotropic_vector,
-    _reorder_schur,
     block_diagonalize_by_cluster,
     cluster_eigenvalues,
     partition_spectrum,
@@ -343,10 +342,19 @@ def test_reorder_schur_matches_bubble_oracle(rng, n):
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     T0, Q0 = scipy.linalg.schur(A, output="complex")
     keys = rng.integers(0, max(2, n // 3), n)  # repeated keys
-    T, Q = _reorder_schur(T0, Q0, keys)
     T_ref, Q_ref, keys_ref = bubble_reorder_oracle(T0, Q0, keys)
     order = np.argsort(keys, kind="stable")
     assert keys_ref == sorted(keys)
+
+    def key(eigs):
+        # each eigenvalue's key is that of its position on T0's diagonal;
+        # the position breaks ties, so the order is the oracle's stable one
+        pos = np.argmin(np.abs(eigs[:, None] - np.diag(T0)), axis=1)
+        assert sorted(pos) == list(range(n))
+        return keys[pos] * n + pos
+
+    eigs, T, Q = eigendecompose(A, key=key)
+    assert np.array_equal(eigs, np.diag(T))
     assert np.allclose(np.diag(T), np.diag(T0)[order], rtol=0, atol=1e-12)
     assert np.allclose(np.diag(T), np.diag(T_ref), rtol=0, atol=1e-12)
     # same invariant subspaces: Q and Q_ref agree up to column phases
@@ -403,7 +411,7 @@ def assert_grouping_matches_oracle(diagonal):
 
 
 @pytest.mark.parametrize("diagonal, blocks", [
-    # two n/2 clusters: the one B's Schur form leads with goes first
+    # two n/2 clusters: the one np.linalg.eig lists first goes first
     ([5, 5, 5, 1, 1, 1], [[5, 5, 5], [1, 1, 1]]),
     ([1, 1, 1, 5, 5, 5], [[1, 1, 1], [5, 5, 5]]),
     # one n/2 cluster that sorts last still goes first

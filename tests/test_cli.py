@@ -164,10 +164,12 @@ class TestDecompose:
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
     @pytest.mark.parametrize("poly, mode, n", [
-        ("[X1,X2]", "four", 24), ("(X1+X2*X3+X3*X1)^4", "five", 12)])
+        ("[X1,X2]", "four", 24), ("(X1+X2*X3+X3*X1)^4", "five", 12),
+        ("[X1,X2]", "four", 33),    # the (p, q, r) pattern
+        ("[X1,X2]", "two", 31)])
     def test_determinism_across_blas_threads(self, tmp_path, poly, mode, n):
         A = random_complex(np.random.default_rng(n), n)
-        if mode == "four":
+        if mode != "five":
             A -= (np.trace(A) / n) * np.eye(n)
         target = write_matrix(tmp_path / "a.json", A)
         texts = []
@@ -280,7 +282,7 @@ class TestVerify:
         # reconstruction gate refuses their images
         ("(X1+X2)^40", "reconstruction residual"),
         ("+".join(["(X1+X2)^8"] * 1000), "reconstruction residual"),
-        ("+".join(f"X{i}*X{i + 1}" for i in range(1, 3000)),
+        ("+".join(f"X{a}*X{b}" for a in range(1, 65) for b in range(1, 65)),
          "malformed field 'polynomial': polynomial program exceeds the limit"),
         ("(" * 5000 + "X1" + ")" * 5000,
          "malformed field 'polynomial': polynomial text is nested too deeply"),
@@ -531,6 +533,10 @@ class TestClassifyCommand:
     def test_generic(self):
         code, out, _ = run_cli("classify", "[X1,X2]^2", "3")
         assert code == 0 and out.startswith("generic")
+
+    def test_variable_index_over_the_limit_is_a_parse_error(self):
+        code, _, err = run_cli("classify", "X100000000", "2")
+        assert code == 2 and "variable index exceeds" in err
 
 
 class TestSearchImageCommand:

@@ -11,6 +11,7 @@ from matwaring.errors import ParseError
 from matwaring.freealg import (
     PARSE_BUDGET,
     PROGRAM_BUDGET,
+    VARIABLE_LIMIT,
     NcPolynomial,
     _Parser,
     classify,
@@ -159,6 +160,24 @@ class TestParse:
             parse("X0")
         assert err.value.position == 0
 
+    def test_variable_index_up_to_the_limit(self):
+        f = parse(f"X1 + X{VARIABLE_LIMIT} + X007")
+        assert f.num_vars == VARIABLE_LIMIT
+        assert set(f.terms) == {(1,), (7,), (VARIABLE_LIMIT,)}
+
+    @pytest.mark.parametrize("var", [
+        f"X{VARIABLE_LIMIT + 1}", "X100000000", "X" + "9" * 5000,
+        "X00000000065",
+    ])
+    def test_variable_index_over_the_limit_fails_fast(self, var):
+        # one random matrix per variable index would be drawn for each
+        # sample; the text is refused before any of that happens
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="variable index exceeds") as err:
+            parse(f"X1 + 2*{var}")
+        assert err.value.position == 7
+        assert time.perf_counter() - start < 0.5
+
     def test_syntax_error_position(self):
         with pytest.raises(ParseError) as err:
             parse("X1 + ")
@@ -226,8 +245,10 @@ class TestParseBudget:
         ("X3 + (X1*X2+X2*X1+X1)^12", 22),
         # the power is made once; the sum of its 1000 copies runs out
         ("+".join(["(X1+X2)^8"] * 1000), 0),
-        # two nodes a product: the 2048th product runs out
-        ("+".join(f"X{i}*X{i + 1}" for i in range(1, 3000)), 22353),
+        # the 64 variable nodes, then one node a product: the 4033rd
+        # product runs out
+        ("+".join(f"X{a}*X{b}" for a in range(1, 65) for b in range(1, 65)),
+         31113),
         ("((X1^1000)^1000)^1000", 11),     # each power cheap, degree 10^9
         ("(" * 5000 + "X1" + ")" * 5000, 0),
     ], ids=["long-power", "huge-power", "many-words", "long-words",

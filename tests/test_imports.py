@@ -1,4 +1,5 @@
-"""Where scipy is loaded: only by the steps that need a Schur form.
+"""matwaring runs on numpy alone: no route, classification, CLI command or
+the verifier imports scipy, which the tests use only as an oracle.
 
 Each check runs in a fresh interpreter, because this test process has
 imported scipy long before.
@@ -9,54 +10,78 @@ import subprocess
 import sys
 import textwrap
 
-TWO_TERM_AND_VERIFY = """
-    import os, sys, tempfile
+import pytest
+
+# an import hook that refuses scipy and every submodule of it
+BLOCK_SCIPY = """
+    class NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError(f"{name} is blocked")
+            return None
+
+    sys.meta_path.insert(0, NoScipy())
+"""
+
+EVERY_ROUTE_AND_THE_CLI = """
+    import os, tempfile
     import numpy as np
     from matwaring import cli, freealg, serialize, waring
-    from matwaring.config import DEFAULT_TOLS
 
+    rng = np.random.default_rng(7)
+    T = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    A = T - np.trace(T) / 6 * np.eye(6)
+    A5 = T[:5, :5] - np.trace(T[:5, :5]) / 5 * np.eye(5)
     f = freealg.parse("[X1,X2]")
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    A -= np.trace(A) / 7 * np.eye(7)
-    cert = waring.two_term_decompose(f, A)
-    text = serialize.dumps_canonical(
-        serialize.certificate_to_json(cert, DEFAULT_TOLS))
+    g = freealg.parse("X1^2*X2 + X1")
+    assert waring.two_term_decompose(f, A5).mode == "two-term"
+    assert waring.waring_express(f, A).mode == "four-term"
+    assert waring.five_term_express(g, T).mode == "five-term"
+    assert freealg.classify(g, 3).is_identity_or_central is False
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cert.json")
-        with open(path, "w") as fh:
-            fh.write(text)
-        assert cli.main(["verify", path]) == 0
-    assert freealg.classify(f, 3).is_identity_or_central is False
-    waring.image_search(f, 4, waring.GOAL_MULTIPLICITY_HALF)
-"""
-
-FOUR_TERM = """
-    import numpy as np
-    from matwaring import freealg, waring
-
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    A -= np.trace(A) / 6 * np.eye(6)
-    waring.waring_express(freealg.parse("[X1,X2]"), A)
+        for mode, poly, M in (("two", "[X1,X2]", A5), ("four", "[X1,X2]", A),
+                              ("five", "X1^2*X2 + X1", T)):
+            target = os.path.join(tmp, mode + "-target.json")
+            with open(target, "w") as fh:
+                fh.write(serialize.dumps_canonical(serialize.matrix_to_json(M)))
+            out = os.path.join(tmp, mode + ".json")
+            assert cli.main(["decompose", poly, target, "--mode", mode,
+                             "--out", out]) == 0
+            assert cli.main(["verify", out]) == 0
+        assert cli.main(["classify", "[X1,X2]", "4"]) == 0
 """
 
 
-def scipy_modules_after(code):
-    """The scipy modules loaded once code has run in a fresh interpreter."""
+def scipy_modules_after(code, block=False):
+    """The scipy modules loaded once code has run in a fresh interpreter,
+    with scipy refused by an import hook when block is set."""
     report = ("\nprint(json.dumps(sorted(m for m in sys.modules"
               " if m.split('.')[0] == 'scipy')))")
+    hook = textwrap.dedent(BLOCK_SCIPY) if block else ""
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import json, sys\n" + textwrap.dedent(code) + report],
-        capture_output=True, text=True, check=True,
+         "import json, sys\n" + hook + textwrap.dedent(code) + report],
+        capture_output=True, text=True,
     )
+    assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_two_term_route_and_verify_never_load_scipy():
-    assert scipy_modules_after(TWO_TERM_AND_VERIFY) == []
+@pytest.mark.parametrize("block", [False, True],
+                         ids=["scipy-installed", "scipy-blocked"])
+def test_every_route_and_the_cli_run_without_scipy(block):
+    # installed, nothing loads it; refused, nothing needs it
+    assert scipy_modules_after(EVERY_ROUTE_AND_THE_CLI, block) == []
 
 
-def test_four_term_route_loads_scipy_for_its_schur_form():
-    assert "scipy.linalg" in scipy_modules_after(FOUR_TERM)
+def test_the_import_hook_blocks_scipy():
+    # the check above means something only if the hook refuses scipy
+    code = """
+        try:
+            import scipy.linalg
+        except ImportError as exc:
+            assert "blocked" in str(exc)
+        else:
+            raise AssertionError("scipy was imported")
+    """
+    assert scipy_modules_after(code, block=True) == []

@@ -20,7 +20,12 @@ from matwaring.linalg import (
     sylvester_solve,
 )
 
-from conftest import planted_matrix, planted_triangular, random_complex
+from conftest import (
+    planted_matrix,
+    planted_triangular,
+    random_complex,
+    random_unitary,
+)
 
 
 def kron_sylvester_oracle(A1, A2, C):
@@ -81,6 +86,100 @@ class TestEigendecompose:
         assert resid <= 1e-12 * np.linalg.norm(A)
         assert np.linalg.norm(Q @ Q.conj().T - np.eye(4)) < 1e-13
 
+
+
+def jordan_coupled(rng, values, size):
+    """A unitary similarity of the direct sum of size x size Jordan blocks,
+    one at each value."""
+    n = len(values) * size
+    J = np.diag(np.repeat(np.asarray(values, dtype=complex), size))
+    J += np.diag(np.arange(1, n) % size != 0, 1)
+    Q = random_unitary(rng, n)
+    return Q @ J @ Q.conj().T
+
+
+def assert_ordered_schur(A, key=None):
+    """eigendecompose(A, key) is a Schur form to n eps ||A||_F (at least
+    4 eps, the rounding of Q T Q* itself) with Q unitary and the diagonal in
+    key order; returns it."""
+    n = A.shape[0]
+    eps = np.finfo(float).eps
+    eigs, T, Q = eigendecompose(A, key)
+    assert np.array_equal(eigs, np.diag(T))
+    assert not np.tril(T, -1).any()
+    assert (np.linalg.norm(Q @ T @ Q.conj().T - A)
+            <= max(n, 4) * eps * np.linalg.norm(A))
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 8 * n * eps
+    if key is not None:
+        assert np.all(np.diff(key(eigs)) >= 0)
+    return eigs, T, Q
+
+
+def counting_eig(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    return calls
+
+
+class TestOrderedSchur:
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 33, 64])
+    def test_random(self, rng, n, monkeypatch):
+        calls = counting_eig(monkeypatch)
+        A = random_complex(rng, n)
+        assert_ordered_schur(A, lambda w: (w.real > 0).astype(int))
+        if n >= 12:
+            # the eigenvectors carry to the end: one eig, no fresh one
+            assert calls == [n]
+
+    def test_without_key_in_eig_order(self, rng):
+        A = random_complex(rng, 12)
+        eigs, _, _ = assert_ordered_schur(A)
+        w = np.linalg.eig(A)[0]
+        assert np.allclose(eigs, w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, size", [(8, 4), (32, 4), (32, 8), (64, 8)])
+    def test_jordan_coupled(self, rng, n, size, monkeypatch):
+        calls = counting_eig(monkeypatch)
+        A = jordan_coupled(rng, np.arange(n // size), size)
+        # the largest value first: every cluster moves
+        eigs, _, _ = assert_ordered_schur(
+            A, lambda w: -np.rint(w.real).astype(int))
+        assert len(calls) > 1   # the carried vectors lost their accuracy
+        assert np.allclose(np.rint(eigs.real),
+                           np.repeat(np.arange(n // size)[::-1], size))
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_one_jordan_block(self, rng, n):
+        assert_ordered_schur(jordan_coupled(rng, [0.0], n))
+
+    def test_unmatched_trailing_spectrum_is_refused(self, rng, monkeypatch):
+        # a fresh eig whose eigenvalues all sit at 5, where only four of the
+        # trailing keys belong
+        A = jordan_coupled(rng, [0.0, 5.0], 4)
+        eig = np.linalg.eig
+
+        def skewed(a):
+            w, V = eig(a)
+            return (w if a.shape[0] == 8 else np.full_like(w, 5.0)), V
+
+        monkeypatch.setattr(np.linalg, "eig", skewed)
+        with pytest.raises(SpectraOverlapError, match="matched to their keys"):
+            eigendecompose(A, lambda w: (w.real > 2.5).astype(int))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_half_multiplicity(self, rng, n):
+        # +1 and -1, n/2 times each, behind a non-normal similarity
+        X = random_complex(rng, n) + n * np.eye(n)
+        A = X @ np.diag(np.repeat([1.0, -1.0], n // 2)) @ np.linalg.inv(X)
+        eigs, _, _ = assert_ordered_schur(A, lambda w: (w.real < 0).astype(int))
+        assert np.allclose(eigs, np.repeat([-1.0, 1.0], n // 2)[::-1],
+                           rtol=0, atol=1e-8)
 
 class TestSylvester:
     def test_scalar_case(self):
@@ -258,6 +357,69 @@ class TestBlockTriangular:
             S = recursive_transform_oracle([b.T for b in blocks], off.T)
             T_ref = np.linalg.inv(S).T
         assert np.linalg.norm(T - T_ref) <= 1e-12 * np.linalg.norm(T_ref)
+
+    @pytest.mark.parametrize("orientation", ["upper", "lower"])
+    @pytest.mark.parametrize("sizes, diagonal", [
+        ((16, 16), (True, True)),           # a witness's case A groups
+        ((10, 13, 10), (True, True, True)),  # its case B groups at n = 33
+        ((3, 4, 2), (True, False, True)),
+        ((3, 4, 2), (False, True, True)),
+        ((2, 3, 4), (True, True, False)),
+    ])
+    def test_diagonal_and_triangular_blocks_match_sylvester_oracle(
+            self, rng, orientation, sizes, diagonal):
+        # a diagonal block over diagonal blocks is one division step, any
+        # other block row a row at a time; both against solve_sylvester
+        n = sum(sizes)
+        eigs = np.linalg.eigvals(random_complex(rng, n))
+        edges = np.cumsum((0,) + sizes)
+        blocks = [np.diag(eigs[a:b]) if diag
+                  else planted_triangular(rng, eigs[a:b])
+                  for a, b, diag in zip(edges, edges[1:], diagonal)]
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        upper = labels[None, :] > labels[:, None]
+        off = random_complex(rng, n) * (upper if orientation == "upper"
+                                        else upper.T)
+        T = block_triangular_similarity(blocks, off, orientation).t
+        if orientation == "upper":
+            T_ref = recursive_transform_oracle(blocks, off)
+        else:
+            S = recursive_transform_oracle([b.T for b in blocks], off.T)
+            T_ref = np.linalg.inv(S).T
+        assert np.linalg.norm(T - T_ref) <= 1e-12 * np.linalg.norm(T_ref)
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_block_residual_message(self, rng, diagonal):
+        # the gate of column block J reports the gap between block J and
+        # the blocks before it, and their scale, like a Sylvester solve
+        sizes = (2, 3, 2)
+        n = sum(sizes)
+        eigs = np.linalg.eigvals(random_complex(rng, n))
+        edges = np.cumsum((0,) + sizes)
+        blocks = [np.diag(eigs[a:b]) if diagonal
+                  else planted_triangular(rng, eigs[a:b])
+                  for a, b in zip(edges, edges[1:])]
+        d = np.concatenate([np.diag(b) for b in blocks])
+        labels = np.repeat(np.arange(3), sizes)
+        off = random_complex(rng, n) * (labels[None, :] > labels[:, None])
+        tols = dataclasses.replace(DEFAULT_TOLS, solve_tol=1e-300)
+        with pytest.raises(IllConditionedError) as err:
+            block_triangular_similarity(blocks, off, "upper", tols)
+        gap = np.abs(d[:2, None] - d[2:5]).min()
+        scale = np.abs(d[:5]).max()
+        assert f"(gap {gap:.3e}, scale {scale:.3e})" in str(err.value)
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (4, 3), (8, 8)])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_sylvester_solve_matches_scipy(self, rng, p, q, diagonal):
+        eigs = np.linalg.eigvals(random_complex(rng, p + q))
+        R1, R2 = ((np.diag(eigs[:p]), np.diag(eigs[p:])) if diagonal else
+                  (planted_triangular(rng, eigs[:p]),
+                   planted_triangular(rng, eigs[p:])))
+        C = random_complex(rng, max(p, q))[:p, :q]
+        X = sylvester_solve(R1, R2, C)
+        X_ref = scipy.linalg.solve_sylvester(R1, -R2, C)
+        assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
 
     @pytest.mark.parametrize("orientation", ["upper", "lower"])
     def test_scalar_blocks_residual_message(self, rng, orientation):
