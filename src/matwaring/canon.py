@@ -75,10 +75,18 @@ class SpectralPartition:
 
 @dataclass
 class HollowForm:
-    """M = T A T^-1 with (numerically) zero diagonal; to_hollow maps A to M."""
+    """M = T A T^-1 with (numerically) zero diagonal; to_hollow maps A to M.
+    reflectors and rounds count the steps of zero_diagonal_similarity that
+    ran."""
 
     m: np.ndarray
     to_hollow: SimilarityCertificate
+    reflectors: int
+    rounds: int
+
+    @property
+    def step_counts(self):
+        return f"{self.reflectors} reflectors, {self.rounds} rounds"
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +210,24 @@ def _fov_vector(C, s):
     Closed-form 2x2 inverse field of values (Carden 2009; Meurant 2012):
     with v = (cos phi, e^{i psi} sin phi), the phase psi turns the cross
     term onto the line through the diagonal entries and phi moves the
-    value along that line.
+    value along that line. C may be a stack (..., 2, 2), with s a scalar
+    or of shape (...); v then has shape (..., 2).
     """
-    (a, b), (c, d) = C
+    a, b, c, d = C[..., 0, 0], C[..., 0, 1], C[..., 1, 0], C[..., 1, 1]
     delta = d - a
     kappa = b * np.conj(delta) - np.conj(c) * delta
-    phase = np.conj(kappa) / abs(kappa) if kappa else 1.0
+    mag = np.abs(kappa)
+    phase = np.where(mag > 0, np.conj(kappa) / np.where(mag > 0, mag, 1.0),
+                     1.0)
     r = ((b * np.conj(delta) + np.conj(c) * delta) * phase).real
-    p = abs(delta) ** 2
-    # r sin(theta) - p cos(theta) = (2s - 1) p with theta = 2 phi
+    p = np.abs(delta) ** 2
+    # r sin(theta) - p cos(theta) = (2s - 1) p with theta = 2 phi; a radius
+    # of 0 means equal diagonal entries, already the value asked for
     radius = np.hypot(p, r)
-    cos = (1 - 2 * s) * p / radius if radius else 1.0
+    cos = np.where(radius > 0,
+                   (1 - 2 * s) * p / np.where(radius > 0, radius, 1.0), 1.0)
     theta = np.arccos(np.clip(cos, -1.0, 1.0)) - np.arctan2(r, p)
-    return np.array([np.cos(theta / 2), phase * np.sin(theta / 2)])
+    return np.stack([np.cos(theta / 2), phase * np.sin(theta / 2)], axis=-1)
 
 
 def _isotropic_vector(B):
@@ -254,14 +267,40 @@ def _isotropic_vector(B):
     return x
 
 
+def _midpoint_round(W, P, p, q):
+    """One butterfly round: W <- G* W G and P <- P G, with G the identity
+    but for U = [[v0, -v1*], [v1, v0*]] on each pair (p_i, q_i) of disjoint
+    indices, v the midpoint vector of the pair's 2x2 block. Each pair's two
+    diagonal entries both become their mean."""
+    C = np.stack([W[p, p], W[p, q], W[q, p], W[q, q]], -1).reshape(-1, 2, 2)
+    v = _fov_vector(C, 0.5)
+    a, b = v[:, 0], v[:, 1]
+    Wp, Wq = W[p], W[q]
+    W[p] = a.conj()[:, None] * Wp + b.conj()[:, None] * Wq
+    W[q] = a[:, None] * Wq - b[:, None] * Wp
+    for X in (W, P):
+        Xp, Xq = X[:, p], X[:, q]
+        X[:, p] = Xp * a + Xq * b
+        X[:, q] = Xq * a.conj() - Xp * b.conj()
+
+
 def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
     """Unitary similarity M = T A T* with zero diagonal; requires trace zero.
 
-    One Householder reflector per diagonal entry: step k maps e_k to a unit
-    isotropic vector x of the trailing block W[k:, k:] (x* W x = 0), which
-    zeroes W[k, k] and leaves a trailing block of trace zero again
-    (Fillmore 1969). Stops early whenever the remaining diagonal is
-    already negligible. T is unitary, so its condition estimate is n.
+    With m the largest power of two at most n, the first r = n - m diagonal
+    entries are zeroed one Householder reflector each: step k maps e_k to a
+    unit isotropic vector x of the trailing block W[k:, k:] (x* W x = 0),
+    which zeroes W[k, k] and leaves a trailing block of trace zero again
+    (Fillmore 1969). The trailing m x m block then takes log2 m butterfly
+    rounds: round h pairs each index of every aligned group of 2h with the
+    one h further on, and a 2x2 rotation per pair moves both diagonal
+    entries to their midpoint, which lies in the pair's field of values
+    (Toeplitz-Hausdorff). The pairs of a round are disjoint, so a round is
+    one vectorized update; after it every aligned group of 2h shares one
+    diagonal value, and after the last all equal trace / m = 0. Stops early
+    whenever the remaining diagonal is already negligible. T is unitary, so
+    its condition estimate is n. The result records how many reflectors
+    and rounds ran.
     """
     A = as_cmatrix(A)
     n = A.shape[0]
@@ -272,7 +311,10 @@ def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
         )
     W = A.copy()
     P = np.eye(n, dtype=complex)  # accumulated unitary: M = P* A P
-    for k in range(n - 1):
+    m = 1 << max(n.bit_length() - 1, 0)
+    r = n - m
+    reflectors = rounds = 0
+    for k in range(r):
         if np.abs(np.diag(W)[k:]).max() <= tols.hollow_tol * norm_a:
             break
         # reflector H = I - 2 u u* with H x = -e^{i arg x_1} e_1, so H e_1 is
@@ -283,10 +325,20 @@ def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
         W[k:, :] -= 2 * np.outer(u, u.conj() @ W[k:, :])
         W[:, k:] -= 2 * np.outer(W[:, k:] @ u, u.conj())
         P[:, k:] -= 2 * np.outer(P[:, k:] @ u, u.conj())
+        reflectors += 1
+    # an early stop above leaves the trailing diagonal negligible too
+    while ((1 << rounds) < m
+           and np.abs(np.diag(W)[r:]).max() > tols.hollow_tol * norm_a):
+        h = 1 << rounds
+        p = r + np.arange(m).reshape(-1, 2, h)[:, 0].ravel()
+        _midpoint_round(W, P, p, p + h)
+        rounds += 1
     cert = certify_similarity(P.conj().T, A, W, tols, label="zero-diagonal")
+    hollow = HollowForm(W, cert, reflectors, rounds)
     worst = float(np.abs(np.diag(W)).max(initial=0.0))
     if worst > tols.hollow_tol * max(fro(W), np.finfo(float).tiny):
         raise ResidualTooLargeError(
-            "deflation left a nonzero diagonal on the result", worst
+            "deflation left a nonzero diagonal on the result "
+            f"({hollow.step_counts})", worst,
         )
-    return HollowForm(W, cert)
+    return hollow

@@ -156,7 +156,8 @@ def cmd_verify(args):
             print(f"      {extra}")
         return EXIT_VERIFY_FAILED
     steps = "step" if verdict.steps == 1 else "steps"
-    print(f"OK: {doc['mode']} certificate verifies (n={verdict.n}, "
+    claim = " a matrix-level claim" if verdict.matrix_level else ""
+    print(f"OK: {doc['mode']} certificate verifies{claim} (n={verdict.n}, "
           f"residual {verdict.residual:.1e} <= {verdict.bound:.1e}, "
           f"{verdict.steps} similarity {steps})")
     return EXIT_OK

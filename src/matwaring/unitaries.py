@@ -279,7 +279,8 @@ def _solve_cell_pairs(M, U, labels, I, J, C1, C2):
     C2[rows, cols] = np.where(free, x[..., dI * dJ :, 0].reshape(free.shape), 0)
 
 
-def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS):
+def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS,
+                 step_counts=None):
     """Write a hollow M as C1 + U C2 U* with C1, C2 in V(pattern).
 
     U is zero between the cells of its layout, so the system splits into one
@@ -289,7 +290,8 @@ def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS):
     when M's diagonal is zero, but the diagonal that hollow_tol lets through
     is not absorbed: on a graded M it can exceed split_tol. A failure
     reports ||M||_F, the spread of M's entries and its largest diagonal
-    entry.
+    entry, and names `step_counts`, the zero-diagonal steps that made M,
+    when given.
     """
     M = as_cmatrix(M)
     n = M.shape[0]
@@ -311,9 +313,10 @@ def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS):
     residual = fro(M - C1 - U @ C2 @ U.conj().T)
     if residual > tols.split_tol * max(1.0, fro(M)):
         mags = np.abs(M[M != 0])
+        made = f" ({step_counts})" if step_counts else ""
         raise ResidualTooLargeError(
-            f"hollow split of the zero-diagonal form M over {pattern} failed "
-            f"(||M||_F {fro(M):.3e}, max/min nonzero |M_ij| "
+            f"hollow split of the zero-diagonal form M{made} over {pattern} "
+            f"failed (||M||_F {fro(M):.3e}, max/min nonzero |M_ij| "
             f"{mags.max() / mags.min():.3e}, max |M_ii| {diag_mag:.3e})",
             residual,
         )

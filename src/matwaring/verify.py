@@ -5,8 +5,12 @@ text into its program, without multiplying it out, runs it on every stored
 argument tuple and recomputes the signed sum against the target. That
 reconstruction gate is what a pass proves. The similarity steps, which only
 matrix-level certificates carry, are checked too: every residual is
-recomputed from the stored transform and its stored inverse. None of the
-construction pipeline is imported, so a passing verdict does not trust it.
+recomputed from the stored transform and its stored inverse. A
+matrix-level certificate (no tuples) passes only if every term is the
+target of a stored step whose source is the stored witness, entry for
+entry, so its pass proves that the target is the signed sum of matrices
+similar to the witness. None of the construction pipeline is imported, so
+a passing verdict does not trust it.
 
 The verifier sets its own bounds: the reconstruction residual must be at
 most `DEFAULT_TOLS.end_tol * max(1, ||target||_F)` and the step gates use
@@ -44,13 +48,15 @@ def _fro(M):
 class Verdict:
     """What `check_certificate` found: the failures (none means the
     certificate verifies) and, as far as the check got, the matrix size,
-    the reconstruction residual, the bound it was held to and the number of
-    similarity steps checked."""
+    the reconstruction residual, the bound it was held to, the number of
+    similarity steps checked and whether the terms were checked as
+    matrices tied to the witness (no tuples) rather than as f-images."""
     failures: list = field(default_factory=list)
     n: int | None = None
     residual: float | None = None
     bound: float | None = None
     steps: int = 0
+    matrix_level: bool = False
 
 
 def _tightened(stored, own):
@@ -157,6 +163,7 @@ def _check(doc, verdict):
     if not _list_of(steps, dict):
         return failures + ["malformed field 'similarity_steps': not a list "
                            "of objects"]
+    ties = []  # (source, target) of every step
     for idx, step in enumerate(steps):
         label = step.get("label") or f"step {idx}"
         mats = _matrices([step.get(k) for k in ("t", "t_inv", "source",
@@ -166,6 +173,7 @@ def _check(doc, verdict):
                 f"malformed field 'similarity_steps': step {label!r} needs "
                 f"{n}x{n} matrices t, t_inv, source and target"]
         T, T_inv, source, step_target = mats
+        ties.append((source, step_target))
         r_inv = _fro(T @ T_inv - np.eye(n))
         if not r_inv <= cert_tol:
             failures.append(
@@ -215,6 +223,17 @@ def _check(doc, verdict):
         if images is None:
             return failures + [f"malformed field 'terms': not a list of "
                                f"{n}x{n} matrices"]
+        witness = _matrices([doc.get("witness")], n)
+        if witness is None:
+            return failures + [f"malformed field 'witness': not a {n}x{n} "
+                               "matrix"]
+        verdict.matrix_level = True
+        for k, W in enumerate(images):
+            if not any(np.array_equal(source, witness[0])
+                       and np.array_equal(step_target, W)
+                       for source, step_target in ties):
+                failures.append(f"term {k} is not tied to the witness: no "
+                                "similarity step maps the witness onto it")
 
     if len(images) != len(coeffs):
         failures.append(

@@ -205,7 +205,7 @@ def _four_term(B, A, part, tols):
         )
 
     hollow = zero_diagonal_similarity(A, tols)
-    split = split_hollow(hollow.m, part.block_sizes, tols)
+    split = split_hollow(hollow.m, part.block_sizes, tols, hollow.step_counts)
     cert = _assemble(MODE_FOUR_TERM, B, A, part, hollow,
                      [(split.c1, None), (split.c2, split.u)], tols)
     cert.residual, cert.residual_bound = _residual_gate(

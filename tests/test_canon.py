@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 
 from matwaring.canon import (
     _assign_to_clusters,
+    _fov_vector,
     _isotropic_vector,
     block_diagonalize_by_cluster,
     cluster_eigenvalues,
@@ -17,6 +21,7 @@ from matwaring.errors import (
     ClusterGapTooSmallError,
     MultiplicityTooLargeError,
     NonzeroTraceError,
+    ResidualTooLargeError,
 )
 from matwaring.linalg import blkdiag, eigendecompose, fro
 
@@ -164,6 +169,16 @@ class TestZeroDiagonal:
             assert np.abs(np.diag(hol.m)).max() <= 1e-8 * np.linalg.norm(hol.m)
             assert np.allclose(sorted_eigs(hol.m), sorted_eigs(A), atol=1e-8)
 
+    def test_failure_names_its_steps(self):
+        # a hollow_tol below rounding: every step runs and the gate fails
+        tols = dataclasses.replace(DEFAULT_TOLS, hollow_tol=1e-30)
+        A = np.arange(25.0).reshape(5, 5) % 7
+        A[0, 0] -= np.trace(A)
+        with pytest.raises(ResidualTooLargeError, match=re.escape(
+                "deflation left a nonzero diagonal on the result "
+                "(1 reflectors, 2 rounds) (residual ")):
+            zero_diagonal_similarity(A, tols)
+
     def test_certificate_orientation(self, rng):
         # the stored transform maps the input onto the hollow form
         A = random_traceless(rng, 5)
@@ -171,6 +186,67 @@ class TestZeroDiagonal:
         cert = hol.to_hollow
         assert np.linalg.norm(cert.t @ A @ cert.t_inv - hol.m) <= 1e-9 * (
             cert.condition_estimate * np.linalg.norm(A))
+
+
+def test_fov_vector_stack_matches_each_matrix(rng):
+    # random blocks plus the degenerate ones: equal diagonal entries
+    # (radius 0), a segment for a field of values (kappa 0), zero
+    dense = (rng.standard_normal((40, 2, 2))
+             + 1j * rng.standard_normal((40, 2, 2)))
+    degenerate = np.array([np.ones((2, 2)), np.diag([1.0, -1.0]),
+                           [[1.0, 2.0], [2.0, -1.0]], np.zeros((2, 2))])
+    C = np.concatenate([dense, degenerate])
+    s = np.r_[rng.random(40), 0.0, 0.5, 1.0, 0.5]
+    v = _fov_vector(C, s)
+    # vectorized transcendentals may round differently from scalar ones
+    each = np.array([_fov_vector(Ci, si) for Ci, si in zip(C, s)])
+    assert np.abs(v - each).max() <= 4 * _EPS
+    assert np.abs(np.linalg.norm(v, axis=1) - 1).max() <= 4 * _EPS
+    value = np.einsum("ki,kij,kj->k", v.conj(), C, v)
+    wanted = (1 - s) * C[:, 0, 0] + s * C[:, 1, 1]
+    assert np.all(np.abs(value - wanted)
+                  <= 16 * _EPS * np.linalg.norm(C, axis=(1, 2)))
+
+
+def assert_unitary_hollow(A, hol):
+    n = A.shape[0]
+    T, M = hol.to_hollow.t, hol.m
+    assert fro(T @ T.conj().T - np.eye(n)) <= 1e-13 * n
+    assert fro(T @ A @ T.conj().T - M) <= 1e-13 * n * fro(A)
+    assert np.abs(np.diag(M)).max() <= DEFAULT_TOLS.hollow_tol * fro(M)
+
+
+_PAIR_C = {"diag": np.diag([1.0, -1.0]), "dense": np.array([[1.0, 2.0],
+                                                            [3.0, -1.0]])}
+
+
+@pytest.mark.parametrize("A", [
+    blkdiag([np.ones((2, 2)), -np.eye(2)]),
+    *[np.kron(np.eye(4), C) for C in _PAIR_C.values()],
+    *[np.kron(C, np.ones((4, 4))) for C in _PAIR_C.values()],
+], ids=["ones-plus-minus-identity",
+        *[f"kron-identity-{k}" for k in _PAIR_C],
+        *[f"kron-{k}-ones" for k in _PAIR_C]])
+def test_zero_diagonal_degenerate_pairs(A):
+    # butterfly pairs with equal diagonal entries (radius 0) or a segment
+    # for a field of values (kappa 0): the midpoint rotation must stay
+    # finite and unitary
+    hol = zero_diagonal_similarity(A)
+    assert hol.rounds > 0
+    assert_unitary_hollow(A.astype(complex), hol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 31, 32, 33, 63, 64])
+def test_zero_diagonal_sizes_around_powers_of_two(n):
+    # n - m reflectors, then log2 m butterfly rounds, m = 2^floor(log2 n)
+    A = random_traceless(np.random.default_rng(n), n)
+    hol = zero_diagonal_similarity(A)
+    m = 1 << (n.bit_length() - 1)
+    assert (hol.reflectors, hol.rounds) == (n - m, m.bit_length() - 1)
+    assert_unitary_hollow(A, hol)
+    # random spectra are well separated: match each eigenvalue both ways
+    dist = np.abs(np.linalg.eigvals(hol.m)[:, None] - np.linalg.eigvals(A))
+    assert max(dist.min(0).max(), dist.min(1).max()) <= 1e-10 * fro(A)
 
 
 def _test_blocks(rng, d):
@@ -248,10 +324,8 @@ def test_zero_diagonal_similarity_property(case):
     A = _target(*case)
     n = A.shape[0]
     hol = zero_diagonal_similarity(A)
-    T, M = hol.to_hollow.t, hol.m
-    assert fro(T @ T.conj().T - np.eye(n)) <= 1e-13 * n
-    assert fro(T @ A @ T.conj().T - M) <= 1e-13 * n * fro(A)
-    assert np.abs(np.diag(M)).max() <= DEFAULT_TOLS.hollow_tol * fro(M)
+    assert_unitary_hollow(A, hol)
+    M = hol.m
     # every eigenvalue of M is one of A up to a perturbation of size
     # sigma_min(A - mu I); Jordan and graded spectra are too ill-conditioned
     # to compare eigenvalue lists directly

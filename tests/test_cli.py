@@ -166,7 +166,8 @@ class TestDecompose:
     @pytest.mark.parametrize("poly, mode, n", [
         ("[X1,X2]", "four", 24), ("(X1+X2*X3+X3*X1)^4", "five", 12),
         ("[X1,X2]", "four", 33),    # the (p, q, r) pattern
-        ("[X1,X2]", "two", 31)])
+        ("[X1,X2]", "two", 31),
+        ("[X1,X2]", "two", 64)])   # butterfly rounds only, no reflector
     def test_determinism_across_blas_threads(self, tmp_path, poly, mode, n):
         A = random_complex(np.random.default_rng(n), n)
         if mode != "five":
@@ -211,8 +212,9 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "cert.json")]) == 0
         stdout = capsys.readouterr().out
+        claim = "a matrix-level claim " if matrix_level else ""
         assert stdout.startswith(f"OK: {doc['mode']} certificate verifies "
-                                 "(n=3, residual ")
+                                 f"{claim}(n=3, residual ")
         assert stdout.endswith(f" <= {bound:.1e}, {steps} similarity "
                                "steps)\n")
 
@@ -275,6 +277,31 @@ class TestVerify:
         failures = verify_certificate(doc)
         assert len(failures) >= len(doc["similarity_steps"])
         assert all(f.startswith("similarity step") for f in failures)
+
+    @pytest.mark.parametrize("keep_steps", [False, True])
+    def test_matrix_level_terms_must_be_tied_to_the_witness(
+            self, tmp_path, a3, keep_steps):
+        # terms (A, 0, 0, 0) sum to the target exactly; no step maps the
+        # witness onto them, so the document proves nothing about them
+        doc = json.loads(open(self.make_cert(tmp_path, a3,
+                                             matrix_level=True)).read())
+        assert verify_certificate(doc) == []
+        zero = matrix_to_json(np.zeros((3, 3)))
+        doc["terms"] = [doc["target"], zero, zero, zero]
+        if not keep_steps:
+            doc["similarity_steps"] = []
+        verdict = check_certificate(doc)
+        assert verdict.residual == 0.0
+        assert verdict.failures == [
+            f"term {k} is not tied to the witness: no similarity step maps "
+            "the witness onto it" for k in range(4)]
+
+    def test_matrix_level_document_needs_its_witness(self, tmp_path, a3):
+        doc = json.loads(open(self.make_cert(tmp_path, a3,
+                                             matrix_level=True)).read())
+        del doc["witness"]
+        assert verify_certificate(doc) == [
+            "malformed field 'witness': not a 3x3 matrix"]
 
     @pytest.mark.parametrize("text, failure", [
         ("X1^1000000", "malformed field 'polynomial': polynomial degree"),

@@ -112,8 +112,13 @@ def certificate_doc(waring_certificate):
 @pytest.fixture(scope="module")
 def matrix_level_doc(waring_certificate):
     """The same construction written without its tuples: terms, witness and
-    every similarity step, as the route documents held them before."""
-    cert = dataclasses.replace(waring_certificate, tuples=None)
+    every similarity step, as the route documents held them before. The
+    terms are the assembled matrices, the targets of the term steps, not f
+    re-evaluated on the tuples; the five-term trace term stays f(t0)."""
+    cert = waring_certificate
+    trace_terms = cert.terms[:len(cert.terms) - len(cert.term_certs)]
+    cert = dataclasses.replace(cert, tuples=None, terms=[
+        *trace_terms, *(c.target for c in cert.term_certs)])
     return certificate_to_json(cert, DEFAULT_TOLS, seed=3, budget=1000)
 
 
@@ -208,7 +213,14 @@ def test_matrix_level_document_adds_steps_and_witness(waring_certificate,
     assert [s["label"] for s in doc["similarity_steps"]] == [
         c.label for c in steps]
     assert len(steps) > 0
-    assert verify_certificate(json.loads(dumps_canonical(doc))) == []
+    failures = verify_certificate(json.loads(dumps_canonical(doc)))
+    if cert.mode == "five-term":
+        # the trace term is an image of f, not similar to the witness: only
+        # its tuple can prove it
+        assert failures == ["term 0 is not tied to the witness: no "
+                            "similarity step maps the witness onto it"]
+    else:
+        assert failures == []
 
 
 def test_matrix_level_certificate_keeps_steps_and_witness(rng):

@@ -410,14 +410,16 @@ def test_large_targets_verify(route, A):
 
 def test_graded_target_failure_names_its_stage():
     # D A D^-1 keeps A's diagonal, which is within hollow_tol of the graded
-    # norm, so no reflector runs (M = A) and the split cannot absorb it
+    # norm, so no reflector or butterfly round runs (M = A) and the split
+    # cannot absorb it
     D = np.logspace(0, 8, 8)
     A = D[:, None] / D * _ROADMAP_TARGET
     with pytest.raises(ResidualTooLargeError) as err:
         waring_express(parse("[X1,X2]"), A)
     mags = np.abs(A[A != 0])
     assert str(err.value).startswith(
-        "hollow split of the zero-diagonal form M over (4, 4) failed "
+        "hollow split of the zero-diagonal form M (0 reflectors, 0 rounds) "
+        "over (4, 4) failed "
         f"(||M||_F {fro(A):.3e}, max/min nonzero |M_ij| "
         f"{mags.max() / mags.min():.3e}, "
         f"max |M_ii| {np.abs(np.diag(A)).max():.3e}) (residual ")
