@@ -37,6 +37,13 @@ def fro(A):
         return float(np.linalg.norm(A))
 
 
+def read_only(a):
+    """a, with writing switched off: for arrays that are kept and shared
+    between results."""
+    a.setflags(write=False)
+    return a
+
+
 def blkdiag(blocks):
     blocks = [as_cmatrix(b) for b in blocks]
     n = sum(b.shape[0] for b in blocks)

@@ -18,6 +18,7 @@ refused, so every certificate is strict JSON.
 
 import dataclasses
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -43,6 +44,17 @@ def matrix_from_json(doc):
     if len(entries) != n * n:
         raise ValueError(f"matrix document claims n={n} but has "
                          f"{len(entries)} entries")
+    # one conversion of the whole list when every entry is a pair and numpy
+    # makes floats of them all (bools and ints included, as complex() does);
+    # anything else goes entry by entry, which names the bad one
+    flat = None
+    try:
+        if set(map(len, entries)) <= {2}:
+            flat = np.array(list(chain.from_iterable(entries)))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if flat is not None and flat.dtype == float and flat.shape == (2 * n * n,):
+        return flat.view(complex).reshape(n, n)
     values = []
     for k, entry in enumerate(entries):
         try:
@@ -111,15 +123,25 @@ def certificate_to_json(cert, tols, seed=None, budget=None):
 
 def dumps_canonical(doc):
     """Deterministic JSON text: sorted keys, no spaces, floats as their
-    shortest round-trip repr; NaN and infinities raise ValueError."""
+    shortest round-trip repr; NaN and infinities raise ValueError.
+
+    The encoder's cycle check is off: the documents are trees, built fresh
+    by certificate_to_json and matrix_to_json, and the check's bookkeeping
+    for every list and dict is a tenth of the writing time. A document that
+    contains itself still raises, as RecursionError instead of ValueError,
+    and returns no text.
+    """
     return json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False) + "\n"
+                      allow_nan=False, check_circular=False) + "\n"
 
 
 def save_certificate(path, cert, tols, seed=None, budget=None):
-    doc = certificate_to_json(cert, tols, seed=seed, budget=budget)
+    # the text is made before the file is opened, so a failed write leaves
+    # no file behind
+    text = dumps_canonical(certificate_to_json(cert, tols, seed=seed,
+                                               budget=budget))
     with open(path, "w") as fh:
-        fh.write(dumps_canonical(doc))
+        fh.write(text)
 
 
 def load_json(path):

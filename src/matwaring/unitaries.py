@@ -9,13 +9,14 @@ A pattern is either (h, h) with h = n/2 (two equal blocks, n even) or
 (p, q, r) with p + q + r = n and p, q, r < n/2.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ResidualTooLargeError
-from .linalg import SubspaceBasis, as_cmatrix, block_labels, fro
+from .linalg import SubspaceBasis, as_cmatrix, block_labels, fro, read_only
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def _cells_for_pattern(n, pattern):
     return cells, (r1, r2, r3), corner
 
 
-def build_decoupling_unitary(n, pattern, tols: Tolerances = DEFAULT_TOLS):
+def build_decoupling_unitary(n, pattern):
     """Unitary U such that anything commuting with the pattern projectors and
     their U-conjugates is diagonal (verified downstream via the commutant
     dimension). Deterministic in (n, pattern)."""
@@ -261,22 +262,55 @@ def hollow_block_basis(n, pattern):
     return SubspaceBasis(n, tuple(mats)), positions
 
 
-def _solve_cell_pairs(M, U, labels, I, J, C1, C2):
-    """Minimum-norm solves of M[I, J] = C1[I, J] + R_I C2[I, J] R_J* for all
-    pairs of cells (rows of I, rows of J); row-major, the C2 columns are
-    kron(R_I, conj(R_J)). Positions inside a diagonal block are not unknowns:
-    their columns are zeroed and only the free positions are written back."""
-    rows, cols = I[:, None, :, None], J[None, :, None, :]
-    free = labels[rows] != labels[cols]
-    kI, kJ, dI, dJ = free.shape
-    RI = U[I[:, :, None], I[:, None, :]]
-    RJ = U[J[:, :, None], J[:, None, :]]
-    kron = np.einsum("pac,qbd->pqabcd", RI, RJ.conj()).reshape(kI, kJ, dI * dJ, -1)
-    mask = free.reshape(kI, kJ, 1, dI * dJ)
-    system = np.concatenate([np.eye(dI * dJ) * mask, kron * mask], axis=-1)
-    x = np.linalg.pinv(system) @ M[rows, cols].reshape(kI, kJ, -1, 1)
-    C1[rows, cols] = np.where(free, x[..., : dI * dJ, 0].reshape(free.shape), 0)
-    C2[rows, cols] = np.where(free, x[..., dI * dJ :, 0].reshape(free.shape), 0)
+# The split plan depends on (n, pattern) alone; a four-term run meets one or
+# two of them, so a few keys cover every caller.
+_SPLIT_PLAN_KEYS = 8
+
+
+@dataclass(frozen=True)
+class _CellPairs:
+    """One batch of cell pairs (rows of I, rows of J) of a split plan.
+
+    rows and cols index the pairs' positions of M, free marks those outside
+    the pattern's diagonal blocks, and pinv is the minimum-norm solver of
+    M[I, J] = C1[I, J] + R_I C2[I, J] R_J* for each pair: the pseudo-inverse
+    of [diag(free) | kron(R_I, conj(R_J)) diag(free)] (row-major; positions
+    inside a diagonal block are not unknowns, so their columns are zero).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    free: np.ndarray
+    pinv: np.ndarray
+
+    @classmethod
+    def build(cls, U, labels, I, J):
+        rows, cols = I[:, None, :, None], J[None, :, None, :]
+        free = labels[rows] != labels[cols]
+        kI, kJ, dI, dJ = free.shape
+        RI = U[I[:, :, None], I[:, None, :]]
+        RJ = U[J[:, :, None], J[:, None, :]]
+        kron = np.einsum("pac,qbd->pqabcd", RI,
+                         RJ.conj()).reshape(kI, kJ, dI * dJ, -1)
+        mask = free.reshape(kI, kJ, 1, dI * dJ)
+        system = np.concatenate([np.eye(dI * dJ) * mask, kron * mask], axis=-1)
+        return cls(*map(read_only, (rows, cols, free, np.linalg.pinv(system))))
+
+
+@functools.lru_cache(maxsize=_SPLIT_PLAN_KEYS)
+def _split_plan(n, pattern):
+    """(U, batches) for split_hollow at a validated (n, pattern): the
+    decoupling unitary and, for each pair of cell groups (2x2 cells, 3x3
+    corner), its _CellPairs. None of it depends on the matrix being split,
+    so it is built once per key and read-only, because every split shares
+    it."""
+    U, layout = build_decoupling_unitary(n, pattern)
+    labels = block_labels(pattern)
+    groups = [np.array([c for c in layout.cell_indices if len(c) == d])
+              for d in (2, 3)]
+    groups = [g for g in groups if len(g)]
+    return read_only(U), tuple(_CellPairs.build(U, labels, I, J)
+                                for I in groups for J in groups)
 
 
 def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS,
@@ -285,13 +319,15 @@ def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS,
 
     U is zero between the cells of its layout, so the system splits into one
     minimum-norm solve of at most 9 equations and 18 unknowns per pair of
-    cells, batched by cell sizes; the minimum-norm solution of the direct sum
-    is the direct sum of these. A solution exists for every valid pattern
-    when M's diagonal is zero, but the diagonal that hollow_tol lets through
-    is not absorbed: on a graded M it can exceed split_tol. A failure
-    reports ||M||_F, the spread of M's entries and its largest diagonal
-    entry, and names `step_counts`, the zero-diagonal steps that made M,
-    when given.
+    cells; the minimum-norm solution of the direct sum is the direct sum of
+    these. U and the pseudo-inverses of the cell systems are fixed by
+    (n, pattern) and come from _split_plan, so each call only applies them
+    to M's entries, batched by cell sizes. A solution exists for every valid
+    pattern when M's diagonal is zero, but the diagonal that hollow_tol lets
+    through is not absorbed: on a graded M it can exceed split_tol. A
+    failure reports ||M||_F, the spread of M's entries and its largest
+    diagonal entry, and names `step_counts`, the zero-diagonal steps that
+    made M, when given. The returned u is the plan's read-only U.
     """
     M = as_cmatrix(M)
     n = M.shape[0]
@@ -300,16 +336,15 @@ def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS,
     if diag_mag > tols.hollow_tol * max(fro(M), np.finfo(float).tiny):
         raise ValueError(f"input is not hollow (max diagonal {diag_mag:.3e})")
 
-    U, layout = build_decoupling_unitary(n, pattern, tols)
-    labels = block_labels(pattern)
-    groups = [np.array([c for c in layout.cell_indices if len(c) == d])
-              for d in (2, 3)]
-    groups = [g for g in groups if len(g)]
+    U, batches = _split_plan(n, pattern)
     C1 = np.zeros((n, n), dtype=complex)
     C2 = np.zeros((n, n), dtype=complex)
-    for I in groups:
-        for J in groups:
-            _solve_cell_pairs(M, U, labels, I, J, C1, C2)
+    for b in batches:
+        kI, kJ, dI, dJ = b.free.shape
+        x = b.pinv @ M[b.rows, b.cols].reshape(kI, kJ, -1, 1)
+        c1, c2 = np.moveaxis(x.reshape(kI, kJ, 2, dI, dJ), 2, 0)
+        C1[b.rows, b.cols] = np.where(b.free, c1, 0)
+        C2[b.rows, b.cols] = np.where(b.free, c2, 0)
     residual = fro(M - C1 - U @ C2 @ U.conj().T)
     if residual > tols.split_tol * max(1.0, fro(M)):
         mags = np.abs(M[M != 0])

@@ -40,6 +40,7 @@ from .linalg import (
     certify_similarity,
     fro,
     project_traceless,
+    read_only,
     spectral_gap,
 )
 from .unitaries import split_hollow
@@ -323,11 +324,6 @@ def _finish(cert, f, args, seed, budget, tols, what):
 _PREPARED_KEYS = 8
 
 
-def _read_only(a):
-    a.setflags(write=False)
-    return a
-
-
 class _Prepared:
     """What a route derives from f at one (n, goal, budget, seed, tols)
     before it sees a target: the classifier's verdict, the searched image
@@ -351,7 +347,7 @@ class _Prepared:
         if self._found is None:
             image, args = image_search(f, self.n, self.goal, self.budget,
                                        self.seed, self.tols)
-            self._found = _read_only(image), tuple(map(_read_only, args))
+            self._found = read_only(image), tuple(map(read_only, args))
         return self._found
 
     def factored(self, witness, factor):
@@ -364,7 +360,7 @@ class _Prepared:
             cert = part.to_block_diag
             for a in (*part.blocks, cert.t, cert.t_inv, cert.source,
                       cert.target):
-                _read_only(a)
+                read_only(a)
             self._factored = part
         return self._factored
 

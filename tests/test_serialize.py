@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matwaring import serialize
 from matwaring.config import DEFAULT_TOLS
 from matwaring.freealg import parse
 from matwaring.serialize import (
@@ -12,6 +15,7 @@ from matwaring.serialize import (
     dumps_canonical,
     matrix_from_json,
     matrix_to_json,
+    save_certificate,
 )
 from matwaring.verify import verify_certificate
 from matwaring.waring import (
@@ -146,6 +150,29 @@ def assert_writer_matches_oracle(certificate_doc):
                               separators=(",", ":")) + "\n"
 
 
+def test_writer_matches_cycle_checking_json(certificate_doc,
+                                            matrix_level_doc):
+    # the cycle check only adds bookkeeping; the text is the same
+    for doc in (certificate_doc, matrix_level_doc):
+        assert dumps_canonical(doc) == json.dumps(
+            doc, sort_keys=True, separators=(",", ":"), allow_nan=False,
+            check_circular=True) + "\n"
+
+
+def test_self_referencing_document_raises_and_writes_nothing(
+        waring_certificate, monkeypatch, tmp_path):
+    doc = {"n": 1, "entries": [[0.0, 1.0]]}
+    doc["entries"].append(doc)
+    with pytest.raises(RecursionError):
+        dumps_canonical(doc)
+    monkeypatch.setattr(serialize, "certificate_to_json",
+                        lambda *args, **kwargs: doc)
+    path = tmp_path / "cert.json"
+    with pytest.raises(RecursionError):
+        save_certificate(path, waring_certificate, DEFAULT_TOLS)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_writer_refuses_non_finite_floats(value):
     with pytest.raises(ValueError):
@@ -166,11 +193,99 @@ def test_matrix_round_trip_is_bit_exact():
 
 
 @pytest.mark.parametrize("entry", [["1", 0], [0, None], [1.0], 2.0,
-                                   [1.0, 2.0, 3.0]])
+                                   [1.0, 2.0, 3.0], "ab", {"re": 0, "im": 1}])
 def test_matrix_from_json_names_a_malformed_entry(entry):
     doc = {"n": 2, "entries": [[0, 0], entry, [0, 0], [0, 0]]}
     with pytest.raises(ValueError, match="entry 1"):
         matrix_from_json(doc)
+
+
+def entrywise_matrix_from_json(doc):
+    """The reader before it converted the whole list at once: one
+    complex(re, im) per entry."""
+    n = int(doc["n"])
+    entries = doc["entries"]
+    if len(entries) != n * n:
+        raise ValueError(f"matrix document claims n={n} but has "
+                         f"{len(entries)} entries")
+    values = []
+    for k, entry in enumerate(entries):
+        try:
+            re, im = entry
+            values.append(complex(re, im))
+        except (TypeError, ValueError):
+            raise ValueError(f"matrix entry {k} is not a [re, im] pair of "
+                             f"numbers: {entry!r}") from None
+    return np.array(values).reshape(n, n)
+
+
+def assert_reads_like_entrywise(doc):
+    """matrix_from_json(doc) raises what the entrywise reader raises, with
+    the same message, or returns its matrix bit for bit (NaN payloads and
+    signed zeros included)."""
+    try:
+        want = entrywise_matrix_from_json(doc)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as err:
+            matrix_from_json(doc)
+        assert str(err.value) == str(exc)
+        return
+    got = matrix_from_json(doc)
+    assert got.shape == want.shape
+    assert got.dtype == complex
+    assert np.array_equal(got.view(np.int64),
+                          want.astype(complex).view(np.int64))
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-2 ** 1100, max_value=2 ** 1100),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.booleans(),
+)
+_ENTRIES = st.one_of(
+    st.lists(_NUMBERS, min_size=2, max_size=2),
+    st.lists(_NUMBERS, min_size=0, max_size=3),
+    st.lists(st.one_of(_NUMBERS, st.none(), st.text(max_size=2),
+                       st.lists(_NUMBERS, max_size=2)),
+             min_size=2, max_size=2),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), _NUMBERS, max_size=3),
+    _NUMBERS,
+    st.none(),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_matrix_from_json_reads_like_entrywise(data):
+    n = data.draw(st.integers(0, 3), label="n")
+    # mostly well-formed pairs, so the whole-list path is taken often
+    pair = st.lists(_NUMBERS, min_size=2, max_size=2)
+    entry = data.draw(st.sampled_from([pair, _ENTRIES]), label="kind")
+    entries = data.draw(st.lists(entry, min_size=n * n, max_size=n * n),
+                        label="entries")
+    assert_reads_like_entrywise({"n": n, "entries": entries})
+
+
+@pytest.mark.parametrize("entries", [
+    [[0.5, 1.0], "ab", [0.0, 0.0], [1.0, 2.0]],
+    [[0.5, 1.0], {"re": 0.5, "im": 1.0}, [0.0, 0.0], [1.0, 2.0]],
+    [[0.5, 1.0, 2.0], [3.0], [0.0, 0.0], [1.0, 2.0]],
+    [[1, 2], [3, -4], [0, 0], [5, 6]],
+    [[True, 0.5], [False, -0.0], [math.nan, 1], [1e308, 2 ** 60 + 1]],
+    [[2 ** 64 + 1, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]],
+    [[10 ** 400, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]],
+    [[[0.5, 1.0], [2.0, 3.0]]] * 4,
+], ids=["string", "two-key-dict", "rows-3-and-1", "all-int", "bool-nan-int",
+        "int-past-int64", "int-past-double", "pairs-of-pairs"])
+def test_matrix_from_json_reads_like_entrywise_on(entries):
+    assert_reads_like_entrywise({"n": 2, "entries": entries})
+
+
+def test_matrix_from_json_reads_empty_matrix():
+    assert_reads_like_entrywise({"n": 0, "entries": []})
+    assert matrix_from_json({"n": 0, "entries": []}).shape == (0, 0)
 
 
 def test_tuple_certificate_stores_no_terms(certificate_doc):

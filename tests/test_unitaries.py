@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from matwaring.linalg import joint_commutant_dimension, subspace_sum_rank
+from matwaring import unitaries
+from matwaring.linalg import (
+    as_cmatrix,
+    block_labels,
+    joint_commutant_dimension,
+    subspace_sum_rank,
+)
 from matwaring.unitaries import (
     CORNER_K0,
     CORNER_L0,
@@ -260,3 +266,87 @@ def test_split_matches_dense_oracle(rng, n, pattern):
     for a, b in zip(edges[:-1], edges[1:]):
         assert not split.c1[a:b, a:b].any()
         assert not split.c2[a:b, a:b].any()
+
+
+def per_call_split(M, pattern):
+    """The split as it was before the plan: U and every cell system's
+    pseudo-inverse built afresh for each M. Returns (U, C1, C2)."""
+    M = as_cmatrix(M)
+    n = M.shape[0]
+    U, layout = build_decoupling_unitary(n, pattern)
+    labels = block_labels(pattern)
+    groups = [np.array([c for c in layout.cell_indices if len(c) == d])
+              for d in (2, 3)]
+    groups = [g for g in groups if len(g)]
+    C1 = np.zeros((n, n), dtype=complex)
+    C2 = np.zeros((n, n), dtype=complex)
+    for I in groups:
+        for J in groups:
+            rows, cols = I[:, None, :, None], J[None, :, None, :]
+            free = labels[rows] != labels[cols]
+            kI, kJ, dI, dJ = free.shape
+            RI = U[I[:, :, None], I[:, None, :]]
+            RJ = U[J[:, :, None], J[:, None, :]]
+            kron = np.einsum("pac,qbd->pqabcd", RI, RJ.conj()).reshape(
+                kI, kJ, dI * dJ, -1)
+            mask = free.reshape(kI, kJ, 1, dI * dJ)
+            system = np.concatenate([np.eye(dI * dJ) * mask, kron * mask],
+                                    axis=-1)
+            x = np.linalg.pinv(system) @ M[rows, cols].reshape(kI, kJ, -1, 1)
+            C1[rows, cols] = np.where(
+                free, x[..., : dI * dJ, 0].reshape(free.shape), 0)
+            C2[rows, cols] = np.where(
+                free, x[..., dI * dJ :, 0].reshape(free.shape), 0)
+    return U, C1, C2
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
+_PLAN_CASES = [(2, (1, 1)), (4, (2, 2)), (32, (16, 16)),
+               (5, (2, 2, 1)), (12, (5, 4, 3)), (33, (16, 1, 16)),
+               (33, (11, 11, 11))]
+
+
+@pytest.mark.parametrize("n,pattern", _PLAN_CASES,
+                         ids=[f"{n}-{pattern}" for n, pattern in _PLAN_CASES])
+def test_planned_split_is_bit_identical_to_per_call_split(rng, n, pattern):
+    # odd n puts the 3x3 corner in the plan, next to the 2x2 cells
+    for _ in range(2):     # the second split reuses the plan
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        np.fill_diagonal(M, 0.0)
+        split = split_hollow(M, pattern)
+        U, C1, C2 = per_call_split(M, pattern)
+        for got, want in ((split.u, U), (split.c1, C1), (split.c2, C2)):
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_second_split_at_a_key_solves_nothing(rng, monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv",
+                        lambda *a, **k: calls.append(1) or pinv(*a, **k))
+    unitaries._split_plan.cache_clear()
+    M = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    np.fill_diagonal(M, 0.0)
+    split_hollow(M, (3, 3, 1))
+    assert len(calls) > 0
+    calls.clear()
+    split_hollow(2 * M, (3, 3, 1))
+    assert calls == []
+
+
+def test_split_plan_keeps_at_most_eight_keys():
+    keys = [(n, (n // 2, n // 2)) for n in range(2, 22, 2)]
+    for n, pattern in keys:
+        split_hollow(np.zeros((n, n)), pattern)
+    info = unitaries._split_plan.cache_info()
+    assert info.maxsize == 8
+    assert info.currsize <= 8
+
+
+def test_split_unitary_is_read_only():
+    split = split_hollow(np.zeros((4, 4)), (2, 2))
+    with pytest.raises(ValueError):
+        split.u[0, 0] = 1.0
