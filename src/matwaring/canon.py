@@ -88,6 +88,13 @@ class HollowForm:
     def step_counts(self):
         return f"{self.reflectors} reflectors, {self.rounds} rounds"
 
+    @property
+    def off_diagonal(self):
+        """m with its diagonal dropped: the exactly hollow matrix that the
+        routes split. What is dropped is at most hollow_tol ||m||_F, within
+        the routes' end gate."""
+        return self.m - np.diag(np.diag(self.m))
+
 
 # ---------------------------------------------------------------------------
 # block diagonalization along eigenvalue clusters

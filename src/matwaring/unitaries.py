@@ -324,8 +324,8 @@ def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS,
     (n, pattern) and come from _split_plan, so each call only applies them
     to M's entries, batched by cell sizes. A solution exists for every valid
     pattern when M's diagonal is zero, but the diagonal that hollow_tol lets
-    through is not absorbed: on a graded M it can exceed split_tol. A
-    failure reports ||M||_F, the spread of M's entries and its largest
+    through is not absorbed: on a graded M it can exceed split_tol, so the
+    routes split HollowForm.off_diagonal. A failure reports ||M||_F, the spread of M's entries and its largest
     diagonal entry, and names `step_counts`, the zero-diagonal steps that
     made M, when given. The returned u is the plan's read-only U.
     """

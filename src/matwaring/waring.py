@@ -206,7 +206,8 @@ def _four_term(B, A, part, tols):
         )
 
     hollow = zero_diagonal_similarity(A, tols)
-    split = split_hollow(hollow.m, part.block_sizes, tols, hollow.step_counts)
+    split = split_hollow(hollow.off_diagonal, part.block_sizes, tols,
+                         hollow.step_counts)
     cert = _assemble(MODE_FOUR_TERM, B, A, part, hollow,
                      [(split.c1, None), (split.c2, split.u)], tols)
     cert.residual, cert.residual_bound = _residual_gate(
@@ -469,11 +470,8 @@ def two_term_decompose(f, A, budget=DEFAULT_BUDGET, seed=0,
     eig_blocks = prep.factored(D0, _diagonalized)
 
     hollow = zero_diagonal_similarity(A, tols)
-    # the hollow form keeps a diagonal below hollow_tol, which the
-    # triangular halves drop instead of handing it to diff_of_similar
-    M = hollow.m
     cert = _assemble(MODE_TWO_TERM, D0, A, eig_blocks, hollow,
-                     [(M - np.diag(np.diag(M)), None)], tols)
+                     [(hollow.off_diagonal, None)], tols)
     return _finish(cert, f, args, seed, budget, tols, "two-term")
 
 
