@@ -57,7 +57,8 @@ class DecouplingLayout:
 
 @dataclass
 class HollowSplit:
-    """M = c1 + U c2 U* with c1, c2 vanishing on the pattern's diagonal blocks."""
+    """M = c1 + U c2 U* with c1, c2 vanishing on the pattern's diagonal
+    blocks. u is shared by every split at (n, pattern), so it is read-only."""
 
     u: np.ndarray
     pattern: tuple
@@ -262,8 +263,9 @@ def hollow_block_basis(n, pattern):
     return SubspaceBasis(n, tuple(mats)), positions
 
 
-# The split plan depends on (n, pattern) alone; a four-term run meets one or
-# two of them, so a few keys cover every caller.
+# Split plans kept, the least recently used dropped first. A witness fixes
+# its pattern, so this is as many as the witness memo keeps per polynomial
+# (waring._PREPARED_KEYS).
 _SPLIT_PLAN_KEYS = 8
 
 
@@ -325,9 +327,10 @@ def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS,
     to M's entries, batched by cell sizes. A solution exists for every valid
     pattern when M's diagonal is zero, but the diagonal that hollow_tol lets
     through is not absorbed: on a graded M it can exceed split_tol, so the
-    routes split HollowForm.off_diagonal. A failure reports ||M||_F, the spread of M's entries and its largest
-    diagonal entry, and names `step_counts`, the zero-diagonal steps that
-    made M, when given. The returned u is the plan's read-only U.
+    routes split HollowForm.off_diagonal. A failure reports ||M||_F, the
+    spread of M's entries and its largest diagonal entry, and names
+    `step_counts`, the zero-diagonal steps that made M, when given. The
+    returned u is the plan's read-only U.
     """
     M = as_cmatrix(M)
     n = M.shape[0]

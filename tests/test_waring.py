@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from matwaring import freealg, waring
-from matwaring.canon import partition_spectrum
+from matwaring.canon import partition_spectrum, zero_diagonal_similarity
 from matwaring.errors import (
     BudgetExhaustedError,
     MultiplicityTooLargeError,
     NonzeroTraceError,
     NotGenericError,
     PreconditionUnmetError,
+    ResidualTooLargeError,
 )
 from matwaring.freealg import classify, evaluate, parse, random_tuple
 from matwaring.config import DEFAULT_TOLS
 from matwaring.linalg import blkdiag, fro
 from matwaring.serialize import certificate_to_json, dumps_canonical
+from matwaring.unitaries import split_hollow
 from matwaring.verify import verify_certificate
 from matwaring.waring import (
     GOAL_DISTINCT_EIGS,
@@ -418,6 +420,25 @@ def test_graded_target_verifies(span):
     cert = waring_express(parse("[X1,X2]"), A)
     assert verify_certificate(json.loads(dumps_canonical(
         certificate_to_json(cert, DEFAULT_TOLS)))) == []
+
+
+def test_split_failure_names_its_stage():
+    # the span-8 graded form with its diagonal kept: within hollow_tol, so
+    # no reflector or butterfly round runs (M = A), but more than the split
+    # absorbs within split_tol
+    D = np.logspace(0, 8, 8)
+    A = D[:, None] / D * _ROADMAP_TARGET
+    hollow = zero_diagonal_similarity(A)
+    with pytest.raises(ResidualTooLargeError) as err:
+        split_hollow(hollow.m, (4, 4), DEFAULT_TOLS, hollow.step_counts)
+    mags = np.abs(A[A != 0])
+    assert str(err.value).startswith(
+        "hollow split of the zero-diagonal form M (0 reflectors, 0 rounds) "
+        "over (4, 4) failed "
+        f"(||M||_F {fro(A):.3e}, max/min nonzero |M_ij| "
+        f"{mags.max() / mags.min():.3e}, "
+        f"max |M_ii| {np.abs(np.diag(A)).max():.3e}) (residual ")
+    assert err.value.residual > DEFAULT_TOLS.split_tol * fro(A)
 
 
 def test_witness_not_scaled_when_large_enough(rng):
