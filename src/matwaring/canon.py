@@ -7,7 +7,9 @@ clusters are contiguous because the Schur form is built in cluster order
 (linalg.eigendecompose with a key), not reordered afterwards.
 """
 
+import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .errors import (
 )
 from .linalg import (
     SimilarityCertificate,
+    TriangularPlan,
     as_cmatrix,
     blkdiag,
     block_triangular_similarity,
@@ -65,12 +68,17 @@ class SpectralPartition:
     case_tag 'distinct': the n 1x1 eigenvalue blocks of a witness with
     distinct eigenvalues, block_sizes = (1,) * n; to_block_diag certifies
     the witness's eigendecomposition.
+    plan is the blocks' TriangularPlan, made on first use.
     """
 
     case_tag: str
     block_sizes: tuple
     blocks: list
     to_block_diag: SimilarityCertificate
+
+    @cached_property
+    def plan(self):
+        return TriangularPlan(self.blocks)
 
 
 @dataclass
@@ -211,30 +219,31 @@ def partition_spectrum(B, tols: Tolerances = DEFAULT_TOLS):
 # zero-diagonal similarity
 # ---------------------------------------------------------------------------
 
-def _fov_vector(C, s):
-    """Unit v with v* C v = (1 - s) C[0, 0] + s C[1, 1], for 2x2 C, s in [0, 1].
+def _fov_vector(a, b, c, d, s):
+    """Unit v = (v0, v1) with v* C v = (1 - s) a + s d for C = [[a, b],
+    [c, d]], s in [0, 1].
 
     Closed-form 2x2 inverse field of values (Carden 2009; Meurant 2012):
     with v = (cos phi, e^{i psi} sin phi), the phase psi turns the cross
     term onto the line through the diagonal entries and phi moves the
-    value along that line. C may be a stack (..., 2, 2), with s a scalar
-    or of shape (...); v then has shape (..., 2).
+    value along that line. Written with broadcasting operators and ufuncs
+    only, so the entries and s may be scalars or arrays of one shape.
     """
-    a, b, c, d = C[..., 0, 0], C[..., 0, 1], C[..., 1, 0], C[..., 1, 1]
     delta = d - a
     kappa = b * np.conj(delta) - np.conj(c) * delta
     mag = np.abs(kappa)
-    phase = np.where(mag > 0, np.conj(kappa) / np.where(mag > 0, mag, 1.0),
-                     1.0)
+    # kappa = 0 leaves the phase free; take 1
+    flat = mag == 0
+    phase = (np.conj(kappa) + flat) / (mag + flat)
     r = ((b * np.conj(delta) + np.conj(c) * delta) * phase).real
     p = np.abs(delta) ** 2
     # r sin(theta) - p cos(theta) = (2s - 1) p with theta = 2 phi; a radius
     # of 0 means equal diagonal entries, already the value asked for
     radius = np.hypot(p, r)
-    cos = np.where(radius > 0,
-                   (1 - 2 * s) * p / np.where(radius > 0, radius, 1.0), 1.0)
+    flat = radius == 0
+    cos = ((1 - 2 * s) * p + flat) / (radius + flat)
     theta = np.arccos(np.clip(cos, -1.0, 1.0)) - np.arctan2(r, p)
-    return np.stack([np.cos(theta / 2), phase * np.sin(theta / 2)], axis=-1)
+    return np.cos(theta / 2), phase * np.sin(theta / 2)
 
 
 def _isotropic_vector(B):
@@ -244,44 +253,41 @@ def _isotropic_vector(B):
     entries average to a point on the ray through -b_i. A 2x2 solve on the
     span of e_j, e_k, the entries angularly next to that ray, gives y with
     y* B y on it; 0 then lies between b_i and y* B y, and a second 2x2
-    solve on the span of e_i, y gives x. O(d) work.
+    solve on the span of e_i, y gives x. O(d) work, on scalars but for y.
     """
-    diag = np.diag(B)
-    i = int(np.argmax(np.abs(diag)))
-    rest = np.delete(np.arange(B.shape[0]), i)
+    diag = np.diag(B).tolist()
+    i = max(range(len(diag)), key=lambda t: abs(diag[t]))
     # the other diagonal entries, turned so that -b_i points along +1
-    z = diag[rest] * -np.conj(diag[i])
-    angle = np.angle(z)
-    jj, kk = np.argmin(angle % (2 * np.pi)), np.argmax(angle % (2 * np.pi))
-    if z[jj].imag > 0 > z[kk].imag and (np.conj(z[jj]) * z[kk]).imag < 0:
+    z = {t: zt * -diag[i].conjugate() for t, zt in enumerate(diag) if t != i}
+    angle = {t: cmath.phase(zt) % (2 * np.pi) for t, zt in z.items()}
+    j, k = min(z, key=angle.get), max(z, key=angle.get)
+    if z[j].imag > 0 > z[k].imag and (z[j].conjugate() * z[k]).imag < 0:
         # the segment from z_j to z_k crosses the ray
-        s = z[jj].imag / (z[jj].imag - z[kk].imag)
+        s = z[j].imag / (z[j].imag - z[k].imag)
     else:
         # an entry lies on the ray (up to rounding of the trace)
-        s = 0.0 if abs(angle[jj]) <= abs(angle[kk]) else 1.0
-    # j == k leaves v = e_1, so y = e_j
-    jk = rest[[jj, kk]]
-    v = _fov_vector(B[np.ix_(jk, jk)], s)
-    y = np.zeros(B.shape[0], dtype=complex)
-    np.add.at(y, jk, v)
-    By = B[:, jk] @ v
-    w = y.conj() @ By
-    C = np.array([[diag[i], By[i]], [v.conj() @ B[jk, i], w]])
+        s = 0.0 if abs(cmath.phase(z[j])) <= abs(cmath.phase(z[k])) else 1.0
+    # j == k leaves v = (1, 0), so y = e_j
+    v0, v1 = _fov_vector(diag[j], B.item(j, k), B.item(k, j), diag[k], s)
+    y = np.zeros(len(diag), dtype=complex)
+    np.add.at(y, [j, k], [v0, v1])
+    By = B[:, j] * v0 + B[:, k] * v1
+    w = complex(y.conj() @ By)
+    c = complex(np.conj(v0) * B.item(j, i) + np.conj(v1) * B.item(k, i))
     total = abs(diag[i]) + abs(w)
-    v = _fov_vector(C, abs(diag[i]) / total if total else 0.0)
-    x = v[1] * y
-    x[i] += v[0]
+    u0, u1 = _fov_vector(diag[i], complex(By[i]), c, w,
+                         abs(diag[i]) / total if total else 0.0)
+    x = u1 * y
+    x[i] += u0
     return x
 
 
 def _midpoint_round(W, P, p, q):
     """One butterfly round: W <- G* W G and P <- P G, with G the identity
-    but for U = [[v0, -v1*], [v1, v0*]] on each pair (p_i, q_i) of disjoint
-    indices, v the midpoint vector of the pair's 2x2 block. Each pair's two
-    diagonal entries both become their mean."""
-    C = np.stack([W[p, p], W[p, q], W[q, p], W[q, q]], -1).reshape(-1, 2, 2)
-    v = _fov_vector(C, 0.5)
-    a, b = v[:, 0], v[:, 1]
+    but for U = [[a, -b*], [b, a*]] on each pair (p_i, q_i) of disjoint
+    indices, (a, b) the midpoint vector of the pair's 2x2 block. Each
+    pair's two diagonal entries both become their mean."""
+    a, b = _fov_vector(W[p, p], W[p, q], W[q, p], W[q, q], 0.5)
     Wp, Wq = W[p], W[q]
     W[p] = a.conj()[:, None] * Wp + b.conj()[:, None] * Wq
     W[q] = a[:, None] * Wq - b[:, None] * Wp

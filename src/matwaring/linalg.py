@@ -167,19 +167,7 @@ def sylvester_solve(R1, R2, C, tols: Tolerances = DEFAULT_TOLS):
             f"scale {scale:.3e})"
         )
     upper = np.block([[R1, -C], [np.zeros((q, p)), R2]])
-    return _unit_upper_transform((p, q), upper, tols)[:p, p:]
-
-
-def _solve_residual_error(residual, eigs1, eigs2, tols):
-    """The IllConditionedError of a Sylvester residual over solve_tol, with
-    the gap between the two spectra and their scale."""
-    eigs = np.concatenate([eigs1, eigs2])
-    gap, _, _ = spectral_gap(eigs, block_labels((len(eigs1), len(eigs2))))
-    return IllConditionedError(
-        f"Sylvester solve residual {residual:.3e} exceeds "
-        f"{tols.solve_tol:.1e} (gap {gap:.3e}, "
-        f"scale {np.abs(eigs).max(initial=0.0):.3e})"
-    )
+    return _unit_upper_transform((p, q), upper[None], tols)[0, :p, p:]
 
 
 @dataclass(frozen=True)
@@ -271,98 +259,157 @@ def certify_similarity(T, source, target, tols: Tolerances = DEFAULT_TOLS,
                        label=""):
     """Build a certificate for T source T^-1 = target, validating both
     residual bounds before returning."""
-    T = as_cmatrix(T)
-    source = as_cmatrix(source)
-    target = as_cmatrix(target)
-    n = T.shape[0]
-    T_inv = np.linalg.inv(T)
-    residual_inverse = fro(T @ T_inv - np.eye(n))
-    cond = fro(T) * fro(T_inv)
-    residual_map = fro(T @ source @ T_inv - target)
-    cert = SimilarityCertificate(T, T_inv, source, target, residual_inverse,
-                                 residual_map, cond, label)
-    context = f"condition estimate {cond:.3e}, {label or 'unlabeled'}"
-    if not cond < np.inf:
-        raise IllConditionedError(
-            f"certificate transform exceeds the double range ({context})")
-    if residual_inverse > tols.cert_tol:
-        raise IllConditionedError(
-            f"certificate inverse residual {residual_inverse:.3e} exceeds "
-            f"{tols.cert_tol:.1e} ({context})"
-        )
-    bound = tols.cert_tol * cond * fro(source)
-    if residual_map > bound:
-        raise IllConditionedError(
-            f"certificate map residual {residual_map:.3e} exceeds bound "
-            f"{bound:.3e} ({context})"
-        )
-    return cert
+    T, source, target = as_cmatrix(T), as_cmatrix(source), as_cmatrix(target)
+    return _certify(T[None], source, target[None], tols, [label])[0]
+
+
+def _certify(Ts, source, targets, tols, labels):
+    """certify_similarity of each T in the stack Ts with its target and
+    label, all on one source, as one pass; the first failing certificate in
+    stack order raises."""
+    T_invs = np.linalg.inv(Ts)
+    with np.errstate(all="ignore"):    # inf and nan fail the gates below
+        res_inv, res_map, norm_t, norm_inv, norm_source = (
+            np.linalg.norm(M, axis=(-2, -1)).tolist() for M in (
+                Ts @ T_invs - np.eye(Ts.shape[-1]),
+                Ts @ source @ T_invs - targets, Ts, T_invs, source))
+    certs = []
+    for k, label in enumerate(labels):
+        cond = norm_t[k] * norm_inv[k]
+        context = f"condition estimate {cond:.3e}, {label or 'unlabeled'}"
+        if not cond < np.inf:
+            raise IllConditionedError(
+                f"certificate transform exceeds the double range ({context})")
+        if res_inv[k] > tols.cert_tol:
+            raise IllConditionedError(
+                f"certificate inverse residual {res_inv[k]:.3e} exceeds "
+                f"{tols.cert_tol:.1e} ({context})")
+        bound = tols.cert_tol * cond * norm_source
+        if res_map[k] > bound:
+            raise IllConditionedError(
+                f"certificate map residual {res_map[k]:.3e} exceeds bound "
+                f"{bound:.3e} ({context})")
+        certs.append(SimilarityCertificate(Ts[k], T_invs[k], source,
+                                           targets[k], res_inv[k], res_map[k],
+                                           cond, label))
+    return certs
 
 
 # ---------------------------------------------------------------------------
 # block-triangular similarity (diagonal blocks with pairwise disjoint spectra)
 # ---------------------------------------------------------------------------
 
-def _check_strictly_block_upper(off, labels):
-    bad = np.abs(off[labels[None, :] <= labels[:, None]]).max(initial=0.0)
-    if bad:
-        raise ValueError("off-diagonal part must vanish on and below the "
-                         f"block diagonal (max violation {bad:.3e})")
-
-
 def _unit_upper_transform(sizes, upper, tols):
     """Unit block-upper T with upper T = T D, so T D T^-1 = upper, where D
-    is the block diagonal of upper over the block sizes.
+    is the block diagonal of upper over the block sizes, for each problem
+    of the stack upper (S, n, n).
 
     The diagonal blocks are upper triangular, with disjoint spectra. T is
     built bottom-up, one block row at a time (the ztrevc recurrence,
     blocked: Bartels-Stewart). With e the end of row i's block, the part of
     row i right of its block solves
         T[i, e:] (upper[i, i] - D[e:, e:]) = -upper[i, i+1:] T[i+1:, e:],
-    which needs only the rows below it. When D[e:, e:] is diagonal this is
-    a division, and a diagonal block's rows are one vectorized step;
-    otherwise each row is a small solve. Column block J of T is the
-    Sylvester solve of block J against everything before it, and is gated
-    the same way: the relative residual of (upper T - T D) above block J
-    against upper above block J stays within solve_tol.
+    which needs only the rows below it. When D[e:, e:] is diagonal in every
+    problem this is a division, and a diagonal block's rows are one
+    vectorized step; otherwise each row is a small solve, batched over S.
+    Column block J of T is the Sylvester solve of block J against
+    everything before it, and is gated the same way, first failure first:
+    the relative residual of (upper T - T D) above block J against upper
+    above block J stays within solve_tol.
     """
-    n = upper.shape[0]
-    lam = np.diag(upper)
+    n = upper.shape[-1]
+    lam = np.diagonal(upper, axis1=-2, axis2=-1)
     labels = block_labels(sizes)
     D = np.where(labels[:, None] == labels, upper, 0)
     edges = np.cumsum((0, *sizes)).tolist()
     # whether each block, and every block after it, is diagonal
-    coupled = np.logical_or.reduceat(np.triu(D, 1).any(axis=1), edges[:-1])
+    coupled = np.logical_or.reduceat(np.triu(D, 1).any((0, 2)), edges[:-1])
     diagonal_on = (~np.logical_or.accumulate(coupled[::-1])[::-1]).tolist()
-    T = np.eye(n, dtype=complex)
+    T = np.broadcast_to(np.eye(n, dtype=complex), upper.shape).copy()
     with np.errstate(all="ignore"):
         for b in range(len(sizes) - 2, -1, -1):
             s, e = edges[b], edges[b + 1]
             if diagonal_on[b]:
-                T[s:e, e:] = (-(upper[s:e, e:] @ T[e:, e:])
-                              / (lam[s:e, None] - lam[e:]))
+                T[:, s:e, e:] = (-(upper[:, s:e, e:] @ T[:, e:, e:])
+                                 / (lam[:, s:e, None] - lam[:, None, e:]))
                 continue
             for i in range(e - 1, s - 1, -1):
-                rhs = -(upper[i, i + 1:] @ T[i + 1:, e:])
-                T[i, e:] = (rhs / (lam[i] - lam[e:]) if diagonal_on[b + 1]
-                            else np.linalg.solve(
-                                lam[i] * np.eye(n - e) - D[e:, e:].T, rhs))
-        if not np.isfinite(T).all():
-            gap, _, _ = spectral_gap(lam, labels)
-            raise IllConditionedError(
-                f"triangular transform overflows (gap {gap:.3e}, "
-                f"scale {np.abs(lam).max():.3e})")
+                rhs = -(upper[:, i, None, i + 1:] @ T[:, i + 1:, e:])
+                T[:, i, e:] = (rhs / (lam[:, i, None, None] - lam[:, None, e:])
+                               if diagonal_on[b + 1] else np.linalg.solve(
+                                   lam[:, i, None, None] * np.eye(n - e)
+                                   - D[:, e:, e:].mT, rhs.mT).mT)[:, 0]
         # Frobenius norm of each column block; both vanish on and below
         # the block diagonal, exactly
-        TD = T * lam if diagonal_on[0] else T @ D
-        defect, rhs = (np.hypot.reduceat(np.linalg.norm(M, axis=0), edges[:-1])
+        TD = T * lam[:, None] if diagonal_on[0] else T @ D
+        defect, rhs = (np.hypot.reduceat(np.linalg.norm(M, axis=-2),
+                                         edges[:-1], axis=-1)
                        for M in (upper @ T - TD, upper - D))
         residual = defect / np.where(rhs > 0, rhs, 1.0)
-    bad = np.flatnonzero(~(residual <= tols.solve_tol))
+    overflow = ~np.isfinite(T).all(axis=(-2, -1))
+    bad = np.argwhere(overflow[:, None] | ~(residual <= tols.solve_tol))
     if bad.size:
-        s, e = edges[bad[0]:bad[0] + 2]
-        raise _solve_residual_error(residual[bad[0]], lam[:s], lam[s:e], tols)
+        k, J = bad[0]
+        if overflow[k]:
+            gap, _, _ = spectral_gap(lam[k], labels)
+            raise IllConditionedError(
+                f"triangular transform overflows (gap {gap:.3e}, "
+                f"scale {np.abs(lam[k]).max():.3e})")
+        # the gap between block J and the blocks before it
+        e = edges[J + 1]
+        gap, _, _ = spectral_gap(lam[k, :e], labels[:e] == J)
+        raise IllConditionedError(
+            f"Sylvester solve residual {residual[k, J]:.3e} exceeds "
+            f"{tols.solve_tol:.1e} (gap {gap:.3e}, "
+            f"scale {np.abs(lam[k, :e]).max():.3e})")
     return T
+
+
+class TriangularPlan:
+    """What block-triangular similarities over fixed blocks share, made once
+    with the triangularity check and spectral gap: the block diagonal D and,
+    per orientation, the block pattern, stable index permutation and entries
+    an off-diagonal part must leave zero; the arrays are read-only."""
+
+    def __init__(self, blocks):
+        sizes = tuple(np.shape(b)[0] for b in blocks)
+        self.D = read_only(blkdiag(blocks))
+        _require_upper_triangular(self.D, "every block")
+        labels = block_labels(sizes)
+        eigs = np.diag(self.D)
+        self.scale = np.abs(eigs).max(initial=0.0)
+        self.gap = spectral_gap(eigs, labels)
+        # the lower orientation lists the blocks last to first, an exact
+        # index permutation that makes its target block upper
+        keys = {"upper": labels, "lower": -labels}
+        self.patterns = {"upper": sizes, "lower": sizes[::-1]}
+        self.perms = {o: read_only(np.argsort(k, kind="stable"))
+                      for o, k in keys.items()}
+        self.vanish = {o: read_only(k <= k[:, None]) for o, k in keys.items()}
+
+    def similarities(self, offs, orientations, tols):
+        """block_triangular_similarity of each off with its orientation, in
+        order: one transform call per block pattern, one certification."""
+        gap, i, j = self.gap
+        if gap <= tols.gap_tol * max(self.scale, np.finfo(float).tiny):
+            raise SpectraOverlapError(
+                f"blocks {i} and {j} have overlapping spectra (gap {gap:.3e})"
+            )
+        for off, o in zip(offs, orientations):
+            bad = np.abs(off[self.vanish[o]]).max(initial=0.0)
+            if bad:
+                raise ValueError("off-diagonal part must vanish on and below "
+                                 f"the block diagonal (max violation {bad:.3e})")
+        targets = self.D + np.stack(offs)
+        Ts = np.empty_like(targets)
+        for sizes in dict.fromkeys(map(self.patterns.get, orientations)):
+            ks = [k for k, o in enumerate(orientations)
+                  if self.patterns[o] == sizes]
+            p = np.stack([self.perms[orientations[k]] for k in ks])
+            ix = (np.array(ks)[:, None, None], p[:, :, None], p[:, None, :])
+            Ts[ix] = _unit_upper_transform(sizes, targets[ix], tols)
+        return _certify(Ts, self.D, targets, tols,
+                        [f"block-triangular-{o}" for o in orientations])
 
 
 def block_triangular_similarity(blocks, off_diag, orientation="upper",
@@ -376,34 +423,10 @@ def block_triangular_similarity(blocks, off_diag, orientation="upper",
     orientation lists the blocks last to first, an exact index permutation
     that makes the target block upper over the same triangular blocks.
     """
-    blocks = [as_cmatrix(b) for b in blocks]
     off = as_cmatrix(off_diag)
-    sizes = [b.shape[0] for b in blocks]
-    n = int(sum(sizes))
+    n = sum(np.shape(b)[0] for b in blocks)
     if off.shape != (n, n):
         raise ValueError(f"off-diagonal part must be {n}x{n}")
     if orientation not in ("upper", "lower"):
         raise ValueError("orientation must be 'upper' or 'lower'")
-    D = blkdiag(blocks)
-    _require_upper_triangular(D, "every block")
-
-    labels = block_labels(sizes)
-    eigs = np.diag(D)
-    scale = np.abs(eigs).max(initial=0.0)
-    gap, i, j = spectral_gap(eigs, labels)
-    if gap <= tols.gap_tol * max(scale, np.finfo(float).tiny):
-        raise SpectraOverlapError(
-            f"blocks {i} and {j} have overlapping spectra (gap {gap:.3e})"
-        )
-
-    upper = orientation == "upper"
-    keys = labels if upper else -labels
-    p = np.argsort(keys, kind="stable")
-    ix = np.ix_(p, p)
-    _check_strictly_block_upper(off[ix], keys[p])
-    target = D + off
-    T = np.empty_like(target)
-    T[ix] = _unit_upper_transform(sizes if upper else sizes[::-1],
-                                  target[ix], tols)
-    return certify_similarity(T, D, target, tols,
-                              label=f"block-triangular-{orientation}")
+    return TriangularPlan(blocks).similarities([off], [orientation], tols)[0]

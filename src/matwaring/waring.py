@@ -34,9 +34,8 @@ from .freealg import (
     random_tuple,
 )
 from .linalg import (
+    _certify,
     as_cmatrix,
-    block_labels,
-    block_triangular_similarity,
     certify_similarity,
     fro,
     project_traceless,
@@ -89,23 +88,28 @@ def diff_of_similar(partition: SpectralPartition, C,
     certificates. The difference reproduces C exactly because the entries
     are assembled, not solved for.
     """
-    C = as_cmatrix(C)
-    sizes = partition.block_sizes
-    n = sum(sizes)
-    if C.shape != (n, n):
-        raise ValueError("C has the wrong size for this partition")
-    # entries are copied, never recomputed, so upper + lower reproduces the
-    # off-diagonal entries of C exactly
-    labels = block_labels(sizes)
-    upper = np.where(labels[None, :] > labels[:, None], C, 0)
-    lower = np.where(labels[None, :] < labels[:, None], C, 0)
-    leftover = fro(C - upper - lower)
-    if leftover > 1e-13 * max(1.0, fro(C)):
-        raise ValueError("C must vanish on the partition's diagonal blocks")
+    return _diffs(partition, [C], tols)[0]
 
-    cert_up = block_triangular_similarity(partition.blocks, upper, "upper", tols)
-    cert_low = block_triangular_similarity(partition.blocks, -lower, "lower", tols)
-    return cert_up.target, cert_low.target, (cert_up, cert_low)
+
+def _diffs(partition, Cs, tols):
+    """diff_of_similar of each C in Cs, solved and certified together on the
+    partition's triangular plan."""
+    plan = partition.plan
+    offs = []
+    for C in map(as_cmatrix, Cs):
+        if C.shape != plan.D.shape:
+            raise ValueError("C has the wrong size for this partition")
+        # entries are copied, never recomputed, so upper + lower reproduces
+        # the off-diagonal entries of C exactly
+        upper, lower = (np.where(plan.vanish[o], 0, C)
+                        for o in ("upper", "lower"))
+        leftover = fro(C - upper - lower)
+        if leftover > 1e-13 * max(1.0, fro(C)):
+            raise ValueError("C must vanish on the partition's diagonal blocks")
+        offs += [upper, -lower]
+    certs = plan.similarities(offs, ["upper", "lower"] * len(Cs), tols)
+    return [(up.target, low.target, (up, low))
+            for up, low in zip(certs[::2], certs[1::2])]
 
 
 def _require_traceless(A, tols, name="target"):
@@ -131,36 +135,31 @@ def _assemble(mode, witness, target, partition, hollow, halves, tols):
     partition.to_block_diag certifies witness = X blkdiag(blocks) X^-1;
     hollow takes the target to M = sum of U C U* over the halves (C, U),
     where U None stands for the identity. Each half contributes
-    U Bp U* - U Bpp U* from diff_of_similar, carried back through the hollow
-    similarity. The residual is left to the caller's gate.
+    U Bp U* - U Bpp U* from diff_of_similar (all halves in one stack),
+    carried back through the hollow similarity; the term transforms are
+    certified in one pass. The residual is left to the caller's gate.
     """
     Xinv = partition.to_block_diag.t_inv
     Sh = hollow.to_hollow.t        # M = Sh A Sh^-1
     Shinv = hollow.to_hollow.t_inv
-    diffs = [diff_of_similar(partition, C, tols) for C, _ in halves]
-    terms = []
-    term_certs = []
-    tri_certs = []
-    for (_, U), (Bp, Bpp, tris) in zip(halves, diffs):
-        tri_certs.extend(tris)
-        for P, tri in zip((Bp, Bpp), tris):
-            if U is None:
-                W = Shinv @ P @ Sh
-                T = Shinv @ tri.t @ Xinv
-            else:
-                W = Shinv @ U @ P @ U.conj().T @ Sh
-                T = Shinv @ U @ tri.t @ Xinv
-            terms.append(W)
-            term_certs.append(certify_similarity(
-                T, witness, W, tols,
-                label=f"term{len(terms)}-similar-to-witness",
-            ))
+    tri_certs = [tri for _, _, tris in _diffs(partition, [C for C, _ in halves],
+                                              tols) for tri in tris]
+    # each half's two parts P are carried back as L P R, T as L tri.t Xinv
+    L, R = [], []
+    for _, U in halves:
+        L += [Shinv if U is None else Shinv @ U] * 2
+        R += [Sh if U is None else U.conj().T @ Sh] * 2
+    L, R = np.stack(L), np.stack(R)
+    terms = L @ np.stack([tri.target for tri in tri_certs]) @ R
+    term_certs = _certify(
+        L @ np.stack([tri.t for tri in tri_certs]) @ Xinv, witness, terms,
+        tols, [f"term{k}-similar-to-witness" for k in range(1, len(L) + 1)])
     return WaringCertificate(
         mode=mode,
         witness=witness,
         target=target,
         coefficients=[1.0, -1.0] * len(halves),
-        terms=terms,
+        terms=list(terms),
         residual=np.nan,
         residual_bound=np.nan,
         term_certs=term_certs,
@@ -303,11 +302,13 @@ def _finish(cert, f, args, seed, budget, tols, what):
     the conjugated image; the terms are replaced by f re-evaluated on those
     tuples, and their signed sum must reproduce the target.
     """
-    tuples = [tuple(tc.t @ a @ tc.t_inv for a in args) for tc in cert.term_certs]
-    images = list(evaluate(f, [np.stack(mats) for mats in zip(*tuples)]))
+    T, T_inv = (np.stack([getattr(tc, k) for tc in cert.term_certs])[:, None]
+                for k in ("t", "t_inv"))
+    tuples = T @ np.stack(args) @ T_inv
+    images = list(evaluate(f, list(tuples.swapaxes(0, 1))))
     cert.residual, cert.residual_bound = _residual_gate(
         cert.target, cert.coefficients, images, tols, what)
-    cert.tuples = tuples
+    cert.tuples = [tuple(mats) for mats in tuples]
     cert.terms = images
     cert.polynomial = f.to_string()
     cert.seed = seed

@@ -188,24 +188,69 @@ class TestZeroDiagonal:
             cert.condition_estimate * np.linalg.norm(A))
 
 
-def test_fov_vector_stack_matches_each_matrix(rng):
-    # random blocks plus the degenerate ones: equal diagonal entries
-    # (radius 0), a segment for a field of values (kappa 0), zero
+def fov_vector_stack_oracle(C, s):
+    """_fov_vector as it was written for a stack C (..., 2, 2), with the
+    kappa = 0 and radius = 0 branches as np.where: v of shape (..., 2)."""
+    a, b, c, d = C[..., 0, 0], C[..., 0, 1], C[..., 1, 0], C[..., 1, 1]
+    delta = d - a
+    kappa = b * np.conj(delta) - np.conj(c) * delta
+    mag = np.abs(kappa)
+    phase = np.where(mag > 0, np.conj(kappa) / np.where(mag > 0, mag, 1.0),
+                     1.0)
+    r = ((b * np.conj(delta) + np.conj(c) * delta) * phase).real
+    p = np.abs(delta) ** 2
+    radius = np.hypot(p, r)
+    cos = np.where(radius > 0,
+                   (1 - 2 * s) * p / np.where(radius > 0, radius, 1.0), 1.0)
+    theta = np.arccos(np.clip(cos, -1.0, 1.0)) - np.arctan2(r, p)
+    return np.stack([np.cos(theta / 2), phase * np.sin(theta / 2)], axis=-1)
+
+
+def _fov_cases(rng):
+    """(C, s): random blocks plus the degenerate ones: equal diagonal
+    entries (radius 0), a segment for a field of values (kappa 0), zero."""
     dense = (rng.standard_normal((40, 2, 2))
              + 1j * rng.standard_normal((40, 2, 2)))
     degenerate = np.array([np.ones((2, 2)), np.diag([1.0, -1.0]),
                            [[1.0, 2.0], [2.0, -1.0]], np.zeros((2, 2))])
-    C = np.concatenate([dense, degenerate])
-    s = np.r_[rng.random(40), 0.0, 0.5, 1.0, 0.5]
-    v = _fov_vector(C, s)
+    return (np.concatenate([dense, degenerate]),
+            np.r_[rng.random(40), 0.0, 0.5, 1.0, 0.5])
+
+
+def fov_stack(C, s):
+    """_fov_vector on the entries of the stack C, as v of shape (..., 2)."""
+    return np.stack(_fov_vector(C[..., 0, 0], C[..., 0, 1], C[..., 1, 0],
+                                C[..., 1, 1], s), axis=-1)
+
+
+def test_fov_vector_stack_matches_each_matrix(rng):
+    C, s = _fov_cases(rng)
+    v = fov_stack(C, s)
     # vectorized transcendentals may round differently from scalar ones
-    each = np.array([_fov_vector(Ci, si) for Ci, si in zip(C, s)])
+    each = np.array([fov_stack(Ci, si) for Ci, si in zip(C, s)])
     assert np.abs(v - each).max() <= 4 * _EPS
     assert np.abs(np.linalg.norm(v, axis=1) - 1).max() <= 4 * _EPS
     value = np.einsum("ki,kij,kj->k", v.conj(), C, v)
     wanted = (1 - s) * C[:, 0, 0] + s * C[:, 1, 1]
     assert np.all(np.abs(value - wanted)
                   <= 16 * _EPS * np.linalg.norm(C, axis=(1, 2)))
+
+
+def test_fov_vector_arrays_equal_the_stack_form(rng):
+    # the kappa = 0 and radius = 0 selects are arithmetic, adding and
+    # dividing by exact zeros where they do not fire, so the values are
+    # equal entry for entry, those cases included; one scalar s as well, as
+    # in the butterfly rounds
+    C, s = _fov_cases(rng)
+    assert np.array_equal(fov_stack(C, s), fov_vector_stack_oracle(C, s))
+    assert np.array_equal(fov_stack(C, 0.5), fov_vector_stack_oracle(C, 0.5))
+
+
+def test_fov_vector_on_python_scalars(rng):
+    C, s = _fov_cases(rng)
+    for Ci, si, want in zip(C, s, fov_vector_stack_oracle(C, s)):
+        v0, v1 = _fov_vector(*map(complex, Ci.ravel()), float(si))
+        assert abs(v0 - want[0]) <= 1e-15 and abs(v1 - want[1]) <= 1e-15
 
 
 def assert_unitary_hollow(A, hol):
@@ -299,11 +344,50 @@ _targets = st.tuples(st.sampled_from(_KINDS), st.integers(2, 64),
                      st.floats(-8, 8), st.integers(0, 2**32 - 1))
 
 
+def isotropic_vector_oracle(B):
+    """_isotropic_vector as it was written on numpy arrays, with the 2x2
+    solves on stacks of one."""
+    diag = np.diag(B)
+    i = int(np.argmax(np.abs(diag)))
+    rest = np.delete(np.arange(B.shape[0]), i)
+    z = diag[rest] * -np.conj(diag[i])
+    angle = np.angle(z)
+    jj, kk = np.argmin(angle % (2 * np.pi)), np.argmax(angle % (2 * np.pi))
+    if z[jj].imag > 0 > z[kk].imag and (np.conj(z[jj]) * z[kk]).imag < 0:
+        s = z[jj].imag / (z[jj].imag - z[kk].imag)
+    else:
+        s = 0.0 if abs(angle[jj]) <= abs(angle[kk]) else 1.0
+    jk = rest[[jj, kk]]
+    v = fov_vector_stack_oracle(B[np.ix_(jk, jk)], s)
+    y = np.zeros(B.shape[0], dtype=complex)
+    np.add.at(y, jk, v)
+    By = B[:, jk] @ v
+    w = y.conj() @ By
+    C = np.array([[diag[i], By[i]], [v.conj() @ B[jk, i], w]])
+    total = abs(diag[i]) + abs(w)
+    v = fov_vector_stack_oracle(C, abs(diag[i]) / total if total else 0.0)
+    x = v[1] * y
+    x[i] += v[0]
+    return x
+
+
 def assert_isotropic(B, case):
     """A unit x with |x* B x| at rounding level relative to ||B||_F."""
     x = _isotropic_vector(B)
     assert abs(np.linalg.norm(x) - 1) <= 4 * _EPS, case
     assert abs(x.conj() @ B @ x) <= 32 * _EPS * fro(B), case
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 12, 33, 63])
+def test_isotropic_vector_matches_array_form(rng, d):
+    # d = 2 leaves one other diagonal entry, so j == k
+    for kind, block in _test_blocks(rng, d):
+        B = block - np.trace(block) / d * np.eye(d)
+        x, want = _isotropic_vector(B), isotropic_vector_oracle(B)
+        for v in (x, want):
+            assert abs(np.linalg.norm(v) - 1) <= 4 * _EPS, kind
+            assert abs(v.conj() @ B @ v) <= 1e-14 * fro(B), kind
+        assert np.abs(x - want).max() <= 1e-14, kind
 
 
 @pytest.mark.parametrize("d", list(range(2, 21)) + [32, 33, 64])

@@ -10,12 +10,16 @@ from matwaring.config import DEFAULT_TOLS
 from matwaring.errors import IllConditionedError, SpectraOverlapError
 from matwaring.linalg import (
     SubspaceBasis,
+    TriangularPlan,
+    block_labels,
     block_triangular_similarity,
     blkdiag,
     certify_similarity,
     eigendecompose,
+    fro,
     joint_commutant_dimension,
     project_traceless,
+    spectral_gap,
     subspace_sum_rank,
     sylvester_solve,
 )
@@ -527,3 +531,118 @@ def test_block_triangular_property(sizes, orientation, log_scale, seed):
         S = recursive_transform_oracle([b.T for b in blocks], off.T)
         T_ref = np.linalg.inv(S).T
     assert np.linalg.norm(T - T_ref) <= 1e-12 * np.linalg.norm(T_ref)
+
+
+# ---------------------------------------------------------------------------
+# the stacked triangular path against the one-problem-per-call form it
+# replaced, kept here as the oracle
+# ---------------------------------------------------------------------------
+
+def oracle_certify(T, source, target):
+    """certify_similarity of one transform, as it was written per call:
+    (t_inv, residual_inverse, residual_map, condition_estimate)."""
+    T_inv = np.linalg.inv(T)
+    cond = fro(T) * fro(T_inv)
+    assert cond < np.inf
+    residual_inverse = fro(T @ T_inv - np.eye(T.shape[0]))
+    residual_map = fro(T @ source @ T_inv - target)
+    assert residual_inverse <= DEFAULT_TOLS.cert_tol
+    assert residual_map <= DEFAULT_TOLS.cert_tol * cond * fro(source)
+    return T_inv, residual_inverse, residual_map, cond
+
+
+def oracle_unit_upper_transform(sizes, upper, tols=DEFAULT_TOLS):
+    """The unit block-upper transform of one (n, n) problem, row by row."""
+    n = upper.shape[0]
+    lam = np.diag(upper)
+    labels = block_labels(sizes)
+    D = np.where(labels[:, None] == labels, upper, 0)
+    edges = np.cumsum((0, *sizes)).tolist()
+    coupled = np.logical_or.reduceat(np.triu(D, 1).any(axis=1), edges[:-1])
+    diagonal_on = (~np.logical_or.accumulate(coupled[::-1])[::-1]).tolist()
+    T = np.eye(n, dtype=complex)
+    for b in range(len(sizes) - 2, -1, -1):
+        s, e = edges[b], edges[b + 1]
+        if diagonal_on[b]:
+            T[s:e, e:] = (-(upper[s:e, e:] @ T[e:, e:])
+                          / (lam[s:e, None] - lam[e:]))
+            continue
+        for i in range(e - 1, s - 1, -1):
+            rhs = -(upper[i, i + 1:] @ T[i + 1:, e:])
+            T[i, e:] = (rhs / (lam[i] - lam[e:]) if diagonal_on[b + 1]
+                        else np.linalg.solve(
+                            lam[i] * np.eye(n - e) - D[e:, e:].T, rhs))
+    assert np.isfinite(T).all()
+    return T
+
+
+def oracle_block_triangular(blocks, off, orientation):
+    """block_triangular_similarity of one problem as it was written per
+    call: (T, t_inv, residual_inverse, residual_map, condition_estimate)."""
+    sizes = [b.shape[0] for b in blocks]
+    D = blkdiag(blocks)
+    labels = block_labels(sizes)
+    gap, _, _ = spectral_gap(np.diag(D), labels)
+    assert gap > DEFAULT_TOLS.gap_tol * np.abs(np.diag(D)).max()
+    keys = labels if orientation == "upper" else -labels
+    p = np.argsort(keys, kind="stable")
+    ix = np.ix_(p, p)
+    target = D + off
+    T = np.empty_like(target)
+    T[ix] = oracle_unit_upper_transform(
+        sizes if orientation == "upper" else sizes[::-1], target[ix])
+    return (T, *oracle_certify(T, D, target))
+
+
+def _stack_patterns(n):
+    h = n // 3
+    return [(n // 2, n - n // 2), (h, h + 1, n - 2 * h - 1), (1,) * n]
+
+
+@pytest.mark.parametrize("n", [8, 12, 33, 64])
+@pytest.mark.parametrize("pattern", [0, 1, 2], ids=["h-h", "p-q-r", "ones"])
+@pytest.mark.parametrize("S", [1, 2, 4])
+@pytest.mark.parametrize("orientations", ["upper", "lower", "both"])
+@pytest.mark.parametrize("kind", ["diagonal", "mixed"])
+def test_stacked_similarities_match_per_call_oracle(rng, n, pattern, S,
+                                                     orientations, kind):
+    sizes = _stack_patterns(n)[pattern]
+    eigs = np.linalg.eigvals(random_complex(rng, n))
+    edges = np.cumsum((0,) + sizes)
+    # diagonal blocks take the division steps; "mixed" makes every second
+    # block triangular, whose rows take the small solves
+    blocks = [planted_triangular(rng, eigs[a:b]) if kind == "mixed" and k % 2
+              else np.diag(eigs[a:b])
+              for k, (a, b) in enumerate(zip(edges, edges[1:]))]
+    labels = block_labels(sizes)
+    above = labels[None, :] > labels[:, None]
+    kinds = (["upper", "lower"] * S)[:S] if orientations == "both" else (
+        [orientations] * S)
+    offs = [random_complex(rng, n) * (above if o == "upper" else above.T)
+            for o in kinds]
+    certs = TriangularPlan(blocks).similarities(offs, kinds, DEFAULT_TOLS)
+    assert len(certs) == S
+    # A stacked call takes a division step or a solve for every problem in
+    # it alike. Mixed blocks listed both ways round differ in which blocks
+    # are diagonal, so there some problems take solves where a call of
+    # their own divides: T agrees to rounding, and residuals, which are
+    # rounding themselves, are compared only where the arithmetic is the
+    # same.
+    same_steps = not (kind == "mixed" and orientations == "both" and S > 1)
+    for cert, off, o in zip(certs, offs, kinds):
+        T, T_inv, res_inv, res_map, cond = oracle_block_triangular(blocks,
+                                                                    off, o)
+        assert cert.label == f"block-triangular-{o}"
+        assert fro(cert.t - T) <= 1e-13 * fro(T)
+        assert fro(cert.t_inv - T_inv) <= 1e-13 * fro(T_inv)
+        assert abs(cert.condition_estimate - cond) <= 1e-12 * cond
+        if same_steps:
+            assert abs(cert.residual_inverse - res_inv) <= 1e-12 * res_inv
+            assert abs(cert.residual_map - res_map) <= 1e-12 * res_map
+        # on and below the block diagonal (in the orientation's block
+        # order) T is the identity, exactly
+        keys = labels if o == "upper" else -labels
+        fixed = keys[None, :] <= keys[:, None]
+        assert np.array_equal(cert.t[fixed], np.eye(n)[fixed])
+        assert np.array_equal(T[fixed], np.eye(n)[fixed])
+        assert np.array_equal(cert.target, blkdiag(blocks) + off)

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from matwaring import freealg, waring
+from matwaring import freealg, linalg, waring
 from matwaring.canon import partition_spectrum, zero_diagonal_similarity
 from matwaring.errors import (
     BudgetExhaustedError,
+    IllConditionedError,
     MultiplicityTooLargeError,
     NonzeroTraceError,
     NotGenericError,
@@ -36,6 +37,7 @@ from conftest import (
     planted_matrix,
     random_complex,
     random_traceless,
+    random_unitary,
     sorted_eigs,
 )
 from test_freealg import word_by_word_oracle
@@ -441,6 +443,23 @@ def test_split_failure_names_its_stage():
     assert err.value.residual > DEFAULT_TOLS.split_tol * fro(A)
 
 
+def test_term_certificate_failure_names_the_first_term(rng):
+    # eigenvectors of condition 1e2 and a target 1e2 past the witness's
+    # gaps: the term transforms (condition 3e6-2e7) leave residuals of
+    # 1e-10 and more, every earlier certificate 2e-13 at most, so a cert_tol
+    # of 1e-12 fails all four terms in one pass, and the first is named
+    S = random_unitary(rng, 8) @ np.diag(np.logspace(0, -2, 8)) @ (
+        random_unitary(rng, 8))
+    B = S @ np.diag(np.arange(1.0, 9.0)) @ np.linalg.inv(S)
+    A = 1e2 * random_traceless(rng, 8)
+    four_term_decompose(B, A)
+    tols = replace(DEFAULT_TOLS, cert_tol=1e-12)
+    with pytest.raises(IllConditionedError,
+                       match=r"exceeds 1\.0e-12 \(condition estimate "
+                             r"\S+, term1-similar-to-witness\)$"):
+        four_term_decompose(B, A, tols)
+
+
 def test_witness_not_scaled_when_large_enough(rng):
     f = parse("[X1,X2]")
     B, _ = image_search(f, 6, GOAL_MULTIPLICITY_HALF)
@@ -537,14 +556,67 @@ class TestWitnessMemo:
         A = 1e-2 * random_traceless(rng, n)   # the witness is not scaled up
         first = route(f, A, seed=2)
         text_ = _certificate_text(first)
+        # steps[2] is the first triangular certificate: its source is the
+        # block diagonal of the partition's triangular plan
         shared = [first.witness, first.steps[0].t, first.steps[0].t_inv,
-                  first.steps[0].source, first.term_certs[0].source]
+                  first.steps[0].source, first.term_certs[0].source,
+                  first.steps[2].source]
         if route is five_term_express:
             shared += [*first.tuples[0], first.terms[0]]
         for M in shared:
             with pytest.raises(ValueError, match="read-only"):
                 M[0, 0] = 7.0
         assert _certificate_text(route(f, A, seed=2)) == text_
+
+    def test_triangular_plan_made_once_and_targets_batched(self,
+                                                            monkeypatch):
+        # About a fifth of the five-term benchmark's targets (those scaled
+        # far up) factor a fresh scaled-up witness, and so build a plan of
+        # their own; every other target reuses the memo's.
+        gaps, transforms, passes = [], [], []
+
+        def recording(log, fn, entry):
+            def wrapper(*args):
+                log.append(entry(*args))
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(linalg, "spectral_gap", recording(
+            gaps, linalg.spectral_gap, lambda values, labels: len(values)))
+        monkeypatch.setattr(linalg, "_unit_upper_transform", recording(
+            transforms, linalg._unit_upper_transform,
+            lambda sizes, upper, tols: (tuple(sizes), len(upper))))
+        certify = recording(passes, linalg._certify,
+                            lambda Ts, source, targets, tols, labels: labels)
+        monkeypatch.setattr(linalg, "_certify", certify)
+        monkeypatch.setattr(waring, "_certify", certify)
+        f = parse("[X1,X2]")
+        n = 12
+        rng = np.random.default_rng(12)
+        A = 1e-3 * random_traceless(rng, n)    # the witness is not scaled up
+        first = waring_express(f, A)
+        for target, made in ((1e-3 * random_traceless(rng, n), 0),
+                             (1e8 * random_traceless(rng, n), 1)):
+            del gaps[:], transforms[:], passes[:]
+            cert = waring_express(f, target)
+            # a fresh witness is partitioned (its clusters' plan, then the
+            # groups' plan); the memo's witness keeps its plan and gap
+            assert (cert.witness is first.witness) == (made == 0)
+            assert gaps == [n, n] * made
+            # both halves' upper and lower problems share the (6, 6)
+            # pattern: one transform call and one certification pass for
+            # the four, one pass for the four terms
+            assert transforms[-1] == ((6, 6), 4)
+            assert len(transforms) == 1 + made
+            tri = [labels for labels in passes
+                   if labels[0].startswith("block-triangular")]
+            terms = [labels for labels in passes
+                     if labels[0].startswith("term")]
+            assert tri[-1] == ["block-triangular-upper",
+                               "block-triangular-lower"] * 2
+            assert len(tri) == 1 + made
+            assert terms == [[f"term{k}-similar-to-witness"
+                              for k in range(1, 5)]]
 
     def test_failures_are_raised_again(self, monkeypatch):
         # [X1,X2] is 2-central on M_2 (its square is scalar)
