@@ -9,7 +9,6 @@ together with similarity certificates for every construction step.
 from .canon import (
     HollowForm,
     SpectralPartition,
-    block_diagonalize_by_cluster,
     cluster_eigenvalues,
     partition_spectrum,
     zero_diagonal_similarity,

@@ -132,24 +132,11 @@ def _check_cluster_gaps(clusters, tols):
         )
 
 
-def block_diagonalize_by_cluster(B, clusters, tols: Tolerances = DEFAULT_TOLS):
-    """B = T blkdiag(C_1..C_k) T^-1 with C_i carrying cluster i's spectrum.
-
-    Builds the Schur form of B with the clusters contiguous in the given
-    order, then strips the coupling by block-triangular similarity. Returns
-    (blocks, cert) with B = cert.t blkdiag(blocks) cert.t_inv.
-    """
-    B = as_cmatrix(B)
-    _check_cluster_gaps(clusters, tols)
-    _, T, Q = eigendecompose(
-        B, key=lambda eigs: _assign_to_clusters(eigs, clusters))
-    return _decoupled(B, T, Q, [c[1] for c in clusters], tols)
-
-
 def _decoupled(B, T, Q, sizes, tols):
-    """block_diagonalize_by_cluster's (blocks, cert) from B's Schur form
-    B = Q T Q*, whose diagonal blocks of the given sizes have pairwise
-    disjoint spectra."""
+    """(blocks, cert) with B = cert.t blkdiag(blocks) cert.t_inv, from B's
+    Schur form B = Q T Q*, whose diagonal blocks of the given sizes have
+    pairwise disjoint spectra: the blocks are T's, and the coupling above
+    them is stripped by block-triangular similarity."""
     edges = np.cumsum((0, *sizes))
     blocks = [T[a:b, a:b].copy() for a, b in zip(edges, edges[1:])]
     D = blkdiag(blocks)

@@ -5,12 +5,12 @@ Words multiply by concatenation; nothing commutes except scalars. Evaluation
 substitutes square matrices for the variables; the empty word contributes a
 multiple of the identity.
 
-`parse` keeps a polynomial as its text is written: it compiles the text into
+A polynomial is held only as its text compiles: `parse` turns the text into
 a straight-line program (see `_Program`), and `evaluate` runs that program.
 (X1+X2*X3+X3*X1)^4 costs two products for its base and two squarings, where
-its 81 words would cost 197 products. The words are multiplied out only for
-the structure queries that need them (`terms`, `is_multilinear`, equality,
-`to_word_string`).
+its 81 words would cost 197 products. The words are never multiplied out:
+the one structure query the routes need, `is_multilinear`, reads
+multidegrees off the program's nodes.
 
 The text grammar (parsed by `parse`, printed by `NcPolynomial.to_string`):
 
@@ -32,8 +32,6 @@ import numpy as np
 from .config import CLASSIFY_KMAX, CLASSIFY_SAMPLES, CLASSIFY_TOL
 from .errors import ParseError
 
-Word = tuple  # tuple of 1-based variable indices; () is the constant word
-
 # The program of one text may cost at most PROGRAM_BUDGET units: one per
 # node, one per summand and two per exponent bit, an upper bound on the
 # matrix products and sums of one evaluation. No word of the text may be
@@ -45,14 +43,6 @@ Word = tuple  # tuple of 1-based variable indices; () is the constant word
 PROGRAM_BUDGET = 1 << 12
 DEGREE_LIMIT = 1 << 10
 
-# Multiplying out the words of parsed text may write at most PARSE_BUDGET
-# units, one per word and one per letter, over all the products and sums it
-# forms; beyond that the structure query raises ParseError. A cheap program
-# can have many words ((X1+X2)^k has 2^k), so the expansion keeps a bound of
-# its own. (X1+X2*X3+X3*X1)^4 takes 843 units to multiply out, and its
-# 81-word text 1966.
-PARSE_BUDGET = 1 << 14
-
 # Variables are X1 .. X{VARIABLE_LIMIT}. Classification and the witness
 # search draw one random matrix per variable up to the largest index used,
 # so an unbounded index (X100000000) would let short text exhaust memory.
@@ -60,60 +50,24 @@ VARIABLE_LIMIT = 64
 
 
 class NcPolynomial:
-    """A polynomial, held as its words, as a program or as both.
+    """A polynomial, held as the program that `parse` compiled from its
+    text.
 
-    `terms` maps each word to its nonzero coefficient. A polynomial built
-    from terms (the constructor and the arithmetic operators) evaluates as
-    the sum of its words in the order of `terms`, each word a left-to-right
-    product, with the product of a shared prefix formed once. A parsed
-    polynomial evaluates as its text is written, and multiplies its words
-    out only when `terms` is first read, within PARSE_BUDGET.
+    Every polynomial comes from `parse`. The operators `+`, `-`, `*`, `**`
+    and a scalar factor join their operands' text (`to_string`, a scalar as
+    printed in a term) and parse the result, so every bound of `parse`
+    holds for every polynomial. Equality is identity: two polynomials
+    compare equal only when they are one object; compare their printed
+    text or their images instead.
 
     `_prepared` holds what the decomposition routes derive from the
     polynomial before they see a target (waring._prepared), so it lives and
     dies with the polynomial.
     """
 
-    def __init__(self, terms=None):
-        merged = {}
-        for word, coeff in (terms or {}).items():
-            word = tuple(int(i) for i in word)
-            if any(i < 1 for i in word):
-                raise ValueError(f"variable indices must be >= 1, got {word}")
-            merged[word] = merged.get(word, 0j) + complex(coeff)
-        self._terms = {w: c for w, c in merged.items() if c != 0}
-        self._program = None
+    def __init__(self, program):
+        self.program = program
         self._prepared = {}
-
-    @classmethod
-    def _compiled(cls, program):
-        poly = cls.__new__(cls)
-        poly._terms, poly._program, poly._prepared = None, program, {}
-        return poly
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def constant(cls, c):
-        return cls({(): c})
-
-    @classmethod
-    def variable(cls, index):
-        return cls({(index,): 1.0})
-
-    @property
-    def terms(self):
-        if self._terms is None:
-            self._terms = self._program.expand()
-        return self._terms
-
-    @property
-    def program(self):
-        if self._program is None:
-            self._program = _word_sum(self._terms)
-        return self._program
 
     @property
     def num_vars(self):
@@ -122,118 +76,61 @@ class NcPolynomial:
         return self.program.num_vars
 
     def __add__(self, other):
-        return NcPolynomial(_sum((self.terms, _coerce(other).terms)))
+        return _composed("{} + {}", self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NcPolynomial({w: -c for w, c in self.terms.items()})
+        return _composed("-{}", self)
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return _composed("{} - {}", self, other)
 
     def __mul__(self, other):
-        return NcPolynomial(_times(self.terms, _coerce(other).terms))
+        return _composed("{}*{}", self, other)
 
-    def __rmul__(self, scalar):
-        return NcPolynomial({w: scalar * c for w, c in self.terms.items()})
+    __rmul__ = __mul__   # the reflected operand is a scalar, which commutes
 
     def __pow__(self, k):
-        return NcPolynomial(_power(self.terms, k))
-
-    def __eq__(self, other):
-        return isinstance(other, NcPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
+        if not isinstance(k, int):
+            return NotImplemented
+        return _composed(f"{{}}^{k:d}", self)
 
     def is_multilinear(self):
-        """True when every word uses each of X1..Xm exactly once.
+        """True when every word uses each of X1..Xm exactly once, read off
+        the program's multidegrees (`_Program.multidegree`).
 
         The constant polynomial and polynomials with a constant term are not
-        multilinear (the empty word misses every variable).
+        multilinear (the empty word misses every variable). Words that
+        cancel are still counted, so cancellation can only turn the answer
+        to False: X1*X2 - X1*X2 is multilinear, [X1,X2] + X1^2 - X1^2 is
+        not.
         """
-        m = max((max(w) for w in self.terms if w), default=0)
-        if m == 0:
-            return False
-        target = tuple(range(1, m + 1))
-        return all(tuple(sorted(w)) == target for w in self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
+        m = self.num_vars
+        return m > 0 and self.program.multidegree() == (1,) * m
 
     def to_string(self):
         """The program as text: parsing it gives back this program."""
         return self.program.text()
 
-    def to_word_string(self):
-        """The words and coefficients as text, shortest words first."""
-        return _join_terms(_format_term(c, "*".join(_format_run(v, k)
-                                                   for v, k in _runs(w)))
-                           for w, c in self.sorted_terms())
-
     def __repr__(self):
         return f"NcPolynomial({self.to_string()!r})"
 
 
-def _coerce(value):
-    if isinstance(value, NcPolynomial):
-        return value
-    if isinstance(value, (int, float, complex)):
-        return NcPolynomial.constant(value)
-    raise TypeError(f"cannot combine NcPolynomial with {type(value).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# words: the expansion behind `terms`
-# ---------------------------------------------------------------------------
-
-def _units(words):
-    """The size of some words: one unit per word and one per letter."""
-    return len(words) + sum(map(len, words))
-
-
-def _sum(term_dicts, charge=None):
-    """The sum of some term dicts, cancelled words dropped. charge, when
-    given, is called with the units of each summand (see PARSE_BUDGET)."""
-    out = {}
-    for terms in term_dicts:
-        if charge is not None:
-            charge(_units(terms))
-        for w, c in terms.items():
-            out[w] = out.get(w, 0j) + c
-    return {w: c for w, c in out.items() if c != 0}
-
-
-def _times(p, q, charge=None):
-    """The product of two term dicts, cancelled words dropped. charge, when
-    given, is called first with the units of the words it will write."""
-    if charge is not None:
-        charge(len(p) * len(q) + len(q) * sum(map(len, p))
-               + len(p) * sum(map(len, q)))
-    out = {}
-    for w1, c1 in p.items():
-        for w2, c2 in q.items():
-            w = w1 + w2
-            out[w] = out.get(w, 0j) + c1 * c2
-    return {w: c for w, c in out.items() if c != 0}
-
-
-def _power(terms, k, charge=None):
-    """terms to the k-th power, one factor at a time from the left."""
-    if k < 0:
-        raise ValueError("negative polynomial powers are not defined")
-    if k > PARSE_BUDGET:
-        # refused before any factor is formed; every factor costs an
-        # expansion at least one unit, so none could afford more
-        raise ValueError(f"power exceeds the limit of {PARSE_BUDGET} factors")
-    out = {(): 1.0 + 0j}
-    for _ in range(int(k)):
-        out = _times(out, terms, charge)
-    return out
+def _composed(template, *operands):
+    """parse(template) with each operand's text, parenthesized, in place of
+    a {}; NotImplemented for an operand that is neither a polynomial nor a
+    scalar. A scalar that is not finite has no text and is refused."""
+    texts = []
+    for value in operands:
+        if isinstance(value, NcPolynomial):
+            texts.append(f"({value.to_string()})")
+        elif isinstance(value, (int, float, complex)):
+            term = _format_term(_finite(value), "")
+            texts.append(f"({_join_terms([term])})")
+        else:
+            return NotImplemented
+    return parse(template.format(*texts))
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +173,6 @@ def _join_terms(signed):
     return "".join(parts) or "0"
 
 
-def _runs(word):
-    runs = []
-    for v in word:
-        if runs and runs[-1][0] == v:
-            runs[-1][1] += 1
-        else:
-            runs.append([v, 1])
-    return [(v, k) for v, k in runs]
-
-
-def _format_run(v, k):
-    return f"X{v}" if k == 1 else f"X{v}^{k}"
-
-
 # ---------------------------------------------------------------------------
 # programs
 # ---------------------------------------------------------------------------
@@ -314,19 +197,18 @@ class _Program:
 
     and reads only nodes before it. Equal nodes are made once, so a shared
     subexpression is evaluated once. `add` makes nodes, charging each to
-    `budget` when one is given; `finish` fixes the value, keeping only the
-    nodes it reads: the value is the last node.
+    PROGRAM_BUDGET and checking its degree against DEGREE_LIMIT; `finish`
+    fixes the value, keeping only the nodes it reads: the value is the last
+    node.
     """
 
-    def __init__(self, budget=None):
+    def __init__(self):
         self.nodes = []
-        self.positions = []   # where in the text each node was made
         self._index = {}
         self._degrees = []
-        self._budget = budget
         self.cost = 0
 
-    def add(self, node, position=0):
+    def add(self, node):
         k = self._index.get(node)
         if k is not None:
             return k
@@ -343,18 +225,16 @@ class _Program:
             cost += 2 * parameter.bit_length()
         else:
             degree = sum(degrees)
-        if self._budget is not None:
-            if degree > DEGREE_LIMIT:
-                raise ValueError(f"polynomial degree {degree} exceeds the "
-                                 f"limit of {DEGREE_LIMIT}")
-            if self.cost + cost > self._budget:
-                raise ValueError("polynomial program exceeds the limit of "
-                                 f"{self._budget} units (nodes, summands "
-                                 "and exponent bits)")
+        if degree > DEGREE_LIMIT:
+            raise ValueError(f"polynomial degree {degree} exceeds the "
+                             f"limit of {DEGREE_LIMIT}")
+        if self.cost + cost > PROGRAM_BUDGET:
+            raise ValueError("polynomial program exceeds the limit of "
+                             f"{PROGRAM_BUDGET} units (nodes, summands "
+                             "and exponent bits)")
         self.cost += cost
         self._index[node] = len(self.nodes)
         self.nodes.append(node)
-        self.positions.append(position)
         self._degrees.append(degree)
         return len(self.nodes) - 1
 
@@ -372,15 +252,14 @@ class _Program:
                 for o in self.nodes[k][1]:
                     live[o] = True
         renumber = {}
-        nodes, positions = [], []
+        nodes = []
         for k in range(j + 1):
             if live[k]:
                 op, operands, parameter = self.nodes[k]
                 renumber[k] = len(nodes)
                 nodes.append((op, tuple(renumber[o] for o in operands),
                               parameter))
-                positions.append(self.positions[k])
-        self.nodes, self.positions = tuple(nodes), positions
+        self.nodes = tuple(nodes)
         del self._index, self._degrees
         self.num_vars = max((n[2] for n in nodes if n[0] == "x"), default=0)
         # release[k]: the values last read by node k, freed after it runs
@@ -423,45 +302,29 @@ class _Program:
                 values[o] = None
         return values[-1]
 
-    def expand(self):
-        """The words of the value, formed within PARSE_BUDGET units."""
-        units = 0
-
-        def charge(n):
-            nonlocal units
-            units += n
-            if units > PARSE_BUDGET:
-                raise ValueError(
-                    "polynomial multiplies out beyond the limit of "
-                    f"{PARSE_BUDGET} units (words and letters)")
-
-        words = []
-        for (op, operands, parameter), position in zip(self.nodes,
-                                                       self.positions):
-            args = [words[j] for j in operands]
-            try:
-                if op == "x":
-                    terms = {(parameter,): 1.0 + 0j}
-                elif op == "1":
-                    terms = {(): 1.0 + 0j}
-                elif op == "+":
-                    terms = _sum(({w: c * x for w, x in a.items()}
-                                  for c, a in zip(parameter, args)), charge)
-                elif op == "*":
-                    terms = _times(*args, charge)
-                elif op == "^":
-                    terms = _power(args[0], parameter, charge)
-                else:
-                    a, b = args
-                    ba = _times(b, a, charge)
-                    terms = _sum((_times(a, b, charge),
-                                  {w: -c for w, c in ba.items()}), charge)
-                if not all(map(cmath.isfinite, terms.values())):
-                    raise ValueError("coefficient overflows the double range")
-            except ValueError as exc:
-                raise ParseError(str(exc), position) from None
-            words.append(terms)
-        return words[-1]
+    def multidegree(self):
+        """The value's degree in each of X1..X{num_vars}, or None when a sum
+        adds summands of different multidegrees, in one walk over the
+        nodes. Words that cancel still count, so None does not prove the
+        value inhomogeneous."""
+        m = self.num_vars
+        degrees = []
+        for op, operands, parameter in self.nodes:
+            args = [degrees[j] for j in operands]
+            if op == "x":
+                degree = tuple(int(i == parameter) for i in range(1, m + 1))
+            elif op == "1":
+                degree = (0,) * m
+            elif None in args:
+                degree = None
+            elif op == "+":
+                degree = args[0] if args.count(args[0]) == len(args) else None
+            elif op == "^":
+                degree = tuple(parameter * d for d in args[0])
+            else:
+                degree = tuple(map(sum, zip(*args)))
+            degrees.append(degree)
+        return degrees[-1]
 
     def text(self):
         return self._text(len(self.nodes) - 1, _IN_SUM)
@@ -501,20 +364,6 @@ def _power_by_squaring(x, e):
         if not e:
             return result
         x = x @ x
-
-
-def _word_sum(terms):
-    """The program of a sum of words: each word a left-to-right chain of
-    products, summed in the order of terms."""
-    program = _Program()
-    words = []
-    for word in terms:
-        j = program.add(("x", (), word[0]) if word else ("1", (), None))
-        for v in word[1:]:
-            j = program.add(("*", (j, program.add(("x", (), v))), None))
-        words.append(j)
-    return program.finish(1.0, program.add(
-        ("+", tuple(words), tuple(terms.values()))))
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +444,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.program = _Program(PROGRAM_BUDGET)
+        self.program = _Program()
 
     def peek(self, offset=0):
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -626,7 +475,7 @@ class _Parser:
         while self.peek()[0] in "+-":
             sign = self.next()[0]
             signed.append((sign, self.term()))
-        return _limited(start, self.sum, signed, start)
+        return _limited(start, self.sum, signed)
 
     def term(self):
         start = self.peek()[3]
@@ -634,7 +483,7 @@ class _Parser:
         while self.peek()[0] == "*":
             self.next()
             factors.append(self.factor())
-        return _limited(start, self.product, factors, start)
+        return _limited(start, self.product, factors)
 
     def factor(self):
         value = self.atom()
@@ -643,7 +492,7 @@ class _Parser:
             tok = self.expect("num")
             if tok[2] or not tok[1].is_integer() or tok[1] < 0:
                 raise ParseError("exponent must be a nonnegative integer", tok[3])
-            value = _limited(tok[3], self.power, value, int(tok[1]), tok[3])
+            value = _limited(tok[3], self.power, value, int(tok[1]))
         return value
 
     def atom(self):
@@ -651,7 +500,7 @@ class _Parser:
         kind = tok[0]
         if kind == "var":
             self.next()
-            return _limited(tok[3], self.variable, tok[1], tok[3])
+            return _limited(tok[3], self.variable, tok[1])
         if kind == "num":
             self.next()
             return _limited(tok[3], self.scalar,
@@ -670,7 +519,7 @@ class _Parser:
             self.expect(",")
             b = self.expr()
             self.expect("]")
-            return _limited(tok[3], self.commutator, a, b, tok[3])
+            return _limited(tok[3], self.commutator, a, b)
         raise ParseError("expected a variable, number, '(' or '['", tok[3])
 
     def _complex_literal(self):
@@ -687,13 +536,13 @@ class _Parser:
             return _limited(t0[3], self.scalar, complex(t0[1], imag))
         return None
 
-    def variable(self, index, position):
-        return 1.0, self.program.add(("x", (), index), position)
+    def variable(self, index):
+        return 1.0, self.program.add(("x", (), index))
 
     def scalar(self, c):
         return _finite(c), None
 
-    def sum(self, signed, position):
+    def sum(self, signed):
         summands = [(-c if sign == "-" else c, j) for sign, (c, j) in signed]
         if len(summands) == 1:
             return summands[0]
@@ -704,36 +553,35 @@ class _Parser:
             return _finite(total), None
         one = None
         if any(j is None for _, j in summands):
-            one = self.program.add(("1", (), None), position)
+            one = self.program.add(("1", (), None))
         operands = tuple(one if j is None else j for _, j in summands)
         node = ("+", operands, tuple(c for c, _ in summands))
-        return 1.0, self.program.add(node, position)
+        return 1.0, self.program.add(node)
 
-    def product(self, factors, position):
+    def product(self, factors):
         c, j = factors[0]
         for c2, j2 in factors[1:]:
             c = c * c2
             if j is None:
                 j = j2
             elif j2 is not None:
-                j = self.program.add(("*", (j, j2), None), position)
+                j = self.program.add(("*", (j, j2), None))
         return _finite(c), j
 
-    def power(self, value, e, position):
+    def power(self, value, e):
         c, j = value
         if e == 0:
             return 1.0, None
         c = _finite(_scalar_power(c, e))
         if j is None or e == 1:
             return c, j
-        return c, self.program.add(("^", (j,), e), position)
+        return c, self.program.add(("^", (j,), e))
 
-    def commutator(self, a, b, position):
+    def commutator(self, a, b):
         (ca, ja), (cb, jb) = a, b
         if ja is None or jb is None:
             return 0.0, None     # a scalar commutes with everything
-        return _finite(ca * cb), self.program.add(("[]", (ja, jb), None),
-                                                  position)
+        return _finite(ca * cb), self.program.add(("[]", (ja, jb), None))
 
 
 def _finite(c):
@@ -772,7 +620,7 @@ def parse(text):
         value = parser.parse()
     except RecursionError:
         raise ParseError("polynomial text is nested too deeply", 0) from None
-    return NcPolynomial._compiled(_limited(0, parser.program.finish, *value))
+    return NcPolynomial(_limited(0, parser.program.finish, *value))
 
 
 # ---------------------------------------------------------------------------

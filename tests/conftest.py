@@ -1,6 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
+
+from matwaring.freealg import _Parser
 
 
 def random_complex(rng, n):
@@ -39,3 +43,100 @@ def sorted_eigs(M):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+# ---------------------------------------------------------------------------
+# an evaluation oracle independent of the compiled program
+# ---------------------------------------------------------------------------
+
+# WordParser refuses a product of more word pairs than this
+WORD_PAIR_LIMIT = 1 << 12
+
+
+def _word_sum(term_dicts):
+    """The sum of some {word: coeff} dicts, in the order words first
+    appear, cancelled words dropped."""
+    out = {}
+    for terms in term_dicts:
+        for w, c in terms.items():
+            out[w] = out.get(w, 0j) + c
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def _word_product(p, q):
+    if len(p) * len(q) > WORD_PAIR_LIMIT:
+        raise ValueError("the oracle multiplies out beyond "
+                         f"{WORD_PAIR_LIMIT} word pairs")
+    return _word_sum([{w1 + w2: c1 * c2} for w1, c1 in p.items()
+                      for w2, c2 in q.items()])
+
+
+class WordParser(_Parser):
+    """The parser with every value multiplied out into words: a dict from
+    each word (a tuple of 1-based variable indices, () the identity) to its
+    nonzero coefficient. Sums, products, powers and commutators multiply
+    out two polynomials at a time, left to right, as text was read before
+    it was compiled into a program."""
+
+    def variable(self, index):
+        return {(index,): 1 + 0j}
+
+    def scalar(self, c):
+        return _word_sum([{(): complex(c)}])
+
+    def sum(self, signed):
+        return _word_sum({w: -c if sign == "-" else c for w, c in p.items()}
+                         for sign, p in signed)
+
+    def product(self, factors):
+        return functools.reduce(_word_product, factors)
+
+    def power(self, p, e):
+        return functools.reduce(_word_product, [p] * e, {(): 1 + 0j})
+
+    def commutator(self, a, b):
+        return self.sum([("+", _word_product(a, b)),
+                         ("-", _word_product(b, a))])
+
+
+def words_of(text):
+    """The words of polynomial text, multiplied out by WordParser."""
+    return WordParser(text).parse()
+
+
+def words(f):
+    """The words of a polynomial's program, read from its printed text."""
+    return words_of(f.to_string())
+
+
+def word_text(terms):
+    """Text whose program sums the words of terms in their order, each word
+    a left-to-right product of its letters."""
+    return " + ".join(
+        "*".join([f"({c.real!r}{'-' if c.imag < 0 else '+'}{abs(c.imag)!r}i)",
+                  *(f"X{v}" for v in w)])
+        for w, c in terms.items()) or "0"
+
+
+def evaluate_words(terms, args):
+    """The sum of the words of terms, each multiplied out from the identity
+    in the order of terms, one tuple at a time: arguments of shape
+    (S, n, n) are evaluated slice by slice."""
+    mats = [np.asarray(a, dtype=complex) for a in args]
+    if mats[0].ndim == 3:
+        return np.stack([evaluate_words(terms, [a[s] for a in mats])
+                         for s in range(mats[0].shape[0])])
+    n = mats[0].shape[0]
+    out = np.zeros((n, n), dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    for word, coeff in terms.items():
+        prod = eye
+        for v in word:
+            prod = prod @ mats[v - 1]
+        out += coeff * prod
+    return out
+
+
+def word_by_word_oracle(f, args):
+    """freealg.evaluate without the program: f's words summed one by one."""
+    return evaluate_words(words(f), args)

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from matwaring.canon import (
     _assign_to_clusters,
+    _check_cluster_gaps,
+    _decoupled,
     _fov_vector,
     _isotropic_vector,
-    block_diagonalize_by_cluster,
     cluster_eigenvalues,
     partition_spectrum,
     zero_diagonal_similarity,
@@ -49,18 +50,25 @@ class TestClusterEigenvalues:
         assert len(clusters) == 1 and clusters[0][1] == 3
 
 
+def decoupled_along(B, clusters):
+    """_decoupled on B's Schur form with the given clusters contiguous, as
+    partition_spectrum calls it."""
+    _, T, Q = eigendecompose(
+        B, key=lambda eigs: _assign_to_clusters(eigs, clusters))
+    return _decoupled(B, T, Q, [c[1] for c in clusters], DEFAULT_TOLS)
+
+
 class TestBlockDiagonalize:
-    def test_already_block_diagonal(self, rng):
+    def test_already_block_diagonal(self):
         B = np.diag([1.0, 2.0]).astype(complex)
-        clusters = cluster_eigenvalues([1.0, 2.0], 1e-8)
-        blocks, cert = block_diagonalize_by_cluster(B, clusters)
-        assert np.allclose(cert.t @ blkdiag(blocks) @ cert.t_inv, B, atol=1e-12)
+        blocks, cert = _decoupled(B, B, np.eye(2), (1, 1), DEFAULT_TOLS)
+        assert [b.item() for b in blocks] == [1.0, 2.0]
+        assert np.array_equal(cert.t, np.eye(2))
 
     def test_two_by_two_hand_value(self):
         # Sylvester relation: X - 2X = -5 gives X = 5, so T = [[1, 5], [0, 1]]
         B = np.array([[1.0, 5.0], [0.0, 2.0]], dtype=complex)
-        clusters = cluster_eigenvalues([1.0, 2.0], 1e-8)
-        blocks, cert = block_diagonalize_by_cluster(B, clusters)
+        blocks, cert = _decoupled(B, B, np.eye(2), (1, 1), DEFAULT_TOLS)
         assert np.allclose([b.item() for b in blocks], [1.0, 2.0])
         assert np.allclose(cert.t, [[1, 5], [0, 1]])
 
@@ -68,8 +76,13 @@ class TestBlockDiagonalize:
         B = planted_matrix(rng, [1, 1, 2, 2, 3])
         clusters = cluster_eigenvalues(np.linalg.eigvals(B),
                                        DEFAULT_TOLS.cluster_tol)
-        blocks, cert = block_diagonalize_by_cluster(B, clusters)
+        blocks, cert = decoupled_along(B, clusters)
+        assert [b.shape[0] for b in blocks] == [2, 2, 1]
         recon = cert.t @ blkdiag(blocks) @ cert.t_inv
+        assert np.linalg.norm(recon - B) <= 1e-9 * np.linalg.norm(B)
+        part = partition_spectrum(B)
+        cert = part.to_block_diag
+        recon = cert.t @ blkdiag(part.blocks) @ cert.t_inv
         assert np.linalg.norm(recon - B) <= 1e-9 * np.linalg.norm(B)
 
     def test_jordan_coupled_cluster(self, rng):
@@ -79,15 +92,14 @@ class TestBlockDiagonalize:
         B = Q @ J @ Q.conj().T
         clusters = cluster_eigenvalues(np.linalg.eigvals(B),
                                        DEFAULT_TOLS.cluster_tol)
-        blocks, cert = block_diagonalize_by_cluster(B, clusters)
+        blocks, cert = decoupled_along(B, clusters)
         recon = cert.t @ blkdiag(blocks) @ cert.t_inv
         assert np.linalg.norm(recon - B) <= 1e-9 * np.linalg.norm(B)
 
-    def test_tight_clusters_rejected(self, rng):
-        B = np.diag([1.0, 1.0 + 1e-10]).astype(complex)
+    def test_tight_clusters_rejected(self):
         clusters = [(1.0 + 0j, 1), (1.0 + 1e-10 + 0j, 1)]
         with pytest.raises(ClusterGapTooSmallError):
-            block_diagonalize_by_cluster(B, clusters)
+            _check_cluster_gaps(clusters, DEFAULT_TOLS)
 
 
 class TestPartitionSpectrum:

@@ -1,19 +1,16 @@
 import time
-from types import SimpleNamespace
+from itertools import groupby
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matwaring import freealg
 from matwaring.errors import ParseError
 from matwaring.freealg import (
-    PARSE_BUDGET,
+    DEGREE_LIMIT,
     PROGRAM_BUDGET,
     VARIABLE_LIMIT,
-    NcPolynomial,
-    _Parser,
     classify,
     evaluate,
     parse,
@@ -21,75 +18,20 @@ from matwaring.freealg import (
     scalar_distance,
 )
 
-from conftest import random_complex
-
-
-def word_by_word_oracle(f, args):
-    """The evaluator without prefix sharing: every word multiplied out from
-    the identity in the order of f.terms, one tuple at a time. A stack of
-    tuples (arguments of shape (S, n, n)) is evaluated slice by slice."""
-    mats = [np.asarray(a, dtype=complex) for a in args]
-    if mats[0].ndim == 3:
-        return np.stack([word_by_word_oracle(f, [a[s] for a in mats])
-                         for s in range(mats[0].shape[0])])
-    n = mats[0].shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    for word, coeff in f.terms.items():
-        prod = eye
-        for v in word:
-            prod = prod @ mats[v - 1]
-        out += coeff * prod
-    return out
+from conftest import (
+    evaluate_words,
+    random_complex,
+    word_by_word_oracle,
+    word_text,
+    words,
+    words_of,
+)
 
 
 def stacked_tuples(rng, n, m, S):
     """S random m-tuples, returned with their (S, n, n) argument stacks."""
     tuples = [random_tuple(rng, n, m) for _ in range(S)]
     return tuples, [np.stack(mats) for mats in zip(*tuples)]
-
-
-def pairwise_product_oracle(p, q):
-    """NcPolynomial.__mul__ before products were formed in one pass: the
-    product of two polynomials, canonicalized."""
-    out = {}
-    for w1, c1 in p.terms.items():
-        for w2, c2 in q.terms.items():
-            out[w1 + w2] = out.get(w1 + w2, 0j) + c1 * c2
-    return NcPolynomial(out)
-
-
-class PairwiseParser(_Parser):
-    """The parser with every value a canonical polynomial: every sum, '*'
-    and power multiplies out two polynomials at a time, left to right, as
-    before text was compiled into a program."""
-
-    def variable(self, index, position):
-        return NcPolynomial.variable(index)
-
-    def scalar(self, c):
-        return NcPolynomial.constant(c)
-
-    def sum(self, signed, position):
-        out = NcPolynomial.zero()
-        for sign, p in signed:
-            out = out + (-1.0 if sign == "-" else 1.0) * p
-        return out
-
-    def product(self, factors, position):
-        poly = factors[0]
-        for p in factors[1:]:
-            poly = pairwise_product_oracle(poly, p)
-        return poly
-
-    def power(self, poly, k, position):
-        result = NcPolynomial.constant(1.0)
-        for _ in range(k):
-            result = pairwise_product_oracle(result, poly)
-        return result
-
-    def commutator(self, a, b, position):
-        return pairwise_product_oracle(a, b) - pairwise_product_oracle(b, a)
 
 
 # every polynomial text of the test suite and the benchmark, products of
@@ -109,51 +51,54 @@ _PARSE_TEXTS = [
 
 
 @pytest.mark.parametrize("text", _PARSE_TEXTS)
-def test_parse_keeps_pairwise_word_order(text):
-    # the expansion behind `terms` forms the words and coefficients that
-    # multiplying out two at a time gives, in that order, from the text, its
-    # program text and its word text alike
+def test_parse_keeps_pairwise_word_order(rng, text):
+    # the program's printed text multiplies out, two polynomials at a time,
+    # to the words and coefficients of the text as written, in that order;
+    # and the program evaluates to the sum of those words
     f = parse(text)
-    for t in (text, f.to_string(), f.to_word_string()):
-        expected = PairwiseParser(t).parse()
-        assert list(parse(t).terms.items()) == list(expected.terms.items())
+    expected = words_of(text)
+    assert list(words(f).items()) == list(expected.items())
+    args = random_tuple(rng, 4, 3)
+    assert np.allclose(evaluate(f, args), evaluate_words(expected, args))
 
 
 class TestParse:
     def test_commutator_expansion(self):
         f = parse("[X1,X2]")
-        assert f.terms == {(1, 2): 1 + 0j, (2, 1): -1 + 0j}
+        assert words(f) == {(1, 2): 1 + 0j, (2, 1): -1 + 0j}
 
     def test_constant_term(self):
         f = parse("[X1,X2] + (0.5)")
-        assert f.terms[()] == 0.5
-        assert f.terms[(1, 2)] == 1
+        assert words(f)[()] == 0.5
+        assert words(f)[(1, 2)] == 1
 
     def test_power_desugaring(self):
         f = parse("X1^2*X2 - X2*X1^2")
-        assert f.terms == {(1, 1, 2): 1 + 0j, (2, 1, 1): -1 + 0j}
+        assert words(f) == {(1, 1, 2): 1 + 0j, (2, 1, 1): -1 + 0j}
 
     def test_complex_literal(self):
         f = parse("(0.5+0.3i)*X1")
-        assert f.terms == {(1,): 0.5 + 0.3j}
+        assert words(f) == {(1,): 0.5 + 0.3j}
         g = parse("(1-2i)")
-        assert g.terms == {(): 1 - 2j}
+        assert words(g) == {(): 1 - 2j}
 
     def test_parenthesized_expression(self):
         f = parse("(X1 + X2)*X3")
-        assert f.terms == {(1, 3): 1 + 0j, (2, 3): 1 + 0j}
+        assert words(f) == {(1, 3): 1 + 0j, (2, 3): 1 + 0j}
 
     def test_leading_sign(self):
         f = parse("-X1 + X2")
-        assert f.terms == {(1,): -1 + 0j, (2,): 1 + 0j}
+        assert words(f) == {(1,): -1 + 0j, (2,): 1 + 0j}
 
     def test_nested_commutator(self):
         f = parse("[[X1,X2],X3]")
-        assert len(f.terms) == 4
-        assert f.terms[(1, 2, 3)] == 1
+        assert len(words(f)) == 4
+        assert words(f)[(1, 2, 3)] == 1
 
-    def test_cancellation(self):
-        assert parse("X1 - X1").is_zero()
+    def test_cancellation(self, rng):
+        f = parse("X1 - X1")
+        assert words(f) == {}
+        assert not evaluate(f, random_tuple(rng, 3, 1)).any()
 
     def test_variable_index_zero(self):
         with pytest.raises(ParseError) as err:
@@ -163,7 +108,7 @@ class TestParse:
     def test_variable_index_up_to_the_limit(self):
         f = parse(f"X1 + X{VARIABLE_LIMIT} + X007")
         assert f.num_vars == VARIABLE_LIMIT
-        assert set(f.terms) == {(1,), (7,), (VARIABLE_LIMIT,)}
+        assert set(words(f)) == {(1,), (7,), (VARIABLE_LIMIT,)}
 
     @pytest.mark.parametrize("var", [
         f"X{VARIABLE_LIMIT + 1}", "X100000000", "X" + "9" * 5000,
@@ -213,53 +158,43 @@ class TestParse:
             parse(text)
         assert err.value.position == position
 
-    @pytest.mark.parametrize("text, position", [
-        ("1e308*X1 + 1e308*X1", 0),    # the sum of two finite coefficients
-        ("(1e200*X1 + X2)^2", 16),     # the square of a finite coefficient
+    @pytest.mark.parametrize("text, expected", [
+        ("1e308*X1 + 1e308*X1", True),   # the sum of two finite coefficients
+        ("(1e200*X1 + X2)^2", False),    # the square of a finite coefficient
     ])
-    @pytest.mark.parametrize("query", [
-        lambda f: f.terms, lambda f: f.to_word_string(),
-        lambda f: f.is_multilinear(), lambda f: f == parse("X1"),
-    ], ids=["terms", "word-string", "multilinear", "equality"])
-    def test_overflowing_expansion_is_refused(self, text, position, query):
-        # every scalar as written is finite, so the text parses; multiplying
-        # it out overflows, and no structure query may see an inf
-        f = parse(text)
-        with pytest.raises(ParseError, match="coefficient overflows") as err:
-            query(f)
-        assert err.value.position == position
+    def test_multilinearity_reads_no_coefficient(self, text, expected):
+        # every scalar as written is finite, so the text parses; multiplied
+        # out, a coefficient would overflow, but is_multilinear reads only
+        # the program's degrees and never sees one
+        assert parse(text).is_multilinear() is expected
 
     def test_large_finite_scalar_round_trips(self):
         f = parse("1e300*X1")
         assert f.to_string() == "1e+300*X1"
         assert parse(f.to_string()).to_string() == f.to_string()
-        assert f.terms == {(1,): 1e300}
+        assert words(f) == {(1,): 1e300}
 
 
 class TestParseBudget:
     @pytest.mark.parametrize("text, position", [
         ("X1^1000000", 3),                 # degree beyond DEGREE_LIMIT
         ("X1^1e300", 3),
-        ("(X1+X2)^40", 8),                 # a cheap program of 2^40 words
-        ("X1^200*X2^200", 3),              # words of 200 letters
-        ("X3 + (X1*X2+X2*X1+X1)^12", 22),
-        # the power is made once; the sum of its 1000 copies runs out
-        ("+".join(["(X1+X2)^8"] * 1000), 0),
+        # the power is made once; the sum of its 5000 copies runs out, one
+        # unit a summand
+        ("+".join(["(X1+X2)^8"] * 5000), 0),
         # the 64 variable nodes, then one node a product: the 4033rd
         # product runs out
         ("+".join(f"X{a}*X{b}" for a in range(1, 65) for b in range(1, 65)),
          31113),
         ("((X1^1000)^1000)^1000", 11),     # each power cheap, degree 10^9
         ("(" * 5000 + "X1" + ")" * 5000, 0),
-    ], ids=["long-power", "huge-power", "many-words", "long-words",
-            "many-words-late", "many-products", "many-nodes",
+    ], ids=["long-power", "huge-power", "many-products", "many-nodes",
             "nested-powers", "deep-nesting"])
     def test_oversized_text_is_a_parse_error(self, text, position):
-        # refused by the program's bounds when parsed, or by PARSE_BUDGET
-        # when its words are multiplied out
+        # refused by the program's bounds when parsed
         start = time.perf_counter()
         with pytest.raises(ParseError, match="limit|nested too deeply") as err:
-            parse(text).terms
+            parse(text)
         assert err.value.position == position
         # refused before the work, not after (a stall took hours)
         assert time.perf_counter() - start < 5.0
@@ -270,28 +205,70 @@ class TestParseBudget:
         assert parse("(X1+X2)^40").program.cost == 18
         assert parse("X1^1024").program.cost <= PROGRAM_BUDGET
 
-    def test_polynomials_in_use_are_well_inside(self, monkeypatch):
-        monkeypatch.setattr(freealg, "PARSE_BUDGET", PARSE_BUDGET // 4)
+    def test_polynomials_in_use_are_well_inside(self):
         texts = ["(X1+X2*X3+X3*X1)^4 + [X1,X2] + (0.5-1i)",
                  "(X3 + X3*X2 + X2*X3*X1)^3",
                  "(X1+X2*X1)*(X2-X1*X2)*(X1+X2)^2", "[X1,X2]^2"]
         # older certificates store the expanded text, 81 words at degree 8
-        texts.append(parse("(X1+X2*X3+X3*X1)^4").to_word_string())
+        # with their runs of one letter written as powers
+        texts.append(" + ".join(
+            "*".join(f"X{v}^{len(list(run))}" for v, run in groupby(w))
+            for w in words_of("(X1+X2*X3+X3*X1)^4")))
+        assert parse(texts[-1]).program.cost == 301
         for text in texts:
-            f = parse(text)
-            assert 4 * f.program.cost <= PROGRAM_BUDGET
-            f.terms     # multiplied out within a quarter of PARSE_BUDGET
+            assert 4 * parse(text).program.cost <= PROGRAM_BUDGET
 
     def test_text_inside_the_budget_parses(self):
-        assert len(parse("(X1+X2)^9").terms) == 512
-        assert len(parse("X1^100*X2^100").terms) == 1
+        assert len(words(parse("(X1+X2)^9"))) == 512
+        assert len(words(parse("X1^100*X2^100"))) == 1
 
     def test_library_power_is_refused_before_its_factors_are_listed(self):
-        x = NcPolynomial.variable(1)
-        with pytest.raises(ValueError, match="limit"):
+        x = parse("X1")
+        with pytest.raises(ParseError, match=f"limit of {DEGREE_LIMIT}"):
             x ** (10 ** 300)
-        # library products are not charged to any budget
-        assert (x ** 200 * x).terms == {(1,) * 201: 1.0}
+        # the operators parse what they build, within the same bounds
+        assert (x ** 200 * x).program.cost <= 20
+        assert words(x ** 200 * x) == {(1,) * 201: 1.0}
+
+
+class TestOperators:
+    """The operators join their operands' text and parse it."""
+
+    def test_operators_build_programs(self, rng):
+        f = parse("X1*X2 - 2*X2^2")
+        g = parse("[X1,X2] + (0.25)")
+        for _ in range(5):
+            args = random_tuple(rng, 4, 2)
+            F, G = evaluate(f, args), evaluate(g, args)
+            cases = [
+                (f + 2, F + 2 * np.eye(4)),
+                (2 * f, 2 * F),
+                (-f, -F),
+                (f - g, F - G),
+                (f * g, F @ G),
+                (f ** 3, F @ F @ F),
+                ((0.5 - 1j) * g - 1.5, (0.5 - 1j) * G - 1.5 * np.eye(4)),
+            ]
+            for h, expected in cases:
+                assert np.allclose(evaluate(h, args), expected)
+
+    @pytest.mark.parametrize("combine", [
+        lambda f: f + "X1", lambda f: "X1" + f, lambda f: f - "X1",
+        lambda f: f * "X1", lambda f: "X1" * f, lambda f: f ** "2",
+    ], ids=["add", "radd", "sub", "mul", "rmul", "pow"])
+    def test_combining_with_a_string_is_a_type_error(self, combine):
+        with pytest.raises(TypeError):
+            combine(parse("X1"))
+
+    @pytest.mark.parametrize("c", [float("inf"), complex(1, float("nan"))])
+    def test_non_finite_scalar_is_refused(self, c):
+        with pytest.raises(ValueError, match="overflows"):
+            parse("X1") + c
+
+    def test_equality_is_identity(self):
+        f = parse("[X1,X2]")
+        assert f == f
+        assert f != parse("[X1,X2]")
 
 
 class TestPrintRoundTrip:
@@ -308,17 +285,18 @@ class TestPrintRoundTrip:
     @pytest.mark.parametrize("text", CASES)
     def test_round_trip(self, text):
         f = parse(text)
-        assert parse(f.to_string()) == f
+        assert parse(f.to_string()).program.nodes == f.program.nodes
 
     def test_random_polynomials(self, rng):
         for _ in range(50):
             terms = {}
             for _ in range(rng.integers(1, 6)):
-                word = tuple(rng.integers(1, 4, size=rng.integers(0, 5)))
+                word = tuple(int(v) for v in
+                             rng.integers(1, 4, size=rng.integers(0, 5)))
                 terms[word] = complex(rng.standard_normal(),
                                       rng.standard_normal())
-            f = NcPolynomial(terms)
-            assert parse(f.to_string()) == f
+            f = parse(word_text(terms))
+            assert parse(f.to_string()).program.nodes == f.program.nodes
 
 
 class TestEvaluate:
@@ -366,16 +344,17 @@ class TestEvaluate:
     ])
     @pytest.mark.parametrize("S", [None, 1, 4, 32])
     def test_bit_identical_to_word_by_word(self, rng, text, S):
-        # a polynomial built from its words is their sum, word by word; the
-        # program of [X1,X2] makes the same two products and one difference
+        # the program of a sum of words, each a product of its letters, is
+        # their sum, word by word; the program of [X1,X2] makes the same two
+        # products and one difference
         f = parse(text)
-        words = NcPolynomial(f.terms)
+        summed = parse(word_text(words(f)))
         tuples, stacks = stacked_tuples(rng, 12, 3, S or 1)
         args = tuples[0] if S is None else stacks
-        assert np.array_equal(evaluate(words, args),
+        assert np.array_equal(evaluate(summed, args),
                               word_by_word_oracle(f, args))
         if text == "[X1,X2]":
-            assert np.array_equal(evaluate(f, args), evaluate(words, args))
+            assert np.array_equal(evaluate(f, args), evaluate(summed, args))
 
     @pytest.mark.parametrize("n", [12, 64])   # one block, and two blocks
     def test_batch_invariance(self, rng, n):
@@ -442,7 +421,7 @@ class TestClassify:
         assert classify(parse("[X1,X2]"), 3).verdict == "generic"
 
     def test_zero_polynomial(self):
-        assert classify(NcPolynomial.zero(), 2).verdict == "identity"
+        assert classify(parse("0"), 2).verdict == "identity"
 
     def test_constant_polynomial_central(self):
         assert classify(parse("(2.0)"), 3).verdict == "central"
@@ -486,19 +465,20 @@ _coeffs = st.complex_numbers(max_magnitude=4, allow_nan=False,
 def test_evaluate_matches_oracle_property(draws, constant, S, n, seed):
     # each drawn word and its first half are added as monomials, so repeated
     # words merge and prefixes of other words are words themselves
-    f = NcPolynomial.constant(constant)
+    terms = {(): complex(constant)}
     for word, c in draws:
-        f = f + NcPolynomial({word: c}) + NcPolynomial({word[:len(word) // 2]: c})
+        for w in (word, word[:len(word) // 2]):
+            terms[w] = terms.get(w, 0j) + c
+    terms = {w: c for w, c in terms.items() if c != 0}
+    f = parse(word_text(terms))
     _, stacks = stacked_tuples(np.random.default_rng(seed), n, 3, S)
     got = evaluate(f, stacks)
     # the oracle sums the words in reverse, so the comparison does not rest
     # on the two summing in the same order
-    reverse = SimpleNamespace(terms=dict(reversed(f.terms.items())))
-    ref = word_by_word_oracle(reverse, stacks)
+    ref = evaluate_words(dict(reversed(terms.items())), stacks)
     scale = sum(
-        abs(c) * np.linalg.norm(word_by_word_oracle(NcPolynomial({w: 1}), stacks),
-                                axis=(1, 2))
-        for w, c in f.terms.items()
+        abs(c) * np.linalg.norm(evaluate_words({w: 1}, stacks), axis=(1, 2))
+        for w, c in terms.items()
     )
     assert np.all(np.linalg.norm(got - ref, axis=(1, 2)) <= 1e-12 * scale)
 
@@ -563,13 +543,13 @@ def test_program_matches_word_sum_property(text, S, n, seed):
     g = parse(f.to_string())
     assert g.to_string() == f.to_string()
     try:
-        words = f.terms
+        expected = words_of(text)
     except ParseError:
-        return      # a few powers of long sums multiply out past PARSE_BUDGET
-    assert list(g.terms.items()) == list(words.items())
+        return      # a few powers of long sums multiply out past the oracle
+    assert list(words(f).items()) == list(expected.items())
     # the program and the sum of its words agree to rounding: both err by
     # at most a few hundred ulps (the degree and n are small) of the
     # absolute program, which bounds every value either one forms
-    ref = evaluate(NcPolynomial(words), stacks)
+    ref = evaluate_words(expected, stacks)
     scale = np.linalg.norm(absolute_run(f.program, stacks), axis=(1, 2))
     assert np.all(np.linalg.norm(got - ref, axis=(1, 2)) <= 1e-13 * scale)

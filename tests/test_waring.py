@@ -39,8 +39,8 @@ from conftest import (
     random_traceless,
     random_unitary,
     sorted_eigs,
+    word_by_word_oracle,
 )
-from test_freealg import word_by_word_oracle
 
 
 def check_term_cert(cert, witness):
@@ -477,9 +477,20 @@ class TestMultilinearityDetector:
         ("X1*X2 + X1", False),
         ("[X1,X2] + (0.5)", False),
         ("(3.0)", False),
+        # read off the program's multidegrees: cancelled words still count
+        ("X1*X2 - X1*X2", True),
+        ("0*[X1,X2]", True),
+        ("[X1,X2] + X1^2 - X1^2", False),
+        ("(X1+X2)^40", False),
     ])
     def test_cases(self, text, expected):
         assert parse(text).is_multilinear() is expected
+
+    def test_zero_of_multilinear_shape_is_refused(self, rng):
+        # the two-term route applies at n = 4, and classify refuses the zero
+        f = parse("X1*X2 - X1*X2")
+        with pytest.raises(NotGenericError):
+            two_term_decompose(f, random_traceless(rng, 4), seed=0)
 
 
 def _certificate_text(cert):
