@@ -21,7 +21,6 @@ from .errors import (
     NotGenericError,
     ParseError,
     PreconditionUnmetError,
-    ResidualTooLargeError,
 )
 from .freealg import classify, parse
 from .linalg import fro, project_traceless
@@ -50,6 +49,16 @@ EXIT_PARSE = 2
 EXIT_NOT_GENERIC = 3
 EXIT_BUDGET = 4
 EXIT_RESIDUAL = 5
+
+# the exit code of an error is that of the first entry whose classes match
+_EXIT_CODES = (
+    ((ParseError, FileNotFoundError, ValueError, KeyError,
+      PreconditionUnmetError), EXIT_PARSE),
+    ((NotGenericError,), EXIT_NOT_GENERIC),
+    ((BudgetExhaustedError,), EXIT_BUDGET),
+    # ResidualTooLargeError and every other failure of the package
+    ((MatWaringError,), EXIT_RESIDUAL),
+)
 
 _TOL_FLAGS = ("gap", "hollow", "split", "cert", "end")
 
@@ -120,19 +129,17 @@ def cmd_decompose(args):
     n = A.shape[0]
 
     mode = args.mode
-    if mode == "auto":
-        trace_mag = abs(complex(A.trace()))
-        if trace_mag > tols.hollow_tol * max(fro(A), 1e-300):
-            print(f"warning: target has trace {trace_mag:.3e}; "
-                  "projecting onto trace zero", file=sys.stderr)
-            A = project_traceless(A)
-        mode = "two" if two_term_applies(f, n) else "four"
-    elif mode in ("four", "two"):
-        trace_mag = abs(complex(A.trace()))
-        if trace_mag > tols.hollow_tol * max(fro(A), 1e-300):
+    trace_mag = abs(complex(A.trace()))
+    if mode != "five" and trace_mag > tols.hollow_tol * max(fro(A), 1e-300):
+        if mode != "auto":
             print(f"error: mode {mode!r} needs a trace-zero target "
                   f"(trace magnitude {trace_mag:.3e})", file=sys.stderr)
             return EXIT_PARSE
+        print(f"warning: target has trace {trace_mag:.3e}; "
+              "projecting onto trace zero", file=sys.stderr)
+        A = project_traceless(A)
+    if mode == "auto":
+        mode = "two" if two_term_applies(f, n) else "four"
 
     if mode == "two":
         cert = two_term_decompose(f, A, args.budget, args.seed, tols)
@@ -155,11 +162,8 @@ def cmd_verify(args):
         for extra in verdict.failures[1:]:
             print(f"      {extra}")
         return EXIT_VERIFY_FAILED
-    steps = "step" if verdict.steps == 1 else "steps"
-    claim = " a matrix-level claim" if verdict.matrix_level else ""
-    print(f"OK: {doc['mode']} certificate verifies{claim} (n={verdict.n}, "
-          f"residual {verdict.residual:.1e} <= {verdict.bound:.1e}, "
-          f"{verdict.steps} similarity {steps})")
+    print(f"OK: {doc['mode']} certificate verifies (n={verdict.n}, "
+          f"residual {verdict.residual:.1e} <= {verdict.bound:.1e})")
     return EXIT_OK
 
 
@@ -202,25 +206,10 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except ParseError as exc:
+    except tuple(c for classes, _ in _EXIT_CODES for c in classes) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (FileNotFoundError, ValueError, KeyError,
-            PreconditionUnmetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotGenericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_GENERIC
-    except BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ResidualTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESIDUAL
-    except MatWaringError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESIDUAL
+        return next(code for classes, code in _EXIT_CODES
+                    if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

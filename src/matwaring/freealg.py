@@ -94,6 +94,10 @@ class NcPolynomial:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
+        if k < 0:
+            # refused here: the grammar's exponent is unsigned, so parsing
+            # would name a position in text the caller never wrote
+            raise ValueError("negative polynomial powers are not defined")
         return _composed(f"{{}}^{k:d}", self)
 
     def is_multilinear(self):

@@ -1,14 +1,15 @@
 """Certificate and matrix (de)serialization.
 
-Matrices travel as {"n": n, "entries": [[re, im], ...]} row-major. The
+Matrices travel as {"n": n, "entries": [[re, im], ...]} row-major. A
 certificate file is a single self-describing JSON document embedding the
 polynomial text, the target, the argument tuples, the coefficients and the
 tolerances in force, so a third party can re-verify without this library.
-The tuples, f and the target prove A = sum c_i f(t_i) on their own, so a
-certificate with tuples leaves out the similarity steps of the construction
-and the witness they start from; they stay in memory on the
-WaringCertificate. A matrix-level certificate (no tuples) carries them: its
-steps are what tie its terms to the witness.
+The tuples, f and the target prove A = sum c_i f(t_i) on their own, so
+that is all a document holds of the construction: the similarity steps and
+the witness stay in memory on the WaringCertificate. A certificate without
+tuples (a `four_term_decompose` result) is a claim about matrices, not
+about f, and is refused. `"terms": null` and `cert_tol` stay in the format
+so that older verifiers still accept the documents.
 
 Output is byte-deterministic: the standard-library encoder writes the keys
 sorted, no whitespace, and every float as Python's shortest round-trip
@@ -75,21 +76,11 @@ def complex_from_json(pair):
     return complex(pair[0], pair[1])
 
 
-def similarity_step_to_json(cert):
-    return {
-        "label": cert.label,
-        "t": matrix_to_json(cert.t),
-        "t_inv": matrix_to_json(cert.t_inv),
-        "source": matrix_to_json(cert.source),
-        "target": matrix_to_json(cert.target),
-        "residual_inverse": cert.residual_inverse,
-        "residual_map": cert.residual_map,
-        "condition_estimate": cert.condition_estimate,
-    }
-
-
 def certificate_to_json(cert, tols, seed=None, budget=None):
-    doc = {
+    if cert.tuples is None:
+        raise ValueError(f"a {cert.mode} certificate without argument tuples "
+                         "has no certificate document")
+    return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "mode": cert.mode,
@@ -97,16 +88,9 @@ def certificate_to_json(cert, tols, seed=None, budget=None):
         "polynomial": cert.polynomial,
         "target": matrix_to_json(cert.target),
         "coefficients": [complex_to_json(c) for c in cert.coefficients],
-        # the verifier re-evaluates f on the tuples; terms stand in for them
-        # only in matrix-level certificates
-        "terms": (
-            [matrix_to_json(W) for W in cert.terms] if cert.tuples is None
-            else None
-        ),
-        "tuples": (
-            None if cert.tuples is None
-            else [[matrix_to_json(a) for a in tp] for tp in cert.tuples]
-        ),
+        # the verifier re-evaluates f on the tuples
+        "terms": None,
+        "tuples": [[matrix_to_json(a) for a in tp] for tp in cert.tuples],
         "residual": cert.residual,
         "residual_bound": cert.residual_bound,
         "cert_tol": tols.cert_tol,
@@ -114,11 +98,6 @@ def certificate_to_json(cert, tols, seed=None, budget=None):
         "seed": cert.seed if cert.seed is not None else seed,
         "budget": cert.budget if cert.budget is not None else budget,
     }
-    if cert.tuples is None:
-        doc["witness"] = matrix_to_json(cert.witness)
-        doc["similarity_steps"] = [similarity_step_to_json(c)
-                                   for c in (*cert.steps, *cert.term_certs)]
-    return doc
 
 
 def dumps_canonical(doc):

@@ -3,20 +3,18 @@
 Works purely from the serialized document: compiles the embedded polynomial
 text into its program, without multiplying it out, runs it on every stored
 argument tuple and recomputes the signed sum against the target. That
-reconstruction gate is what a pass proves. The similarity steps, which only
-matrix-level certificates carry, are checked too: every residual is
-recomputed from the stored transform and its stored inverse. A
-matrix-level certificate (no tuples) passes only if every term is the
-target of a stored step whose source is the stored witness, entry for
-entry, so its pass proves that the target is the signed sum of matrices
-similar to the witness. None of the construction pipeline is imported, so
-a passing verdict does not trust it.
+reconstruction gate is what a pass proves: the target is the signed sum of
+the images of f on the stored tuples, the paper's claim about f. A document
+without tuples fails, and other keys, such as the witness and similarity
+steps that older documents carried, are ignored. None of the construction
+pipeline is imported (tests/test_imports.py walks the imports), so a
+passing verdict does not trust it.
 
-The verifier sets its own bounds: the reconstruction residual must be at
-most `DEFAULT_TOLS.end_tol * max(1, ||target||_F)` and the step gates use
-`DEFAULT_TOLS.cert_tol`. A bound stored in the document may only tighten
-them, and a gate whose bound is NaN or infinite fails, so no document can
-loosen the check it is put to.
+The verifier sets its own bound: the reconstruction residual must be at
+most `DEFAULT_TOLS.end_tol * max(1, ||target||_F)`. A stored bound may only
+tighten it, and a gate whose bound is NaN or infinite fails, so no document
+can loosen the check it is put to. The stored `cert_tol` is a field of the
+format that no gate uses; it must still be a number other than NaN.
 """
 
 from dataclasses import dataclass, field
@@ -48,15 +46,11 @@ def _fro(M):
 class Verdict:
     """What `check_certificate` found: the failures (none means the
     certificate verifies) and, as far as the check got, the matrix size,
-    the reconstruction residual, the bound it was held to, the number of
-    similarity steps checked and whether the terms were checked as
-    matrices tied to the witness (no tuples) rather than as f-images."""
+    the reconstruction residual and the bound it was held to."""
     failures: list = field(default_factory=list)
     n: int | None = None
     residual: float | None = None
     bound: float | None = None
-    steps: int = 0
-    matrix_level: bool = False
 
 
 def _tightened(stored, own):
@@ -78,10 +72,8 @@ def _number(doc, name):
 
 
 def _matrices(docs, n):
-    """The n x n matrices of a list of matrix documents, or None when docs
-    is not a list or one of them is not such a matrix."""
-    if not isinstance(docs, list):
-        return None
+    """The n x n matrices of a list of matrix documents, or None when one
+    of them is not such a matrix."""
     mats = []
     for d in docs:
         try:
@@ -94,7 +86,7 @@ def _matrices(docs, n):
 
 
 def verify_certificate(doc):
-    """Check a certificate document against the verifier's own bounds.
+    """Check a certificate document against the verifier's own bound.
 
     Returns a list of failure descriptions; an empty list means the
     certificate verifies. Every gate is written `not value <= bound < inf`,
@@ -144,9 +136,7 @@ def _check(doc, verdict):
     if cert_tol is None:
         return failures + ["malformed field 'cert_tol': not a number"]
     if np.isnan(cert_tol):
-        # a failure even when no step gate would use it
         failures.append("malformed field 'cert_tol': NaN")
-    cert_tol = _tightened(cert_tol, DEFAULT_TOLS.cert_tol)
     try:
         target = matrix_from_json(doc["target"])
     except (KeyError, TypeError, ValueError):
@@ -159,85 +149,40 @@ def _check(doc, verdict):
         if stored != n:
             return failures + [f"malformed field 'n': {stored}, but the "
                                f"target is {n}x{n}"]
-    steps = doc.get("similarity_steps", [])
-    if not _list_of(steps, dict):
-        return failures + ["malformed field 'similarity_steps': not a list "
-                           "of objects"]
-    ties = []  # (source, target) of every step
-    for idx, step in enumerate(steps):
-        label = step.get("label") or f"step {idx}"
-        mats = _matrices([step.get(k) for k in ("t", "t_inv", "source",
-                                                "target")], n)
-        if mats is None:
-            return failures + [
-                f"malformed field 'similarity_steps': step {label!r} needs "
-                f"{n}x{n} matrices t, t_inv, source and target"]
-        T, T_inv, source, step_target = mats
-        ties.append((source, step_target))
-        r_inv = _fro(T @ T_inv - np.eye(n))
-        if not r_inv <= cert_tol:
-            failures.append(
-                f"similarity step {label!r}: inverse residual {r_inv:.3e} "
-                f"exceeds {cert_tol:.1e}"
-            )
-        cond = _fro(T) * _fro(T_inv)
-        r_map = _fro(T @ source @ T_inv - step_target)
-        bound = cert_tol * cond * _fro(source)
-        if not r_map <= bound < np.inf:
-            failures.append(
-                f"similarity step {label!r}: map residual {r_map:.3e} "
-                f"exceeds {bound:.3e}"
-            )
-    verdict.steps = len(steps)
 
-    if doc.get("tuples") is not None:
-        if doc.get("polynomial") is None:
-            return failures + ["certificate has tuples but no polynomial text"]
-        if not isinstance(doc["polynomial"], str):
-            return failures + ["malformed field 'polynomial': not a string"]
-        if not _list_of(doc["tuples"], list):
-            return failures + ["malformed field 'tuples': not a list of "
-                               "lists of matrices"]
-        try:
-            f = parse(doc["polynomial"])
-        except ParseError as exc:
-            return failures + [f"malformed field 'polynomial': {exc}"]
-        need = max(f.num_vars, 1)  # a constant still needs one matrix
-        tuples = []
-        for k, tp in enumerate(doc["tuples"]):
-            # checked before stacking, which would cut every tuple to the
-            # shortest; extra matrices are ignored, as evaluate ignores them
-            if len(tp) < need:
-                return failures + [f"tuple {k} has {len(tp)} matrices; "
-                                   f"polynomial needs {need}"]
-            mats = _matrices(tp, n)
-            if mats is None:
-                return failures + [f"malformed field 'tuples': tuple {k} "
-                                   f"needs {n}x{n} matrices"]
-            tuples.append(mats[:need])
-        images = []
-        if tuples:
-            images = list(evaluate(f, [np.stack(m) for m in zip(*tuples)]))
-    else:
-        images = _matrices(doc.get("terms"), n)
-        if images is None:
-            return failures + [f"malformed field 'terms': not a list of "
-                               f"{n}x{n} matrices"]
-        witness = _matrices([doc.get("witness")], n)
-        if witness is None:
-            return failures + [f"malformed field 'witness': not a {n}x{n} "
-                               "matrix"]
-        verdict.matrix_level = True
-        for k, W in enumerate(images):
-            if not any(np.array_equal(source, witness[0])
-                       and np.array_equal(step_target, W)
-                       for source, step_target in ties):
-                failures.append(f"term {k} is not tied to the witness: no "
-                                "similarity step maps the witness onto it")
+    if doc.get("tuples") is None:
+        return failures + ["certificate has no argument tuples"]
+    if doc.get("polynomial") is None:
+        return failures + ["certificate has tuples but no polynomial text"]
+    if not isinstance(doc["polynomial"], str):
+        return failures + ["malformed field 'polynomial': not a string"]
+    if not _list_of(doc["tuples"], list):
+        return failures + ["malformed field 'tuples': not a list of "
+                           "lists of matrices"]
+    try:
+        f = parse(doc["polynomial"])
+    except ParseError as exc:
+        return failures + [f"malformed field 'polynomial': {exc}"]
+    need = max(f.num_vars, 1)  # a constant still needs one matrix
+    tuples = []
+    for k, tp in enumerate(doc["tuples"]):
+        # checked before stacking, which would cut every tuple to the
+        # shortest; extra matrices are ignored, as evaluate ignores them
+        if len(tp) < need:
+            return failures + [f"tuple {k} has {len(tp)} matrices; "
+                               f"polynomial needs {need}"]
+        mats = _matrices(tp, n)
+        if mats is None:
+            return failures + [f"malformed field 'tuples': tuple {k} "
+                               f"needs {n}x{n} matrices"]
+        tuples.append(mats[:need])
+    images = []
+    if tuples:
+        images = list(evaluate(f, [np.stack(m) for m in zip(*tuples)]))
 
     if len(images) != len(coeffs):
         failures.append(
-            f"{len(coeffs)} coefficients but {len(images)} terms/tuples"
+            f"{len(coeffs)} coefficients but {len(images)} tuples"
         )
         return failures
     recon = sum(c * im for c, im in zip(coeffs, images))

@@ -55,12 +55,15 @@ GOAL_NONZERO_TRACE = "nonzero-trace"
 
 @dataclass
 class WaringCertificate:
-    """Everything needed to re-verify a decomposition from stored data.
+    """A decomposition and the certificates of its construction.
 
     target ~= sum_i coefficients[i] * term_i, where term_i is f evaluated on
     tuples[i] when tuples are present, else the stored terms[i] matrix. Each
     term carries a composed similarity certificate back to the witness;
-    steps holds the intermediate certificates of the construction.
+    steps holds the intermediate certificates of the construction. These
+    stay in memory. The certificate document (serialize) holds the tuples
+    instead, which re-verify the decomposition on their own, so a
+    certificate without tuples has no document.
     """
 
     mode: str
@@ -175,6 +178,10 @@ def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
     half as a difference of block-triangular matrices, then undo the hollow
     similarity. Requires eigenvalue multiplicities of B at most n/2 and
     trace-zero A.
+
+    The result has no tuples: it is the paper's matrix lemma, not a claim
+    about a polynomial, so it stays in memory, and `save_certificate`
+    refuses it. `waring_express` turns it into tuples of f.
     """
     B = as_cmatrix(B)
     A = as_cmatrix(A)

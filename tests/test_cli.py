@@ -13,30 +13,17 @@ from matwaring.cli import main
 from matwaring.config import DEFAULT_TOLS
 from matwaring.serialize import (
     dumps_canonical,
-    load_json,
     matrix_from_json,
     matrix_to_json,
-    save_certificate,
 )
 from matwaring.verify import check_certificate, verify_certificate
-from matwaring.waring import four_term_decompose
 
-from conftest import planted_matrix, random_complex, random_traceless
+from conftest import random_complex, random_traceless
 
 
 def write_matrix(path, A):
     path.write_text(dumps_canonical(matrix_to_json(A)))
     return str(path)
-
-
-def save_matrix_level_cert(out, target_path):
-    """Write a four-term certificate of the stored target over a fixed
-    witness, without tuples: the kind of certificate that carries the
-    similarity steps and the witness."""
-    A = matrix_from_json(load_json(target_path))
-    n = A.shape[0]
-    B = planted_matrix(np.random.default_rng(n), np.arange(1.0, n + 1))
-    save_certificate(out, four_term_decompose(B, A), DEFAULT_TOLS)
 
 
 def run_cli(*args):
@@ -187,12 +174,9 @@ class TestDecompose:
 
 
 class TestVerify:
-    def make_cert(self, tmp_path, a3, matrix_level=False):
+    def make_cert(self, tmp_path, a3):
         out = str(tmp_path / "cert.json")
-        if matrix_level:
-            save_matrix_level_cert(out, a3)
-        else:
-            assert main(["decompose", "[X1,X2]", a3, "--out", out]) == 0
+        assert main(["decompose", "[X1,X2]", a3, "--out", out]) == 0
         return out
 
     def test_fresh_certificate_passes(self, tmp_path, a3):
@@ -200,23 +184,16 @@ class TestVerify:
         code, stdout, _ = run_cli("verify", out)
         assert code == 0 and stdout.startswith("OK")
 
-    @pytest.mark.parametrize("matrix_level", [False, True])
-    def test_ok_line_says_what_was_checked(self, tmp_path, a3, capsys,
-                                           matrix_level):
-        doc = json.loads(open(self.make_cert(tmp_path, a3,
-                                             matrix_level)).read())
+    def test_ok_line_says_what_was_checked(self, tmp_path, a3, capsys):
+        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
         target = matrix_from_json(doc["target"])
         bound = DEFAULT_TOLS.end_tol * max(1.0, np.linalg.norm(target))
-        steps = len(doc.get("similarity_steps", []))
-        assert (steps > 0) == matrix_level
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "cert.json")]) == 0
         stdout = capsys.readouterr().out
-        claim = "a matrix-level claim " if matrix_level else ""
         assert stdout.startswith(f"OK: {doc['mode']} certificate verifies "
-                                 f"{claim}(n=3, residual ")
-        assert stdout.endswith(f" <= {bound:.1e}, {steps} similarity "
-                               "steps)\n")
+                                 "(n=3, residual ")
+        assert stdout.endswith(f" <= {bound:.1e})\n")
 
     def test_looser_tol_end_is_held_to_the_verifiers_bound(self, tmp_path,
                                                            a3, capsys):
@@ -229,7 +206,7 @@ class TestVerify:
         assert doc["residual_bound"] > own
         capsys.readouterr()
         assert main(["verify", out]) == 0
-        assert f" <= {own:.1e}," in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith(f" <= {own:.1e})\n")
         # a residual between the verifier's bound and the stored one fails
         doc["target"]["entries"][0][0] += 10 * own
         verdict = check_certificate(doc)
@@ -249,59 +226,12 @@ class TestVerify:
         assert code == 1
         assert "reconstruction residual" in stdout
 
-    def test_raised_cert_tol_cannot_pass_a_corrupted_transform(
-            self, tmp_path, rng, capsys):
-        def tamper(doc):
-            doc["similarity_steps"][0]["t"]["entries"][0][0] += 1.0
-            doc["cert_tol"] = 1e9
-
-        code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys, tamper,
-                                                 matrix_level=True)
-        assert code == 1
-        assert "similarity step" in stdout
-
     def test_tighter_stored_bound_is_enforced(self, tmp_path, a3):
         doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
         doc["residual_bound"] = doc["residual"] / 2
         failures = verify_certificate(doc)
         assert len(failures) == 1
         assert failures[0].startswith("reconstruction residual")
-
-    def test_matrix_level_steps_are_checked(self, tmp_path, a3):
-        doc = json.loads(open(self.make_cert(tmp_path, a3,
-                                             matrix_level=True)).read())
-        assert doc["similarity_steps"]
-        assert verify_certificate(doc) == []
-        for step in doc["similarity_steps"]:
-            step["t_inv"]["entries"][0][0] += 0.5
-        failures = verify_certificate(doc)
-        assert len(failures) >= len(doc["similarity_steps"])
-        assert all(f.startswith("similarity step") for f in failures)
-
-    @pytest.mark.parametrize("keep_steps", [False, True])
-    def test_matrix_level_terms_must_be_tied_to_the_witness(
-            self, tmp_path, a3, keep_steps):
-        # terms (A, 0, 0, 0) sum to the target exactly; no step maps the
-        # witness onto them, so the document proves nothing about them
-        doc = json.loads(open(self.make_cert(tmp_path, a3,
-                                             matrix_level=True)).read())
-        assert verify_certificate(doc) == []
-        zero = matrix_to_json(np.zeros((3, 3)))
-        doc["terms"] = [doc["target"], zero, zero, zero]
-        if not keep_steps:
-            doc["similarity_steps"] = []
-        verdict = check_certificate(doc)
-        assert verdict.residual == 0.0
-        assert verdict.failures == [
-            f"term {k} is not tied to the witness: no similarity step maps "
-            "the witness onto it" for k in range(4)]
-
-    def test_matrix_level_document_needs_its_witness(self, tmp_path, a3):
-        doc = json.loads(open(self.make_cert(tmp_path, a3,
-                                             matrix_level=True)).read())
-        del doc["witness"]
-        assert verify_certificate(doc) == [
-            "malformed field 'witness': not a 3x3 matrix"]
 
     @pytest.mark.parametrize("text, failure", [
         ("X1^1000000", "malformed field 'polynomial': polynomial degree"),
@@ -348,20 +278,10 @@ class TestVerify:
         assert code == 1
         assert "discipline" in stdout
 
-    def test_tampered_transform_fails(self, tmp_path, a3):
-        out = self.make_cert(tmp_path, a3, matrix_level=True)
-        doc = json.loads(open(out).read())
-        doc["similarity_steps"][0]["t"]["entries"][0][0] *= 1.5
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        code, stdout, _ = run_cli("verify", str(bad))
-        assert code == 1
-
-    def nan_tampered_verdict(self, tmp_path, rng, capsys, tamper,
-                             matrix_level=False):
+    def nan_tampered_verdict(self, tmp_path, rng, capsys, tamper):
         # json writes and reads the NaN literal; a NaN bound must not pass
         a4 = write_matrix(tmp_path / "a4.json", random_traceless(rng, 4))
-        out = self.make_cert(tmp_path, a4, matrix_level)
+        out = self.make_cert(tmp_path, a4)
         doc = json.loads(open(out).read())
         tamper(doc)
         bad = tmp_path / "bad.json"
@@ -379,25 +299,11 @@ class TestVerify:
         assert code == 1
         assert "reconstruction residual" in stdout
 
-    def test_nan_cert_tol_fails(self, tmp_path, rng, capsys):
-        def tamper(doc):
-            doc["similarity_steps"][0]["t"] = matrix_to_json(
-                random_traceless(rng, 4))
-            doc["cert_tol"] = float("nan")
-
-        code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys, tamper,
-                                                 matrix_level=True)
-        assert code == 1
-        assert "similarity step" in stdout
-
-    @pytest.mark.parametrize("matrix_level", [False, True])
     @pytest.mark.parametrize("field", ["residual_bound", "cert_tol"])
-    def test_nan_stored_bound_alone_fails(self, tmp_path, rng, capsys, field,
-                                          matrix_level):
+    def test_nan_stored_bound_alone_fails(self, tmp_path, rng, capsys, field):
         # an untampered certificate, but for one NaN bound
         code, stdout = self.nan_tampered_verdict(
-            tmp_path, rng, capsys, lambda doc: doc.update({field: math.nan}),
-            matrix_level)
+            tmp_path, rng, capsys, lambda doc: doc.update({field: math.nan}))
         assert code == 1
         assert stdout.startswith("FAIL: ") and "nan" in stdout.lower()
 
@@ -432,13 +338,6 @@ class TestVerify:
         assert stdout.startswith("FAIL: malformed field 'coefficients'")
         assert "Traceback" not in stderr
 
-    def test_malformed_similarity_step_fails_cleanly(self, tmp_path, a3):
-        code, stdout, stderr = self.malformed_verdict(tmp_path, a3,
-                                                      "similarity_steps", [5])
-        assert code == 1
-        assert stdout.startswith("FAIL: malformed field 'similarity_steps'")
-        assert "Traceback" not in stderr
-
     def test_malformed_tuple_fails_cleanly(self, tmp_path, a3):
         code, stdout, stderr = self.malformed_verdict(tmp_path, a3,
                                                       "tuples", [5])
@@ -469,46 +368,53 @@ class TestVerify:
         assert verify_certificate(doc) == [
             f"tuple 1 has {keep} matrices; polynomial needs 2"]
 
+    @pytest.mark.parametrize("key, value", [
+        ("similarity_steps", [{"label": "forged", "t": 5}]),
+        ("witness", {"n": 1, "entries": [[1.0, 0.0]]}),
+        ("terms", [{"n": 1, "entries": [[1.0, 0.0]]}]),
+    ], ids=["similarity-steps", "witness", "terms"])
+    def test_construction_keys_are_ignored(self, tmp_path, a3, key, value):
+        # older documents carried these keys; a pass rests on the
+        # reconstruction gate over the tuples alone, whatever they hold
+        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc[key] = value
+        assert verify_certificate(doc) == []
+        doc["target"]["entries"][0][0] += 1e-2
+        failures = verify_certificate(doc)
+        assert len(failures) == 1
+        assert failures[0].startswith("reconstruction residual")
+
     def test_extra_tuple_matrix_ignored(self, tmp_path, a3):
         doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
         doc["tuples"][0].append(doc["target"])
         assert verify_certificate(doc) == []
 
-    @pytest.mark.parametrize("field, tamper", [
-        ("similarity_steps", lambda doc: doc["similarity_steps"][0].pop("t")),
-        ("similarity_steps",
-         lambda doc: doc["similarity_steps"][0].update(t=5)),
-        ("similarity_steps", lambda doc: doc["similarity_steps"][0].update(
-            t=matrix_to_json(np.eye(2)), t_inv=matrix_to_json(np.eye(2)))),
-        ("tuples", lambda doc: doc["tuples"][0].__setitem__(0, 5)),
-        ("terms", lambda doc: (doc.update(tuples=None), doc.pop("terms"))),
-        ("terms", lambda doc: doc.update(
-            tuples=None, terms=[matrix_to_json(np.eye(2))] * 2)),
-        ("polynomial", lambda doc: doc.update(polynomial="X1+")),
+    @pytest.mark.parametrize("failure, tamper", [
+        ("malformed field 'tuples'",
+         lambda doc: doc["tuples"][0].__setitem__(0, 5)),
+        ("certificate has no argument tuples",
+         lambda doc: doc.update(tuples=None)),
+        ("malformed field 'polynomial'",
+         lambda doc: doc.update(polynomial="X1+")),
         (None, lambda doc: doc.pop("n")),
-    ], ids=["step-without-t", "step-t-not-a-matrix", "step-wrong-size",
-            "tuple-entry-not-a-matrix", "no-terms", "terms-wrong-size",
-            "polynomial-unparsable", "no-n"])
+    ], ids=["tuple-entry-not-a-matrix", "no-tuples", "polynomial-unparsable",
+            "no-n"])
     def test_hand_edited_document_never_raises(self, tmp_path, a3, capsys,
-                                               field, tamper):
-        # the step tampers need the steps, which only matrix-level
-        # certificates carry
-        matrix_level = field == "similarity_steps"
-        doc = json.loads(open(self.make_cert(tmp_path, a3,
-                                             matrix_level)).read())
+                                               failure, tamper):
+        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
         tamper(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
         code = main(["verify", str(bad)])
         stdout = capsys.readouterr().out
-        if field is None:
+        if failure is None:
             # verifies; n is read from the target
             assert code == 0
             assert stdout.startswith("OK") and "(n=3," in stdout
         else:
             assert code == 1
-            assert stdout.startswith(f"FAIL: malformed field '{field}'")
+            assert stdout.startswith(f"FAIL: {failure}")
 
     @pytest.mark.parametrize("stored, failure", [
         (99, "99, but the target is 5x5"),

@@ -260,6 +260,17 @@ class TestOperators:
         with pytest.raises(TypeError):
             combine(parse("X1"))
 
+    def test_negative_power_is_refused_before_text_is_joined(self):
+        # not a parse error at a position of text the caller never wrote
+        x = parse("X1")
+        with pytest.raises(ValueError,
+                           match="^negative polynomial powers are not "
+                                 "defined$"):
+            x ** -1
+        # a non-negative power still goes through parse and its bounds
+        with pytest.raises(ParseError, match=f"limit of {DEGREE_LIMIT}"):
+            x ** (10 ** 300)
+
     @pytest.mark.parametrize("c", [float("inf"), complex(1, float("nan"))])
     def test_non_finite_scalar_is_refused(self, c):
         with pytest.raises(ValueError, match="overflows"):

@@ -1,16 +1,23 @@
 """matwaring runs on numpy alone: no route, classification, CLI command or
-the verifier imports scipy, which the tests use only as an oracle.
+the verifier imports scipy, which the tests use only as an oracle. And the
+verifier imports none of the construction modules.
 
-Each check runs in a fresh interpreter, because this test process has
+Each scipy check runs in a fresh interpreter, because this test process has
 imported scipy long before.
 """
 
+import ast
 import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
+
+import matwaring
+
+PACKAGE = Path(matwaring.__file__).parent
 
 # an import hook that refuses scipy and every submodule of it
 BLOCK_SCIPY = """
@@ -85,3 +92,48 @@ def test_the_import_hook_blocks_scipy():
             raise AssertionError("scipy was imported")
     """
     assert scipy_modules_after(code, block=True) == []
+
+
+def package_imports(module):
+    """The modules of the package that its module `module` imports, read
+    from the source with ast (imports inside functions included)."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:   # relative: the package has no subpackages
+                module = f"matwaring.{module}".rstrip(".")
+            names = ([f"{module}.{alias.name}" for alias in node.names]
+                     if module == "matwaring" else [module])
+        else:
+            continue
+        for name in names:
+            head, _, rest = name.partition(".")
+            if head == "matwaring" and rest:
+                found.add(rest.partition(".")[0])
+    return found
+
+
+def import_closure(module):
+    """Every module of the package that `module` imports, transitively."""
+    seen, todo = set(), [module]
+    while todo:
+        for name in package_imports(todo.pop()) - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
+def test_verifier_imports_no_construction_module():
+    # a pass must not rest on the code that built the certificate
+    assert import_closure("verify") == {"config", "errors", "freealg",
+                                        "serialize"}
+
+
+def test_import_walk_sees_the_construction_modules():
+    # the check above means something only if the walk finds imports
+    assert {"canon", "linalg", "unitaries", "verify",
+            "waring"} <= import_closure("cli")

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -113,26 +112,8 @@ def certificate_doc(waring_certificate):
                                budget=1000)
 
 
-@pytest.fixture(scope="module")
-def matrix_level_doc(waring_certificate):
-    """The same construction written without its tuples: terms, witness and
-    every similarity step, as the route documents held them before. The
-    terms are the assembled matrices, the targets of the term steps, not f
-    re-evaluated on the tuples; the five-term trace term stays f(t0)."""
-    cert = waring_certificate
-    trace_terms = cert.terms[:len(cert.terms) - len(cert.term_certs)]
-    cert = dataclasses.replace(cert, tuples=None, terms=[
-        *trace_terms, *(c.target for c in cert.term_certs)])
-    return certificate_to_json(cert, DEFAULT_TOLS, seed=3, budget=1000)
-
-
 def test_writer_matches_oracle(certificate_doc):
     assert_writer_matches_oracle(certificate_doc)
-
-
-def test_writer_matches_oracle_on_similarity_steps(matrix_level_doc):
-    # the step matrices are where the -0.0 and integral floats turn up
-    assert_writer_matches_oracle(matrix_level_doc)
 
 
 def assert_writer_matches_oracle(certificate_doc):
@@ -150,13 +131,11 @@ def assert_writer_matches_oracle(certificate_doc):
                               separators=(",", ":")) + "\n"
 
 
-def test_writer_matches_cycle_checking_json(certificate_doc,
-                                            matrix_level_doc):
+def test_writer_matches_cycle_checking_json(certificate_doc):
     # the cycle check only adds bookkeeping; the text is the same
-    for doc in (certificate_doc, matrix_level_doc):
-        assert dumps_canonical(doc) == json.dumps(
-            doc, sort_keys=True, separators=(",", ":"), allow_nan=False,
-            check_circular=True) + "\n"
+    assert dumps_canonical(certificate_doc) == json.dumps(
+        certificate_doc, sort_keys=True, separators=(",", ":"),
+        allow_nan=False, check_circular=True) + "\n"
 
 
 def test_self_referencing_document_raises_and_writes_nothing(
@@ -295,56 +274,22 @@ def test_tuple_certificate_stores_no_terms(certificate_doc):
     assert verify_certificate(json.loads(dumps_canonical(certificate_doc))) == []
 
 
-def test_matrix_level_certificate_keeps_terms(rng):
+def test_certificate_without_tuples_is_refused(rng, tmp_path):
+    # a four_term_decompose result proves a claim about matrices similar to
+    # its witness, not about f: it stays in memory
     B = planted_matrix(rng, [1, 1, 2, 3, 4])
-    A = random_traceless(rng, 5)
-    doc = json.loads(dumps_canonical(
-        certificate_to_json(four_term_decompose(B, A), DEFAULT_TOLS)))
-    assert doc["tuples"] is None
-    assert len(doc["terms"]) == 4
-    assert verify_certificate(doc) == []
-
-
-CONSTRUCTION_KEYS = {"witness", "similarity_steps"}
+    cert = four_term_decompose(B, random_traceless(rng, 5))
+    assert cert.tuples is None
+    with pytest.raises(ValueError, match="four-term certificate without "
+                                         "argument tuples"):
+        certificate_to_json(cert, DEFAULT_TOLS)
+    path = tmp_path / "cert.json"
+    with pytest.raises(ValueError):
+        save_certificate(path, cert, DEFAULT_TOLS)
+    assert not path.exists()
 
 
 def test_tuple_certificate_leaves_out_steps_and_witness(certificate_doc):
     # the tuples, f and the target prove the claim on their own
-    assert not CONSTRUCTION_KEYS & certificate_doc.keys()
+    assert not {"witness", "similarity_steps"} & certificate_doc.keys()
     assert verify_certificate(json.loads(dumps_canonical(certificate_doc))) == []
-
-
-def test_matrix_level_document_adds_steps_and_witness(waring_certificate,
-                                                      certificate_doc,
-                                                      matrix_level_doc):
-    cert = waring_certificate
-    doc = matrix_level_doc
-    assert doc.keys() - certificate_doc.keys() == CONSTRUCTION_KEYS
-    shared = certificate_doc.keys() - {"tuples", "terms"}
-    assert {k: doc[k] for k in shared} == {k: certificate_doc[k]
-                                           for k in shared}
-    assert doc["witness"] == matrix_to_json(cert.witness)
-    steps = [*cert.steps, *cert.term_certs]
-    assert [s["label"] for s in doc["similarity_steps"]] == [
-        c.label for c in steps]
-    assert len(steps) > 0
-    failures = verify_certificate(json.loads(dumps_canonical(doc)))
-    if cert.mode == "five-term":
-        # the trace term is an image of f, not similar to the witness: only
-        # its tuple can prove it
-        assert failures == ["term 0 is not tied to the witness: no "
-                            "similarity step maps the witness onto it"]
-    else:
-        assert failures == []
-
-
-def test_matrix_level_certificate_keeps_steps_and_witness(rng):
-    # its steps are the only link from its terms to the witness
-    B = planted_matrix(rng, [1, 1, 2, 3, 4])
-    A = random_traceless(rng, 5)
-    cert = four_term_decompose(B, A)
-    doc = json.loads(dumps_canonical(certificate_to_json(cert, DEFAULT_TOLS)))
-    assert doc["witness"] == matrix_to_json(B)
-    assert len(doc["similarity_steps"]) == len(cert.steps) + len(
-        cert.term_certs) > 0
-    assert verify_certificate(doc) == []
