@@ -394,11 +394,17 @@ class TestVerify:
          lambda doc: doc["tuples"][0].__setitem__(0, 5)),
         ("certificate has no argument tuples",
          lambda doc: doc.update(tuples=None)),
+        # terms are never read in place of the tuples
+        ("certificate has no argument tuples",
+         lambda doc: (doc.update(tuples=None), doc.pop("terms"))),
+        ("certificate has no argument tuples",
+         lambda doc: doc.update(
+             tuples=None, terms=[matrix_to_json(np.eye(2))] * 2)),
         ("malformed field 'polynomial'",
          lambda doc: doc.update(polynomial="X1+")),
         (None, lambda doc: doc.pop("n")),
-    ], ids=["tuple-entry-not-a-matrix", "no-tuples", "polynomial-unparsable",
-            "no-n"])
+    ], ids=["tuple-entry-not-a-matrix", "no-tuples", "no-terms",
+            "terms-wrong-size", "polynomial-unparsable", "no-n"])
     def test_hand_edited_document_never_raises(self, tmp_path, a3, capsys,
                                                failure, tamper):
         doc = json.loads(open(self.make_cert(tmp_path, a3)).read())

@@ -289,6 +289,38 @@ def test_certificate_without_tuples_is_refused(rng, tmp_path):
     assert not path.exists()
 
 
+def test_matrix_level_certificate_keeps_terms(rng):
+    # the terms stay in memory and reconstruct the target there; no document
+    # carries them
+    B = planted_matrix(rng, [1, 1, 2, 3, 4])
+    A = random_traceless(rng, 5)
+    cert = four_term_decompose(B, A)
+    assert cert.tuples is None
+    assert len(cert.terms) == 4
+    combo = sum(c * t for c, t in zip(cert.coefficients, cert.terms))
+    assert np.linalg.norm(combo - A) <= cert.residual_bound
+    with pytest.raises(ValueError):
+        certificate_to_json(cert, DEFAULT_TOLS)
+
+
+def test_matrix_level_certificate_keeps_steps_and_witness(rng):
+    # its steps are the only link from its terms to the witness, so they
+    # stay in memory with it
+    B = planted_matrix(rng, [1, 1, 2, 3, 4])
+    A = random_traceless(rng, 5)
+    cert = four_term_decompose(B, A)
+    assert np.array_equal(cert.witness, B)
+    assert len(cert.steps) > 0
+    assert len(cert.term_certs) == len(cert.terms)
+    for tc, term in zip(cert.term_certs, cert.terms):
+        assert np.array_equal(tc.source, B)
+        assert np.allclose(tc.target, term)
+        bound = 1e-9 * tc.condition_estimate * np.linalg.norm(B)
+        assert np.linalg.norm(tc.t @ B @ tc.t_inv - term) <= bound
+    with pytest.raises(ValueError):
+        certificate_to_json(cert, DEFAULT_TOLS)
+
+
 def test_tuple_certificate_leaves_out_steps_and_witness(certificate_doc):
     # the tuples, f and the target prove the claim on their own
     assert not {"witness", "similarity_steps"} & certificate_doc.keys()
