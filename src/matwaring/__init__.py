@@ -30,24 +30,19 @@ from .errors import (
 from .freealg import NcPolynomial, PolyClass, classify, evaluate, parse
 from .linalg import (
     SimilarityCertificate,
-    SubspaceBasis,
     block_triangular_similarity,
     certify_similarity,
     eigendecompose,
-    joint_commutant_dimension,
     project_traceless,
-    subspace_sum_rank,
     sylvester_solve,
 )
 from .unitaries import (
     HollowSplit,
     ParameterAssignment,
-    ProjectorPair,
     assign_parameters,
     build_decoupling_unitary,
     conjugating_rotation,
     corner_unitary,
-    make_projector,
     split_hollow,
 )
 from .verify import verify_certificate

@@ -52,7 +52,7 @@ EXIT_RESIDUAL = 5
 
 # the exit code of an error is that of the first entry whose classes match
 _EXIT_CODES = (
-    ((ParseError, FileNotFoundError, ValueError, KeyError,
+    ((ParseError, FileNotFoundError, ValueError, KeyError, OverflowError,
       PreconditionUnmetError), EXIT_PARSE),
     ((NotGenericError,), EXIT_NOT_GENERIC),
     ((BudgetExhaustedError,), EXIT_BUDGET),
@@ -148,7 +148,7 @@ def cmd_decompose(args):
     else:
         cert = waring_express(f, A, args.budget, args.seed, tols)
 
-    save_certificate(args.out, cert, tols, seed=args.seed, budget=args.budget)
+    save_certificate(args.out, cert, tols)
     print(f"{cert.mode} certificate written to {args.out} "
           f"(residual {cert.residual:.3e})")
     return EXIT_OK

@@ -3,9 +3,9 @@
 A complex Schur form in a given eigenvalue order (unitary deflation from
 one eigendecomposition), the block back-substitution that makes a block
 upper-triangular matrix block diagonal (with a Sylvester solver for
-upper-triangular operands on top of it), subspace and commutant rank
-computations, and similarity certificates. Matrices are numpy complex
-arrays; everything here targets desk scale (n <= 64).
+upper-triangular operands on top of it), and similarity certificates.
+Matrices are numpy complex arrays; everything here targets desk scale
+(n <= 64).
 """
 
 from dataclasses import dataclass
@@ -17,9 +17,6 @@ from .errors import (
     IllConditionedError,
     SpectraOverlapError,
 )
-
-# numerical-rank cutoff, relative to the largest singular value
-RANK_TOL = 1e-10
 
 
 def as_cmatrix(A):
@@ -168,62 +165,6 @@ def sylvester_solve(R1, R2, C, tols: Tolerances = DEFAULT_TOLS):
         )
     upper = np.block([[R1, -C], [np.zeros((q, p)), R2]])
     return _unit_upper_transform((p, q), upper[None], tols)[0, :p, p:]
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Basis matrices spanning a linear subspace of M_n(C)."""
-
-    n: int
-    mats: tuple
-
-    @classmethod
-    def from_matrices(cls, mats):
-        mats = tuple(as_cmatrix(M) for M in mats)
-        if not mats:
-            raise ValueError("a subspace basis needs at least one matrix")
-        n = mats[0].shape[0]
-        for M in mats:
-            if M.shape != (n, n):
-                raise ValueError("basis matrices must share the ambient size")
-        return cls(n, mats)
-
-    def conjugated(self, U):
-        U = as_cmatrix(U)
-        return SubspaceBasis(self.n, tuple(U @ M @ U.conj().T for M in self.mats))
-
-
-def _numerical_rank(columns):
-    if columns.size == 0:
-        return 0
-    s = np.linalg.svd(columns, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
-
-
-def subspace_sum_rank(V1: SubspaceBasis, V2: SubspaceBasis):
-    """Numerical rank of the span of V1 together with V2."""
-    if V1.n != V2.n:
-        raise ValueError("ambient sizes differ")
-    cols = np.stack([M.ravel() for M in V1.mats + V2.mats], axis=1)
-    return _numerical_rank(cols)
-
-
-def joint_commutant_dimension(mats):
-    """Dimension of {A : AM = MA for every M in mats}.
-
-    Stacks the linearized commutator operators and counts the null space.
-    With row-major vec, vec(MA - AM) = (kron(M, I) - kron(I, M^T)) vec(A).
-    """
-    mats = [as_cmatrix(M) for M in mats]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].shape[0]
-    eye = np.eye(n)
-    rows = [np.kron(M, eye) - np.kron(eye, M.T) for M in mats]
-    K = np.vstack(rows)
-    return n * n - _numerical_rank(K)
 
 
 def project_traceless(A):

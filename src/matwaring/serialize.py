@@ -76,7 +76,7 @@ def complex_from_json(pair):
     return complex(pair[0], pair[1])
 
 
-def certificate_to_json(cert, tols, seed=None, budget=None):
+def certificate_to_json(cert, tols):
     if cert.tuples is None:
         raise ValueError(f"a {cert.mode} certificate without argument tuples "
                          "has no certificate document")
@@ -95,8 +95,8 @@ def certificate_to_json(cert, tols, seed=None, budget=None):
         "residual_bound": cert.residual_bound,
         "cert_tol": tols.cert_tol,
         "tolerances": dataclasses.asdict(tols),
-        "seed": cert.seed if cert.seed is not None else seed,
-        "budget": cert.budget if cert.budget is not None else budget,
+        "seed": cert.seed,
+        "budget": cert.budget,
     }
 
 
@@ -114,11 +114,10 @@ def dumps_canonical(doc):
                       allow_nan=False, check_circular=False) + "\n"
 
 
-def save_certificate(path, cert, tols, seed=None, budget=None):
+def save_certificate(path, cert, tols):
     # the text is made before the file is opened, so a failed write leaves
     # no file behind
-    text = dumps_canonical(certificate_to_json(cert, tols, seed=seed,
-                                               budget=budget))
+    text = dumps_canonical(certificate_to_json(cert, tols))
     with open(path, "w") as fh:
         fh.write(text)
 

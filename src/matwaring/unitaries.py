@@ -1,9 +1,9 @@
 """Explicit unitary machinery for splitting hollow matrices.
 
-Builds the rank-one projector family R_q, the decoupling unitary U whose
-joint commutant with the pattern projectors collapses to the diagonal
-matrices, and the splitting M = C1 + U C2 U* of any hollow matrix into two
-members of the hollow-block subspace V(pattern).
+Builds the decoupling unitary U of a block pattern from 2x2 rotations and
+the 3x3 corner unitary, and the splitting M = C1 + U C2 U* of any hollow
+matrix into two members of the hollow-block subspace V(pattern): the
+matrices vanishing on the pattern's diagonal blocks.
 
 A pattern is either (h, h) with h = n/2 (two equal blocks, n even) or
 (p, q, r) with p + q + r = n and p, q, r < n/2.
@@ -16,16 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ResidualTooLargeError
-from .linalg import SubspaceBasis, as_cmatrix, block_labels, fro, read_only
-
-
-@dataclass(frozen=True)
-class ProjectorPair:
-    """2x2 rank-one idempotent [[q, s],[s, 1-q]] with s = sign * sqrt(q(1-q))."""
-
-    q: float
-    sign: int
-    matrix: np.ndarray
+from .linalg import as_cmatrix, block_labels, fro, read_only
 
 
 @dataclass(frozen=True)
@@ -37,22 +28,6 @@ class ParameterAssignment:
     qs: tuple
     ts: tuple
     ss: tuple
-
-
-@dataclass(frozen=True)
-class DecouplingLayout:
-    """Bookkeeping for the permuted frame.
-
-    perm[i] is the original index sitting at permuted position i; cells lists
-    the (kind, types) plan of each 2x2 (or corner 3x3) group and cell_indices
-    the original indices it occupies. U is zero between different groups.
-    """
-
-    perm: tuple
-    cells: tuple
-    cell_indices: tuple
-    params: ParameterAssignment
-    corner: bool
 
 
 @dataclass
@@ -67,17 +42,9 @@ class HollowSplit:
     residual: float
 
 
-def make_projector(q, sign="+"):
-    if not 0 < q < 1:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
-    s = {"+": 1, "-": -1, 1: 1, -1: -1}[sign]
-    root = np.sqrt(q * (1 - q))
-    M = np.array([[q, s * root], [s * root, 1 - q]], dtype=complex)
-    return ProjectorPair(float(q), s, M)
-
-
 def conjugating_rotation(q):
-    """Real orthogonal G with G P2 G* = R_q, where P2 = diag(1, 0).
+    """Real orthogonal G with G P2 G* = R_q, where P2 = diag(1, 0) and R_q is
+    the rank-one projector [[q, r], [r, 1-q]], r = sqrt(q(1-q)).
 
     The complement transforms as G (I - P2) G* = I - R_q, which equals the
     minus-signed projector at parameter 1 - q."""
@@ -95,10 +62,6 @@ def corner_unitary():
     u3 = np.array([1, -1, -2], dtype=complex) / np.sqrt(6)
     return np.column_stack([u1, u2, u3])
 
-
-CORNER_K0 = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]],
-                     dtype=complex)
-CORNER_L0 = np.array([[1, -1, 1], [-1, 1, -1], [1, -1, 1]], dtype=complex) / 3.0
 
 _EXCLUDED = (0.5, 1 / 3, 2 / 3)
 
@@ -166,19 +129,6 @@ def _validate_pattern(n, pattern):
     return pattern
 
 
-def pattern_projectors(n, pattern):
-    """The diagonal 0/1 projectors whose commutant cuts out V(pattern)-perp:
-    one for (h, h), two for (p, q, r)."""
-    pattern = _validate_pattern(n, pattern)
-    if len(pattern) == 2:
-        h = pattern[0]
-        return [np.diag([1.0] * h + [0.0] * h).astype(complex)]
-    p, q, _ = pattern
-    d1 = [1.0] * p + [0.0] * (n - p)
-    d2 = [0.0] * p + [1.0] * q + [0.0] * (n - p - q)
-    return [np.diag(d1).astype(complex), np.diag(d2).astype(complex)]
-
-
 def _cells_for_pattern(n, pattern):
     """Cell plan in the permuted frame.
 
@@ -212,10 +162,11 @@ def _cells_for_pattern(n, pattern):
 
 def build_decoupling_unitary(n, pattern):
     """Unitary U such that anything commuting with the pattern projectors and
-    their U-conjugates is diagonal (verified downstream via the commutant
-    dimension). Deterministic in (n, pattern)."""
+    their U-conjugates is diagonal (the tests check it with matwaring.theory),
+    and the original indices of each 2x2 (or corner 3x3) cell of U, which is
+    zero between cells. Deterministic in (n, pattern)."""
     pattern = _validate_pattern(n, pattern)
-    cells, (r1, r2, r3), corner = _cells_for_pattern(n, pattern)
+    cell_plan, (r1, r2, r3), corner = _cells_for_pattern(n, pattern)
     params = assign_parameters(r1, r2, r3, odd_corner=corner)
 
     # the original indices of each block, by index class
@@ -224,13 +175,11 @@ def build_decoupling_unitary(n, pattern):
                   zip("abc" if len(pattern) == 3 else "ac", edges, edges[1:])}
 
     U = np.zeros((n, n), dtype=complex)
-    perm = []
-    cell_indices = []
+    cells = []
     counters = dict.fromkeys("qts", 0)
-    for kind, types in cells:
+    for kind, types in cell_plan:
         idx = tuple(type_pools[t].pop(0) for t in types)
-        cell_indices.append(idx)
-        perm.extend(idx)
+        cells.append(idx)
         if kind == "corner":
             U[np.ix_(idx, idx)] = corner_unitary()
         else:
@@ -240,27 +189,10 @@ def build_decoupling_unitary(n, pattern):
     if any(type_pools.values()):
         raise AssertionError("cell plan did not consume every index")
 
-    layout = DecouplingLayout(tuple(perm), tuple(cells), tuple(cell_indices),
-                              params, corner)
-
     unitarity = fro(U.conj().T @ U - np.eye(n))
     if unitarity > 1e-12:
         raise AssertionError(f"constructed U is not unitary ({unitarity:.3e})")
-    return U, layout
-
-
-def hollow_block_basis(n, pattern):
-    """Matrix units E_ij for every position outside the diagonal blocks."""
-    pattern = _validate_pattern(n, pattern)
-    labels = block_labels(pattern)
-    off_blocks = labels[:, None] != labels[None, :]
-    positions = [tuple(ij) for ij in np.argwhere(off_blocks).tolist()]
-    mats = []
-    for i, j in positions:
-        E = np.zeros((n, n), dtype=complex)
-        E[i, j] = 1.0
-        mats.append(E)
-    return SubspaceBasis(n, tuple(mats)), positions
+    return U, tuple(cells)
 
 
 # Split plans kept, the least recently used dropped first. A witness fixes
@@ -306,9 +238,9 @@ def _split_plan(n, pattern):
     corner), its _CellPairs. None of it depends on the matrix being split,
     so it is built once per key and read-only, because every split shares
     it."""
-    U, layout = build_decoupling_unitary(n, pattern)
+    U, cells = build_decoupling_unitary(n, pattern)
     labels = block_labels(pattern)
-    groups = [np.array([c for c in layout.cell_indices if len(c) == d])
+    groups = [np.array([c for c in cells if len(c) == d])
               for d in (2, 3)]
     groups = [g for g in groups if len(g)]
     return read_only(U), tuple(_CellPairs.build(U, labels, I, J)
@@ -319,7 +251,7 @@ def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS,
                  step_counts=None):
     """Write a hollow M as C1 + U C2 U* with C1, C2 in V(pattern).
 
-    U is zero between the cells of its layout, so the system splits into one
+    U is zero between its cells, so the system splits into one
     minimum-norm solve of at most 9 equations and 18 unknowns per pair of
     cells; the minimum-norm solution of the direct sum is the direct sum of
     these. U and the pseudo-inverses of the cell systems are fixed by

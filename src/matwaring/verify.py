@@ -64,11 +64,15 @@ def _list_of(value, kind):
 
 
 def _number(doc, name):
-    """doc[name] as a float, or None when it is missing or not a number."""
+    """doc[name] as a float, or None when it is missing, not a number or an
+    integer past the double range."""
     value = doc.get(name)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return None
 
 
 def _matrices(docs, n):
@@ -78,7 +82,7 @@ def _matrices(docs, n):
     for d in docs:
         try:
             mats.append(matrix_from_json(d))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             return None
         if mats[-1].shape != (n, n):
             return None
@@ -112,7 +116,7 @@ def _check(doc, verdict):
     mode = doc.get("mode")
     try:
         coeffs = [complex_from_json(c) for c in doc.get("coefficients")]
-    except (TypeError, ValueError, IndexError, KeyError):
+    except (TypeError, ValueError, IndexError, KeyError, OverflowError):
         return ["malformed field 'coefficients': not a list of [re, im] pairs"]
 
     # sign discipline: only +-1 coefficients are admissible, plus one free
@@ -139,7 +143,7 @@ def _check(doc, verdict):
         failures.append("malformed field 'cert_tol': NaN")
     try:
         target = matrix_from_json(doc["target"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         return failures + ["malformed field 'target': not a matrix document"]
     n = verdict.n = target.shape[0]
     if "n" in doc:

@@ -194,23 +194,6 @@ def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
 
 def _four_term(B, A, part, tols):
     """four_term_decompose of trace-zero A on part, B's spectral partition."""
-    if fro(A) == 0.0:
-        # nothing to express: four copies of B cancel in signed pairs (the
-        # partition has enforced the multiplicity gate)
-        eye = np.eye(B.shape[0], dtype=complex)
-        trivial = certify_similarity(eye, B, B, tols, label="trivial-term")
-        return WaringCertificate(
-            mode=MODE_FOUR_TERM,
-            witness=B,
-            target=A,
-            coefficients=[1.0, -1.0, 1.0, -1.0],
-            terms=[B.copy() for _ in range(4)],
-            residual=0.0,
-            residual_bound=tols.end_tol,
-            term_certs=[trivial] * 4,
-            steps=[],
-        )
-
     hollow = zero_diagonal_similarity(A, tols)
     split = split_hollow(hollow.off_diagonal, part.block_sizes, tols,
                          hollow.step_counts)

@@ -17,20 +17,20 @@ from matwaring.errors import (
     MultiplicityTooLargeError,
 )
 from matwaring.freealg import classify, parse
-from matwaring.linalg import (
-    fro,
-    joint_commutant_dimension,
-    subspace_sum_rank,
-)
+from matwaring.linalg import fro
 from matwaring.serialize import certificate_to_json, dumps_canonical
-from matwaring.unitaries import (
+from matwaring.theory import (
     CORNER_K0,
     CORNER_L0,
-    build_decoupling_unitary,
-    corner_unitary,
     hollow_block_basis,
+    joint_commutant_dimension,
     make_projector,
     pattern_projectors,
+    subspace_sum_rank,
+)
+from matwaring.unitaries import (
+    build_decoupling_unitary,
+    corner_unitary,
     split_hollow,
 )
 from matwaring.verify import verify_certificate
@@ -70,8 +70,8 @@ class _Criterion:
 
 def test_criterion_1_golden_constants():
     with _Criterion(1, "golden projector and corner constants", 1):
-        plus = make_projector(0.5, "+").matrix
-        minus = make_projector(0.5, "-").matrix
+        plus = make_projector(0.5, "+")
+        minus = make_projector(0.5, "-")
         assert np.abs(plus - np.array([[0.5, 0.5], [0.5, 0.5]])).max() <= 1e-14
         assert np.abs(minus - np.array([[0.5, -0.5], [-0.5, 0.5]])).max() <= 1e-14
 

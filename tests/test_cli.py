@@ -136,6 +136,18 @@ class TestDecompose:
         assert code == 2
         assert "entry 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"n": Infinity, "entries": []}',
+        '{"n": 1, "entries": [[1' + "0" * 400 + ', 0]]}',
+    ], ids=["n-infinite", "entry-past-double"])
+    def test_number_past_double_range_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        code = main(["decompose", "[X1,X2]", str(path),
+                     "--out", str(tmp_path / "cert.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_non_object_matrix_exits_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[[1, 0]]")
@@ -403,14 +415,35 @@ class TestVerify:
         ("malformed field 'polynomial'",
          lambda doc: doc.update(polynomial="X1+")),
         (None, lambda doc: doc.pop("n")),
+        # numbers past the double range: an infinite n, an integer literal
+        # of 401 digits
+        ("malformed field 'target'",
+         lambda doc: doc["target"].update(n=math.inf)),
+        ("malformed field 'tuples'",
+         lambda doc: doc["tuples"][0][0].update(n=math.inf)),
+        ("malformed field 'coefficients'",
+         lambda doc: doc["coefficients"][0].__setitem__(0, 10 ** 400)),
+        ("malformed field 'residual_bound'",
+         lambda doc: doc.update(residual_bound=10 ** 400)),
+        ("malformed field 'cert_tol'",
+         lambda doc: doc.update(cert_tol=10 ** 400)),
+        ("malformed field 'target'",
+         lambda doc: doc["target"]["entries"][0].__setitem__(0, 10 ** 400)),
+        ("malformed field 'tuples'",
+         lambda doc: doc["tuples"][1][0]["entries"][0].__setitem__(
+             0, 10 ** 400)),
     ], ids=["tuple-entry-not-a-matrix", "no-tuples", "no-terms",
-            "terms-wrong-size", "polynomial-unparsable", "no-n"])
+            "terms-wrong-size", "polynomial-unparsable", "no-n",
+            "target-n-infinite", "tuple-n-infinite", "coefficient-past-double",
+            "residual-bound-past-double", "cert-tol-past-double",
+            "target-entry-past-double", "tuple-entry-past-double"])
     def test_hand_edited_document_never_raises(self, tmp_path, a3, capsys,
                                                failure, tamper):
         doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
         tamper(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
+        failures = verify_certificate(json.loads(bad.read_text()))
         capsys.readouterr()
         code = main(["verify", str(bad)])
         stdout = capsys.readouterr().out
@@ -421,6 +454,7 @@ class TestVerify:
         else:
             assert code == 1
             assert stdout.startswith(f"FAIL: {failure}")
+            assert failures[0].startswith(failure)
 
     @pytest.mark.parametrize("stored, failure", [
         (99, "99, but the target is 5x5"),

@@ -133,7 +133,33 @@ def test_verifier_imports_no_construction_module():
                                         "serialize"}
 
 
+# every module that a route, the verifier or the CLI runs
+PIPELINE = ("canon", "cli", "config", "errors", "freealg", "linalg",
+            "serialize", "unitaries", "verify", "waring")
+
+
+@pytest.mark.parametrize("module", PIPELINE + ("__init__",))
+def test_pipeline_imports_no_theory(module):
+    # the lemma checks are the tests' reference code, not the pipeline's
+    assert "theory" not in import_closure(module)
+
+
+def test_importing_the_package_leaves_theory_unloaded():
+    code = ("import sys, matwaring\n"
+            "print('matwaring.theory' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_pipeline_lists_every_module_but_theory():
+    assert set(PIPELINE) == {p.stem for p in PACKAGE.glob("*.py")} - {
+        "__init__", "theory"}
+
+
 def test_import_walk_sees_the_construction_modules():
     # the check above means something only if the walk finds imports
     assert {"canon", "linalg", "unitaries", "verify",
             "waring"} <= import_closure("cli")
+    assert {"linalg", "unitaries"} <= import_closure("theory")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from matwaring.config import DEFAULT_TOLS
 from matwaring.errors import IllConditionedError, SpectraOverlapError
 from matwaring.linalg import (
-    SubspaceBasis,
     TriangularPlan,
     block_labels,
     block_triangular_similarity,
@@ -17,11 +16,14 @@ from matwaring.linalg import (
     certify_similarity,
     eigendecompose,
     fro,
-    joint_commutant_dimension,
     project_traceless,
     spectral_gap,
-    subspace_sum_rank,
     sylvester_solve,
+)
+from matwaring.theory import (
+    SubspaceBasis,
+    joint_commutant_dimension,
+    subspace_sum_rank,
 )
 
 from conftest import (

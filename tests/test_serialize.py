@@ -108,8 +108,7 @@ def waring_certificate(request):
 
 @pytest.fixture(scope="module")
 def certificate_doc(waring_certificate):
-    return certificate_to_json(waring_certificate, DEFAULT_TOLS, seed=3,
-                               budget=1000)
+    return certificate_to_json(waring_certificate, DEFAULT_TOLS)
 
 
 def test_writer_matches_oracle(certificate_doc):

@@ -2,22 +2,21 @@ import numpy as np
 import pytest
 
 from matwaring import unitaries
-from matwaring.linalg import (
-    as_cmatrix,
-    block_labels,
+from matwaring.linalg import as_cmatrix, block_labels
+from matwaring.theory import (
+    CORNER_K0,
+    CORNER_L0,
+    hollow_block_basis,
     joint_commutant_dimension,
+    make_projector,
+    pattern_projectors,
     subspace_sum_rank,
 )
 from matwaring.unitaries import (
-    CORNER_K0,
-    CORNER_L0,
     assign_parameters,
     build_decoupling_unitary,
     conjugating_rotation,
     corner_unitary,
-    hollow_block_basis,
-    make_projector,
-    pattern_projectors,
     split_hollow,
 )
 
@@ -63,17 +62,17 @@ def all_patterns(n):
 
 class TestProjectors:
     def test_half_plus(self):
-        M = make_projector(0.5, "+").matrix
+        M = make_projector(0.5, "+")
         assert np.allclose(M, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_half_minus(self):
-        M = make_projector(0.5, "-").matrix
+        M = make_projector(0.5, "-")
         assert np.allclose(M, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_idempotent_hermitian_rank_one(self, sign):
         for q in Q_GRID:
-            M = make_projector(q, sign).matrix
+            M = make_projector(q, sign)
             assert np.abs(M @ M - M).max() <= 1e-14
             assert np.abs(M - M.conj().T).max() == 0
             assert abs(np.trace(M) - 1) <= 1e-14
@@ -89,14 +88,14 @@ class TestConjugatingRotation:
     def test_takes_p2_to_projector(self):
         for q in Q_GRID:
             G = conjugating_rotation(q)
-            R = make_projector(q, "+").matrix
+            R = make_projector(q, "+")
             assert np.abs(G @ P2 @ G.conj().T - R).max() <= 1e-14
 
     def test_complement_identity(self):
         # G (I - P2) G* equals the minus projector at parameter 1 - q
         for q in Q_GRID:
             G = conjugating_rotation(q)
-            R = make_projector(1 - q, "-").matrix
+            R = make_projector(1 - q, "-")
             lhs = G @ (np.eye(2) - P2) @ G.conj().T
             assert np.abs(lhs - R).max() <= 1e-14
 
@@ -156,8 +155,8 @@ class TestAssignParameters:
 
 class TestDecouplingUnitary:
     def test_n2_is_single_rotation(self):
-        U, layout = build_decoupling_unitary(2, (1, 1))
-        G = conjugating_rotation(layout.params.qs[0])
+        U, _ = build_decoupling_unitary(2, (1, 1))
+        G = conjugating_rotation(assign_parameters(1, 0, 0).qs[0])
         assert np.allclose(U, G)
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -179,18 +178,17 @@ class TestDecouplingUnitary:
         assert joint_commutant_dimension(mats) <= 5
 
     def test_layout_permutation_is_bijection(self):
-        _, layout = build_decoupling_unitary(7, (3, 3, 1))
-        assert sorted(layout.perm) == list(range(7))
+        _, cells = build_decoupling_unitary(7, (3, 3, 1))
+        assert sorted(sum(cells, ())) == list(range(7))
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_layout_cells_carry_u(self, n):
-        # U is block diagonal on the layout's cells: zero between cells
+        # U is block diagonal on its cells: zero between cells
         for pattern in all_patterns(n):
-            U, layout = build_decoupling_unitary(n, pattern)
-            assert sum(layout.cell_indices, ()) == layout.perm
-            assert len(layout.cell_indices) == len(layout.cells)
+            U, cells = build_decoupling_unitary(n, pattern)
+            assert sorted(sum(cells, ())) == list(range(n))
             inside = np.zeros((n, n), dtype=bool)
-            for I in layout.cell_indices:
+            for I in cells:
                 inside[np.ix_(I, I)] = True
             assert np.abs(U[~inside]).max(initial=0.0) == 0
 
@@ -273,9 +271,9 @@ def per_call_split(M, pattern):
     pseudo-inverse built afresh for each M. Returns (U, C1, C2)."""
     M = as_cmatrix(M)
     n = M.shape[0]
-    U, layout = build_decoupling_unitary(n, pattern)
+    U, cells = build_decoupling_unitary(n, pattern)
     labels = block_labels(pattern)
-    groups = [np.array([c for c in layout.cell_indices if len(c) == d])
+    groups = [np.array([c for c in cells if len(c) == d])
               for d in (2, 3)]
     groups = [g for g in groups if len(g)]
     C1 = np.zeros((n, n), dtype=complex)

@@ -92,11 +92,12 @@ class TestDiffOfSimilar:
 
 class TestFourTerm:
     def test_zero_target(self):
+        # no special case: the general path expresses zero exactly
         B = np.diag([1.0, -1.0]).astype(complex)
         cert = four_term_decompose(B, np.zeros((2, 2)))
-        assert all(np.allclose(W, B) for W in cert.terms)
         assert cert.residual == 0.0
         assert cert.coefficients == [1.0, -1.0, 1.0, -1.0]
+        check_term_cert(cert, B)
 
     def test_n2_hollow_target(self):
         B = np.diag([1.0, -1.0]).astype(complex)
@@ -318,6 +319,13 @@ class TestFiveTerm:
         cert = five_term_express(f, A, seed=0)
         assert cert.coefficients[0] == 0
         assert cert.residual <= 1e-6 * max(1.0, fro(A))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_zero_target(self, n):
+        cert = five_term_express(parse("X1^2 + X1"),
+                                 np.zeros((n, n), dtype=complex), seed=0)
+        assert cert.coefficients[0] == 0
+        assert verify_certificate(certificate_to_json(cert, DEFAULT_TOLS)) == []
 
     def test_identity_target(self):
         f = parse("X1")
