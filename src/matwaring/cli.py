@@ -183,7 +183,7 @@ def cmd_search_image(args):
                                tols)
     doc = {
         "format": "image-witness",
-        "polynomial": f.to_string(),
+        "polynomial": f.text,
         "goal": args.goal,
         "seed": args.seed,
         "image": matrix_to_json(image),

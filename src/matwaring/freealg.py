@@ -5,14 +5,15 @@ Words multiply by concatenation; nothing commutes except scalars. Evaluation
 substitutes square matrices for the variables; the empty word contributes a
 multiple of the identity.
 
-A polynomial is held only as its text compiles: `parse` turns the text into
-a straight-line program (see `_Program`), and `evaluate` runs that program.
+A polynomial is the text it was parsed from and the straight-line program
+that `parse` compiled from it (see `_Program`); `evaluate` runs the program.
 (X1+X2*X3+X3*X1)^4 costs two products for its base and two squarings, where
 its 81 words would cost 197 products. The words are never multiplied out:
 the one structure query the routes need, `is_multilinear`, reads
-multidegrees off the program's nodes.
+multidegrees off the program's nodes. Nothing prints a program back: a
+certificate carries the text as given, and `parse` is deterministic.
 
-The text grammar (parsed by `parse`, printed by `NcPolynomial.to_string`):
+The text grammar (parsed by `parse`):
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
@@ -50,24 +51,20 @@ VARIABLE_LIMIT = 64
 
 
 class NcPolynomial:
-    """A polynomial, held as the program that `parse` compiled from its
-    text.
+    """A polynomial: the `text` that `parse` read and the `program` it
+    compiled.
 
     Every polynomial comes from `parse`. The operators `+`, `-`, `*`, `**`
-    and a scalar factor join their operands' text (`to_string`, a scalar as
-    printed in a term) and parse the result, so every bound of `parse`
-    holds for every polynomial. Equality is identity: two polynomials
-    compare equal only when they are one object; compare their printed
-    text or their images instead.
-
-    `_prepared` holds what the decomposition routes derive from the
-    polynomial before they see a target (waring._prepared), so it lives and
-    dies with the polynomial.
+    and a scalar factor join their operands' text (a scalar written by
+    `_scalar_text`) and parse the result, so every bound of `parse` holds
+    for every polynomial. Equality is identity: two polynomials compare
+    equal only when they are one object; compare their text or their
+    images instead.
     """
 
-    def __init__(self, program):
+    def __init__(self, text, program):
+        self.text = text
         self.program = program
-        self._prepared = {}
 
     @property
     def num_vars(self):
@@ -114,78 +111,41 @@ class NcPolynomial:
         return m > 0 and self.program.multidegree() == (1,) * m
 
     def to_string(self):
-        """The program as text: parsing it gives back this program."""
-        return self.program.text()
+        """The text this polynomial was parsed from."""
+        return self.text
 
     def __repr__(self):
-        return f"NcPolynomial({self.to_string()!r})"
+        return f"NcPolynomial({self.text!r})"
 
 
 def _composed(template, *operands):
     """parse(template) with each operand's text, parenthesized, in place of
     a {}; NotImplemented for an operand that is neither a polynomial nor a
-    scalar. A scalar that is not finite has no text and is refused."""
+    scalar."""
     texts = []
     for value in operands:
         if isinstance(value, NcPolynomial):
-            texts.append(f"({value.to_string()})")
+            texts.append(f"({value.text})")
         elif isinstance(value, (int, float, complex)):
-            term = _format_term(_finite(value), "")
-            texts.append(f"({_join_terms([term])})")
+            texts.append(f"({_scalar_text(value)})")
         else:
             return NotImplemented
     return parse(template.format(*texts))
 
 
-# ---------------------------------------------------------------------------
-# printing
-# ---------------------------------------------------------------------------
-
-def _format_decimal(x):
-    # repr round-trips doubles exactly
-    return repr(float(x))
-
-
-def _format_term(coeff, body):
-    """(sign, text) of coeff times body (body "" for the identity), with
-    the sign factored out of the real part."""
-    coeff = complex(coeff)
-    if coeff.imag == 0:
-        sign = "-" if coeff.real < 0 else "+"
-        mag = abs(coeff.real)
-        if body and mag == 1.0:
-            return sign, body
-        cstr = _format_decimal(mag)
-        return sign, f"{cstr}*{body}" if body else cstr
-    # complex coefficient: parenthesized literal, sign factored from Re (or Im)
-    sign = "+"
-    if coeff.real < 0 or (coeff.real == 0 and coeff.imag < 0):
-        sign, coeff = "-", -coeff
-    mid = "+" if coeff.imag >= 0 else "-"
-    cstr = f"({_format_decimal(coeff.real)}{mid}{_format_decimal(abs(coeff.imag))}i)"
-    return sign, f"{cstr}*{body}" if body else cstr
-
-
-def _join_terms(signed):
-    """A sum of (sign, text) terms as text; "0" when there are none."""
-    parts = []
-    for sign, body in signed:
-        if not parts:
-            parts.append(body if sign == "+" else "-" + body)
-        else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts) or "0"
+def _scalar_text(c):
+    """Text that parses to the scalar c: a signed decimal or complex
+    literal. A scalar that is not finite has no text and is refused."""
+    c = complex(_finite(c))
+    sign, c = ("-", -c) if c.real < 0 else ("", c)
+    if c.imag == 0:
+        return f"{sign}{c.real!r}"
+    return f"{sign}({c.real!r}{c.imag:+}i)"   # '+' format: shortest repr
 
 
 # ---------------------------------------------------------------------------
 # programs
 # ---------------------------------------------------------------------------
-
-# binding strength of a node's place in text: a node binding more loosely
-# than its place is parenthesized
-_IN_SUM, _IN_PRODUCT, _RIGHT_FACTOR, _BASE = range(4)
-_BINDS = {"+": _IN_SUM, "*": _IN_PRODUCT, "^": _RIGHT_FACTOR}
-
 
 class _Program:
     """A straight-line program over matrix stacks.
@@ -330,34 +290,6 @@ class _Program:
             degrees.append(degree)
         return degrees[-1]
 
-    def text(self):
-        return self._text(len(self.nodes) - 1, _IN_SUM)
-
-    def _text(self, k, place):
-        op, operands, parameter = self.nodes[k]
-        if op == "x":
-            return f"X{parameter}"
-        if op == "[]":
-            a, b = (self._text(j, _IN_SUM) for j in operands)
-            return f"[{a},{b}]"
-        if op == "+":
-            text = _join_terms(
-                _format_term(c, "" if self.nodes[j][0] == "1"
-                             else self._text(j, _IN_PRODUCT))
-                for c, j in zip(parameter, operands))
-        elif op == "^":
-            text = f"{self._text(operands[0], _BASE)}^{parameter}"
-        else:
-            factors = []
-            while self.nodes[k][0] == "*":   # the left spine, not recursion
-                k, right = self.nodes[k][1]
-                factors.append(self._text(right, _RIGHT_FACTOR))
-            factors.append(self._text(k, _IN_PRODUCT))
-            text = "*".join(reversed(factors))
-        if _BINDS[op] < place:
-            return f"({text})"
-        return text
-
 
 def _power_by_squaring(x, e):
     result = None
@@ -378,8 +310,7 @@ _OPERATORS = set("+-*^()[],")
 
 
 def _tokenize(text):
-
-    """Tokens: ('num', value, is_imag, pos), ('var', index, pos), (op, pos)."""
+    """Tokens (kind, value, is_imag, pos) of a number, variable or operator."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -590,7 +521,7 @@ class _Parser:
 
 def _finite(c):
     """The scalar c, refused when it is not finite: text cannot spell an
-    infinite or NaN coefficient, so printing one would not parse back."""
+    infinite or NaN coefficient."""
     if not cmath.isfinite(c):
         raise ValueError("scalar overflows the double range")
     return c
@@ -618,13 +549,14 @@ def _limited(position, build, *args):
 
 
 def parse(text):
-    """Compile polynomial text into its program. Raises ParseError."""
+    """The polynomial of `text`: the text as given, compiled into its
+    program. Raises ParseError."""
     try:
         parser = _Parser(text)
         value = parser.parse()
     except RecursionError:
         raise ParseError("polynomial text is nested too deeply", 0) from None
-    return NcPolynomial(_limited(0, parser.program.finish, *value))
+    return NcPolynomial(text, _limited(0, parser.program.finish, *value))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,10 @@ def matrix_from_json(doc):
     if not isinstance(doc, dict):
         raise ValueError("matrix document must be a JSON object with n and "
                          f"entries, got a {type(doc).__name__}")
-    n = int(doc["n"])
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError("matrix document's n must be a nonnegative "
+                         f"integer, got {n!r}")
     entries = doc["entries"]
     if len(entries) != n * n:
         raise ValueError(f"matrix document claims n={n} but has "

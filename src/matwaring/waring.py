@@ -9,6 +9,7 @@ brings the count down to two terms, and a nonzero-trace image point lifts
 the result to arbitrary matrices with five scalar coefficients.
 """
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -300,20 +301,22 @@ def _finish(cert, f, args, seed, budget, tols, what):
         cert.target, cert.coefficients, images, tols, what)
     cert.tuples = [tuple(mats) for mats in tuples]
     cert.terms = images
-    cert.polynomial = f.to_string()
+    cert.polynomial = f.text
     cert.seed = seed
     cert.budget = budget
     return cert
 
 
 # ---------------------------------------------------------------------------
-# target-independent work, kept on f
+# target-independent work, kept per f
 # ---------------------------------------------------------------------------
 
 # A route's witness depends on f, n, its goal, budget, seed and tolerances,
-# never on the target, so f keeps it for the next target: each polynomial
-# holds the work of its most recently used _PREPARED_KEYS keys.
+# never on the target, so _MEMO keeps it for the next target: the work of
+# each polynomial's most recently used _PREPARED_KEYS keys. Its keys are
+# weak and no entry refers to f, so an entry lives and dies with f.
 _PREPARED_KEYS = 8
+_MEMO = weakref.WeakKeyDictionary()
 
 
 class _Prepared:
@@ -361,7 +364,7 @@ def _prepared(f, n, goal, budget, seed, tols):
     """f's _Prepared entry for this key, made if missing and moved to the
     most recent end of f's memo."""
     key = (n, goal, budget, seed, tols)
-    memo = f._prepared
+    memo = _MEMO.setdefault(f, {})
     entry = memo.pop(key, None) or _Prepared(*key)
     memo[key] = entry
     if len(memo) > _PREPARED_KEYS:
@@ -481,7 +484,8 @@ def five_term_express(f, T, budget=DEFAULT_BUDGET, seed=0,
     _require_not_central(f, prep)
 
     A0, args0 = prep.found(f)
-    if abs(np.trace(T)) <= tols.hollow_tol * max(1.0, fro(T)):
+    # relative to ||T|| alone: any floor would drop the trace of a small T
+    if abs(np.trace(T)) <= tols.hollow_tol * fro(T):
         c0 = 0j
         remainder = T
     else:

@@ -105,7 +105,7 @@ def words_of(text):
 
 
 def words(f):
-    """The words of a polynomial's program, read from its printed text."""
+    """The words of a polynomial, multiplied out from its text."""
     return words_of(f.to_string())
 
 

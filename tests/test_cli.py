@@ -148,6 +148,16 @@ class TestDecompose:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("n", ["2.9", "2.0", "true", '"2"'])
+    def test_size_that_is_not_an_integer_exits_2(self, tmp_path, capsys, n):
+        path = tmp_path / "sized.json"
+        path.write_text('{"n": ' + n + ', "entries": '
+                        '[[1, 0], [0, 0], [0, 0], [-1, 0]]}')
+        code = main(["decompose", "[X1,X2]", str(path),
+                     "--out", str(tmp_path / "cert.json")])
+        assert code == 2
+        assert "nonnegative integer" in capsys.readouterr().err
+
     def test_non_object_matrix_exits_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[[1, 0]]")
@@ -266,6 +276,16 @@ class TestVerify:
         assert time.perf_counter() - start < 5.0
         assert len(failures) == 1
         assert failures[0].startswith(failure)
+
+    @pytest.mark.parametrize("n", [3.0, 3.5, True, "3"])
+    def test_target_size_that_is_not_an_integer_fails(self, tmp_path, a3,
+                                                      n):
+        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc["target"]["n"] = n
+        if n is True:
+            doc["target"]["entries"] = doc["target"]["entries"][:1]
+        assert verify_certificate(doc) == [
+            "malformed field 'target': not a matrix document"]
 
     def test_tampered_tuple_fails(self, tmp_path, a3):
         out = self.make_cert(tmp_path, a3)
@@ -515,10 +535,11 @@ class TestClassifyCommand:
 class TestSearchImageCommand:
     def test_writes_witness_and_args(self, tmp_path):
         out = str(tmp_path / "w.json")
-        code, _, _ = run_cli("search-image", "[X1,X2]", "3",
+        code, _, _ = run_cli("search-image", "[X1, X2]", "3",
                              "--goal", "distinct-eigs", "--out", out)
         assert code == 0
         doc = json.loads(open(out).read())
+        assert doc["polynomial"] == "[X1, X2]"    # the text as given
         image = matrix_from_json(doc["image"])
         args = [matrix_from_json(a) for a in doc["args"]]
         from matwaring.freealg import evaluate, parse

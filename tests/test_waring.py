@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -327,6 +329,20 @@ class TestFiveTerm:
         assert cert.coefficients[0] == 0
         assert verify_certificate(certificate_to_json(cert, DEFAULT_TOLS)) == []
 
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3])
+    def test_small_target_keeps_its_trace(self, scale):
+        # the trace test is relative to ||T|| alone: with a floor of 1 the
+        # trace of a 1e-9 target was dropped, for a relative error of 0.93
+        f = parse("X1^2 + X1*X2")
+        T = scale * np.diag([1.0, 2.0, 3.0]).astype(complex)
+        cert = five_term_express(f, T)
+        assert cert.coefficients[0] != 0
+        recon = sum(c * evaluate(f, tp)
+                    for c, tp in zip(cert.coefficients, cert.tuples))
+        assert fro(T - recon) <= 1e-4 * fro(T)
+        assert verify_certificate(json.loads(dumps_canonical(
+            certificate_to_json(cert, DEFAULT_TOLS)))) == []
+
     def test_identity_target(self):
         f = parse("X1")
         cert = five_term_express(f, np.eye(2, dtype=complex), seed=0)
@@ -395,6 +411,26 @@ def test_certificate_text_same_as_word_by_word(monkeypatch, route, text, n):
                for a, b in zip(program.tuples[0], words.tuples[0]))
     c0, w0 = program.coefficients[0], words.coefficients[0]
     assert abs(c0 - w0) <= 1e-12 * abs(w0)
+
+
+@pytest.mark.parametrize("route, text, n", [
+    (waring_express, "[X1,X2]", 5),
+    (two_term_decompose, "[ X1 , X2 ]", 5),
+    (five_term_express, "(X1+X2*X3+X3*X1)^4", 4),
+])
+def test_certificate_carries_the_parsed_text(route, text, n):
+    A = random_traceless(np.random.default_rng(n), n)
+    doc = certificate_to_json(route(parse(text), A), DEFAULT_TOLS)
+    assert doc["polynomial"] == text
+
+
+def test_operator_built_polynomial_certifies():
+    x1, x2 = parse("X1"), parse("X2")
+    f = x1 * x2 - x2 * x1
+    cert = waring_express(f, random_traceless(np.random.default_rng(6), 6))
+    doc = json.loads(dumps_canonical(certificate_to_json(cert, DEFAULT_TOLS)))
+    assert doc["polynomial"] == f.text
+    assert verify_certificate(doc) == []
 
 
 _ROADMAP_TARGET = random_traceless(np.random.default_rng(5), 8)
@@ -636,6 +672,20 @@ class TestWitnessMemo:
             assert len(tri) == 1 + made
             assert terms == [[f"term{k}-similar-to-witness"
                               for k in range(1, 5)]]
+
+    def test_memo_entry_dies_with_f(self):
+        f = parse("[X1,X2]")
+        waring_express(f, random_traceless(np.random.default_rng(4), 4))
+        # the memo is kept beside f, not on it
+        assert vars(f).keys() == {"text", "program"}
+        assert f in waring._MEMO
+        gc.collect()
+        before, alive = len(waring._MEMO), weakref.ref(f)
+        del f
+        gc.collect()
+        # no entry refers back to f, so f is collected and its entry goes
+        assert alive() is None
+        assert len(waring._MEMO) == before - 1
 
     def test_failures_are_raised_again(self, monkeypatch):
         # [X1,X2] is 2-central on M_2 (its square is scalar)
