@@ -22,10 +22,11 @@ The text grammar (parsed by `parse`):
     var    := 'X' uint              (uint >= 1)
     scalar := '(' decimal ('+'|'-') decimal 'i' ')' | decimal
 
-The commutator [a,b] is a*b - b*a.
+The commutator [a,b] is a*b - b*a. Text is ASCII.
 """
 
 import cmath
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,23 +69,26 @@ class NcPolynomial:
 
     @property
     def num_vars(self):
-        """How many arguments evaluation reads: the largest variable index
-        of the program."""
+        """The largest variable index: how many arguments evaluation reads."""
         return self.program.num_vars
 
+    # The grammar is left-associative, so a left operand needs parentheses
+    # only as a factor that may be a sum, and repeated operators keep text
+    # flat. Text never holds a brace.
     def __add__(self, other):
-        return _composed("{} + {}", self, other)
+        return _composed(self.text + " + ({})", other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _composed("-{}", self)
+        return _composed("-({})", self)
 
     def __sub__(self, other):
-        return _composed("{} - {}", self, other)
+        return _composed(self.text + " - ({})", other)
 
     def __mul__(self, other):
-        return _composed("{}*{}", self, other)
+        left = self.text if _is_product(self.text) else f"({self.text})"
+        return _composed(left + "*({})", other)
 
     __rmul__ = __mul__   # the reflected operand is a scalar, which commutes
 
@@ -95,7 +99,7 @@ class NcPolynomial:
             # refused here: the grammar's exponent is unsigned, so parsing
             # would name a position in text the caller never wrote
             raise ValueError("negative polynomial powers are not defined")
-        return _composed(f"{{}}^{k:d}", self)
+        return _composed(f"({{}})^{k:d}", self)
 
     def is_multilinear(self):
         """True when every word uses each of X1..Xm exactly once, read off
@@ -110,27 +114,32 @@ class NcPolynomial:
         m = self.num_vars
         return m > 0 and self.program.multidegree() == (1,) * m
 
-    def to_string(self):
-        """The text this polynomial was parsed from."""
-        return self.text
-
     def __repr__(self):
         return f"NcPolynomial({self.text!r})"
 
 
 def _composed(template, *operands):
-    """parse(template) with each operand's text, parenthesized, in place of
-    a {}; NotImplemented for an operand that is neither a polynomial nor a
-    scalar."""
+    """parse(template) with each operand's text or scalar literal in place
+    of a {}; NotImplemented for an operand that is neither."""
     texts = []
     for value in operands:
         if isinstance(value, NcPolynomial):
-            texts.append(f"({value.text})")
+            texts.append(value.text)
         elif isinstance(value, (int, float, complex)):
-            texts.append(f"({_scalar_text(value)})")
+            texts.append(_scalar_text(value))
         else:
             return NotImplemented
     return parse(template.format(*texts))
+
+
+def _is_product(text):
+    """True when text has no '+' or '-' outside parentheses and brackets."""
+    depth = 0
+    for ch in text:
+        depth += (ch in "([") - (ch in ")]")
+        if depth == 0 and ch in "+-":
+            return False
+    return True
 
 
 def _scalar_text(c):
@@ -291,15 +300,17 @@ class _Program:
         return degrees[-1]
 
 
-def _power_by_squaring(x, e):
+def _power_by_squaring(x, e, multiply=operator.matmul):
+    """x to the power e >= 1 by squaring; a scalar power (multiply
+    operator.mul) overflows to infinity instead of raising."""
     result = None
     while True:
         if e & 1:
-            result = x if result is None else result @ x
+            result = x if result is None else multiply(result, x)
         e >>= 1
         if not e:
             return result
-        x = x @ x
+        x = multiply(x, x)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +322,9 @@ _OPERATORS = set("+-*^()[],")
 
 def _tokenize(text):
     """Tokens (kind, value, is_imag, pos) of a number, variable or operator."""
+    for i, ch in enumerate(text):
+        if not ch.isascii():   # str.isdigit and float accept other digits
+            raise ParseError(f"unexpected character {ch!r}", i)
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -335,8 +349,7 @@ def _tokenize(text):
                     or int(digits) > VARIABLE_LIMIT):
                 raise ParseError(
                     f"variable index exceeds the limit of {VARIABLE_LIMIT}", i)
-            index = int(digits)
-            tokens.append(("var", index, None, i))
+            tokens.append(("var", int(digits), None, i))
             i = j
             continue
         if ch.isdigit() or ch == ".":
@@ -507,7 +520,7 @@ class _Parser:
         c, j = value
         if e == 0:
             return 1.0, None
-        c = _finite(_scalar_power(c, e))
+        c = _finite(_power_by_squaring(c, e, operator.mul))
         if j is None or e == 1:
             return c, j
         return c, self.program.add(("^", (j,), e))
@@ -525,18 +538,6 @@ def _finite(c):
     if not cmath.isfinite(c):
         raise ValueError("scalar overflows the double range")
     return c
-
-
-def _scalar_power(c, e):
-    """c**e by squaring; overflows to infinity instead of raising."""
-    result = 1.0
-    while e:
-        if e & 1:
-            result = result * c
-        e >>= 1
-        if e:
-            c = c * c
-    return result
 
 
 def _limited(position, build, *args):

@@ -105,8 +105,28 @@ def words_of(text):
 
 
 def words(f):
-    """The words of a polynomial, multiplied out from its text."""
-    return words_of(f.to_string())
+    """The words of a polynomial's compiled program, multiplied out node by
+    node with WordParser's arithmetic: a sum node's summand c times node j
+    is read as the text c*(j) would be."""
+    oracle = WordParser("")
+    values = []
+    for op, operands, parameter in f.program.nodes:
+        args = [values[j] for j in operands]
+        if op == "x":
+            value = oracle.variable(parameter)
+        elif op == "1":
+            value = oracle.scalar(1)
+        elif op == "+":
+            value = oracle.sum([("+", oracle.product([oracle.scalar(c), p]))
+                                for c, p in zip(parameter, args)])
+        elif op == "*":
+            value = oracle.product(args)
+        elif op == "^":
+            value = oracle.power(args[0], parameter)
+        else:
+            value = oracle.commutator(*args)
+        values.append(value)
+    return values[-1]
 
 
 def word_text(terms):

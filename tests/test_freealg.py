@@ -52,10 +52,12 @@ _PARSE_TEXTS = [
 
 @pytest.mark.parametrize("text", _PARSE_TEXTS)
 def test_parse_keeps_pairwise_word_order(rng, text):
-    # the program evaluates to the sum of the words that the text multiplies
-    # out to, two polynomials at a time, in the order written
+    # the program multiplies out, two polynomials at a time, to the words
+    # and coefficients of the text as written, in that order; and it
+    # evaluates to the sum of those words
     f = parse(text)
     expected = words_of(text)
+    assert list(words(f).items()) == list(expected.items())
     args = random_tuple(rng, 4, 3)
     assert np.allclose(evaluate(f, args), evaluate_words(expected, args))
 
@@ -126,6 +128,18 @@ class TestParse:
             parse("X1 + ")
         assert err.value.position == 5
 
+    @pytest.mark.parametrize("text, position", [
+        ("[X\u0661,X\u0662]", 2),    # Arabic-Indic digits
+        ("X1 +\u00a0X2", 4),         # no-break space
+        ("X1*\uff12", 3),            # fullwidth digit
+    ])
+    def test_non_ascii_text_is_refused(self, text, position):
+        # str.isdigit, str.isspace and float accept these, the grammar
+        # does not, and a certificate stores the text as given
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse(text)
+        assert err.value.position == position
+
     def test_unbalanced_bracket(self):
         with pytest.raises(ParseError):
             parse("[X1,X2")
@@ -170,8 +184,8 @@ class TestParse:
         # the text is kept as written, and parsing it again gives the same
         # program, the coefficient 1e300 bit for bit
         f = parse("1e300*X1")
-        assert f.to_string() == "1e300*X1"
-        assert parse(f.to_string()).program.nodes == f.program.nodes
+        assert f.text == "1e300*X1"
+        assert parse(f.text).program.nodes == f.program.nodes
         assert f.program.nodes[-1][2] == (1e300,)
         assert words(f) == {(1,): 1e300}
 
@@ -179,7 +193,7 @@ class TestParse:
         text = " [ X1 ,X2 ]  "
         f = parse(text)
         assert vars(f) == {"text": text, "program": f.program}
-        assert f.to_string() == text
+        assert f.text == text
         assert repr(f) == f"NcPolynomial({text!r})"
 
 
@@ -287,9 +301,23 @@ class TestOperators:
     def test_operators_join_text(self):
         x1, x2 = parse("X1"), parse("X2")
         h = x1 * x2 - x2 * x1
-        assert h.text == "((X1)*(X2)) - ((X2)*(X1))"
-        assert (2 * x1 ** 3).text == "((X1)^3)*(2.0)"
+        assert h.text == "X1*(X2) - (X2*(X1))"
+        assert (2 * x1 ** 3).text == "(X1)^3*(2.0)"
+        assert (h * x1).text == "(X1*(X2) - (X2*(X1)))*(X1)"
+        assert (-h).text == "-(X1*(X2) - (X2*(X1)))"
         assert h.program.nodes == parse(h.text).program.nodes
+
+    def test_operator_chains_stay_flat(self):
+        # repeated operators append to the text instead of nesting it, so a
+        # 300-step chain stays within the parser's recursion depth
+        x1, x2 = parse("X1"), parse("X2")
+        f, g = x1, x1
+        for _ in range(299):
+            f = f * x2
+            g = g - x2
+        assert f.program.nodes == parse("X1" + "*X2" * 299).program.nodes
+        assert words(f) == {(1,) + (2,) * 299: 1.0}
+        assert words(g) == {(1,): 1.0, (2,): -299.0}
 
     @pytest.mark.parametrize("c", [
         3, -1.5, 1e300, -5e-324, -0.0, 0.5 - 1j, -0.5 + 1j, -2j, 3j,
@@ -326,7 +354,7 @@ class TestPrintRoundTrip:
     @pytest.mark.parametrize("text", CASES)
     def test_round_trip(self, text):
         f = parse(text)
-        assert parse(f.to_string()).program.nodes == f.program.nodes
+        assert parse(f.text).program.nodes == f.program.nodes
 
     def test_random_polynomials(self, rng):
         for _ in range(50):
@@ -337,7 +365,7 @@ class TestPrintRoundTrip:
                 terms[word] = complex(rng.standard_normal(),
                                       rng.standard_normal())
             f = parse(word_text(terms))
-            assert parse(f.to_string()).program.nodes == f.program.nodes
+            assert parse(f.text).program.nodes == f.program.nodes
 
 
 class TestEvaluate:
@@ -586,6 +614,7 @@ def test_program_matches_word_sum_property(text, S, n, seed):
         expected = words_of(text)
     except ParseError:
         return      # a few powers of long sums multiply out past the oracle
+    assert list(words(f).items()) == list(expected.items())
     # the program and the sum of its words agree to rounding: both err by
     # at most a few hundred ulps (the degree and n are small) of the
     # absolute program, which bounds every value either one forms
