@@ -46,12 +46,15 @@ def cluster_eigenvalues(eigs, tol):
     close = np.abs(eigs[:, None] - eigs) <= tol * scale
     # labels drop to the smallest index in reach, the first member of each
     # connected component; that orders components for the stable sort below
-    labels, reached = None, np.arange(len(eigs))
+    index = np.arange(len(eigs))
+    labels, reached = None, index
     while not np.array_equal(labels, reached):
         labels = reached
         reached = np.where(close, labels, len(eigs)).min(1, initial=len(eigs))
     clusters = []
-    for label in np.unique(labels):
+    # a component's first member is the one labelled by itself (np.unique
+    # would give the same labels, but loads numpy.ma on its first call)
+    for label in np.flatnonzero(labels == index):
         members = eigs[labels == label]
         clusters.append((complex(np.mean(members)), len(members)))
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))

@@ -15,6 +15,12 @@ Output is byte-deterministic: the standard-library encoder writes the keys
 sorted, no whitespace, and every float as Python's shortest round-trip
 `repr` (lossless for doubles, -0.0 included). NaN and infinities are
 refused, so every certificate is strict JSON.
+
+The routes make every tuple entry with `round_to_15_digits`, so its parts
+print with at most 15 significant digits and a decimal exponent the reader
+multiplies or divides by exactly: CPython's float reader turns such text
+into a double with one exact operation, where 16 or 17 digits take its
+big-integer correction loop. The target is written as given.
 """
 
 import dataclasses
@@ -25,6 +31,54 @@ import numpy as np
 
 FORMAT_NAME = "waring-certificate"
 FORMAT_VERSION = 1
+
+# parts in [SHORT_MIN, SHORT_MAX) have decimal exponents -8..36, so the
+# 15-digit integer m of m / 10^k has |k| <= 22 and 10^|k| is an exact double
+SHORT_MIN, SHORT_MAX = 1e-8, 1e37
+# 10^k for k = -22..22 at index k + 22, as a multiplier and a divisor: both
+# exact doubles, one of them 1
+_TENS = 10.0 ** np.arange(23)
+_MUL = np.concatenate([np.ones(22), _TENS])
+_DIV = np.concatenate([_TENS[:0:-1], np.ones(23)])
+
+
+def round_to_15_digits(a):
+    """a as a complex array whose real and imaginary parts v with |v| in
+    [SHORT_MIN, SHORT_MAX) are rounded to 15 significant digits (DBL_DIG);
+    zeros, -0.0 and other parts are kept.
+
+    v becomes m / 10^k, with k = 14 - floor(log10 |v|) and m = rint(v 10^k)
+    an integer of 15 digits, by one exact power of ten and one rounding. So
+    v moves by at most 5e-15 |v| and two ulp, and rounding it again leaves
+    it unchanged.
+    """
+    # x is the one work buffer: for tuples of a few 64x64 matrices a fresh
+    # temporary per step cost more than the arithmetic
+    out = np.array(a, dtype=complex)
+    v = out.view(float)
+    x = np.abs(v)
+    short = (x >= SHORT_MIN) & (x < SHORT_MAX)
+    # other parts are worked on as 1e14, which k = 0 keeps, and put back
+    w = np.where(short, v, 1e14)
+    np.log10(np.abs(w, out=x), out=x)
+    j = (36 - np.floor(x, out=x)).astype(np.intp).clip(0, 44)
+    # log10 may land a decade off next to a power of ten; the integer part
+    # of v 10^k then has 14 or 16 digits, which moves k to the right decade
+    x = _scaled(w, j, x)
+    j += np.abs(x) < 1e14
+    j -= np.abs(np.rint(x, out=x), out=x) >= 1e15
+    m = np.rint(_scaled(w, j.clip(0, 44, out=j), x), out=x)
+    m *= _DIV[j]
+    m /= _MUL[j]
+    np.copyto(v, m, where=short)
+    return out
+
+
+def _scaled(w, j, out):
+    """w 10^k into out, k = j - 22."""
+    np.multiply(w, _MUL[j], out=out)
+    out /= _DIV[j]
+    return out
 
 
 def matrix_to_json(M):

@@ -43,6 +43,7 @@ from .linalg import (
     read_only,
     spectral_gap,
 )
+from .serialize import round_to_15_digits
 from .unitaries import split_hollow
 
 MODE_FOUR_TERM = "four-term"
@@ -231,6 +232,8 @@ def image_search(f, n, goal, budget=DEFAULT_BUDGET, seed=0,
 
     Sample i draws from its own stream keyed by (seed, i), so the result is
     the lowest satisfying index regardless of how samples are scheduled.
+    Each drawn entry is rounded to 15 significant digits before f sees it,
+    so the image is f of exactly the tuple a certificate stores.
     Exhaustion reports the polynomial's classification as a diagnostic:
     identities and central polynomials can never meet these goals.
     """
@@ -239,7 +242,7 @@ def image_search(f, n, goal, budget=DEFAULT_BUDGET, seed=0,
     m = max(f.num_vars, 1)
     for i in range(budget):
         rng = np.random.default_rng([seed, i])
-        args = random_tuple(rng, n, m)
+        args = tuple(round_to_15_digits(random_tuple(rng, n, m)))
         image = evaluate(f, args)
         if _goal_satisfied(goal, image, tols):
             return image, args
@@ -290,12 +293,13 @@ def _finish(cert, f, args, seed, budget, tols, what):
     """Turn a matrix-level certificate into tuples of f and re-check it.
 
     Conjugating the witness tuple by each term's transform makes f land on
-    the conjugated image; the terms are replaced by f re-evaluated on those
-    tuples, and their signed sum must reproduce the target.
+    the conjugated image. The conjugated entries are rounded to 15
+    significant digits, the terms are replaced by f re-evaluated on exactly
+    those tuples, and their signed sum must reproduce the target.
     """
     T, T_inv = (np.stack([getattr(tc, k) for tc in cert.term_certs])[:, None]
                 for k in ("t", "t_inv"))
-    tuples = T @ np.stack(args) @ T_inv
+    tuples = round_to_15_digits(T @ np.stack(args) @ T_inv)
     images = list(evaluate(f, list(tuples.swapaxes(0, 1))))
     cert.residual, cert.residual_bound = _residual_gate(
         cert.target, cert.coefficients, images, tols, what)

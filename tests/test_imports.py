@@ -94,6 +94,26 @@ def test_the_import_hook_blocks_scipy():
     assert scipy_modules_after(code, block=True) == []
 
 
+def test_routes_do_not_load_numpy_ma():
+    # np.unique loads numpy.ma on its first call, 11-16 ms of the first
+    # four- or five-term certificate of a process
+    code = """
+        import sys
+        import numpy as np
+        from matwaring import five_term_express, parse, waring_express
+
+        rng = np.random.default_rng(7)
+        T = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        waring_express(parse("[X1,X2]"), T - np.trace(T) / 6 * np.eye(6))
+        five_term_express(parse("X1^2*X2 + X1"), T)
+        print("numpy.ma" in sys.modules)
+    """
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def package_imports(module):
     """The modules of the package that its module `module` imports, read
     from the source with ast (imports inside functions included)."""

@@ -10,13 +10,16 @@ from matwaring import serialize
 from matwaring.config import DEFAULT_TOLS
 from matwaring.freealg import parse
 from matwaring.serialize import (
+    SHORT_MAX,
+    SHORT_MIN,
     certificate_to_json,
     dumps_canonical,
     matrix_from_json,
     matrix_to_json,
+    round_to_15_digits,
     save_certificate,
 )
-from matwaring.verify import verify_certificate
+from matwaring.verify import check_certificate, verify_certificate
 from matwaring.waring import (
     five_term_express,
     four_term_decompose,
@@ -334,3 +337,112 @@ def test_tuple_certificate_leaves_out_steps_and_witness(certificate_doc):
     # the tuples, f and the target prove the claim on their own
     assert not {"witness", "similarity_steps"} & certificate_doc.keys()
     assert verify_certificate(json.loads(dumps_canonical(certificate_doc))) == []
+
+
+# ---------------------------------------------------------------------------
+# tuple entries at 15 significant digits
+# ---------------------------------------------------------------------------
+
+def significant_digits(x):
+    """The number of significant digits in repr(x), x a finite float."""
+    mantissa = repr(abs(x)).partition("e")[0]
+    return len(mantissa.replace(".", "").strip("0"))
+
+
+def assert_rounds_to_15_digits(parts):
+    v = np.array(parts, dtype=float)
+    out = round_to_15_digits(v.view(complex)).view(float)
+    mag = np.abs(v)
+    short = (mag >= SHORT_MIN) & (mag < SHORT_MAX)
+    assert np.isfinite(out).all()
+    assert max(map(significant_digits, out[short].tolist()), default=0) <= 15
+    # half a unit in the 15th digit, and the roundings of two operations
+    mag = mag[short]
+    assert (np.abs(out - v)[short] <= 5e-15 * mag + 2 * np.spacing(mag)).all()
+    # every other part, zeros of either sign included, is kept bit for bit
+    assert out[~short].tobytes() == v[~short].tobytes()
+    again = round_to_15_digits(out.view(complex)).view(float)
+    assert again.tobytes() == out.tobytes()
+
+
+_PART = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(SHORT_MIN, SHORT_MAX, exclude_max=True),
+    st.floats(-SHORT_MAX, -SHORT_MIN, exclude_min=True),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_PART, _PART), min_size=1, max_size=6))
+def test_round_to_15_digits(pairs):
+    assert_rounds_to_15_digits([x for pair in pairs for x in pair])
+
+
+def _next_to(x):
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+# floor(log10 |v|) is a decade off for some parts next to a power of ten
+_EDGES = [
+    0.0, 5e-324, 1.7976931348623157e308,
+    *_next_to(SHORT_MIN), *_next_to(SHORT_MAX),
+    *[y for e in range(-8, 38) for y in _next_to(10.0 ** e)],
+    *[(10 - 5e-15) * 10.0 ** e for e in range(-9, 37)],
+    *[(1 + 5e-15) * 10.0 ** e for e in range(-8, 37)],
+]
+
+
+def test_round_to_15_digits_next_to_powers_of_ten_and_range_ends():
+    assert_rounds_to_15_digits(_EDGES + [-x for x in _EDGES])
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.5])
+def test_round_to_15_digits_corrects_a_decade_off(monkeypatch, shift):
+    # log10 may err by an ulp or more, so floor(log10 |v|) may name the
+    # decade next to |v|'s; here it does for about half of the parts
+    rng = np.random.default_rng(20261019)
+    parts = np.exp(rng.uniform(np.log(SHORT_MIN), np.log(SHORT_MAX), 4000))
+    parts = np.concatenate([parts, _EDGES])
+    parts *= rng.choice([-1, 1], len(parts))
+    want = round_to_15_digits(parts.view(complex))
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x, out=None: np.add(
+        log10(x, out=out), shift, out=out))
+    assert round_to_15_digits(parts.view(complex)).tobytes() == want.tobytes()
+
+
+def test_round_to_15_digits_keeps_other_parts():
+    parts = [math.inf, -math.inf, math.nan, 1e300, -0.0, 0.0]
+    out = round_to_15_digits(np.array(parts).view(complex)).view(float)
+    assert out.tobytes() == np.array(parts).tobytes()
+
+
+@pytest.mark.parametrize("route, text, n, scale", [
+    (waring_express, "[X1,X2]", 8, 1.0),
+    (two_term_decompose, "[X1,X2]", 7, 1.0),
+    (five_term_express, "(X1+X2*X3+X3*X1)^4", 6, 1.0),
+    (five_term_express, "X1^2 + X1*X2", 6, 1e6),
+], ids=["four-term", "two-term", "five-term", "five-term-scaled-up"])
+def test_routes_store_15_digit_tuples(route, text, n, scale):
+    rng = np.random.default_rng([20261019, n])
+    T = scale * random_complex(rng, n)
+    if route is not five_term_express:
+        T = T - np.trace(T) / n * np.eye(n)
+    cert = route(parse(text), T)
+    if scale > 1:
+        # the four-term part runs on a witness _scaled_up toward its target
+        remainder = T - cert.coefficients[0] * cert.terms[0]
+        assert np.linalg.norm(cert.witness) >= 4 * np.linalg.norm(remainder)
+    doc = json.loads(dumps_canonical(certificate_to_json(cert, DEFAULT_TOLS)))
+    parts = [x for tp in doc["tuples"] for m in tp for pair in m["entries"]
+             for x in pair]
+    assert max(significant_digits(x) for x in parts
+               if SHORT_MIN <= abs(x) < SHORT_MAX) <= 15
+    # the target is written as given, every part at its shortest repr
+    given_target = [[z.real, z.imag] for z in T.ravel().tolist()]
+    assert dumps_canonical(doc["target"]) == dumps_canonical(
+        {"entries": given_target, "n": n})
+    assert max(significant_digits(x) for pair in given_target
+               for x in pair) > 15
+    # the route's gate ran on the tuples as written
+    assert check_certificate(doc).residual == cert.residual
