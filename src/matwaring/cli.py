@@ -149,8 +149,16 @@ def cmd_decompose(args):
         cert = waring_express(f, A, args.budget, args.seed, tols)
 
     save_certificate(args.out, cert, tols)
+    # the residual relative to ||A||_F, which a zero target does not have,
+    # and the k of a target decomposed as 2^(-k D) A (see README)
+    norm = fro(cert.target)
+    accuracy = [f"residual {cert.residual:.3e}"]
+    if norm > 0:
+        accuracy.append(f"relative {cert.residual / norm:.3e}")
+    if cert.k:
+        accuracy.append(f"k = {cert.k}")
     print(f"{cert.mode} certificate written to {args.out} "
-          f"(residual {cert.residual:.3e})")
+          f"({', '.join(accuracy)})")
     return EXIT_OK
 
 

@@ -26,6 +26,7 @@ The commutator [a,b] is a*b - b*a. Text is ASCII.
 """
 
 import cmath
+import math
 import operator
 from dataclasses import dataclass
 
@@ -113,6 +114,12 @@ class NcPolynomial:
         """
         m = self.num_vars
         return m > 0 and self.program.multidegree() == (1,) * m
+
+    def grading(self):
+        """(w, D) with f(2^(k w) X) = 2^(k D) f(X) for every integer k, or
+        None; see `_Program.grading`. [X1,X2] gets ((1, 1), 2), and
+        (X1+X2*X3+X3*X1)^4 gets ((1, 1, 0), 4)."""
+        return self.program.grading()
 
     def __repr__(self):
         return f"NcPolynomial({self.text!r})"
@@ -275,29 +282,72 @@ class _Program:
                 values[o] = None
         return values[-1]
 
-    def multidegree(self):
-        """The value's degree in each of X1..X{num_vars}, or None when a sum
-        adds summands of different multidegrees, in one walk over the
-        nodes. Words that cancel still count, so None does not prove the
-        value inhomogeneous."""
+    def _degree_walk(self):
+        """The value's multidegree, each sum read at its first summand's,
+        and the differences of every sum's other summands from its first:
+        one walk over the nodes. Words that cancel still count."""
         m = self.num_vars
-        degrees = []
+        degrees, rows = [], []
         for op, operands, parameter in self.nodes:
             args = [degrees[j] for j in operands]
             if op == "x":
                 degree = tuple(int(i == parameter) for i in range(1, m + 1))
             elif op == "1":
                 degree = (0,) * m
-            elif None in args:
-                degree = None
             elif op == "+":
-                degree = args[0] if args.count(args[0]) == len(args) else None
+                degree = args[0]
+                rows += [tuple(a - b for a, b in zip(arg, degree))
+                         for arg in args[1:] if arg != degree]
             elif op == "^":
                 degree = tuple(parameter * d for d in args[0])
             else:
                 degree = tuple(map(sum, zip(*args)))
             degrees.append(degree)
-        return degrees[-1]
+        return degrees[-1], rows
+
+    def multidegree(self):
+        """The value's degree in each of X1..X{num_vars}, or None when a sum
+        adds summands of different multidegrees. Words that cancel still
+        count, so None does not prove the value inhomogeneous."""
+        degree, rows = self._degree_walk()
+        return None if rows else degree
+
+    def grading(self):
+        """Integer weights w of X1..X{num_vars} and a degree D > 0 under
+        which every sum's summands have equal weighted degree, or None.
+
+        Then f(2^(k w_1) X1, 2^(k w_2) X2, ...) = 2^(k D) f(X1, X2, ...)
+        for every integer k, bit for bit while no value leaves the normal
+        double range, because each product and sum is scaled by one power
+        of two. All-ones (total degree) is tried first; else w is the part
+        of the value's multidegree orthogonal to the walk's difference
+        rows, which has D > 0 whenever any grading does. Words that cancel
+        still count, so None does not prove that no grading exists.
+        """
+        degree, rows = self._degree_walk()
+        w = (1,) * len(degree)
+        if any(sum(row) for row in rows):
+            w = _orthogonal_part(degree, rows)
+        D = sum(a * b for a, b in zip(w, degree))
+        return (w, D) if D > 0 else None
+
+
+def _orthogonal_part(v, rows):
+    """The part of the integer vector v orthogonal to every row, times the
+    positive factor that makes its entries coprime integers (zeros when v
+    lies in the rows' span): Gram-Schmidt in integers."""
+    basis = []
+    for u in [*dict.fromkeys(rows), v]:
+        for b in basis:
+            ub = sum(x * y for x, y in zip(u, b))
+            if ub:
+                bb = sum(y * y for y in b)
+                u = [bb * x - ub * y for x, y in zip(u, b)]
+                g = math.gcd(*u)
+                u = [x // g for x in u] if g else u
+        if any(u):
+            basis.append(u)
+    return tuple(u)
 
 
 def _power_by_squaring(x, e, multiply=operator.matmul):

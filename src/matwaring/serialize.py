@@ -130,7 +130,11 @@ def complex_to_json(z):
 
 
 def complex_from_json(pair):
-    return complex(pair[0], pair[1])
+    """The complex number of a [re, im] list of exactly two numbers; raises
+    TypeError or ValueError for anything else."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"not a [re, im] pair: {pair!r}")
+    return complex(*pair)
 
 
 def certificate_to_json(cert, tols):

@@ -9,6 +9,7 @@ brings the count down to two terms, and a nonzero-trace image point lifts
 the result to arbitrary matrices with five scalar coefficients.
 """
 
+import math
 import weakref
 from dataclasses import dataclass, field, replace
 
@@ -60,12 +61,20 @@ class WaringCertificate:
     """A decomposition and the certificates of its construction.
 
     target ~= sum_i coefficients[i] * term_i, where term_i is f evaluated on
-    tuples[i] when tuples are present, else the stored terms[i] matrix. Each
-    term carries a composed similarity certificate back to the witness;
-    steps holds the intermediate certificates of the construction. These
-    stay in memory. The certificate document (serialize) holds the tuples
-    instead, which re-verify the decomposition on their own, so a
+    tuples[i] when tuples are present, else the stored terms[i] matrix.
+    These stay in memory. The certificate document (serialize) holds the
+    tuples instead, which re-verify the decomposition on their own, so a
     certificate without tuples has no document.
+
+    A graded f (`NcPolynomial.grading`, weights w and degree D) is
+    decomposed at scale: the construction runs on 2^(-k D) times the
+    target, and part j of each conjugated tuple is multiplied by
+    2^(k w[j]) before it is rounded. So steps, the intermediate
+    certificates of the construction, and term_certs, which carry the
+    witness to each term by a composed similarity, certify that scaled
+    problem. k, weights and degree are kept here; the document does not
+    hold them. k is 0 for an ungraded f, whose witness is scaled instead
+    (`_scaled_up`), and for a matrix-level `four_term_decompose` result.
     """
 
     mode: str
@@ -81,6 +90,9 @@ class WaringCertificate:
     steps: list = field(default_factory=list)
     seed: int | None = None
     budget: int | None = None
+    k: int = 0
+    weights: tuple | None = None
+    degree: int | None = None
 
 
 def diff_of_similar(partition: SpectralPartition, C,
@@ -254,17 +266,31 @@ def image_search(f, n, goal, budget=DEFAULT_BUDGET, seed=0,
     )
 
 
+# The band of ||B||_F / ||A||_F that a witness B is aimed at for a target
+# A. The transforms' condition grows like ||A||_F / (gap of B), so a larger
+# target loses conditioning; a smaller one keeps only accuracy absolute at
+# the scale of B. A graded f's target is rescaled into the band (_rescaled),
+# and an ungraded f's witness is scaled up to its lower edge (_scaled_up).
+_RATIO_BAND = (10.0, 1e4)
+# A rescaled target's largest part, and each rescaled tuple part's, is kept
+# this many binary orders inside the normal double range: room for the term
+# transforms and for f's products.
+_HEADROOM = 64
+
+
 def _scaled_up(f, image, args, A, goal, tols):
-    """The searched image and tuple, scaled up toward the target.
+    """The searched image and tuple, scaled up toward the target; for an
+    ungraded f only (a graded one rescales the target, see _rescaled).
 
     A Gaussian tuple's image has a fixed scale, while the coupling split
     from A grows with ||A||, and with it the condition of the transforms
-    (about ||A|| / gap of the witness). When ||f(t)||_F < 10 ||A||_F this
-    bisects on log2 sigma >= 0 until ||f(sigma t)||_F is within a factor of
-    2 of 10 ||A||_F, at one evaluation per step, and keeps sigma t only if
-    its image is finite and still meets the goal.
+    (about ||A|| / gap of the witness). When ||f(t)||_F is below the band's
+    lower edge, 10 ||A||_F, this bisects on log2 sigma >= 0 until
+    ||f(sigma t)||_F is within a factor of 2 of it, at one evaluation per
+    step, and keeps sigma t only if its image is finite and still meets the
+    goal. A smaller target keeps the image as it is.
     """
-    want = 10 * fro(A)
+    want = _RATIO_BAND[0] * fro(A)
     if not fro(image) < want:
         return image, args
 
@@ -289,25 +315,103 @@ def _scaled_up(f, image, args, A, goal, tols):
     return image, args
 
 
-def _finish(cert, f, args, seed, budget, tols, what):
-    """Turn a matrix-level certificate into tuples of f and re-check it.
+def _times_pow2(M, e):
+    """M times 2^e, exact while the parts stay normal doubles. e
+    broadcasts against M viewed as floats, whose last axis holds each
+    entry's real and imaginary parts side by side."""
+    return np.ldexp(np.ascontiguousarray(M).view(float), e).view(complex)
+
+
+def _exponent(M):
+    """The least e with every part of M below 2^e in magnitude; None for a
+    zero M."""
+    top = max(np.abs(M.real).max(initial=0.0), np.abs(M.imag).max(initial=0.0))
+    return int(np.frexp(top)[1]) if top else None
+
+
+def _log2_fro(M):
+    """log2 ||M||_F of a nonzero M, taken on M scaled by a power of two so
+    that the norm neither underflows nor overflows."""
+    e = _exponent(M)
+    return e + float(np.log2(fro(_times_pow2(M, -e))))
+
+
+def _scale_exponent(B, args, A, grading):
+    """The k of _rescaled: the k nearest 0 that puts ||B||_F /
+    ||2^(-k D) A||_F in _RATIO_BAND, so 0 when the ratio is already in it.
+    Where one step of 2^D would cross the whole band, the lower edge wins.
+    k is then clamped so that the largest part of 2^(-k D) A and of each
+    tuple part 2^(k w_j) t_j stays _HEADROOM binary orders inside the
+    normal range.
+    """
+    eA = _exponent(A)
+    if eA is None:
+        return 0
+    w, D = grading
+    ratio = _log2_fro(B) - _log2_fro(A)
+    lo, hi = np.log2(_RATIO_BAND)
+    # the band is k_lo <= k <= k_hi
+    k_lo = math.ceil((lo - ratio) / D)
+    k_hi = math.floor((hi - ratio) / D)
+    k = min(max(0, k_lo), max(k_lo, k_hi))
+    emin = np.finfo(float).minexp + _HEADROOM
+    emax = np.finfo(float).maxexp - _HEADROOM
+    for e, weight in [(eA, -D), *zip(map(_exponent, args), w)]:
+        # e + k weight must lie in [emin, emax]
+        if weight and e is not None:
+            ends = sorted(((emin - e) / weight, (emax - e) / weight))
+            k = min(max(k, math.ceil(ends[0])), math.floor(ends[1]))
+    return k
+
+
+def _rescaled(f, A, prep, factor):
+    """(witness, its tuple, its factorization by factor, the target to
+    decompose, (k, w, D)) for target A.
+
+    A graded f keeps the memo's witness, its factorization and its
+    triangular plan for every target: the route decomposes 2^(-k D) A,
+    with k from _scale_exponent, and _finish multiplies tuple part j by
+    2^(k w_j), so f of the result is 2^(k D) times the scaled terms. An
+    ungraded f has its witness _scaled_up instead, with k = 0.
+    """
+    image, args = prep.found(f)
+    if prep.grading is None:
+        B, args = _scaled_up(f, image, args, A, prep.goal, prep.tols)
+        return B, args, prep.factored(B, factor), A, (0, None, None)
+    k = _scale_exponent(image, args, A, prep.grading)
+    D = prep.grading[1]
+    return (image, args, prep.factored(image, factor),
+            _times_pow2(A, -k * D) if k else A, (k, *prep.grading))
+
+
+def _finish(cert, f, args, target, scale, prep, what):
+    """Turn a matrix-level certificate into tuples of f and re-check it
+    against target.
 
     Conjugating the witness tuple by each term's transform makes f land on
-    the conjugated image. The conjugated entries are rounded to 15
+    the conjugated image. Part j of each conjugated tuple is multiplied by
+    2^(k w_j) for scale (k, w, D), its entries are rounded to 15
     significant digits, the terms are replaced by f re-evaluated on exactly
     those tuples, and their signed sum must reproduce the target.
     """
-    T, T_inv = (np.stack([getattr(tc, k) for tc in cert.term_certs])[:, None]
-                for k in ("t", "t_inv"))
-    tuples = round_to_15_digits(T @ np.stack(args) @ T_inv)
+    tols = prep.tols
+    k, w, _ = scale
+    T, T_inv = (np.stack([getattr(tc, name) for tc in cert.term_certs])
+                [:, None] for name in ("t", "t_inv"))
+    tuples = T @ np.stack(args) @ T_inv
+    if k:
+        tuples = _times_pow2(tuples, k * np.array(w)[:, None, None])
+    tuples = round_to_15_digits(tuples)
     images = list(evaluate(f, list(tuples.swapaxes(0, 1))))
     cert.residual, cert.residual_bound = _residual_gate(
-        cert.target, cert.coefficients, images, tols, what)
+        target, cert.coefficients, images, tols, what)
+    cert.target = target
     cert.tuples = [tuple(mats) for mats in tuples]
     cert.terms = images
     cert.polynomial = f.text
-    cert.seed = seed
-    cert.budget = budget
+    cert.seed = prep.seed
+    cert.budget = prep.budget
+    cert.k, cert.weights, cert.degree = scale
     return cert
 
 
@@ -325,15 +429,17 @@ _MEMO = weakref.WeakKeyDictionary()
 
 class _Prepared:
     """What a route derives from f at one (n, goal, budget, seed, tols)
-    before it sees a target: the classifier's verdict, the searched image
-    with its tuple, and the image's factorization. Each part is made on
-    first use and kept once it succeeds; a failure is raised again on the
-    next use. The arrays are read-only, because certificates share them.
+    before it sees a target: f's grading, the classifier's verdict, the
+    searched image with its tuple, and the image's factorization. Each part
+    is made on first use and kept once it succeeds; a failure is raised
+    again on the next use. The arrays are read-only, because certificates
+    share them.
     """
 
-    def __init__(self, n, goal, budget, seed, tols):
+    def __init__(self, n, goal, budget, seed, tols, grading):
         self.n, self.goal, self.budget, self.seed, self.tols = (
             n, goal, budget, seed, tols)
+        self.grading = grading
         self._verdict = self._found = self._factored = None
 
     def verdict(self, f):
@@ -350,8 +456,10 @@ class _Prepared:
         return self._found
 
     def factored(self, witness, factor):
-        """factor(witness, tols), a SpectralPartition; kept when the witness
-        is the searched image itself, made afresh for a scaled-up one."""
+        """factor(witness, tols), a SpectralPartition. It is kept when the
+        witness is the searched image itself, which every target of a
+        graded f uses; an ungraded f's witness scaled up for one target
+        (_scaled_up) is factored afresh for it."""
         if witness is not self._found[0]:
             return factor(witness, self.tols)
         if self._factored is None:
@@ -369,7 +477,7 @@ def _prepared(f, n, goal, budget, seed, tols):
     most recent end of f's memo."""
     key = (n, goal, budget, seed, tols)
     memo = _MEMO.setdefault(f, {})
-    entry = memo.pop(key, None) or _Prepared(*key)
+    entry = memo.pop(key, None) or _Prepared(*key, f.grading())
     memo[key] = entry
     if len(memo) > _PREPARED_KEYS:
         del memo[next(iter(memo))]
@@ -400,11 +508,9 @@ def _require_not_central(f, prep, forbid_two_central=False):
 def _four_term_tuples(f, A, prep):
     """The four-term certificate of trace-zero A with its tuples of f, on the
     image point of prep, which has all eigenvalue multiplicities <= n/2."""
-    tols = prep.tols
-    B, args = _scaled_up(f, *prep.found(f), A, GOAL_MULTIPLICITY_HALF, tols)
-    cert = _four_term(B, A, prep.factored(B, partition_spectrum), tols)
-    return _finish(cert, f, args, prep.seed, prep.budget, tols,
-                   "re-evaluated four-term")
+    B, args, part, scaled, scale = _rescaled(f, A, prep, partition_spectrum)
+    cert = _four_term(B, scaled, part, prep.tols)
+    return _finish(cert, f, args, A, scale, prep, "re-evaluated four-term")
 
 
 def waring_express(f, A, budget=DEFAULT_BUDGET, seed=0,
@@ -464,13 +570,11 @@ def two_term_decompose(f, A, budget=DEFAULT_BUDGET, seed=0,
     prep = _prepared(f, n, GOAL_DISTINCT_EIGS, budget, seed, tols)
     _require_not_central(f, prep, forbid_two_central=True)
 
-    D0, args = _scaled_up(f, *prep.found(f), A, GOAL_DISTINCT_EIGS, tols)
-    eig_blocks = prep.factored(D0, _diagonalized)
-
-    hollow = zero_diagonal_similarity(A, tols)
-    cert = _assemble(MODE_TWO_TERM, D0, A, eig_blocks, hollow,
+    D0, args, eig_blocks, scaled, scale = _rescaled(f, A, prep, _diagonalized)
+    hollow = zero_diagonal_similarity(scaled, tols)
+    cert = _assemble(MODE_TWO_TERM, D0, scaled, eig_blocks, hollow,
                      [(hollow.off_diagonal, None)], tols)
-    return _finish(cert, f, args, seed, budget, tols, "two-term")
+    return _finish(cert, f, args, A, scale, prep, "two-term")
 
 
 def five_term_express(f, T, budget=DEFAULT_BUDGET, seed=0,

@@ -76,6 +76,24 @@ class TestDecompose:
         assert doc["residual"] == 0.0
         assert verify_certificate(doc) == []
 
+    def test_reports_relative_residual_and_k(self, tmp_path, rng, capsys):
+        out = str(tmp_path / "cert.json")
+        for scale, k in ((0.1, None), (1e-9, -9)):
+            A = scale * random_traceless(rng, 3)
+            path = write_matrix(tmp_path / "a.json", A)
+            assert main(["decompose", "[X1,X2]", path, "--out", out]) == 0
+            residual = json.loads(open(out).read())["residual"]
+            shown = (f"(residual {residual:.3e}, relative "
+                     f"{residual / np.linalg.norm(A):.3e}")
+            tail = ")" if k is None else f", k = {k})"
+            assert capsys.readouterr().out == (
+                f"two-term certificate written to {out} {shown}{tail}\n")
+        # a zero target has no relative residual
+        path = write_matrix(tmp_path / "z.json", np.zeros((3, 3)))
+        assert main(["decompose", "[X1,X2]", path, "--out", out]) == 0
+        assert capsys.readouterr().out == (
+            f"two-term certificate written to {out} (residual 0.000e+00)\n")
+
     def test_parse_error_exits_2(self, a3):
         code, _, err = run_cli("decompose", "X0 +", a3)
         assert code == 2
@@ -443,6 +461,10 @@ class TestVerify:
          lambda doc: doc["tuples"][0][0].update(n=math.inf)),
         ("malformed field 'coefficients'",
          lambda doc: doc["coefficients"][0].__setitem__(0, 10 ** 400)),
+        # a coefficient is a list of exactly two numbers
+        ("malformed field 'coefficients'",
+         lambda doc: (doc["coefficients"][0].append("junk"),
+                      doc["coefficients"][1].append(None))),
         ("malformed field 'residual_bound'",
          lambda doc: doc.update(residual_bound=10 ** 400)),
         ("malformed field 'cert_tol'",
@@ -455,6 +477,7 @@ class TestVerify:
     ], ids=["tuple-entry-not-a-matrix", "no-tuples", "no-terms",
             "terms-wrong-size", "polynomial-unparsable", "no-n",
             "target-n-infinite", "tuple-n-infinite", "coefficient-past-double",
+            "coefficient-extra-elements",
             "residual-bound-past-double", "cert-tol-past-double",
             "target-entry-past-double", "tuple-entry-past-double"])
     def test_hand_edited_document_never_raises(self, tmp_path, a3, capsys,

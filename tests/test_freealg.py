@@ -458,6 +458,31 @@ class TestEvaluate:
             assert np.linalg.norm(lhs - rhs) <= bound
 
 
+class TestGrading:
+    @pytest.mark.parametrize("text, weights, degree", [
+        ("[X1,X2]", (1, 1), 2),
+        ("X1^2 + X1*X2", (1, 1), 2),
+        ("(X1+X2*X3+X3*X1)^4", (1, 1, 0), 4),
+        # all-ones fails; the part of (1, 1, 0) orthogonal to (1, 1, -1)
+        ("X1*X2 + X3", (1, 1, 2), 2),
+        ("X1*X2*X3*X1*X2*X3 - X3^2*X1^4 + [X1^3,X2^2*X3]", (1, 1, 1), 6),
+    ])
+    def test_scaling_is_exact(self, rng, text, weights, degree):
+        f = parse(text)
+        assert f.grading() == (weights, degree)
+        args = random_tuple(rng, 4, len(weights))
+        image = evaluate(f, args)
+        for k in (-30, -7, 5, 20):
+            scaled = [2.0 ** (k * w) * a for a, w in zip(args, weights)]
+            assert np.array_equal(evaluate(f, scaled),
+                                  2.0 ** (k * degree) * image)
+
+    @pytest.mark.parametrize("text", ["X1 + X1^2", "X1 + 1", "[X1,X2] + 1",
+                                      "X1^2 + X2 + 1", "(3.0)"])
+    def test_ungraded(self, text):
+        assert parse(text).grading() is None
+
+
 class TestClassify:
     def test_commutator_on_scalars_is_identity(self):
         assert classify(parse("[X1,X2]"), 1).verdict == "identity"
@@ -615,6 +640,12 @@ def test_program_matches_word_sum_property(text, S, n, seed):
     except ParseError:
         return      # a few powers of long sums multiply out past the oracle
     assert list(words(f).items()) == list(expected.items())
+    # a grading read off the program holds for every word it multiplies out
+    grading = f.grading()
+    if grading is not None:
+        weights, degree = grading
+        assert all(sum(weights[v - 1] for v in word) == degree
+                   for word in expected)
     # the program and the sum of its words agree to rounding: both err by
     # at most a few hundred ulps (the degree and n are small) of the
     # absolute program, which bounds every value either one forms

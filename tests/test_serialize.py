@@ -21,8 +21,10 @@ from matwaring.serialize import (
 )
 from matwaring.verify import check_certificate, verify_certificate
 from matwaring.waring import (
+    GOAL_MULTIPLICITY_HALF,
     five_term_express,
     four_term_decompose,
+    image_search,
     two_term_decompose,
     waring_express,
 )
@@ -428,11 +430,18 @@ def test_routes_store_15_digit_tuples(route, text, n, scale):
     T = scale * random_complex(rng, n)
     if route is not five_term_express:
         T = T - np.trace(T) / n * np.eye(n)
-    cert = route(parse(text), T)
+    f = parse(text)
+    cert = route(f, T)
     if scale > 1:
-        # the four-term part runs on a witness _scaled_up toward its target
-        remainder = T - cert.coefficients[0] * cert.terms[0]
-        assert np.linalg.norm(cert.witness) >= 4 * np.linalg.norm(remainder)
+        # the four-term part rescales its target by 2^(-k D) on the memo's
+        # witness, so part j of each of its tuples is 2^(k w_j) times the
+        # conjugated witness tuple, rounded
+        assert cert.k > 0 and cert.weights == (1, 1)
+        _, args = image_search(f, n, GOAL_MULTIPLICITY_HALF, seed=1)
+        for tc, tp in zip(cert.term_certs, cert.tuples[1:]):
+            for a, t, w in zip(args, tp, cert.weights):
+                want = 2.0 ** (cert.k * w) * (tc.t @ a @ tc.t_inv)
+                assert np.linalg.norm(t - want) <= 1e-14 * np.linalg.norm(want)
     doc = json.loads(dumps_canonical(certificate_to_json(cert, DEFAULT_TOLS)))
     parts = [x for tp in doc["tuples"] for m in tp for pair in m["entries"]
              for x in pair]

@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 import weakref
 from dataclasses import replace
 
@@ -436,23 +437,81 @@ def test_operator_built_polynomial_certifies():
 _ROADMAP_TARGET = random_traceless(np.random.default_rng(5), 8)
 
 
-@pytest.mark.parametrize("route, A", [
-    *[(waring_express, s * _ROADMAP_TARGET) for s in (1e4, 1e6, 1e8)],
-    (waring_express, 1e4 * np.diag(np.ones(7), 1)),
-    *[(two_term_decompose,
+@pytest.mark.parametrize("route, text, A", [
+    *[(waring_express, "[X1,X2]", s * _ROADMAP_TARGET)
+      for s in (1e4, 1e6, 1e8)],
+    (waring_express, "[X1,X2]", 1e4 * np.diag(np.ones(7), 1)),
+    *[(two_term_decompose, "[X1,X2]",
        s * random_traceless(np.random.default_rng(5), 7))
       for s in (1e2, 1e4, 1e6)],
+    *[(waring_express, text, 1e6 * _ROADMAP_TARGET)
+      for text in ("X1 + X1^2", "X1^2 + X2 + 1")],
 ], ids=["four-1e4", "four-1e6", "four-1e8", "jordan-1e4", "two-1e2",
-        "two-1e4", "two-1e6"])
-def test_large_targets_verify(route, A):
-    # a witness of fixed scale made these ill-conditioned; scaled up toward
-    # the target, it keeps every transform well conditioned
-    cert = route(parse("[X1,X2]"), A)
+        "two-1e4", "two-1e6", "ungraded-X1+X1^2-1e6",
+        "ungraded-X1^2+X2+1-1e6"])
+def test_large_targets_verify(route, text, A):
+    # a witness of fixed scale made these ill-conditioned. A graded f's
+    # target is scaled down by 2^(-k D) into the band on the memo's
+    # witness; an ungraded f's witness is scaled up toward the target
+    f = parse(text)
+    cert = route(f, A)
     assert verify_certificate(json.loads(dumps_canonical(
         certificate_to_json(cert, DEFAULT_TOLS)))) == []
-    assert 5 * fro(A) <= fro(cert.witness) <= 20 * fro(A)
+    if f.grading() is None:
+        assert cert.k == 0
+        assert 5 * fro(A) <= fro(cert.witness) <= 20 * fro(A)
+    else:
+        assert cert.k > 0
+        scaled = A * 2.0 ** (-cert.k * cert.degree)
+        assert 10 <= fro(cert.witness) / fro(scaled) <= 1e4
     assert max(c.condition_estimate
                for c in cert.steps + cert.term_certs) < 100
+
+
+def _rel_error(A, recon):
+    """||A - recon||_F / ||A||_F, both norms taken on the matrices times one
+    power of two, so that neither underflows nor overflows."""
+    scale = 2.0 ** -np.frexp(np.abs(A).max())[1]
+    return fro((A - recon) * scale) / fro(A * scale)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8, 1e150])
+@pytest.mark.parametrize("route, text, n", [
+    (waring_express, "[X1,X2]", 8),
+    (two_term_decompose, "[X1,X2]", 7),
+    (five_term_express, "(X1+X2*X3+X3*X1)^4", 4),
+], ids=["four-term", "two-term", "five-term"])
+def test_relative_accuracy_at_every_scale(route, text, n, scale):
+    # a graded f's target is rescaled by an exact power of two, so the
+    # relative error, by the word-by-word oracle, is that of a target near
+    # the witness's scale
+    rng = np.random.default_rng(23)
+    A = random_complex(rng, n)
+    if route is not five_term_express:
+        A -= (np.trace(A) / n) * np.eye(n)
+    A *= scale / fro(A)
+    f = parse(text)
+    cert = route(f, A)
+    assert verify_certificate(json.loads(dumps_canonical(
+        certificate_to_json(cert, DEFAULT_TOLS)))) == []
+    recon = sum(c * word_by_word_oracle(f, tp)
+                for c, tp in zip(cert.coefficients, cert.tuples))
+    assert _rel_error(A, recon) <= 1e-9
+
+
+def test_scale_exponent_band_and_clamp():
+    B = np.eye(2, dtype=complex)
+    args = (np.eye(2, dtype=complex), 4 * np.eye(2, dtype=complex))
+    A = 1e-300 * np.eye(2, dtype=complex)
+    # the k nearest 0 that puts ||B|| / ||2^(-k D) A|| in [10, 1e4]
+    k = waring._scale_exponent(B, args, A, ((1, 1), 2))
+    ratios = [fro(B) / fro(A * 2.0 ** (-j * 2)) for j in (k, k + 1)]
+    assert 10 <= ratios[0] <= 1e4 < ratios[1]
+    # a weight of 5 would take part 2 (largest part 4 = 2^2, exponent 3)
+    # below the normal range first: k stops where it still has headroom
+    k = waring._scale_exponent(B, args, A, ((1, 5), 2))
+    emin = np.finfo(float).minexp + waring._HEADROOM
+    assert 3 + 5 * k >= emin > 3 + 5 * (k - 1)
 
 
 @pytest.mark.parametrize("span", [4, 8, 12, 16])
@@ -552,19 +611,21 @@ class TestWitnessMemo:
     ])
     def test_reused_f_writes_what_a_fresh_f_writes(self, route, text, n):
         rng = np.random.default_rng(n)
-        # small enough for the searched witness; the middle one is scaled
-        # far past it, so _scaled_up replaces the witness, which is then
-        # factored afresh
+        # small enough for the searched witness; the middle one is far past
+        # it, and is rescaled by 2^(-k D) to ride on the same witness
         targets = [s * random_complex(rng, n) for s in (1e-2, 1e8, 1e-2)]
         if route is not five_term_express:
             targets = [A - (np.trace(A) / n) * np.eye(n) for A in targets]
         f = parse(text)
-        for k, A in enumerate(targets):
-            cert = route(f, A, seed=3)
-            assert _certificate_text(cert) == _certificate_text(
+        certs = []
+        for A in targets:
+            certs.append(route(f, A, seed=3))
+            assert _certificate_text(certs[-1]) == _certificate_text(
                 route(parse(text), A, seed=3))
-            # only the memo's witness is shared, and so read-only
-            assert cert.witness.flags.writeable == (k == 1)
+        assert [cert.k > 0 for cert in certs] == [False, True, False]
+        # every target shares the memo's witness, which is read-only
+        assert not certs[0].witness.flags.writeable
+        assert all(cert.witness is certs[0].witness for cert in certs)
 
     @pytest.mark.parametrize("route", [waring_express, two_term_decompose])
     def test_prefix_runs_once_per_key(self, monkeypatch, route):
@@ -625,9 +686,8 @@ class TestWitnessMemo:
 
     def test_triangular_plan_made_once_and_targets_batched(self,
                                                             monkeypatch):
-        # About a fifth of the five-term benchmark's targets (those scaled
-        # far up) factor a fresh scaled-up witness, and so build a plan of
-        # their own; every other target reuses the memo's.
+        # A graded f's targets of every scale ride on the memo's witness, so
+        # the plan made for the first target serves all of them.
         gaps, transforms, passes = [], [], []
 
         def recording(log, fn, entry):
@@ -648,30 +708,58 @@ class TestWitnessMemo:
         f = parse("[X1,X2]")
         n = 12
         rng = np.random.default_rng(12)
-        A = 1e-3 * random_traceless(rng, n)    # the witness is not scaled up
+        A = 1e-3 * random_traceless(rng, n)    # within the band: k = 0
         first = waring_express(f, A)
-        for target, made in ((1e-3 * random_traceless(rng, n), 0),
-                             (1e8 * random_traceless(rng, n), 1)):
+        for scale in (1e-3, 1e-12, 1e8):
             del gaps[:], transforms[:], passes[:]
-            cert = waring_express(f, target)
-            # a fresh witness is partitioned (its clusters' plan, then the
-            # groups' plan); the memo's witness keeps its plan and gap
-            assert (cert.witness is first.witness) == (made == 0)
-            assert gaps == [n, n] * made
+            cert = waring_express(f, scale * random_traceless(rng, n))
+            assert (cert.k == 0) == (scale == 1e-3)
+            # no witness is partitioned: the memo's keeps its plan and gap
+            assert cert.witness is first.witness
+            assert gaps == []
             # both halves' upper and lower problems share the (6, 6)
             # pattern: one transform call and one certification pass for
             # the four, one pass for the four terms
-            assert transforms[-1] == ((6, 6), 4)
-            assert len(transforms) == 1 + made
+            assert transforms == [((6, 6), 4)]
             tri = [labels for labels in passes
                    if labels[0].startswith("block-triangular")]
             terms = [labels for labels in passes
                      if labels[0].startswith("term")]
-            assert tri[-1] == ["block-triangular-upper",
-                               "block-triangular-lower"] * 2
-            assert len(tri) == 1 + made
+            assert tri == [["block-triangular-upper",
+                            "block-triangular-lower"] * 2]
             assert terms == [[f"term{k}-similar-to-witness"
                               for k in range(1, 5)]]
+
+    @pytest.mark.parametrize("route, text, n", [
+        (waring_express, "[X1,X2]", 6),
+        (two_term_decompose, "[X1,X2]", 5),
+        (five_term_express, "(X1+X2*X3+X3*X1)^4", 4),
+    ])
+    def test_graded_target_neither_factors_nor_bisects(self, monkeypatch,
+                                                       route, text, n):
+        # after the memo's first factorization, a target of any scale calls
+        # neither factorization, and evaluate only from _finish
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append((fn.__name__, sys._getframe(1).f_code.co_name))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("partition_spectrum", "_diagonalized", "evaluate"):
+            monkeypatch.setattr(waring, name, counting(getattr(waring, name)))
+        f = parse(text)
+        rng = np.random.default_rng(n)
+        targets = [s * random_complex(rng, n) for s in (1, 1e-8, 1e8, 1e-150)]
+        if route is not five_term_express:
+            targets = [A - (np.trace(A) / n) * np.eye(n) for A in targets]
+        route(f, targets[0])
+        assert len([c for c in calls if c[0] != "evaluate"]) == 1
+        for A in targets[1:]:
+            del calls[:]
+            assert route(f, A).k != 0
+            assert calls == [("evaluate", "_finish")]
 
     def test_memo_entry_dies_with_f(self):
         f = parse("[X1,X2]")
