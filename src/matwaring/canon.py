@@ -20,6 +20,7 @@ from .errors import (
     NonzeroTraceError,
     ResidualTooLargeError,
 )
+from .freealg import fro
 from .linalg import (
     SimilarityCertificate,
     TriangularPlan,
@@ -28,7 +29,6 @@ from .linalg import (
     block_triangular_similarity,
     certify_similarity,
     eigendecompose,
-    fro,
     spectral_gap,
 )
 
@@ -308,7 +308,7 @@ def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
     A = as_cmatrix(A)
     n = A.shape[0]
     norm_a = fro(A)
-    if abs(np.trace(A)) > tols.hollow_tol * max(norm_a, np.finfo(float).tiny):
+    if abs(np.trace(A)) > tols.hollow_tol * norm_a:
         raise NonzeroTraceError(
             f"matrix has trace {np.trace(A):.3e}; project it first"
         )
@@ -339,7 +339,7 @@ def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
     cert = certify_similarity(P.conj().T, A, W, tols, label="zero-diagonal")
     hollow = HollowForm(W, cert, reflectors, rounds)
     worst = float(np.abs(np.diag(W)).max(initial=0.0))
-    if worst > tols.hollow_tol * max(fro(W), np.finfo(float).tiny):
+    if worst > tols.hollow_tol * fro(W):
         raise ResidualTooLargeError(
             "deflation left a nonzero diagonal on the result "
             f"({hollow.step_counts})", worst,

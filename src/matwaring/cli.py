@@ -22,8 +22,8 @@ from .errors import (
     ParseError,
     PreconditionUnmetError,
 )
-from .freealg import classify, parse
-from .linalg import fro, project_traceless
+from .freealg import classify, fro, parse
+from .linalg import project_traceless
 from .serialize import (
     dumps_canonical,
     load_json,
@@ -130,7 +130,7 @@ def cmd_decompose(args):
 
     mode = args.mode
     trace_mag = abs(complex(A.trace()))
-    if mode != "five" and trace_mag > tols.hollow_tol * max(fro(A), 1e-300):
+    if mode != "five" and trace_mag > tols.hollow_tol * fro(A):
         if mode != "auto":
             print(f"error: mode {mode!r} needs a trace-zero target "
                   f"(trace magnitude {trace_mag:.3e})", file=sys.stderr)

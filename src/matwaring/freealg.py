@@ -695,6 +695,33 @@ class PolyClass:
         return self.verdict
 
 
+def _times_pow2(M, e):
+    """M times 2^e, exact while the parts stay normal. e broadcasts against
+    M viewed as floats, an entry's two parts side by side on the last axis."""
+    return np.ldexp(np.ascontiguousarray(M).view(float), e).view(complex)
+
+
+def _exponent(M):
+    """The least e with every part of M below 2^e; None for a zero M."""
+    top = max(np.abs(M.real).max(initial=0.0), np.abs(M.imag).max(initial=0.0))
+    return int(np.frexp(top)[1]) if top else None
+
+
+def fro(M):
+    """||M||_F at every scale: np.linalg.norm inside [2^-500, 2^500], where
+    no square overflows and no square that underflows counts; outside, 2^e
+    times the norm of M 2^-e, e the exponent of M's largest part (Blue 1978;
+    LAPACK's zlassq). A norm past the double range is inf, with no warning."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(M))
+        if 2.0 ** -500 <= norm <= 2.0 ** 500:
+            return norm
+        M = np.asarray(M, dtype=complex)
+        e = _exponent(M)
+        return norm if e is None else float(
+            np.ldexp(np.linalg.norm(_times_pow2(M, -e)), e))
+
+
 def scalar_distance(M):
     """Frobenius distance to the scalar matrices (orthogonal projection
     under the trace inner product)."""
@@ -702,8 +729,7 @@ def scalar_distance(M):
     return float(np.linalg.norm(M - (np.trace(M) / n) * np.eye(n)))
 
 
-def classify(f, n, samples=CLASSIFY_SAMPLES, tol=CLASSIFY_TOL, seed=0,
-             k_max=CLASSIFY_KMAX):
+def classify(f, n, samples=CLASSIFY_SAMPLES, tol=CLASSIFY_TOL, seed=0):
     """Classify f on M_n(C) by evaluating seeded random tuples.
 
     The verdict is probabilistic: identity / central are certified only up to
@@ -725,7 +751,7 @@ def classify(f, n, samples=CLASSIFY_SAMPLES, tol=CLASSIFY_TOL, seed=0,
         return PolyClass(VERDICT_IDENTITY, None, n, samples, tol)
     powers, formed = images, 1     # powers: images to the power `formed`
     first = images[0]              # sample 0's power, formed on its own
-    for k in range(1, k_max + 1):
+    for k in range(1, CLASSIFY_KMAX + 1):
         if k > 1:
             first = first @ images[0]
             # ||P||_F <= scale**k for every sample's power P (Frobenius

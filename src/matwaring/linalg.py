@@ -17,6 +17,7 @@ from .errors import (
     IllConditionedError,
     SpectraOverlapError,
 )
+from .freealg import fro
 
 
 def as_cmatrix(A):
@@ -26,12 +27,6 @@ def as_cmatrix(A):
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     return A
-
-
-def fro(A):
-    # a norm past the double range is inf, which every gate refuses
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(A))
 
 
 def read_only(a):

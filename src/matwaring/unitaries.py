@@ -16,7 +16,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ResidualTooLargeError
-from .linalg import as_cmatrix, block_labels, fro, read_only
+from .freealg import fro
+from .linalg import as_cmatrix, block_labels, read_only
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,7 @@ def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS,
     n = M.shape[0]
     pattern = _validate_pattern(n, pattern)
     diag_mag = float(np.abs(np.diag(M)).max(initial=0.0))
-    if diag_mag > tols.hollow_tol * max(fro(M), np.finfo(float).tiny):
+    if diag_mag > tols.hollow_tol * fro(M):
         raise ValueError(f"input is not hollow (max diagonal {diag_mag:.3e})")
 
     U, batches = _split_plan(n, pattern)

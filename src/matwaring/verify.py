@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .errors import ParseError
-from .freealg import evaluate, parse
+from .freealg import evaluate, fro, parse
 from .serialize import (
     FORMAT_NAME,
     complex_from_json,
@@ -37,12 +37,6 @@ _SIGNS = {
     "four-term": [1.0, -1.0, 1.0, -1.0],
     "two-term": [1.0, -1.0],
 }
-
-
-def _fro(M):
-    # a norm past the double range is inf, which every gate refuses
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(M))
 
 
 @dataclass
@@ -97,8 +91,8 @@ def verify_certificate(doc):
 
     Returns a list of failure descriptions; an empty list means the
     certificate verifies. Every gate is written `not value <= bound < inf`,
-    so a NaN residual, a NaN bound or an infinite bound (a target whose norm
-    overflows) fails instead of passing.
+    so a NaN residual, a NaN bound or an infinite bound (only a target of
+    Frobenius norm past the double range has one) fails instead of passing.
     """
     return check_certificate(doc).failures
 
@@ -193,12 +187,12 @@ def _check(doc, verdict):
         )
         return failures
     recon = sum(c * im for c, im in zip(coeffs, images))
-    residual = verdict.residual = _fro(target - recon)
+    residual = verdict.residual = fro(target - recon)
     bound = _number(doc, "residual_bound")
     if bound is None:
         return failures + ["malformed field 'residual_bound': not a number"]
     bound = verdict.bound = _tightened(
-        bound, DEFAULT_TOLS.end_tol * max(1.0, _fro(target)))
+        bound, DEFAULT_TOLS.end_tol * max(1.0, fro(target)))
     if not residual <= bound < np.inf:
         failures.append(
             f"reconstruction residual {residual:.3e} exceeds bound {bound:.3e}"

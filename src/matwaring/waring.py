@@ -31,15 +31,17 @@ from .errors import (
 )
 from .freealg import (
     VERDICT_K_CENTRAL,
+    _exponent,
+    _times_pow2,
     classify,
     evaluate,
+    fro,
     random_tuple,
 )
 from .linalg import (
     _certify,
     as_cmatrix,
     certify_similarity,
-    fro,
     project_traceless,
     read_only,
     spectral_gap,
@@ -130,17 +132,18 @@ def _diffs(partition, Cs, tols):
 
 
 def _require_traceless(A, tols, name="target"):
-    if abs(np.trace(A)) > tols.hollow_tol * max(fro(A), np.finfo(float).tiny):
+    if abs(np.trace(A)) > tols.hollow_tol * fro(A):
         raise NonzeroTraceError(f"{name} has trace {np.trace(A):.3e}")
 
 
 def _residual_gate(target, coefficients, terms, tols, what):
     """(residual, bound) of the signed sum of terms against the target;
-    raises when the residual exceeds end_tol * max(1, ||target||_F)."""
+    raises unless residual <= bound < inf (the verifier's rule), with bound
+    end_tol * max(1, ||target||_F), so a NaN residual raises too."""
     recon = sum(c * W for c, W in zip(coefficients, terms))
     residual = fro(target - recon)
     bound = tols.end_tol * max(1.0, fro(target))
-    if residual > bound:
+    if not residual <= bound < np.inf:
         raise ResidualTooLargeError(f"{what} reconstruction failed", residual)
     return residual, bound
 
@@ -315,27 +318,6 @@ def _scaled_up(f, image, args, A, goal, tols):
     return image, args
 
 
-def _times_pow2(M, e):
-    """M times 2^e, exact while the parts stay normal doubles. e
-    broadcasts against M viewed as floats, whose last axis holds each
-    entry's real and imaginary parts side by side."""
-    return np.ldexp(np.ascontiguousarray(M).view(float), e).view(complex)
-
-
-def _exponent(M):
-    """The least e with every part of M below 2^e in magnitude; None for a
-    zero M."""
-    top = max(np.abs(M.real).max(initial=0.0), np.abs(M.imag).max(initial=0.0))
-    return int(np.frexp(top)[1]) if top else None
-
-
-def _log2_fro(M):
-    """log2 ||M||_F of a nonzero M, taken on M scaled by a power of two so
-    that the norm neither underflows nor overflows."""
-    e = _exponent(M)
-    return e + float(np.log2(fro(_times_pow2(M, -e))))
-
-
 def _scale_exponent(B, args, A, grading):
     """The k of _rescaled: the k nearest 0 that puts ||B||_F /
     ||2^(-k D) A||_F in _RATIO_BAND, so 0 when the ratio is already in it.
@@ -348,11 +330,12 @@ def _scale_exponent(B, args, A, grading):
     if eA is None:
         return 0
     w, D = grading
-    ratio = _log2_fro(B) - _log2_fro(A)
+    # no ratio overflows; -inf past the double range, where the clamp sets k
+    ratio = np.log2(fro(B)) - np.log2(fro(A))
     lo, hi = np.log2(_RATIO_BAND)
     # the band is k_lo <= k <= k_hi
-    k_lo = math.ceil((lo - ratio) / D)
-    k_hi = math.floor((hi - ratio) / D)
+    k_lo = np.ceil((lo - ratio) / D)
+    k_hi = np.floor((hi - ratio) / D)
     k = min(max(0, k_lo), max(k_lo, k_hi))
     emin = np.finfo(float).minexp + _HEADROOM
     emax = np.finfo(float).maxexp - _HEADROOM
@@ -361,7 +344,7 @@ def _scale_exponent(B, args, A, grading):
         if weight and e is not None:
             ends = sorted(((emin - e) / weight, (emax - e) / weight))
             k = min(max(k, math.ceil(ends[0])), math.floor(ends[1]))
-    return k
+    return int(k)
 
 
 def _rescaled(f, A, prep, factor):

@@ -16,8 +16,7 @@ from matwaring.errors import (
     BudgetExhaustedError,
     MultiplicityTooLargeError,
 )
-from matwaring.freealg import classify, parse
-from matwaring.linalg import fro
+from matwaring.freealg import classify, fro, parse
 from matwaring.serialize import certificate_to_json, dumps_canonical
 from matwaring.theory import (
     CORNER_K0,

@@ -24,7 +24,8 @@ from matwaring.errors import (
     NonzeroTraceError,
     ResidualTooLargeError,
 )
-from matwaring.linalg import blkdiag, eigendecompose, fro
+from matwaring.freealg import fro
+from matwaring.linalg import blkdiag, eigendecompose
 
 from conftest import planted_matrix, random_traceless, random_unitary, sorted_eigs
 

@@ -361,7 +361,8 @@ class TestVerify:
             self, tmp_path, rng, capsys):
         # ||target||_F overflows, so the verifier's own bound is infinite too
         def tamper(doc):
-            doc["target"]["entries"][1][0] = 1e200
+            doc["target"]["entries"][1][0] = 1.5e308
+            doc["target"]["entries"][2][0] = 1.5e308
             doc["residual_bound"] = math.inf
 
         with warnings.catch_warnings(record=True) as caught:
@@ -474,12 +475,17 @@ class TestVerify:
         ("malformed field 'tuples'",
          lambda doc: doc["tuples"][1][0]["entries"][0].__setitem__(
              0, 10 ** 400)),
+        ("unknown mode 'six-term'", lambda doc: doc.update(mode="six-term")),
+        ("certificate has tuples but no polynomial text",
+         lambda doc: doc.update(polynomial=None)),
+        ("2 coefficients but 1 tuples", lambda doc: doc["tuples"].pop()),
     ], ids=["tuple-entry-not-a-matrix", "no-tuples", "no-terms",
             "terms-wrong-size", "polynomial-unparsable", "no-n",
             "target-n-infinite", "tuple-n-infinite", "coefficient-past-double",
             "coefficient-extra-elements",
             "residual-bound-past-double", "cert-tol-past-double",
-            "target-entry-past-double", "tuple-entry-past-double"])
+            "target-entry-past-double", "tuple-entry-past-double",
+            "unknown-mode", "no-polynomial", "tuple-missing"])
     def test_hand_edited_document_never_raises(self, tmp_path, a3, capsys,
                                                failure, tamper):
         doc = json.loads(open(self.make_cert(tmp_path, a3)).read())

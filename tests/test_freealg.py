@@ -1,4 +1,5 @@
 import time
+import warnings
 from itertools import groupby
 
 import numpy as np
@@ -13,6 +14,7 @@ from matwaring.freealg import (
     VARIABLE_LIMIT,
     classify,
     evaluate,
+    fro,
     parse,
     random_tuple,
     scalar_distance,
@@ -396,6 +398,17 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(parse("X2"), (np.eye(2),))
 
+    @pytest.mark.parametrize("args, message", [
+        ((), "need at least one matrix"),
+        ((np.ones(3),), r"must be \(n, n\) or \(S, n, n\), got \(3,\)"),
+        ((np.eye(2), np.eye(3)),
+         r"must all have shape \(2, 2\), got \(3, 3\)"),
+        ((np.eye(2),), "uses X2 but only 1 arguments"),
+    ], ids=["no-arguments", "rank-1", "two-shapes", "too-few"])
+    def test_argument_errors_are_named(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate(parse("X1*X2"), args)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             evaluate(parse("X1*X2"), (np.eye(2), np.eye(3)))
@@ -481,6 +494,33 @@ class TestGrading:
                                       "X1^2 + X2 + 1", "(3.0)"])
     def test_ungraded(self, text):
         assert parse(text).grading() is None
+
+
+class TestFro:
+    def test_inside_the_range_it_is_numpys_norm(self, rng):
+        # bit for bit, so certificates keep their bytes
+        M = random_complex(rng, 12)
+        for scale in (2.0 ** -499, 1e-100, 1.0, 1e100, 2.0 ** 499):
+            assert fro(scale * M) == float(np.linalg.norm(scale * M))
+
+    @pytest.mark.parametrize("e", [-1000, -600, -520, 520, 600, 1000])
+    def test_outside_it_scales_exactly(self, rng, e):
+        # 2^e M is exact while M's parts stay normal, and so is its norm
+        M = random_complex(rng, 5)
+        assert fro(np.ldexp(1.0, e) * M) == np.ldexp(fro(M), e)
+
+    def test_edges(self):
+        assert fro(np.zeros((3, 3), dtype=complex)) == 0.0
+        assert fro(np.zeros((0, 0), dtype=complex)) == 0.0
+        assert np.isnan(fro(np.full((2, 2), np.nan, dtype=complex)))
+        assert fro(np.array([[5e-324]])) == 5e-324
+
+    def test_past_the_double_range_is_inf_without_a_warning(self):
+        M = np.zeros((2, 2), dtype=complex)
+        M[0, 0] = M[1, 0] = 1.5e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fro(M) == np.inf
 
 
 class TestClassify:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from matwaring.config import DEFAULT_TOLS
 from matwaring.errors import IllConditionedError, SpectraOverlapError
+from matwaring.freealg import fro
 from matwaring.linalg import (
     TriangularPlan,
     block_labels,
@@ -15,7 +16,6 @@ from matwaring.linalg import (
     blkdiag,
     certify_similarity,
     eigendecompose,
-    fro,
     project_traceless,
     spectral_gap,
     sylvester_solve,

@@ -18,12 +18,12 @@ from matwaring.errors import (
     PreconditionUnmetError,
     ResidualTooLargeError,
 )
-from matwaring.freealg import classify, evaluate, parse, random_tuple
+from matwaring.freealg import classify, evaluate, fro, parse, random_tuple
 from matwaring.config import DEFAULT_TOLS
-from matwaring.linalg import blkdiag, fro
+from matwaring.linalg import blkdiag
 from matwaring.serialize import certificate_to_json, dumps_canonical
 from matwaring.unitaries import split_hollow
-from matwaring.verify import verify_certificate
+from matwaring.verify import check_certificate, verify_certificate
 from matwaring.waring import (
     GOAL_DISTINCT_EIGS,
     GOAL_MULTIPLICITY_HALF,
@@ -468,14 +468,8 @@ def test_large_targets_verify(route, text, A):
                for c in cert.steps + cert.term_certs) < 100
 
 
-def _rel_error(A, recon):
-    """||A - recon||_F / ||A||_F, both norms taken on the matrices times one
-    power of two, so that neither underflows nor overflows."""
-    scale = 2.0 ** -np.frexp(np.abs(A).max())[1]
-    return fro((A - recon) * scale) / fro(A * scale)
-
-
-@pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8, 1e150])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170, 1e-150, 1e-8, 1.0,
+                                   1e8, 1e150, 1e200, 1e300])
 @pytest.mark.parametrize("route, text, n", [
     (waring_express, "[X1,X2]", 8),
     (two_term_decompose, "[X1,X2]", 7),
@@ -484,7 +478,9 @@ def _rel_error(A, recon):
 def test_relative_accuracy_at_every_scale(route, text, n, scale):
     # a graded f's target is rescaled by an exact power of two, so the
     # relative error, by the word-by-word oracle, is that of a target near
-    # the witness's scale
+    # the witness's scale. Below 1e-154 and above 1e154 the squares of the
+    # entries leave the double range; fro prescales there, so no gate sees
+    # a norm of 0 or inf
     rng = np.random.default_rng(23)
     A = random_complex(rng, n)
     if route is not five_term_express:
@@ -496,7 +492,49 @@ def test_relative_accuracy_at_every_scale(route, text, n, scale):
         certificate_to_json(cert, DEFAULT_TOLS)))) == []
     recon = sum(c * word_by_word_oracle(f, tp)
                 for c, tp in zip(cert.coefficients, cert.tuples))
-    assert _rel_error(A, recon) <= 1e-9
+    assert fro(A - recon) <= 1e-9 * fro(A)
+
+
+def test_tiny_residual_is_stored_and_verified():
+    # at ||A||_F = 1e-150 the residual's squares underflow: np.linalg.norm
+    # gives 0.0, and fro gives the norm of the residual prescaled by 2^500
+    A = random_traceless(np.random.default_rng(5), 7)
+    A *= 1e-150 / fro(A)
+    cert = two_term_decompose(parse("[X1,X2]"), A)
+    R = A - (cert.terms[0] - cert.terms[1])
+    assert np.linalg.norm(R) == 0.0
+    prescaled = float(np.linalg.norm(R * 2.0 ** 500)) * 2.0 ** -500
+    assert cert.residual == prescaled > 0
+    verdict = check_certificate(json.loads(_certificate_text(cert)))
+    assert verdict.failures == []
+    assert verdict.residual == prescaled
+
+
+def test_residual_gate_refuses_nan():
+    A = np.eye(2, dtype=complex)
+    with pytest.raises(ResidualTooLargeError, match="x reconstruction"):
+        waring._residual_gate(A, [1.0], [np.nan * A], DEFAULT_TOLS, "x")
+
+
+def test_residual_gate_refuses_an_overflowing_target():
+    # the bound end_tol * ||A||_F is infinite, which no verifier accepts
+    A = np.zeros((8, 8), dtype=complex)
+    A[0, 1] = A[1, 0] = 1.5e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ResidualTooLargeError):
+            waring_express(parse("[X1,X2]"), A)
+
+
+@pytest.mark.parametrize("route, n, name", [
+    (waring_express, 8, "four-term"),
+    (two_term_decompose, 7, "two-term"),
+])
+def test_end_gate_names_the_route(route, n, name):
+    tols = replace(DEFAULT_TOLS, end_tol=1e-30)
+    A = random_traceless(np.random.default_rng(2), n)
+    with pytest.raises(ResidualTooLargeError,
+                       match=f"{name} reconstruction failed"):
+        route(parse("[X1,X2]"), A, tols=tols)
 
 
 def test_scale_exponent_band_and_clamp():
