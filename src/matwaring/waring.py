@@ -330,7 +330,7 @@ def _scale_exponent(B, args, A, grading):
     if eA is None:
         return 0
     w, D = grading
-    # no ratio overflows; -inf past the double range, where the clamp sets k
+    # -inf only when fro(A) overflows; the clamp below then sets k alone
     ratio = np.log2(fro(B)) - np.log2(fro(A))
     lo, hi = np.log2(_RATIO_BAND)
     # the band is k_lo <= k <= k_hi
