@@ -45,10 +45,12 @@ class NonzeroTraceError(MatWaringError):
 
 
 class ResidualTooLargeError(MatWaringError):
-    """A reconstruction residual exceeded its tolerance."""
+    """A reconstruction residual exceeded its tolerance, or (residual None)
+    the tolerance is infinite, so that no residual can meet it."""
 
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (residual {residual:.3e})")
+    def __init__(self, message, residual=None):
+        super().__init__(message if residual is None
+                         else f"{message} (residual {residual:.3e})")
         self.residual = residual
 
 

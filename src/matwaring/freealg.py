@@ -648,13 +648,17 @@ def evaluate(f, args):
     if len(stacks) < program.num_vars:
         raise ValueError(f"polynomial uses X{program.num_vars} but only "
                          f"{len(stacks)} arguments were given")
-    if len(shape) == 2:
-        return program.run(stacks)
-    out = np.empty(shape, dtype=complex)
-    block = max(1, _BLOCK_BYTES // (16 * shape[-1] ** 2))
-    for lo in range(0, shape[0], block):
-        out[lo:lo + block] = program.run([a[lo:lo + block] for a in stacks])
-    return out
+    # products that overflow give inf or NaN parts, which the callers' gates
+    # report, without NumPy's warnings beside them
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(shape) == 2:
+            return program.run(stacks)
+        out = np.empty(shape, dtype=complex)
+        block = max(1, _BLOCK_BYTES // (16 * shape[-1] ** 2))
+        for lo in range(0, shape[0], block):
+            out[lo:lo + block] = program.run([a[lo:lo + block]
+                                              for a in stacks])
+        return out
 
 
 def random_tuple(rng, n, m):

@@ -11,16 +11,24 @@ tuples (a `four_term_decompose` result) is a claim about matrices, not
 about f, and is refused. `"terms": null` and `cert_tol` stay in the format
 so that older verifiers still accept the documents.
 
-Output is byte-deterministic: the standard-library encoder writes the keys
-sorted, no whitespace, and every float as Python's shortest round-trip
-`repr` (lossless for doubles, -0.0 included). NaN and infinities are
-refused, so every certificate is strict JSON.
+Output is byte-deterministic: `dumps_canonical` writes the text of the
+standard-library encoder, keys sorted, no whitespace, and every float as
+Python's shortest round-trip `repr` (lossless for doubles, -0.0 included).
+NaN and infinities are refused, so every certificate is strict JSON.
 
 The routes make every tuple entry with `round_to_15_digits`, so its parts
 print with at most 15 significant digits and a decimal exponent the reader
 multiplies or divides by exactly: CPython's float reader turns such text
 into a double with one exact operation, where 16 or 17 digits take its
 big-integer correction loop. The target is written as given.
+
+The same rounding makes the writer fast. For a double equal to its own
+15-digit rounding m 10^(e-14), repr's digits are m's with trailing zeros
+dropped, since no shorter decimal, nor another of 15 digits, rounds to it
+(DBL_DIG = 15). So `dumps_canonical` lays out every matrix whose parts are
+all such doubles or zeros with numpy, in one pass over a digit table and a
+table of repr's layouts, and leaves the target, the scalars and any other
+matrix to json.dumps.
 """
 
 import dataclasses
@@ -32,14 +40,64 @@ import numpy as np
 FORMAT_NAME = "waring-certificate"
 FORMAT_VERSION = 1
 
-# parts in [SHORT_MIN, SHORT_MAX) have decimal exponents -8..36, so the
-# 15-digit integer m of m / 10^k has |k| <= 22 and 10^|k| is an exact double
+# parts in [SHORT_MIN, SHORT_MAX) have decimal exponents e = -8..36, so the
+# 15-digit integer m of m 10^(e-14) is scaled by 10^|e-14| <= 10^22, an
+# exact double
 SHORT_MIN, SHORT_MAX = 1e-8, 1e37
-# 10^k for k = -22..22 at index k + 22, as a multiplier and a divisor: both
-# exact doubles, one of them 1
-_TENS = 10.0 ** np.arange(23)
+# 10^(e-14) for e = -8..37 at index e + 8, as a multiplier and a divisor,
+# one of them 1. 10^23 (e = 37) is not a double, but only the rounding of
+# parts next to SHORT_MAX reaches it, with m = 10^14, and 10^14 fl(10^23)
+# rounds to fl(10^37)
+_TENS = 10.0 ** np.arange(24)
 _MUL = np.concatenate([np.ones(22), _TENS])
-_DIV = np.concatenate([_TENS[:0:-1], np.ones(23)])
+_DIV = np.concatenate([_TENS[22::-1], np.ones(23)])
+
+
+def _decimal(v):
+    """(m, e, short) of the parts v, a float array: short marks the parts
+    with |v| in [SHORT_MIN, SHORT_MAX), and for those m 10^(e-14) is v
+    rounded to 15 significant digits (DBL_DIG): m is a double with v's sign
+    whose magnitude is an integer of 15 digits. Other parts get m = 10^14
+    and e = 14.
+
+    m = rint(v 10^(14-e)) with e = floor(log10 |v|) takes one exact power of
+    ten and one rounding, so it moves v by at most half a unit in its 15th
+    digit; a v just below a power of ten rounds up to it, and then
+    10^15 10^(e-14) becomes 10^14 10^(e-13).
+    """
+    # x is the one work buffer: for tuples of a few 64x64 matrices a fresh
+    # temporary per step cost more than the arithmetic
+    x = np.abs(v)
+    short = (x >= SHORT_MIN) & (x < SHORT_MAX)
+    # other parts are worked on as 1e14, which e = 14 keeps
+    w = np.where(short, v, 1e14)
+    np.log10(np.abs(w, out=x), out=x)
+    e = np.floor(x, out=x).astype(np.intp).clip(-8, 36)
+    # log10 may land a decade off next to a power of ten; the integer part
+    # of v 10^(14-e) then has 14 or 16 digits, which moves e to the right
+    # decade
+    x = _scaled(w, e, x)
+    e -= np.abs(x) < 1e14
+    e += np.abs(np.rint(x, out=x), out=x) >= 1e15
+    m = np.rint(_scaled(w, e.clip(-8, 36, out=e), x), out=x)
+    top = np.abs(m) >= 1e15
+    np.divide(m, 10.0, out=m, where=top)
+    e += top
+    return m, e, short
+
+
+def _scaled(w, e, out):
+    """w 10^(14-e) into out."""
+    np.multiply(w, _DIV[e + 8], out=out)
+    out /= _MUL[e + 8]
+    return out
+
+
+def _rebuilt(m, e):
+    """m 10^(e-14), in place of m."""
+    m *= _MUL[e + 8]
+    m /= _DIV[e + 8]
+    return m
 
 
 def round_to_15_digits(a):
@@ -47,37 +105,14 @@ def round_to_15_digits(a):
     [SHORT_MIN, SHORT_MAX) are rounded to 15 significant digits (DBL_DIG);
     zeros, -0.0 and other parts are kept.
 
-    v becomes m / 10^k, with k = 14 - floor(log10 |v|) and m = rint(v 10^k)
-    an integer of 15 digits, by one exact power of ten and one rounding. So
-    v moves by at most 5e-15 |v| and two ulp, and rounding it again leaves
-    it unchanged.
+    v becomes m 10^(e-14) (`_decimal`) by one more exact power of ten and
+    one rounding. So v moves by at most 5e-15 |v| and two ulp, and rounding
+    it again leaves it unchanged.
     """
-    # x is the one work buffer: for tuples of a few 64x64 matrices a fresh
-    # temporary per step cost more than the arithmetic
     out = np.array(a, dtype=complex)
     v = out.view(float)
-    x = np.abs(v)
-    short = (x >= SHORT_MIN) & (x < SHORT_MAX)
-    # other parts are worked on as 1e14, which k = 0 keeps, and put back
-    w = np.where(short, v, 1e14)
-    np.log10(np.abs(w, out=x), out=x)
-    j = (36 - np.floor(x, out=x)).astype(np.intp).clip(0, 44)
-    # log10 may land a decade off next to a power of ten; the integer part
-    # of v 10^k then has 14 or 16 digits, which moves k to the right decade
-    x = _scaled(w, j, x)
-    j += np.abs(x) < 1e14
-    j -= np.abs(np.rint(x, out=x), out=x) >= 1e15
-    m = np.rint(_scaled(w, j.clip(0, 44, out=j), x), out=x)
-    m *= _DIV[j]
-    m /= _MUL[j]
-    np.copyto(v, m, where=short)
-    return out
-
-
-def _scaled(w, j, out):
-    """w 10^k into out, k = j - 22."""
-    np.multiply(w, _MUL[j], out=out)
-    out /= _DIV[j]
+    m, e, short = _decimal(v)
+    np.copyto(v, _rebuilt(m, e), where=short)
     return out
 
 
@@ -163,7 +198,19 @@ def certificate_to_json(cert, tols):
 
 def dumps_canonical(doc):
     """Deterministic JSON text: sorted keys, no spaces, floats as their
-    shortest round-trip repr; NaN and infinities raise ValueError.
+    shortest round-trip repr; NaN and infinities raise ValueError. The text
+    is `json.dumps(doc, sort_keys=True, separators=(",", ":"),
+    allow_nan=False)` and a newline, for every document.
+
+    A matrix document whose parts are all Python floats equal to their own
+    15-digit rounding (`round_to_15_digits`), or zeros, has its entries laid
+    out by numpy in one pass (`_entries_texts`): no two decimals of at most
+    15 significant digits round to the same double (DBL_DIG), so repr's
+    shortest round-trip digits of such a part are its 15-digit integer m
+    with trailing zeros dropped, and repr's layout of them is a table. Every
+    other value, the target and the scalars included, goes through
+    json.dumps. The lists are read as the text is made, so an edit to the
+    document is always what gets written.
 
     The encoder's cycle check is off: the documents are trees, built fresh
     by certificate_to_json and matrix_to_json, and the check's bookkeeping
@@ -171,8 +218,240 @@ def dumps_canonical(doc):
     contains itself still raises, as RecursionError instead of ValueError,
     and returns no text.
     """
+    try:
+        text = _with_laid_out_entries(doc)
+    except RecursionError:
+        text = None  # json.dumps raises, or writes a very deep document
+    return (_dumps(doc) if text is None else text) + "\n"
+
+
+def _dumps(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False, check_circular=False) + "\n"
+                      allow_nan=False, check_circular=False)
+
+
+def _with_laid_out_entries(doc):
+    """dumps_canonical's text, without the newline, or None when a string
+    in the document holds NUL, so that json.dumps may write it like a
+    stand-in for entries."""
+    matrices = []
+    _replaced(doc, lambda matrix: matrices.append(matrix) or matrix)
+    found = [(matrix["entries"], parts) for matrix in matrices
+             if (parts := _float_parts(matrix["entries"])) is not None]
+    texts = _entries_texts([parts for _, parts in found])
+    laid_out = {id(entries): text for (entries, _), text in zip(found, texts)
+                if text is not None}
+    if not laid_out:
+        return _dumps(doc)
+    used = []
+
+    def stand_in(matrix):
+        text = laid_out.get(id(matrix["entries"]))
+        if text is None:
+            return matrix
+        used.append(text)
+        return {"entries": f"\0{len(used) - 1}", "n": matrix["n"]}
+
+    head, *pieces = _dumps(_replaced(doc, stand_in)).split(_STUB)
+    if len(pieces) != len(used):
+        return None
+    out = [head]
+    for piece in pieces:
+        # each stand-in is written '"\u0000<index>"'
+        index, _, rest = piece.partition('"')
+        out += (used[int(index)], rest)
+    return "".join(out)
+
+
+# a laid-out entries list stands in the document as the string "\0<index>",
+# which json.dumps writes as '"\u0000<index>"'
+_STUB = '"\\u0000'
+
+
+def _replaced(value, replace):
+    """value with each matrix document d in it replaced by replace(d); the
+    dicts and lists on the way to one are copies."""
+    if type(value) is dict and value.keys() == {"entries", "n"}:
+        return replace(value)
+    if type(value) is dict:
+        return {k: _replaced(v, replace) for k, v in value.items()}
+    if type(value) is list:
+        return [_replaced(v, replace) for v in value]
+    return value
+
+
+def _float_parts(entries):
+    """The parts of entries in a row when it is a nonempty list of [re, im]
+    lists of Python floats, else None. A look at the first pair, which must
+    be 15-digit, passes over the target cheaply."""
+    if (type(entries) is list and entries and type(entries[0]) is list
+            and all(map(_is_15_digit, entries[0]))
+            and set(map(type, entries)) == {list}
+            and set(map(len, entries)) == {2}):
+        parts = list(chain.from_iterable(entries))
+        if set(map(type, parts)) == {float}:
+            return parts
+    return None
+
+
+def _is_15_digit(x):
+    """Whether x is a float 0.0 or one equal to its own 15-digit rounding
+    in [SHORT_MIN, SHORT_MAX); the same test as _entries_texts makes."""
+    return type(x) is float and (x == 0 or SHORT_MIN <= abs(x) < SHORT_MAX
+                                 and float(f"{x:.14e}") == x)
+
+
+def _entries_texts(matrices):
+    """For each list of parts, the JSON text of its [re, im] pairs when
+    every part is ±0.0 or a double equal to its own 15-digit rounding in
+    [SHORT_MIN, SHORT_MAX), else None."""
+    if not matrices:
+        return []
+    sizes = np.array([len(parts) for parts in matrices])
+    lengths, fits, text = _laid_out(np.fromiter(
+        chain.from_iterable(matrices), float, sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+    ok = np.logical_and.reduceat(fits, starts).tolist()
+    # each matrix's parts end in a comma, which its closing bracket replaces
+    ends = np.cumsum(np.add.reduceat(lengths, starts)).tolist()
+    return [f"[{text[a:b - 1]}]" if good else None
+            for good, a, b in zip(ok, [0] + ends, ends)]
+
+
+# a part's text is gathered from a source row of 40 bytes: its 15 digits
+# in five 3-digit groups of 4 bytes, then these characters. NUL pads each
+# layout to _WIDTH and is taken out of the joined text
+_CHARS = "0123456789.-e+[],\0"
+# "[-1.23456789012345e+36," and "-0.000123456789012345],"
+_WIDTH = 23
+# layouts are keyed by the part's place (0 the real part, which opens its
+# [re, im] pair, 1 the imaginary part, which closes it), its sign, its
+# exponent slot (e + 8 for e = -8..36, _ZERO for ±0.0) and its number of
+# digits, k = 1..15 once trailing zeros are dropped
+_SLOTS, _ZERO = 46, 45
+# parts per pass: passes of 1024 or 8192 parts were slower
+_CHUNK = 4096
+
+
+def _layouts():
+    """(columns, lengths): for each layout key, the source-row byte of each
+    of the _WIDTH bytes of its text, NUL past the text, and the text's
+    length. The number follows repr (CPython's short float repr) for digits
+    d1..dk and decimal exponent e: fixed point for -4 <= e < 16 (0.00d1..dk;
+    d1..dk with the point after e + 1 digits; or d1..dk, zeros and ".0"),
+    else d1.d2..dk, "e", the sign of e and two digits of |e|."""
+    # the number's text at position p, which is a column less its lead
+    slot, k, p = np.ix_(*(np.arange(*r, dtype=np.int16) for r in (
+        (_SLOTS,), (1, 16), (-2, _WIDTH))))
+    # digit i is 0..14 here, character c is 15 + its place in _CHARS
+    char = {c: np.int16(15 + i) for i, c in enumerate(_CHARS)}
+    e = slot - 8
+    zero = slot == _ZERO
+    expo = ~zero & ((e < -4) | (e >= 16))
+    point = e + 1              # where fixed point puts the point
+    at_e = np.where(k > 1, k + 1, 1)
+    size = np.select([zero, expo, point <= 0, point < k],
+                     [3, at_e + 4, 2 - point + k, k + 1], point + 2)
+    number = np.select(
+        [zero & (p == 1), zero,
+         expo & (p == 0), expo & (p == 1) & (k > 1), expo & (p < at_e),
+         expo & (p == at_e), expo & (p == at_e + 1), expo & (p == at_e + 2),
+         expo,
+         (point <= 0) & (p == 1), (point <= 0) & (p < 2 - point),
+         point <= 0,
+         (point < k) & (p < point), (point < k) & (p == point), point < k,
+         p < k, p < point, p == point],
+        [char["."], char["0"],
+         0, char["."], p - 1,
+         char["e"], np.where(e < 0, char["-"], char["+"]),
+         char["0"] + abs(e) // 10,
+         char["0"] + abs(e) % 10,
+         char["."], char["0"],
+         p - 2 + point,
+         p, char["."], p - 1,
+         p, char["0"], char["."]],
+        char["0"])
+    # each (place, sign) puts "[" and "-" before the number, and "," or
+    # "]," after it
+    place, sign, col = np.ix_(*(np.arange(r, dtype=np.int16)
+                                for r in (2, 2, _WIDTH)))
+    lead = ((place == 0) + sign)[..., None, None, :]
+    place, col = place[..., None, None, :], col[..., None, None, :]
+    p = col - lead
+    text = np.select(
+        [(col == 0) & (place == 0), col < lead, p < size, p == size,
+         (p == size + 1) & (place == 1)],
+        [char["["], char["-"], number[slot, k - 1, p + 2],
+         np.where(place == 0, char[","], char["]"]), char[","]], char["\0"])
+    # digit i sits at byte i + i // 3 of its source row
+    columns = np.where(text < 15, text + text // 3, text + 5)
+    lengths = np.broadcast_to(lead + size + 1 + place, text.shape)[..., 0]
+    return (columns.astype(np.uint8).reshape(-1, _WIDTH),
+            lengths.astype(np.intp).ravel())
+
+
+_COLUMNS, _LENGTHS = _layouts()
+_GROUP = np.arange(1000)
+# the 3 digits of 0..999 and a pad byte, as one 4-byte word
+_DIGITS = (np.stack([_GROUP // 100, _GROUP // 10 % 10, _GROUP % 10,
+                     np.full(1000, ord("_") - ord("0"))], axis=1)
+           + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+# after the digits: _CHARS and a pad to 20 bytes
+_CHAR_WORDS = np.frombuffer((_CHARS + "__").encode(), dtype=np.uint32)
+# k from the groups: the largest over groups i of 3 i plus the digits of
+# group i without its trailing zeros, 0 for a zero group
+_KEPT = np.where(_GROUP > 0, 3 * np.arange(1, 6)[:, None] - (_GROUP % 10 == 0)
+                 - (_GROUP % 100 == 0), 0)
+_ROWS = 40 * np.arange(_CHUNK)[:, None]
+
+
+def _groups(m):
+    """The five 3-digit groups of the integers |m| < 10^15 held as doubles,
+    most significant first; floor(r / 1000) of an integer r < 2^53 is exact."""
+    r = np.abs(m)
+    groups = np.empty((len(m), 5), dtype=np.intp)
+    for i in range(4, 0, -1):
+        q = np.floor(r / 1000)
+        groups[:, i] = r - 1000 * q
+        r = q
+    groups[:, 0] = r
+    return groups
+
+
+def _kept(groups):
+    """The digits k of each row of groups once trailing zeros are dropped."""
+    k = _KEPT[0][groups[:, 0]]
+    for i in range(1, 5):
+        np.maximum(k, _KEPT[i][groups[:, i]], out=k)
+    return k
+
+
+def _laid_out(v):
+    """(lengths, fits, text) of the parts v, which come in [re, im] pairs:
+    fits marks each part that is ±0.0 or a double equal to its own 15-digit
+    rounding in [SHORT_MIN, SHORT_MAX), and for each such part text has its
+    repr, an opening bracket before a real part, a closing one after an
+    imaginary part and a comma after every part; lengths are the characters
+    of each part. Other parts get text that is not theirs."""
+    lengths, fits, texts = [], [], []
+    source = np.empty((_CHUNK, 10), dtype=np.uint32)
+    source[:, 5:] = _CHAR_WORDS
+    for lo in range(0, len(v), _CHUNK):
+        part = v[lo:lo + _CHUNK]
+        n = len(part)
+        m, e, short = _decimal(part)
+        fits.append((short & (_rebuilt(m.copy(), e) == part)) | (part == 0))
+        groups = _groups(m)
+        source[:n, :5] = _DIGITS[groups]
+        key = (np.arange(lo, lo + n) & 1) * 2 + np.signbit(part)
+        key = key * _SLOTS + np.where(short, e + 8, _ZERO)
+        key = key * 15 + _kept(groups) - 1
+        columns = _COLUMNS[key] + _ROWS[:n]
+        texts.append(source.view(np.uint8).ravel()[columns].tobytes()
+                     .translate(None, b"\0"))
+        lengths.append(_LENGTHS[key])
+    text = b"".join(texts).decode("ascii")
+    return np.concatenate(lengths), np.concatenate(fits), text
 
 
 def save_certificate(path, cert, tols):

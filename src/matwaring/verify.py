@@ -186,8 +186,11 @@ def _check(doc, verdict):
             f"{len(coeffs)} coefficients but {len(images)} tuples"
         )
         return failures
-    recon = sum(c * im for c, im in zip(coeffs, images))
-    residual = verdict.residual = fro(target - recon)
+    # tuples that overflow f make an inf or NaN residual, which the gate
+    # below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        recon = sum(c * im for c, im in zip(coeffs, images))
+        residual = verdict.residual = fro(target - recon)
     bound = _number(doc, "residual_bound")
     if bound is None:
         return failures + ["malformed field 'residual_bound': not a number"]

@@ -136,6 +136,17 @@ def _require_traceless(A, tols, name="target"):
         raise NonzeroTraceError(f"{name} has trace {np.trace(A):.3e}")
 
 
+def _require_finite_bound(A, tols, name="target"):
+    """Refuses A before any work when the end gate's bound
+    end_tol * max(1, ||A||_F) is infinite, which no residual can pass."""
+    bound = tols.end_tol * max(1.0, fro(A))
+    if not bound < np.inf:
+        raise ResidualTooLargeError(
+            f"{name} check: the end gate's bound end_tol * max(1, ||{name}||_F)"
+            f" is {bound} (||{name}||_F is past the double range), so no "
+            "certificate of it can pass")
+
+
 def _residual_gate(target, coefficients, terms, tols, what):
     """(residual, bound) of the signed sum of terms against the target;
     raises unless residual <= bound < inf (the verifier's rule), with bound
@@ -205,6 +216,7 @@ def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
     n = B.shape[0]
     if A.shape != (n, n):
         raise ValueError("A and B must have the same size")
+    _require_finite_bound(A, tols, name="A")
     _require_traceless(A, tols, name="A")
     return _four_term(B, A, partition_spectrum(B, tols), tols)
 
@@ -505,6 +517,7 @@ def waring_express(f, A, budget=DEFAULT_BUDGET, seed=0,
     a verifier can recompute f from scratch on each one.
     """
     A = as_cmatrix(A)
+    _require_finite_bound(A, tols)
     _require_traceless(A, tols)
     prep = _prepared(f, A.shape[0], GOAL_MULTIPLICITY_HALF, budget, seed,
                      tols)
@@ -544,6 +557,7 @@ def two_term_decompose(f, A, budget=DEFAULT_BUDGET, seed=0,
     """
     A = as_cmatrix(A)
     n = A.shape[0]
+    _require_finite_bound(A, tols)
     if not two_term_applies(f, n):
         raise PreconditionUnmetError(
             f"n={n} is composite and the polynomial is not multilinear; "
@@ -571,6 +585,7 @@ def five_term_express(f, T, budget=DEFAULT_BUDGET, seed=0,
     """
     T = as_cmatrix(T)
     n = T.shape[0]
+    _require_finite_bound(T, tols)
     prep = _prepared(f, n, GOAL_NONZERO_TRACE, budget, seed, tols)
     _require_not_central(f, prep)
 

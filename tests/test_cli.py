@@ -375,6 +375,29 @@ class TestVerify:
         assert [str(w.message) for w in caught
                 if issubclass(w.category, RuntimeWarning)] == []
 
+    def test_overflowing_tuples_fail_without_numpy_warnings(self, tmp_path):
+        # f's products on tuple parts of 1e200 overflow, and the residual is
+        # NaN: the gate reports it, with no NumPy warning beside it
+        A = random_traceless(np.random.default_rng(5), 5)
+        out = tmp_path / "cert.json"
+        assert main(["decompose", "[X1,X2]",
+                     write_matrix(tmp_path / "a5.json", A), "--mode", "two",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["mode"] == "two-term"
+        doc["tuples"][0][0]["entries"][0][0] = 1e200
+        doc["tuples"][0][1]["entries"][0][0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            failures = verify_certificate(doc)
+        assert len(failures) == 1
+        assert failures[0].startswith("reconstruction residual nan exceeds "
+                                      "bound ")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, stdout, stderr = run_cli("verify", str(bad))
+        assert (code, stdout, stderr) == (1, f"FAIL: {failures[0]}\n", "")
+
     def malformed_verdict(self, tmp_path, a3, field, value):
         doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
         doc[field] = value

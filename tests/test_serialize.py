@@ -455,3 +455,150 @@ def test_routes_store_15_digit_tuples(route, text, n, scale):
                for x in pair) > 15
     # the route's gate ran on the tuples as written
     assert check_certificate(doc).residual == cert.residual
+
+
+def test_decimal_has_a_15_digit_mantissa_next_to_powers_of_ten():
+    # a part just below a power of ten, or one such as 1e23 that is not
+    # one, rounds up to it: m is then 10^14 at the next decade, not 10^15
+    v = np.array(_EDGES + [-x for x in _EDGES])
+    m, e, short = serialize._decimal(v)
+    rounded = round_to_15_digits(v.view(complex)).view(float)
+    assert short.sum() > 200
+    for x, mi, ei, want in zip(v[short], m[short], e[short], rounded[short]):
+        assert 1e14 <= abs(mi) < 1e15 and mi == int(mi), x
+        assert float(f"{int(mi)}e{ei - 14}") == want, x
+    m, e, _ = serialize._decimal(np.array([1e23, 1e29, -1e23]))
+    assert m.tolist() == [1e14, 1e14, -1e14] and e.tolist() == [23, 29, 23]
+
+
+def _laid_out_only(entries):
+    """The writer's text for entries, asserting that it laid them out."""
+    text, = serialize._entries_texts([[x for pair in entries for x in pair]])
+    assert text is not None
+    return text
+
+
+def test_every_layout_is_reprs():
+    # every exponent e = -8..36 and number of digits k = 1..15, of both
+    # signs, as a real and as an imaginary part, and zeros of both signs
+    rng = np.random.default_rng(20261020)
+    parts = [0.0, -0.0]
+    for e in range(-8, 37):
+        for k in range(1, 16):
+            digits = str(rng.integers(10 ** 14, 10 ** 15))[:k - 1]
+            mantissa = int(digits + str(rng.integers(1, 10))) if k > 1 else \
+                int(rng.integers(1, 10))
+            x = float(f"{mantissa}e{e - k + 1}")
+            parts += [x, -x]
+    pairs = [parts[i:i + 2] for i in range(0, len(parts), 2)]
+    swapped = [[im, re] for re, im in pairs]
+    for entries in (pairs, swapped):
+        assert _laid_out_only(entries) == json.dumps(entries,
+                                                     separators=(",", ":"))
+
+
+def test_writer_crosses_chunks_and_skips_other_matrices():
+    # 8192 and 5000 parts span passes of _CHUNK parts; the target-like
+    # matrix between them is written by json
+    rng = np.random.default_rng(7)
+    doc = {"tuples": [matrix_to_json(round_to_15_digits(random_complex(
+        rng, n))) for n in (64, 3, 50)]}
+    doc["target"] = matrix_to_json(random_complex(rng, 5))
+    doc["tuples"].insert(1, doc["target"])
+    assert dumps_canonical(doc) == json.dumps(
+        doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_writer_writes_in_place_edits(waring_certificate, monkeypatch):
+    # bench's tamper edits certificate_to_json's output in place, as here
+    doc = certificate_to_json(waring_certificate, DEFAULT_TOLS)
+    laid_out = []
+
+    def spy(matrices):
+        texts = entries_texts(matrices)
+        laid_out.append([text is not None for text in texts])
+        return texts
+
+    entries_texts = serialize._entries_texts
+    monkeypatch.setattr(serialize, "_entries_texts", spy)
+    before = dumps_canonical(doc)
+    doc["tuples"][0][0]["entries"][0][0] += 1e-3
+    # a part with 17 digits sends its matrix to json.dumps
+    doc["tuples"][-1][-1]["entries"][-1][-1] = 0.1 + 0.2
+    text = dumps_canonical(doc)
+    assert text != before
+    assert text == json.dumps(doc, sort_keys=True,
+                              separators=(",", ":")) + "\n"
+    edited = doc["tuples"][0][0]["entries"][0][0]
+    assert f'"entries":[[{edited!r},' in text
+    assert "0.30000000000000004]]" in text
+    # every tuple matrix was laid out; then the 17-digit one went to
+    # json.dumps, and the edited one too, unless its part is still a
+    # 15-digit double (the target is never laid out)
+    tuples = sum(map(len, doc["tuples"]))
+    assert laid_out[0] == [True] * tuples
+    assert laid_out[1][-1] is False
+    assert laid_out[1].count(True) == (
+        tuples - 2 + serialize._is_15_digit(edited))
+
+
+_ZEROS = st.sampled_from([0.0, -0.0])
+_DECADES = st.builds(
+    lambda m, k, e, sign: sign * float(f"{str(m)[:k]}e{e - k + 1}"),
+    st.integers(10 ** 14, 10 ** 15 - 1), st.integers(1, 15),
+    st.integers(-8, 36), st.sampled_from([1, -1]))
+_ROUNDED = st.one_of(_PART.filter(lambda x: SHORT_MIN <= abs(x) < SHORT_MAX),
+                     st.sampled_from(_EDGES)).map(
+    lambda x: float(round_to_15_digits(np.array([x, 0.0]).view(complex))[0]
+                    .real))
+_SHORT = st.one_of(_DECADES, _ROUNDED, _ZEROS)
+# what json.dumps writes otherwise, or refuses
+_OTHER = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.floats(), st.none(),
+    _DECADES.map(np.float64),
+    st.text(max_size=2), st.just("\0"), st.just("\x000"))
+_PAIR = st.lists(_SHORT, min_size=2, max_size=2)
+_BAD_ENTRY = st.one_of(
+    st.lists(st.one_of(_SHORT, _OTHER), min_size=2, max_size=2),
+    st.lists(_SHORT, max_size=3), st.tuples(_SHORT, _SHORT), _OTHER,
+    st.dictionaries(st.text(max_size=1), _SHORT, max_size=2))
+
+
+@st.composite
+def _matrix_docs(draw):
+    """Matrix documents, half of them all 15-digit pairs, the others with
+    one flaw that json.dumps writes, or refuses, differently."""
+    entries = draw(st.lists(_PAIR, min_size=1, max_size=9))
+    doc = {"n": draw(st.integers(0, 3)), "entries": entries}
+    flaw = draw(st.sampled_from(
+        [None, None, None, "entry", "entry", "tuple", "key", "entries"]))
+    if flaw == "entry":
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(_BAD_ENTRY)
+    elif flaw == "tuple":
+        doc["entries"] = tuple(entries)
+    elif flaw == "key":
+        doc[draw(st.text(max_size=2))] = draw(_OTHER)
+    elif flaw == "entries":
+        doc["entries"] = draw(st.one_of(_OTHER, st.just([])))
+    return doc
+
+
+_DOCS = st.recursive(
+    st.one_of(_matrix_docs(), _matrix_docs(), _SHORT, _OTHER),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=2), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_DOCS)
+def test_writer_is_json_dumps(doc):
+    try:
+        want = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(ValueError):
+            dumps_canonical(doc)
+        return
+    assert dumps_canonical(doc) == want

@@ -525,6 +525,34 @@ def test_residual_gate_refuses_an_overflowing_target():
             waring_express(parse("[X1,X2]"), A)
 
 
+@pytest.mark.parametrize("text", ["X1 + X1^2", "[X1,X2]"])
+@pytest.mark.parametrize("route", [waring_express, two_term_decompose,
+                                   five_term_express])
+def test_infinite_bound_is_refused_before_the_witness_search(
+        monkeypatch, route, text):
+    # ||A||_F overflows, so the end gate's bound end_tol * ||A||_F is inf and
+    # no certificate of A can pass it: every route says so before it
+    # classifies f or searches for a witness, graded f or not, and NumPy
+    # warns of nothing
+    A = np.zeros((8, 8), dtype=complex)
+    A[0, 1] = A[1, 0] = 1.5e308
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the route searched")
+
+    monkeypatch.setattr(waring, "classify", no_search)
+    monkeypatch.setattr(waring, "image_search", no_search)
+    with pytest.raises(ResidualTooLargeError) as err:
+        route(parse(text), A)
+    assert str(err.value).startswith(
+        "target check: the end gate's bound end_tol * max(1, ||target||_F) "
+        "is inf")
+    assert err.value.residual is None
+    with pytest.raises(ResidualTooLargeError, match="A check: .* is inf"):
+        four_term_decompose(planted_matrix(np.random.default_rng(1),
+                                           [1, 2, 3, 4, 5, 6, 7, 8]), A)
+
+
 @pytest.mark.parametrize("route, n, name", [
     (waring_express, 8, "four-term"),
     (two_term_decompose, 7, "two-term"),
