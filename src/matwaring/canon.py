@@ -20,7 +20,7 @@ from .errors import (
     NonzeroTraceError,
     ResidualTooLargeError,
 )
-from .freealg import fro
+from .freealg import _exponent, _times_pow2, fro
 from .linalg import (
     SimilarityCertificate,
     TriangularPlan,
@@ -86,9 +86,10 @@ class SpectralPartition:
 
 @dataclass
 class HollowForm:
-    """M = T A T^-1 with (numerically) zero diagonal; to_hollow maps A to M.
-    reflectors and rounds count the steps of zero_diagonal_similarity that
-    ran."""
+    """M = T A T^-1 with (numerically) zero diagonal; to_hollow certifies T
+    on A and M scaled by one power of two (zero_diagonal_similarity), so
+    its t and t_inv map A to M. reflectors and rounds count the steps of
+    zero_diagonal_similarity that ran."""
 
     m: np.ndarray
     to_hollow: SimilarityCertificate
@@ -290,58 +291,66 @@ def _midpoint_round(W, P, p, q):
 def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
     """Unitary similarity M = T A T* with zero diagonal; requires trace zero.
 
-    With m the largest power of two at most n, the first r = n - m diagonal
-    entries are zeroed one Householder reflector each: step k maps e_k to a
-    unit isotropic vector x of the trailing block W[k:, k:] (x* W x = 0),
-    which zeroes W[k, k] and leaves a trailing block of trace zero again
-    (Fillmore 1969). The trailing m x m block then takes log2 m butterfly
-    rounds: round h pairs each index of every aligned group of 2h with the
-    one h further on, and a 2x2 rotation per pair moves both diagonal
-    entries to their midpoint, which lies in the pair's field of values
-    (Toeplitz-Hausdorff). The pairs of a round are disjoint, so a round is
-    one vectorized update; after it every aligned group of 2h shares one
-    diagonal value, and after the last all equal trace / m = 0. Stops early
-    whenever the remaining diagonal is already negligible. T is unitary, so
-    its condition estimate is n. The result records how many reflectors
-    and rounds ran.
+    The steps run on groups of indices, each with diagonal sum zero, from
+    the one group 0..n-1. A group of odd size sheds its first index by one
+    Householder reflector that maps it to a unit isotropic vector x of the
+    group's principal block (x* W x = 0), which zeroes its diagonal entry
+    and leaves the rest of the group of sum zero (Fillmore 1969); the
+    reflectors of all odd groups have disjoint supports, so they are one
+    update. Every group, now of even size, then takes one butterfly round:
+    a 2x2 rotation per pair of its even and odd members moves both
+    diagonal entries to their midpoint, which lies in the pair's field of
+    values (Toeplitz-Hausdorff), and the round is one vectorized update.
+    Each group splits into its even and odd members, two groups of sum
+    zero; a group of one index is done. With m the largest power of two at
+    most n, that is n - m reflectors in at most log2 m updates and log2 m
+    rounds; stops early whenever the diagonal is already negligible.
+
+    The steps and the gates act on 2^-e A, e the exponent of A's largest
+    part, where no square of an entry under- or overflows; T does not
+    depend on the scale, and M is scaled back. to_hollow certifies T on
+    that scaled pair. T is unitary, so its condition estimate is n. The
+    result records how many reflectors and rounds ran.
     """
     A = as_cmatrix(A)
     n = A.shape[0]
-    norm_a = fro(A)
-    if abs(np.trace(A)) > tols.hollow_tol * norm_a:
+    e = _exponent(A) or 0
+    scaled = _times_pow2(A, -e)
+    tol = tols.hollow_tol * fro(scaled)
+    if abs(np.trace(scaled)) > tol:
         raise NonzeroTraceError(
             f"matrix has trace {np.trace(A):.3e}; project it first"
         )
-    W = A.copy()
-    P = np.eye(n, dtype=complex)  # accumulated unitary: M = P* A P
-    m = 1 << max(n.bit_length() - 1, 0)
-    r = n - m
+    W = scaled.copy()
+    P = np.eye(n, dtype=complex)  # accumulated unitary: W = P* scaled P
+    groups = np.arange(n)[None]   # one group a row; all have one size
     reflectors = rounds = 0
-    for k in range(r):
-        if np.abs(np.diag(W)[k:]).max() <= tols.hollow_tol * norm_a:
-            break
-        # reflector H = I - 2 u u* with H x = -e^{i arg x_1} e_1, so H e_1 is
-        # a unit multiple of x and (H W H)[k, k] = x* W x
-        u = _isotropic_vector(W[k:, k:])
-        u[0] += np.exp(1j * np.angle(u[0]))
-        u /= np.linalg.norm(u)
-        W[k:, :] -= 2 * np.outer(u, u.conj() @ W[k:, :])
-        W[:, k:] -= 2 * np.outer(W[:, k:] @ u, u.conj())
-        P[:, k:] -= 2 * np.outer(P[:, k:] @ u, u.conj())
-        reflectors += 1
-    # an early stop above leaves the trailing diagonal negligible too
-    while ((1 << rounds) < m
-           and np.abs(np.diag(W)[r:]).max() > tols.hollow_tol * norm_a):
-        h = 1 << rounds
-        p = r + np.arange(m).reshape(-1, 2, h)[:, 0].ravel()
-        _midpoint_round(W, P, p, p + h)
+    while groups.shape[1] > 1 and np.abs(np.diag(W)).max() > tol:
+        if groups.shape[1] % 2:
+            # reflector H = I - 2 u u* with H x = -e^{i arg x_1} e_1 on the
+            # group, so H e_1 is a unit multiple of x and (H W H)[k, k] =
+            # x* W x for k the group's first index
+            U = np.zeros((n, len(groups)), dtype=complex)
+            for u, g in zip(U.T, groups):
+                x = _isotropic_vector(W[np.ix_(g, g)])
+                x[0] += np.exp(1j * np.angle(x[0]))
+                u[g] = x / np.linalg.norm(x)
+            W -= 2 * U @ (U.conj().T @ W)
+            W -= 2 * (W @ U) @ U.conj().T
+            P -= 2 * (P @ U) @ U.conj().T
+            reflectors += len(groups)
+            groups = groups[:, 1:]
+            continue
+        _midpoint_round(W, P, groups[:, 0::2].ravel(), groups[:, 1::2].ravel())
         rounds += 1
-    cert = certify_similarity(P.conj().T, A, W, tols, label="zero-diagonal")
-    hollow = HollowForm(W, cert, reflectors, rounds)
+        groups = np.concatenate([groups[:, 0::2], groups[:, 1::2]])
+    cert = certify_similarity(P.conj().T, scaled, W, tols,
+                              label="zero-diagonal")
+    hollow = HollowForm(_times_pow2(W, e), cert, reflectors, rounds)
     worst = float(np.abs(np.diag(W)).max(initial=0.0))
     if worst > tols.hollow_tol * fro(W):
         raise ResidualTooLargeError(
             "deflation left a nonzero diagonal on the result "
-            f"({hollow.step_counts})", worst,
+            f"({hollow.step_counts})", float(np.ldexp(worst, e)),
         )
     return hollow

@@ -327,7 +327,8 @@ _WIDTH = 23
 # layouts are keyed by the part's place (0 the real part, which opens its
 # [re, im] pair, 1 the imaginary part, which closes it), its sign, its
 # exponent slot (e + 8 for e = -8..36, _ZERO for ±0.0) and its number of
-# digits, k = 1..15 once trailing zeros are dropped
+# digits, k = 1..15 once trailing zeros are dropped; each is read off the
+# text repr writes for a number of that slot and k
 _SLOTS, _ZERO = 46, 45
 # parts per pass: passes of 1024 or 8192 parts were slower
 _CHUNK = 4096
@@ -336,58 +337,32 @@ _CHUNK = 4096
 def _layouts():
     """(columns, lengths): for each layout key, the source-row byte of each
     of the _WIDTH bytes of its text, NUL past the text, and the text's
-    length. The number follows repr (CPython's short float repr) for digits
-    d1..dk and decimal exponent e: fixed point for -4 <= e < 16 (0.00d1..dk;
-    d1..dk with the point after e + 1 digits; or d1..dk, zeros and ".0"),
-    else d1.d2..dk, "e", the sign of e and two digits of |e|."""
-    # the number's text at position p, which is a column less its lead
-    slot, k, p = np.ix_(*(np.arange(*r, dtype=np.int16) for r in (
-        (_SLOTS,), (1, 16), (-2, _WIDTH))))
-    # digit i is 0..14 here, character c is 15 + its place in _CHARS
-    char = {c: np.int16(15 + i) for i, c in enumerate(_CHARS)}
-    e = slot - 8
-    zero = slot == _ZERO
-    expo = ~zero & ((e < -4) | (e >= 16))
-    point = e + 1              # where fixed point puts the point
-    at_e = np.where(k > 1, k + 1, 1)
-    size = np.select([zero, expo, point <= 0, point < k],
-                     [3, at_e + 4, 2 - point + k, k + 1], point + 2)
-    number = np.select(
-        [zero & (p == 1), zero,
-         expo & (p == 0), expo & (p == 1) & (k > 1), expo & (p < at_e),
-         expo & (p == at_e), expo & (p == at_e + 1), expo & (p == at_e + 2),
-         expo,
-         (point <= 0) & (p == 1), (point <= 0) & (p < 2 - point),
-         point <= 0,
-         (point < k) & (p < point), (point < k) & (p == point), point < k,
-         p < k, p < point, p == point],
-        [char["."], char["0"],
-         0, char["."], p - 1,
-         char["e"], np.where(e < 0, char["-"], char["+"]),
-         char["0"] + abs(e) // 10,
-         char["0"] + abs(e) % 10,
-         char["."], char["0"],
-         p - 2 + point,
-         p, char["."], p - 1,
-         p, char["0"], char["."]],
-        char["0"])
-    # each (place, sign) puts "[" and "-" before the number, and "," or
-    # "]," after it
-    place, sign, col = np.ix_(*(np.arange(r, dtype=np.int16)
-                                for r in (2, 2, _WIDTH)))
-    lead = ((place == 0) + sign)[..., None, None, :]
-    place, col = place[..., None, None, :], col[..., None, None, :]
-    p = col - lead
-    text = np.select(
-        [(col == 0) & (place == 0), col < lead, p < size, p == size,
-         (p == size + 1) & (place == 1)],
-        [char["["], char["-"], number[slot, k - 1, p + 2],
-         np.where(place == 0, char[","], char["]"]), char[","]], char["\0"])
-    # digit i sits at byte i + i // 3 of its source row
-    columns = np.where(text < 15, text + text // 3, text + 5)
-    lengths = np.broadcast_to(lead + size + 1 + place, text.shape)[..., 0]
-    return (columns.astype(np.uint8).reshape(-1, _WIDTH),
-            lengths.astype(np.intp).ravel())
+    length. The number is repr's text of k ones at the slot's exponent e,
+    whose i-th one before any "e" is digit i, at byte i + i // 3 of the
+    source row; every other character is its byte of _CHARS. Each (place,
+    sign) puts "[" and "-" before the number, and "," or "]," after it."""
+    numbers = ["0.0" if slot == _ZERO
+               else repr(float(f"{'1' * k}e{slot - 7 - k}"))
+               for slot in range(_SLOTS) for k in range(1, 16)]
+    text = np.frombuffer("".join(t.ljust(_WIDTH, "\0") for t in numbers)
+                         .encode(), np.uint8).reshape(-1, _WIDTH)
+    code = np.zeros(128, np.uint8)
+    code[list(_CHARS.encode())] = np.arange(20, 20 + len(_CHARS))
+    digit = (text == ord("1")) & ~np.logical_or.accumulate(text == ord("e"), 1)
+    i = np.cumsum(digit, axis=1, dtype=np.uint8) - 1
+    number = np.where(digit, i + i // 3, code[text])
+    size = np.array([len(t) for t in numbers])
+    rows = np.arange(len(numbers))
+    columns = np.empty((4, len(numbers), _WIDTH), np.uint8)
+    lengths = np.empty((4, len(numbers)), np.intp)
+    affixes = [("[", ","), ("[-", ","), ("", "],"), ("-", "],")]
+    for out, length, (head, tail) in zip(columns, lengths, affixes):
+        out[:, :len(head)] = code[list(head.encode())]
+        out[:, len(head):] = number[:, :_WIDTH - len(head)]
+        for j, c in enumerate(tail.encode()):
+            out[rows, len(head) + size + j] = code[c]
+        length[:] = len(head) + size + len(tail)
+    return columns.reshape(-1, _WIDTH), lengths.ravel()
 
 
 _COLUMNS, _LENGTHS = _layouts()

@@ -76,7 +76,7 @@ class WaringCertificate:
     witness to each term by a composed similarity, certify that scaled
     problem. k, weights and degree are kept here; the document does not
     hold them. k is 0 for an ungraded f, whose witness is scaled instead
-    (`_scaled_up`), and for a matrix-level `four_term_decompose` result.
+    (`_scaled_toward`), and for a matrix-level `four_term_decompose` result.
     """
 
     mode: str
@@ -285,7 +285,8 @@ def image_search(f, n, goal, budget=DEFAULT_BUDGET, seed=0,
 # A. The transforms' condition grows like ||A||_F / (gap of B), so a larger
 # target loses conditioning; a smaller one keeps only accuracy absolute at
 # the scale of B. A graded f's target is rescaled into the band (_rescaled),
-# and an ungraded f's witness is scaled up to its lower edge (_scaled_up).
+# and an ungraded f's witness is scaled toward its lower edge
+# (_scaled_toward).
 _RATIO_BAND = (10.0, 1e4)
 # A rescaled target's largest part, and each rescaled tuple part's, is kept
 # this many binary orders inside the normal double range: room for the term
@@ -293,30 +294,41 @@ _RATIO_BAND = (10.0, 1e4)
 _HEADROOM = 64
 
 
-def _scaled_up(f, image, args, A, goal, tols):
-    """The searched image and tuple, scaled up toward the target; for an
+def _scaled_toward(f, image, args, A, goal, tols):
+    """The searched image and tuple, scaled toward the target; for an
     ungraded f only (a graded one rescales the target, see _rescaled).
 
     A Gaussian tuple's image has a fixed scale, while the coupling split
     from A grows with ||A||, and with it the condition of the transforms
-    (about ||A|| / gap of the witness). When ||f(t)||_F is below the band's
-    lower edge, 10 ||A||_F, this bisects on log2 sigma >= 0 until
-    ||f(sigma t)||_F is within a factor of 2 of it, at one evaluation per
-    step, and keeps sigma t only if its image is finite and still meets the
-    goal. A smaller target keeps the image as it is.
+    (about ||A|| / gap of the witness); a witness far larger than A keeps
+    only accuracy absolute at its own scale. When ||f(t)||_F / ||A||_F is
+    outside _RATIO_BAND, this bisects on log2 sigma, of either sign, until
+    ||f(sigma t)||_F is within a factor of 2 of the band's lower edge,
+    10 ||A||_F, at one evaluation per step, and keeps sigma t only if its
+    image is finite and still meets the goal. A target in the band, or a
+    zero one, keeps the image as it is.
     """
-    want = _RATIO_BAND[0] * fro(A)
-    if not fro(image) < want:
+    norm_a = fro(A)
+    want = _RATIO_BAND[0] * norm_a
+    if not norm_a or want <= fro(image) <= _RATIO_BAND[1] * norm_a:
         return image, args
 
     def scaled(log2_sigma):
         t = tuple(np.exp2(log2_sigma) * a for a in args)
         return evaluate(f, t), t
 
-    lo, hi = 0.0, None      # fro(f) at 2^lo falls short; at 2^hi it does not
+    # fro(f) at 2^lo falls short of want / 2; at 2^hi it does not
+    lo, hi = (0.0, None) if fro(image) < want else (None, 0.0)
+    # scaled down, f(sigma t) tends to f(0), so a constant term of that
+    # size stays
+    if lo is None and not fro(scaled(-np.inf)[0]) < want / 2:
+        return image, args
     step = 1.0
     for _ in range(64):     # far more than a double's exponent range needs
-        mid = lo + step if hi is None else (lo + hi) / 2
+        if lo is None or hi is None:
+            mid = hi - step if lo is None else lo + step
+        else:
+            mid = (lo + hi) / 2
         candidate = scaled(mid)
         norm = fro(candidate[0])
         if want / 2 <= norm <= 2 * want:
@@ -324,9 +336,10 @@ def _scaled_up(f, image, args, A, goal, tols):
                 return candidate
             break
         if norm < want / 2:
-            lo, step = mid, 2 * step
+            lo = mid
         else:                # too large, or not finite
             hi = mid
+        step *= 2
     return image, args
 
 
@@ -367,11 +380,11 @@ def _rescaled(f, A, prep, factor):
     triangular plan for every target: the route decomposes 2^(-k D) A,
     with k from _scale_exponent, and _finish multiplies tuple part j by
     2^(k w_j), so f of the result is 2^(k D) times the scaled terms. An
-    ungraded f has its witness _scaled_up instead, with k = 0.
+    ungraded f has its witness _scaled_toward A instead, with k = 0.
     """
     image, args = prep.found(f)
     if prep.grading is None:
-        B, args = _scaled_up(f, image, args, A, prep.goal, prep.tols)
+        B, args = _scaled_toward(f, image, args, A, prep.goal, prep.tols)
         return B, args, prep.factored(B, factor), A, (0, None, None)
     k = _scale_exponent(image, args, A, prep.grading)
     D = prep.grading[1]
@@ -453,8 +466,8 @@ class _Prepared:
     def factored(self, witness, factor):
         """factor(witness, tols), a SpectralPartition. It is kept when the
         witness is the searched image itself, which every target of a
-        graded f uses; an ungraded f's witness scaled up for one target
-        (_scaled_up) is factored afresh for it."""
+        graded f uses; an ungraded f's witness scaled for one target
+        (_scaled_toward) is factored afresh for it."""
         if witness is not self._found[0]:
             return factor(witness, self.tols)
         if self._factored is None:

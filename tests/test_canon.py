@@ -13,6 +13,7 @@ from matwaring.canon import (
     _decoupled,
     _fov_vector,
     _isotropic_vector,
+    _midpoint_round,
     cluster_eigenvalues,
     partition_spectrum,
     zero_diagonal_similarity,
@@ -24,7 +25,7 @@ from matwaring.errors import (
     NonzeroTraceError,
     ResidualTooLargeError,
 )
-from matwaring.freealg import fro
+from matwaring.freealg import _exponent, _times_pow2, fro
 from matwaring.linalg import blkdiag, eigendecompose
 
 from conftest import planted_matrix, random_traceless, random_unitary, sorted_eigs
@@ -305,6 +306,84 @@ def test_zero_diagonal_sizes_around_powers_of_two(n):
     # random spectra are well separated: match each eigenvalue both ways
     dist = np.abs(np.linalg.eigvals(hol.m)[:, None] - np.linalg.eigvals(A))
     assert max(dist.min(0).max(), dist.min(1).max()) <= 1e-10 * fro(A)
+
+
+
+def zero_diagonal_two_phase(A, tols=DEFAULT_TOLS):
+    """zero_diagonal_similarity as it was written before the halving loop,
+    on A as given: with m the largest power of two at most n, n - m
+    sequential reflectors on the leading indices, then log2 m butterfly
+    rounds on the trailing m. (M, T, reflectors, rounds)."""
+    n = A.shape[0]
+    norm_a = fro(A)
+    W = A.astype(complex)
+    P = np.eye(n, dtype=complex)
+    m = 1 << max(n.bit_length() - 1, 0)
+    r = n - m
+    reflectors = rounds = 0
+    for k in range(r):
+        if np.abs(np.diag(W)[k:]).max() <= tols.hollow_tol * norm_a:
+            break
+        u = _isotropic_vector(W[k:, k:])
+        u[0] += np.exp(1j * np.angle(u[0]))
+        u /= np.linalg.norm(u)
+        W[k:, :] -= 2 * np.outer(u, u.conj() @ W[k:, :])
+        W[:, k:] -= 2 * np.outer(W[:, k:] @ u, u.conj())
+        P[:, k:] -= 2 * np.outer(P[:, k:] @ u, u.conj())
+        reflectors += 1
+    while ((1 << rounds) < m
+           and np.abs(np.diag(W)[r:]).max() > tols.hollow_tol * norm_a):
+        h = 1 << rounds
+        p = r + np.arange(m).reshape(-1, 2, h)[:, 0].ravel()
+        _midpoint_round(W, P, p, p + h)
+        rounds += 1
+    return W, P.conj().T, reflectors, rounds
+
+
+def _unit_scale_target(n):
+    """A random trace-zero target whose largest part lies in [1/2, 1), which
+    zero_diagonal_similarity's power-of-two scaling leaves as it is."""
+    A = random_traceless(np.random.default_rng(n), n)
+    return _times_pow2(A, -_exponent(A))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+def test_zero_diagonal_powers_of_two_match_the_two_phase_loop(n):
+    # a power of two runs the same butterfly pairs in both loops, in
+    # another order within a round, which an entrywise update does not see
+    A = _unit_scale_target(n)
+    hol = zero_diagonal_similarity(A)
+    M, T, reflectors, rounds = zero_diagonal_two_phase(A)
+    assert np.array_equal(hol.m, M)
+    assert np.array_equal(hol.to_hollow.t, T)
+    assert (hol.reflectors, hol.rounds) == (reflectors, rounds)
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_zero_diagonal_halving_loop_against_the_two_phase_loop(n):
+    # other sizes shed their reflectors at other indices, so only the
+    # counts, the form and the spectrum compare
+    A = _unit_scale_target(n)
+    hol = zero_diagonal_similarity(A)
+    _, _, reflectors, rounds = zero_diagonal_two_phase(A)
+    assert (hol.reflectors, hol.rounds) == (reflectors, rounds)
+    assert_unitary_hollow(A, hol)
+    dist = np.abs(np.linalg.eigvals(hol.m)[:, None] - np.linalg.eigvals(A))
+    assert max(dist.min(0).max(), dist.min(1).max()) <= 1e-10 * fro(A)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-155, 1e150])
+def test_zero_diagonal_at_extreme_scales(scale):
+    # the steps run on A times a power of two with its largest part in
+    # [1/2, 1), where no square of an entry leaves the double range, so T
+    # is the one of that matrix
+    A = random_traceless(np.random.default_rng(12), 12)
+    A *= scale / fro(A)
+    hol = zero_diagonal_similarity(A)
+    assert (hol.reflectors, hol.rounds) == (4, 3)
+    assert_unitary_hollow(A, hol)
+    unit = zero_diagonal_similarity(_times_pow2(A, -_exponent(A)))
+    assert np.array_equal(hol.to_hollow.t, unit.to_hollow.t)
 
 
 def _test_blocks(rng, d):

@@ -495,6 +495,47 @@ def test_relative_accuracy_at_every_scale(route, text, n, scale):
     assert fro(A - recon) <= 1e-9 * fro(A)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-40, 1e-8, 1e-3, 1e150])
+@pytest.mark.parametrize("route, n", [
+    (two_term_decompose, 7),
+    (waring_express, 8),
+], ids=["two-term", "four-term"])
+def test_ungraded_f_at_every_scale(route, n, scale):
+    # an ungraded f cannot rescale the target exactly: its witness is
+    # scaled toward 10 ||A||_F, down as well as up, and the zero-diagonal
+    # form runs on the target times a power of two
+    f = parse("X1 + X1^2")
+    A = random_traceless(np.random.default_rng(5), n)
+    A *= scale / fro(A)
+    cert = route(f, A)
+    assert verify_certificate(json.loads(dumps_canonical(
+        certificate_to_json(cert, DEFAULT_TOLS)))) == []
+    assert cert.k == 0
+    assert 5 * fro(A) <= fro(cert.witness) <= 20 * fro(A)
+    recon = sum(c * word_by_word_oracle(f, tp)
+                for c, tp in zip(cert.coefficients, cert.tuples))
+    assert fro(A - recon) <= 1e-12 * fro(A)
+
+
+def test_constant_term_is_not_scaled_away(monkeypatch):
+    # scaled down, f(sigma t) tends to f(0) = I, far above 10 ||A||_F: one
+    # evaluation at sigma = 0 ends the search with the searched witness
+    f = parse("X1^2 + X2 + 1")
+    A = 1e-8 * random_traceless(np.random.default_rng(5), 8)
+    image, args = image_search(f, 8, GOAL_MULTIPLICITY_HALF)
+    calls = []
+
+    def counted(f, t):
+        calls.append(t)
+        return evaluate(f, t)
+
+    monkeypatch.setattr(waring, "evaluate", counted)
+    B, _ = waring._scaled_toward(f, image, args, A, GOAL_MULTIPLICITY_HALF,
+                                 DEFAULT_TOLS)
+    assert B is image
+    assert len(calls) == 1 and not np.any(calls[0])
+
+
 def test_tiny_residual_is_stored_and_verified():
     # at ||A||_F = 1e-150 the residual's squares underflow: np.linalg.norm
     # gives 0.0, and fro gives the norm of the residual prescaled by 2^500
