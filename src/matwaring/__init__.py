@@ -30,6 +30,7 @@ from .errors import (
 from .freealg import NcPolynomial, PolyClass, classify, evaluate, parse
 from .linalg import (
     SimilarityCertificate,
+    TriangularPlan,
     block_triangular_similarity,
     certify_similarity,
     eigendecompose,

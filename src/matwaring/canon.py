@@ -143,9 +143,10 @@ def _decoupled(B, T, Q, sizes, tols):
     them is stripped by block-triangular similarity."""
     edges = np.cumsum((0, *sizes))
     blocks = [T[a:b, a:b].copy() for a, b in zip(edges, edges[1:])]
-    D = blkdiag(blocks)
-    tri = block_triangular_similarity(blocks, T - D, "upper", tols)
-    cert = certify_similarity(Q @ tri.t, D, B, tols, label="block-diagonalize")
+    plan = TriangularPlan(blocks)
+    [tri] = block_triangular_similarity(plan, [T - plan.D], ["upper"], tols)
+    [cert] = certify_similarity((Q @ tri.t)[None], plan.D, B[None], tols,
+                                ["block-diagonalize"])
     return blocks, cert
 
 
@@ -344,8 +345,8 @@ def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
         _midpoint_round(W, P, groups[:, 0::2].ravel(), groups[:, 1::2].ravel())
         rounds += 1
         groups = np.concatenate([groups[:, 0::2], groups[:, 1::2]])
-    cert = certify_similarity(P.conj().T, scaled, W, tols,
-                              label="zero-diagonal")
+    [cert] = certify_similarity(P.conj().T[None], scaled, W[None], tols,
+                                ["zero-diagonal"])
     hollow = HollowForm(_times_pow2(W, e), cert, reflectors, rounds)
     worst = float(np.abs(np.diag(W)).max(initial=0.0))
     if worst > tols.hollow_tol * fro(W):

@@ -52,7 +52,7 @@ EXIT_RESIDUAL = 5
 
 # the exit code of an error is that of the first entry whose classes match
 _EXIT_CODES = (
-    ((ParseError, FileNotFoundError, ValueError, KeyError, OverflowError,
+    ((ParseError, OSError, ValueError, KeyError, OverflowError,
       PreconditionUnmetError), EXIT_PARSE),
     ((NotGenericError,), EXIT_NOT_GENERIC),
     ((BudgetExhaustedError,), EXIT_BUDGET),

@@ -1,11 +1,13 @@
 """Dense complex matrix substrate, on numpy alone.
 
 A complex Schur form in a given eigenvalue order (unitary deflation from
-one eigendecomposition), the block back-substitution that makes a block
-upper-triangular matrix block diagonal (with a Sylvester solver for
-upper-triangular operands on top of it), and similarity certificates.
-Matrices are numpy complex arrays; everything here targets desk scale
-(n <= 64).
+one eigendecomposition), similarity certificates, and block-triangular
+similarities: the block back-substitution (sylvester_solve) that makes a
+block upper-triangular matrix block diagonal, over a TriangularPlan of
+fixed blocks. certify_similarity, sylvester_solve and
+block_triangular_similarity take stacks of problems, which the routes
+solve and certify together; one problem is a stack of one. Matrices are
+numpy complex arrays; everything here targets desk scale (n <= 64).
 """
 
 from dataclasses import dataclass
@@ -130,38 +132,6 @@ def spectral_gap(values, labels):
     return float(d[i, j]), labels[i], labels[j]
 
 
-def _require_upper_triangular(M, what):
-    if np.tril(M, -1).any():
-        raise ValueError(f"{what} must be upper triangular")
-
-
-def sylvester_solve(R1, R2, C, tols: Tolerances = DEFAULT_TOLS):
-    """Solve R1 X - X R2 = C for upper-triangular R1, R2 with disjoint spectra.
-
-    The spectra are read off the diagonals. X is the coupling of the unit
-    block-upper transform of [[R1, -C], [0, R2]] over the blocks R1, R2,
-    so the Bartels-Stewart back substitution is _unit_upper_transform's;
-    the dense Kronecker linearization is kept as an independent oracle in
-    the test suite.
-    """
-    R1, R2, C = as_cmatrix(R1), as_cmatrix(R2), np.asarray(C, dtype=complex)
-    p, q = R1.shape[0], R2.shape[0]
-    if C.shape != (p, q):
-        raise ValueError(f"C must be {p}x{q}, got {C.shape}")
-    _require_upper_triangular(R1, "R1")
-    _require_upper_triangular(R2, "R2")
-    eigs = np.concatenate([np.diag(R1), np.diag(R2)])
-    scale = np.abs(eigs).max(initial=0.0)
-    gap, _, _ = spectral_gap(eigs, block_labels((p, q)))
-    if gap <= tols.gap_tol * max(scale, np.finfo(float).tiny):
-        raise SpectraOverlapError(
-            f"spectra of the operands are not disjoint (gap {gap:.3e}, "
-            f"scale {scale:.3e})"
-        )
-    upper = np.block([[R1, -C], [np.zeros((q, p)), R2]])
-    return _unit_upper_transform((p, q), upper[None], tols)[0, :p, p:]
-
-
 def project_traceless(A):
     A = as_cmatrix(A)
     n = A.shape[0]
@@ -191,17 +161,10 @@ class SimilarityCertificate:
     label: str = ""
 
 
-def certify_similarity(T, source, target, tols: Tolerances = DEFAULT_TOLS,
-                       label=""):
-    """Build a certificate for T source T^-1 = target, validating both
-    residual bounds before returning."""
-    T, source, target = as_cmatrix(T), as_cmatrix(source), as_cmatrix(target)
-    return _certify(T[None], source, target[None], tols, [label])[0]
-
-
-def _certify(Ts, source, targets, tols, labels):
-    """certify_similarity of each T in the stack Ts with its target and
-    label, all on one source, as one pass; the first failing certificate in
+def certify_similarity(Ts, source, targets, tols: Tolerances, labels):
+    """Certificates of T source T^-1 = target for each T in the stack Ts
+    (S, n, n) with its target and label, all on one source, validating both
+    residual bounds of each in one pass; the first failing certificate in
     stack order raises."""
     T_invs = np.linalg.inv(Ts)
     with np.errstate(all="ignore"):    # inf and nan fail the gates below
@@ -235,7 +198,7 @@ def _certify(Ts, source, targets, tols, labels):
 # block-triangular similarity (diagonal blocks with pairwise disjoint spectra)
 # ---------------------------------------------------------------------------
 
-def _unit_upper_transform(sizes, upper, tols):
+def sylvester_solve(sizes, upper, tols: Tolerances = DEFAULT_TOLS):
     """Unit block-upper T with upper T = T D, so T D T^-1 = upper, where D
     is the block diagonal of upper over the block sizes, for each problem
     of the stack upper (S, n, n).
@@ -310,7 +273,8 @@ class TriangularPlan:
     def __init__(self, blocks):
         sizes = tuple(np.shape(b)[0] for b in blocks)
         self.D = read_only(blkdiag(blocks))
-        _require_upper_triangular(self.D, "every block")
+        if np.tril(self.D, -1).any():
+            raise ValueError("every block must be upper triangular")
         labels = block_labels(sizes)
         eigs = np.diag(self.D)
         self.scale = np.abs(eigs).max(initial=0.0)
@@ -323,46 +287,42 @@ class TriangularPlan:
                       for o, k in keys.items()}
         self.vanish = {o: read_only(k <= k[:, None]) for o, k in keys.items()}
 
-    def similarities(self, offs, orientations, tols):
-        """block_triangular_similarity of each off with its orientation, in
-        order: one transform call per block pattern, one certification."""
-        gap, i, j = self.gap
-        if gap <= tols.gap_tol * max(self.scale, np.finfo(float).tiny):
-            raise SpectraOverlapError(
-                f"blocks {i} and {j} have overlapping spectra (gap {gap:.3e})"
-            )
-        for off, o in zip(offs, orientations):
-            bad = np.abs(off[self.vanish[o]]).max(initial=0.0)
-            if bad:
-                raise ValueError("off-diagonal part must vanish on and below "
-                                 f"the block diagonal (max violation {bad:.3e})")
-        targets = self.D + np.stack(offs)
-        Ts = np.empty_like(targets)
-        for sizes in dict.fromkeys(map(self.patterns.get, orientations)):
-            ks = [k for k, o in enumerate(orientations)
-                  if self.patterns[o] == sizes]
-            p = np.stack([self.perms[orientations[k]] for k in ks])
-            ix = (np.array(ks)[:, None, None], p[:, :, None], p[:, None, :])
-            Ts[ix] = _unit_upper_transform(sizes, targets[ix], tols)
-        return _certify(Ts, self.D, targets, tols,
-                        [f"block-triangular-{o}" for o in orientations])
 
-
-def block_triangular_similarity(blocks, off_diag, orientation="upper",
+def block_triangular_similarity(plan, offs, orientations,
                                 tols: Tolerances = DEFAULT_TOLS):
-    """Certify blkdiag(blocks) similar to blkdiag + off_diag.
+    """Certify plan.D, the block diagonal of plan's blocks, similar to
+    plan.D + off for each off with its orientation, in order.
 
-    Every block must be upper triangular, with pairwise disjoint spectra
-    read off the diagonal; off_diag must vanish on and below (or above) the
-    block diagonal. The transform is I + N with N strictly block triangular,
-    found by one bottom-up block back-substitution. The lower
-    orientation lists the blocks last to first, an exact index permutation
-    that makes the target block upper over the same triangular blocks.
+    The blocks are upper triangular, with pairwise disjoint spectra read off
+    the diagonal; an off must vanish on and below (upper) or above (lower)
+    the block diagonal. Each transform is I + N with N strictly block
+    triangular, found by one bottom-up block back-substitution
+    (sylvester_solve); the lower orientation lists the blocks last to
+    first, an exact index permutation that makes the target block upper
+    over the same triangular blocks. One sylvester_solve call per block
+    pattern, one certification.
     """
-    off = as_cmatrix(off_diag)
-    n = sum(np.shape(b)[0] for b in blocks)
-    if off.shape != (n, n):
-        raise ValueError(f"off-diagonal part must be {n}x{n}")
-    if orientation not in ("upper", "lower"):
-        raise ValueError("orientation must be 'upper' or 'lower'")
-    return TriangularPlan(blocks).similarities([off], [orientation], tols)[0]
+    gap, i, j = plan.gap
+    if gap <= tols.gap_tol * max(plan.scale, np.finfo(float).tiny):
+        raise SpectraOverlapError(
+            f"blocks {i} and {j} have overlapping spectra (gap {gap:.3e})"
+        )
+    for off, o in zip(offs, orientations):
+        if o not in plan.vanish:
+            raise ValueError("orientation must be 'upper' or 'lower'")
+        if np.shape(off) != plan.D.shape:
+            raise ValueError(f"off-diagonal part must be {plan.D.shape}")
+        bad = np.abs(off[plan.vanish[o]]).max(initial=0.0)
+        if bad:
+            raise ValueError("off-diagonal part must vanish on and below "
+                             f"the block diagonal (max violation {bad:.3e})")
+    targets = plan.D + np.stack(offs)
+    Ts = np.empty_like(targets)
+    for sizes in dict.fromkeys(map(plan.patterns.get, orientations)):
+        ks = [k for k, o in enumerate(orientations)
+              if plan.patterns[o] == sizes]
+        p = np.stack([plan.perms[orientations[k]] for k in ks])
+        ix = (np.array(ks)[:, None, None], p[:, :, None], p[:, None, :])
+        Ts[ix] = sylvester_solve(sizes, targets[ix], tols)
+    return certify_similarity(Ts, plan.D, targets, tols,
+                              [f"block-triangular-{o}" for o in orientations])

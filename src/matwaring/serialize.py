@@ -134,6 +134,9 @@ def matrix_from_json(doc):
         raise ValueError("matrix document's n must be a nonnegative "
                          f"integer, got {n!r}")
     entries = doc["entries"]
+    if not isinstance(entries, list):
+        raise ValueError("matrix document's entries must be a list, got a "
+                         f"{type(entries).__name__}")
     if len(entries) != n * n:
         raise ValueError(f"matrix document claims n={n} but has "
                          f"{len(entries)} entries")

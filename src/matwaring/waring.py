@@ -39,8 +39,8 @@ from .freealg import (
     random_tuple,
 )
 from .linalg import (
-    _certify,
     as_cmatrix,
+    block_triangular_similarity,
     certify_similarity,
     project_traceless,
     read_only,
@@ -77,6 +77,9 @@ class WaringCertificate:
     problem. k, weights and degree are kept here; the document does not
     hold them. k is 0 for an ungraded f, whose witness is scaled instead
     (`_scaled_toward`), and for a matrix-level `four_term_decompose` result.
+    An ungraded f's witness past 2^512 is factored as 2^-e times itself
+    (`_rescaled`): steps and term_certs then certify 2^-e times the witness
+    and the target.
     """
 
     mode: str
@@ -97,22 +100,18 @@ class WaringCertificate:
     degree: int | None = None
 
 
-def diff_of_similar(partition: SpectralPartition, C,
+def diff_of_similar(partition: SpectralPartition, Cs,
                     tols: Tolerances = DEFAULT_TOLS):
-    """Write C (vanishing on the partition's diagonal blocks) as Bp - Bpp
-    with both parts certified similar to blkdiag(partition.blocks).
+    """Write each C of Cs (vanishing on the partition's diagonal blocks) as
+    Bp - Bpp with both parts certified similar to blkdiag(partition.blocks):
+    a list of (Bp, Bpp, (upper certificate, lower certificate)).
 
     Bp keeps the blocks with C's upper coupling; Bpp keeps the blocks with
     C's lower coupling negated; they are the targets of the two triangular
     certificates. The difference reproduces C exactly because the entries
-    are assembled, not solved for.
+    are assembled, not solved for. All of Cs are solved and certified
+    together on the partition's triangular plan.
     """
-    return _diffs(partition, [C], tols)[0]
-
-
-def _diffs(partition, Cs, tols):
-    """diff_of_similar of each C in Cs, solved and certified together on the
-    partition's triangular plan."""
     plan = partition.plan
     offs = []
     for C in map(as_cmatrix, Cs):
@@ -126,7 +125,8 @@ def _diffs(partition, Cs, tols):
         if leftover > 1e-13 * max(1.0, fro(C)):
             raise ValueError("C must vanish on the partition's diagonal blocks")
         offs += [upper, -lower]
-    certs = plan.similarities(offs, ["upper", "lower"] * len(Cs), tols)
+    certs = block_triangular_similarity(plan, offs,
+                                        ["upper", "lower"] * len(Cs), tols)
     return [(up.target, low.target, (up, low))
             for up, low in zip(certs[::2], certs[1::2])]
 
@@ -159,22 +159,24 @@ def _residual_gate(target, coefficients, terms, tols, what):
     return residual, bound
 
 
-def _assemble(mode, witness, target, partition, hollow, halves, tols):
+def _assemble(mode, target, partition, hollow, halves, tols):
     """The route's certificate: terms certified similar to the witness, with
     signed sum the target.
 
-    partition.to_block_diag certifies witness = X blkdiag(blocks) X^-1;
+    partition.to_block_diag certifies witness = X blkdiag(blocks) X^-1,
+    with the witness its target;
     hollow takes the target to M = sum of U C U* over the halves (C, U),
     where U None stands for the identity. Each half contributes
     U Bp U* - U Bpp U* from diff_of_similar (all halves in one stack),
     carried back through the hollow similarity; the term transforms are
     certified in one pass. The residual is left to the caller's gate.
     """
+    witness = partition.to_block_diag.target
     Xinv = partition.to_block_diag.t_inv
     Sh = hollow.to_hollow.t        # M = Sh A Sh^-1
     Shinv = hollow.to_hollow.t_inv
-    tri_certs = [tri for _, _, tris in _diffs(partition, [C for C, _ in halves],
-                                              tols) for tri in tris]
+    tri_certs = [tri for _, _, tris in diff_of_similar(
+        partition, [C for C, _ in halves], tols) for tri in tris]
     # each half's two parts P are carried back as L P R, T as L tri.t Xinv
     L, R = [], []
     for _, U in halves:
@@ -182,7 +184,7 @@ def _assemble(mode, witness, target, partition, hollow, halves, tols):
         R += [Sh if U is None else U.conj().T @ Sh] * 2
     L, R = np.stack(L), np.stack(R)
     terms = L @ np.stack([tri.target for tri in tri_certs]) @ R
-    term_certs = _certify(
+    term_certs = certify_similarity(
         L @ np.stack([tri.t for tri in tri_certs]) @ Xinv, witness, terms,
         tols, [f"term{k}-similar-to-witness" for k in range(1, len(L) + 1)])
     return WaringCertificate(
@@ -198,35 +200,30 @@ def _assemble(mode, witness, target, partition, hollow, halves, tols):
     )
 
 
-def four_term_decompose(B, A, tols: Tolerances = DEFAULT_TOLS):
-    """A = B' - B'' + B''' - B'''' with each term certified similar to B.
+def four_term_decompose(partition: SpectralPartition, A,
+                        tols: Tolerances = DEFAULT_TOLS):
+    """A = B1 - B2 + B3 - B4 with each term certified similar to the witness
+    B = partition.to_block_diag.target, for partition = partition_spectrum(B).
 
-    Pipeline: partition B's spectrum, take A to zero diagonal, split the
-    hollow form over the pattern and its decoupling unitary, assemble each
-    half as a difference of block-triangular matrices, then undo the hollow
-    similarity. Requires eigenvalue multiplicities of B at most n/2 and
-    trace-zero A.
+    Pipeline: take A to zero diagonal, split the hollow form over the
+    partition's pattern and its decoupling unitary, assemble each half as a
+    difference of block-triangular matrices, then undo the hollow
+    similarity. Requires eigenvalue multiplicities of B at most n/2, which
+    partition_spectrum checks, and trace-zero A.
 
     The result has no tuples: it is the paper's matrix lemma, not a claim
     about a polynomial, so it stays in memory, and `save_certificate`
     refuses it. `waring_express` turns it into tuples of f.
     """
-    B = as_cmatrix(B)
     A = as_cmatrix(A)
-    n = B.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("A and B must have the same size")
+    if A.shape != partition.to_block_diag.target.shape:
+        raise ValueError("A and the witness must have the same size")
     _require_finite_bound(A, tols, name="A")
     _require_traceless(A, tols, name="A")
-    return _four_term(B, A, partition_spectrum(B, tols), tols)
-
-
-def _four_term(B, A, part, tols):
-    """four_term_decompose of trace-zero A on part, B's spectral partition."""
     hollow = zero_diagonal_similarity(A, tols)
-    split = split_hollow(hollow.off_diagonal, part.block_sizes, tols,
+    split = split_hollow(hollow.off_diagonal, partition.block_sizes, tols,
                          hollow.step_counts)
-    cert = _assemble(MODE_FOUR_TERM, B, A, part, hollow,
+    cert = _assemble(MODE_FOUR_TERM, A, partition, hollow,
                      [(split.c1, None), (split.c2, split.u)], tols)
     cert.residual, cert.residual_bound = _residual_gate(
         A, cert.coefficients, cert.terms, tols, "four-term")
@@ -373,28 +370,36 @@ def _scale_exponent(B, args, A, grading):
 
 
 def _rescaled(f, A, prep, factor):
-    """(witness, its tuple, its factorization by factor, the target to
+    """(witness, its tuple, a factorization by factor, the target to
     decompose, (k, w, D)) for target A.
 
     A graded f keeps the memo's witness, its factorization and its
     triangular plan for every target: the route decomposes 2^(-k D) A,
     with k from _scale_exponent, and _finish multiplies tuple part j by
     2^(k w_j), so f of the result is 2^(k D) times the scaled terms. An
-    ungraded f has its witness _scaled_toward A instead, with k = 0.
+    ungraded f has its witness B _scaled_toward A instead, with k = 0.
+    Past 2^512 a square of B's largest part overflows, and with it the
+    norms of B's factorization and of the gates; B and A are then both
+    multiplied by 2^-e, e = _exponent(B), which leaves every transform as
+    it is, so the tuple is conjugated unscaled.
     """
     image, args = prep.found(f)
     if prep.grading is None:
         B, args = _scaled_toward(f, image, args, A, prep.goal, prep.tols)
-        return B, args, prep.factored(B, factor), A, (0, None, None)
+        e = _exponent(B) or 0
+        if e <= np.finfo(float).maxexp // 2:
+            return B, args, prep.factored(B, factor), A, (0, None, None)
+        return (B, args, prep.factored(_times_pow2(B, -e), factor),
+                _times_pow2(A, -e), (0, None, None))
     k = _scale_exponent(image, args, A, prep.grading)
     D = prep.grading[1]
     return (image, args, prep.factored(image, factor),
             _times_pow2(A, -k * D) if k else A, (k, *prep.grading))
 
 
-def _finish(cert, f, args, target, scale, prep, what):
-    """Turn a matrix-level certificate into tuples of f and re-check it
-    against target.
+def _finish(cert, f, witness, args, target, scale, prep, what):
+    """Turn a matrix-level certificate into tuples of f on witness = f(args)
+    and re-check it against target.
 
     Conjugating the witness tuple by each term's transform makes f land on
     the conjugated image. Part j of each conjugated tuple is multiplied by
@@ -413,7 +418,7 @@ def _finish(cert, f, args, target, scale, prep, what):
     images = list(evaluate(f, list(tuples.swapaxes(0, 1))))
     cert.residual, cert.residual_bound = _residual_gate(
         target, cert.coefficients, images, tols, what)
-    cert.target = target
+    cert.witness, cert.target = witness, target
     cert.tuples = [tuple(mats) for mats in tuples]
     cert.terms = images
     cert.polynomial = f.text
@@ -517,8 +522,8 @@ def _four_term_tuples(f, A, prep):
     """The four-term certificate of trace-zero A with its tuples of f, on the
     image point of prep, which has all eigenvalue multiplicities <= n/2."""
     B, args, part, scaled, scale = _rescaled(f, A, prep, partition_spectrum)
-    cert = _four_term(B, scaled, part, prep.tols)
-    return _finish(cert, f, args, A, scale, prep, "re-evaluated four-term")
+    cert = four_term_decompose(part, scaled, prep.tols)
+    return _finish(cert, f, B, args, A, scale, prep, "re-evaluated four-term")
 
 
 def waring_express(f, A, budget=DEFAULT_BUDGET, seed=0,
@@ -552,8 +557,8 @@ def _diagonalized(D0, tols):
         case_tag="distinct",
         block_sizes=(1,) * len(w),
         blocks=[np.array([[wi]]) for wi in w],
-        to_block_diag=certify_similarity(V, np.diag(w), D0, tols,
-                                         label="diagonalize-witness"),
+        to_block_diag=certify_similarity(V[None], np.diag(w), D0[None], tols,
+                                         ["diagonalize-witness"])[0],
     )
 
 
@@ -582,9 +587,9 @@ def two_term_decompose(f, A, budget=DEFAULT_BUDGET, seed=0,
 
     D0, args, eig_blocks, scaled, scale = _rescaled(f, A, prep, _diagonalized)
     hollow = zero_diagonal_similarity(scaled, tols)
-    cert = _assemble(MODE_TWO_TERM, D0, scaled, eig_blocks, hollow,
+    cert = _assemble(MODE_TWO_TERM, scaled, eig_blocks, hollow,
                      [(hollow.off_diagonal, None)], tols)
-    return _finish(cert, f, args, A, scale, prep, "two-term")
+    return _finish(cert, f, D0, args, A, scale, prep, "two-term")
 
 
 def five_term_express(f, T, budget=DEFAULT_BUDGET, seed=0,
@@ -613,7 +618,6 @@ def five_term_express(f, T, budget=DEFAULT_BUDGET, seed=0,
     remainder = project_traceless(remainder)
 
     # the four-term path on the remainder, with f already classified
-    _require_traceless(remainder, tols)
     four = _four_term_tuples(f, remainder, _prepared(
         f, n, GOAL_MULTIPLICITY_HALF, budget, seed + 1, tols))
 

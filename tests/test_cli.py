@@ -184,6 +184,16 @@ class TestDecompose:
         assert code == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries", ["5", "null", '{"0": [1, 0]}'])
+    def test_entries_that_are_not_a_list_exit_2(self, tmp_path, capsys,
+                                                 entries):
+        path = tmp_path / "scalar.json"
+        path.write_text('{"n": 2, "entries": ' + entries + '}')
+        code = main(["decompose", "[X1,X2]", str(path),
+                     "--out", str(tmp_path / "cert.json")])
+        assert code == 2
+        assert "entries must be a list" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, tmp_path, a3):
         out1, out2 = str(tmp_path / "c1.json"), str(tmp_path / "c2.json")
         run_cli("decompose", "[X1,X2]", a3, "--seed", "9", "--out", out1)
@@ -558,6 +568,12 @@ class TestVerify:
         missing = tmp_path / "missing.json"
         code, _, _ = run_cli("verify", str(missing))
         assert code == 2
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        # an unreadable path is an input error like a missing file
+        code = main(["verify", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
     def test_non_object_document_fails_cleanly(self, tmp_path, capsys):

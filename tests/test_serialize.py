@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matwaring import serialize
+from matwaring.canon import partition_spectrum
 from matwaring.config import DEFAULT_TOLS
 from matwaring.freealg import parse
 from matwaring.serialize import (
@@ -292,7 +293,7 @@ def test_certificate_without_tuples_is_refused(rng, tmp_path):
     # a four_term_decompose result proves a claim about matrices similar to
     # its witness, not about f: it stays in memory
     B = planted_matrix(rng, [1, 1, 2, 3, 4])
-    cert = four_term_decompose(B, random_traceless(rng, 5))
+    cert = four_term_decompose(partition_spectrum(B), random_traceless(rng, 5))
     assert cert.tuples is None
     with pytest.raises(ValueError, match="four-term certificate without "
                                          "argument tuples"):
@@ -308,7 +309,7 @@ def test_matrix_level_certificate_keeps_terms(rng):
     # carries them
     B = planted_matrix(rng, [1, 1, 2, 3, 4])
     A = random_traceless(rng, 5)
-    cert = four_term_decompose(B, A)
+    cert = four_term_decompose(partition_spectrum(B), A)
     assert cert.tuples is None
     assert len(cert.terms) == 4
     combo = sum(c * t for c, t in zip(cert.coefficients, cert.terms))
@@ -322,7 +323,7 @@ def test_matrix_level_certificate_keeps_steps_and_witness(rng):
     # stay in memory with it
     B = planted_matrix(rng, [1, 1, 2, 3, 4])
     A = random_traceless(rng, 5)
-    cert = four_term_decompose(B, A)
+    cert = four_term_decompose(partition_spectrum(B), A)
     assert np.array_equal(cert.witness, B)
     assert len(cert.steps) > 0
     assert len(cert.term_certs) == len(cert.terms)

@@ -57,7 +57,7 @@ class TestDiffOfSimilar:
     def test_zero_coupling(self, rng):
         part = partition_spectrum(planted_matrix(rng, [1, 1, 2, 3]))
         D = blkdiag(part.blocks)
-        Bp, Bpp, _ = diff_of_similar(part, np.zeros_like(D))
+        [(Bp, Bpp, _)] = diff_of_similar(part, [np.zeros_like(D)])
         assert np.array_equal(Bp, D)
         assert np.array_equal(Bpp, D)
 
@@ -67,7 +67,7 @@ class TestDiffOfSimilar:
         part = partition_spectrum(np.diag([1.0, -1.0]))
         c, d = 0.7, -0.3
         C = np.array([[0, c], [d, 0]], dtype=complex)
-        Bp, Bpp, (cu, cl) = diff_of_similar(part, C)
+        [(Bp, Bpp, (cu, cl))] = diff_of_similar(part, [C])
         assert np.allclose(Bp, [[1, c], [0, -1]])
         assert np.allclose(Bpp, [[1, 0], [-d, -1]])
         assert np.allclose(sorted_eigs(Bp), [-1, 1])
@@ -80,7 +80,7 @@ class TestDiffOfSimilar:
         C = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         for a, b in zip(edges[:-1], edges[1:]):
             C[a:b, a:b] = 0.0
-        Bp, Bpp, (cu, cl) = diff_of_similar(part, C)
+        [(Bp, Bpp, (cu, cl))] = diff_of_similar(part, [C])
         assert np.array_equal(Bp - Bpp, C)  # assembly, not arithmetic
         D = blkdiag(part.blocks)
         for cert, target in ((cu, Bp), (cl, Bpp)):
@@ -90,14 +90,14 @@ class TestDiffOfSimilar:
     def test_nonzero_diagonal_block_rejected(self, rng):
         part = partition_spectrum(planted_matrix(rng, [1, 2]))
         with pytest.raises(ValueError):
-            diff_of_similar(part, np.eye(2))
+            diff_of_similar(part, [np.eye(2)])
 
 
 class TestFourTerm:
     def test_zero_target(self):
         # no special case: the general path expresses zero exactly
         B = np.diag([1.0, -1.0]).astype(complex)
-        cert = four_term_decompose(B, np.zeros((2, 2)))
+        cert = four_term_decompose(partition_spectrum(B), np.zeros((2, 2)))
         assert cert.residual == 0.0
         assert cert.coefficients == [1.0, -1.0, 1.0, -1.0]
         check_term_cert(cert, B)
@@ -105,7 +105,7 @@ class TestFourTerm:
     def test_n2_hollow_target(self):
         B = np.diag([1.0, -1.0]).astype(complex)
         A = np.array([[0, 1], [1, 0]], dtype=complex)
-        cert = four_term_decompose(B, A)
+        cert = four_term_decompose(partition_spectrum(B), A)
         assert cert.residual <= 1e-10
         for W in cert.terms:
             assert np.allclose(sorted_eigs(W), [-1, 1], atol=1e-8)
@@ -122,9 +122,10 @@ class TestFourTerm:
     def test_planted_spectra(self, rng, spectrum):
         n = len(spectrum)
         B = planted_matrix(rng, spectrum)
+        part = partition_spectrum(B)
         for _ in range(3):
             A = random_traceless(rng, n)
-            cert = four_term_decompose(B, A)
+            cert = four_term_decompose(part, A)
             assert cert.residual <= 1e-8 * max(1.0, fro(A))
             for W in cert.terms:
                 assert np.allclose(sorted_eigs(W), sorted_eigs(B), atol=1e-6)
@@ -133,12 +134,13 @@ class TestFourTerm:
     def test_multiplicity_gate(self):
         B = np.diag([2.0, 2.0, 2.0, 5.0]).astype(complex)
         with pytest.raises(MultiplicityTooLargeError):
-            four_term_decompose(B, random_traceless(np.random.default_rng(0), 4))
+            four_term_decompose(partition_spectrum(B),
+                                random_traceless(np.random.default_rng(0), 4))
 
     def test_trace_gate(self, rng):
         B = planted_matrix(rng, [1, 2])
         with pytest.raises(NonzeroTraceError):
-            four_term_decompose(B, np.eye(2))
+            four_term_decompose(partition_spectrum(B), np.eye(2))
 
 
 class TestImageSearch:
@@ -495,7 +497,8 @@ def test_relative_accuracy_at_every_scale(route, text, n, scale):
     assert fro(A - recon) <= 1e-9 * fro(A)
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-40, 1e-8, 1e-3, 1e150])
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-40, 1e-8, 1e-3, 1e150,
+                                   1e200, 1e300])
 @pytest.mark.parametrize("route, n", [
     (two_term_decompose, 7),
     (waring_express, 8),
@@ -515,6 +518,22 @@ def test_ungraded_f_at_every_scale(route, n, scale):
     recon = sum(c * word_by_word_oracle(f, tp)
                 for c, tp in zip(cert.coefficients, cert.tuples))
     assert fro(A - recon) <= 1e-12 * fro(A)
+
+
+@pytest.mark.parametrize("route, n", [
+    (two_term_decompose, 7),
+    (waring_express, 8),
+], ids=["two-term", "four-term"])
+def test_triangular_gate_holds_past_the_square_range(route, n):
+    # at 1e160 the witness's parts are past 2^512, where their squares
+    # overflow; it is factored at 2^-e, so the Sylvester residual gate
+    # still compares finite norms, and a solve_tol of 1e-300 fails it
+    f = parse("X1 + X1^2")
+    A = random_traceless(np.random.default_rng(5), n)
+    A *= 1e160 / fro(A)
+    tols = replace(DEFAULT_TOLS, solve_tol=1e-300)
+    with pytest.raises(IllConditionedError, match="Sylvester solve residual"):
+        route(f, A, tols=tols)
 
 
 def test_constant_term_is_not_scaled_away(monkeypatch):
@@ -590,8 +609,8 @@ def test_infinite_bound_is_refused_before_the_witness_search(
         "is inf")
     assert err.value.residual is None
     with pytest.raises(ResidualTooLargeError, match="A check: .* is inf"):
-        four_term_decompose(planted_matrix(np.random.default_rng(1),
-                                           [1, 2, 3, 4, 5, 6, 7, 8]), A)
+        four_term_decompose(partition_spectrum(planted_matrix(
+            np.random.default_rng(1), [1, 2, 3, 4, 5, 6, 7, 8])), A)
 
 
 @pytest.mark.parametrize("route, n, name", [
@@ -662,12 +681,12 @@ def test_term_certificate_failure_names_the_first_term(rng):
         random_unitary(rng, 8))
     B = S @ np.diag(np.arange(1.0, 9.0)) @ np.linalg.inv(S)
     A = 1e2 * random_traceless(rng, 8)
-    four_term_decompose(B, A)
+    four_term_decompose(partition_spectrum(B), A)
     tols = replace(DEFAULT_TOLS, cert_tol=1e-12)
     with pytest.raises(IllConditionedError,
                        match=r"exceeds 1\.0e-12 \(condition estimate "
                              r"\S+, term1-similar-to-witness\)$"):
-        four_term_decompose(B, A, tols)
+        four_term_decompose(partition_spectrum(B, tols), A, tols)
 
 
 def test_witness_not_scaled_when_large_enough(rng):
@@ -676,6 +695,39 @@ def test_witness_not_scaled_when_large_enough(rng):
     A = random_traceless(rng, 6)
     A *= fro(B) / (20 * fro(A))
     assert np.array_equal(waring_express(f, A).witness, B)
+
+
+def test_every_route_calls_the_public_stages(monkeypatch):
+    # each stage has one definition, and the routes call it: a call through
+    # any module's binding of it is counted, as the benchmark's tracer
+    # wraps every binding
+    stages = (linalg.sylvester_solve, linalg.block_triangular_similarity,
+              linalg.certify_similarity, waring.diff_of_similar,
+              waring.four_term_decompose)
+    calls = {}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "matwaring":
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in stages):
+                    monkeypatch.setattr(module, attr, counting(value))
+    f = parse("X1^2 + X1*X2")
+    rng = np.random.default_rng(6)
+    for route, target, idle in [
+        (waring_express, random_traceless(rng, 6), set()),
+        (five_term_express, random_complex(rng, 6), set()),
+        (two_term_decompose, random_traceless(rng, 5),
+         {"four_term_decompose"}),
+    ]:
+        calls.update({fn.__name__: 0 for fn in stages})
+        route(f, target)
+        assert {name for name, n in calls.items() if not n} == idle
 
 
 class TestMultilinearityDetector:
@@ -805,13 +857,13 @@ class TestWitnessMemo:
 
         monkeypatch.setattr(linalg, "spectral_gap", recording(
             gaps, linalg.spectral_gap, lambda values, labels: len(values)))
-        monkeypatch.setattr(linalg, "_unit_upper_transform", recording(
-            transforms, linalg._unit_upper_transform,
+        monkeypatch.setattr(linalg, "sylvester_solve", recording(
+            transforms, linalg.sylvester_solve,
             lambda sizes, upper, tols: (tuple(sizes), len(upper))))
-        certify = recording(passes, linalg._certify,
+        certify = recording(passes, linalg.certify_similarity,
                             lambda Ts, source, targets, tols, labels: labels)
-        monkeypatch.setattr(linalg, "_certify", certify)
-        monkeypatch.setattr(waring, "_certify", certify)
+        monkeypatch.setattr(linalg, "certify_similarity", certify)
+        monkeypatch.setattr(waring, "certify_similarity", certify)
         f = parse("[X1,X2]")
         n = 12
         rng = np.random.default_rng(12)
