@@ -51,6 +51,18 @@ def triangular_sylvester(R1, R2, C, tols=DEFAULT_TOLS):
     return sylvester_solve((p, q), upper[None], tols)[0, :p, p:]
 
 
+def checked_sylvester(R1, R2, C):
+    """triangular_sylvester through block_triangular_similarity, which makes
+    the triangularity and spectral-gap checks sylvester_solve leaves to its
+    callers."""
+    p, q = len(R1), len(R2)
+    off = np.zeros((p + q, p + q), dtype=complex)
+    off[:p, p:] = -C
+    T = block_triangular_similarity(TriangularPlan([R1, R2]), [off],
+                                    ["upper"])[0].t
+    return T[:p, p:]
+
+
 def schur_sylvester(A1, A2, C):
     """triangular_sylvester on dense operands through their complex Schur
     forms A_i = Q_i R_i Q_i*: solve R1 Y - Y R2 = Q1* C Q2, return Q1 Y Q2*."""
@@ -217,6 +229,25 @@ class TestSylvester:
             X = schur_sylvester(A1, A2, C)
             X_ref = kron_sylvester_oracle(A1, A2, C)
             assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
+
+    def test_spectra_overlap_rejected(self, rng):
+        A = planted_triangular(rng, [1, 2])
+        with pytest.raises(SpectraOverlapError):
+            checked_sylvester(A, np.array([[2.0]]), np.ones((2, 1)))
+
+    def test_non_triangular_operand_rejected(self, rng):
+        A = planted_matrix(rng, [1, 2, 3])
+        with pytest.raises(ValueError, match="every block must be upper"):
+            checked_sylvester(A, np.array([[20.0]]), np.ones((3, 1)))
+        with pytest.raises(ValueError, match="every block must be upper"):
+            checked_sylvester(np.array([[20.0]]), A, np.ones((1, 3)))
+
+    def test_checked_route_agrees(self, rng):
+        R1 = planted_triangular(rng, [1, 2])
+        R2 = planted_triangular(rng, [5, 6, 7])
+        C = random_complex(rng, 5)[:2, :3]
+        assert np.allclose(checked_sylvester(R1, R2, C),
+                           triangular_sylvester(R1, R2, C))
 
     def test_residual_message_carries_gap_and_scale(self, rng):
         R1 = np.triu(random_complex(rng, 3))
