@@ -19,7 +19,7 @@ from .errors import (
     IllConditionedError,
     SpectraOverlapError,
 )
-from .freealg import fro
+from .freealg import _exponent, _times_pow2, fro
 
 
 def as_cmatrix(A):
@@ -215,8 +215,15 @@ def sylvester_solve(sizes, upper, tols: Tolerances = DEFAULT_TOLS):
     everything before it, and is gated the same way, first failure first:
     the relative residual of (upper T - T D) above block J against upper
     above block J stays within solve_tol.
+
+    Each problem is solved and gated as 2^-e upper, e the exponent of its
+    largest part, where no square in the gate's norms over- or underflows;
+    a power of two is exact, and T does not depend on the scale.
     """
     n = upper.shape[-1]
+    given = np.diagonal(upper, axis1=-2, axis2=-1)  # for the messages
+    upper = _times_pow2(np.asarray(upper, dtype=complex), -np.array(
+        [_exponent(u) or 0 for u in upper])[:, None, None])
     lam = np.diagonal(upper, axis1=-2, axis2=-1)
     labels = block_labels(sizes)
     D = np.where(labels[:, None] == labels, upper, 0)
@@ -250,17 +257,17 @@ def sylvester_solve(sizes, upper, tols: Tolerances = DEFAULT_TOLS):
     if bad.size:
         k, J = bad[0]
         if overflow[k]:
-            gap, _, _ = spectral_gap(lam[k], labels)
+            gap, _, _ = spectral_gap(given[k], labels)
             raise IllConditionedError(
                 f"triangular transform overflows (gap {gap:.3e}, "
-                f"scale {np.abs(lam[k]).max():.3e})")
+                f"scale {np.abs(given[k]).max():.3e})")
         # the gap between block J and the blocks before it
         e = edges[J + 1]
-        gap, _, _ = spectral_gap(lam[k, :e], labels[:e] == J)
+        gap, _, _ = spectral_gap(given[k, :e], labels[:e] == J)
         raise IllConditionedError(
             f"Sylvester solve residual {residual[k, J]:.3e} exceeds "
             f"{tols.solve_tol:.1e} (gap {gap:.3e}, "
-            f"scale {np.abs(lam[k, :e]).max():.3e})")
+            f"scale {np.abs(given[k, :e]).max():.3e})")
     return T
 
 

@@ -1,36 +1,44 @@
 """Certificate and matrix (de)serialization.
 
-Matrices travel as {"n": n, "entries": [[re, im], ...]} row-major. A
-certificate file is a single self-describing JSON document embedding the
-polynomial text, the target, the argument tuples, the coefficients and the
-tolerances in force, so a third party can re-verify without this library.
-The tuples, f and the target prove A = sum c_i f(t_i) on their own, so
-that is all a document holds of the construction: the similarity steps and
-the witness stay in memory on the WaringCertificate. A certificate without
-tuples (a `four_term_decompose` result) is a claim about matrices, not
-about f, and is refused. `"terms": null` and `cert_tol` stay in the format
-so that older verifiers still accept the documents.
+A matrix document is {"n": n, "entries": [[re, im], ...]}, row-major, or
+the packed {"c16le": <base64>, "n": n}: the standard base64 of the
+row-major little-endian complex128 bytes, 16 n^2 of them. `matrix_from_json`
+reads both. A certificate file is a single self-describing JSON document
+embedding the polynomial text, the target, the argument tuples, the
+coefficients and the tolerances in force, so a third party can re-verify
+without this library. The tuples, f and the target prove A = sum c_i f(t_i)
+on their own, so that is all a document holds of the construction: the
+similarity steps and the witness stay in memory on the WaringCertificate.
+A certificate without tuples (a `four_term_decompose` result) is a claim
+about matrices, not about f, and is refused. FORMAT_VERSION 2 means that a
+matrix document may be packed; version 1 documents still verify.
 
 Output is byte-deterministic: `dumps_canonical` writes the text of the
 standard-library encoder, keys sorted, no whitespace, and every float as
 Python's shortest round-trip `repr` (lossless for doubles, -0.0 included).
 NaN and infinities are refused, so every certificate is strict JSON.
 
+The target is the caller's doubles, whose shortest repr has 16 or 17
+significant digits: writing them and reading them back is where repr and
+CPython's float reader are at their slowest. So the target is packed
+(`packed_matrix_to_json`), bit for bit, -0.0 included.
+
 The routes make every tuple entry with `round_to_15_digits`, so its parts
 print with at most 15 significant digits and a decimal exponent the reader
 multiplies or divides by exactly: CPython's float reader turns such text
 into a double with one exact operation, where 16 or 17 digits take its
-big-integer correction loop. The target is written as given.
+big-integer correction loop. The tuples stay decimal documents.
 
 The same rounding makes the writer fast. For a double equal to its own
 15-digit rounding m 10^(e-14), repr's digits are m's with trailing zeros
 dropped, since no shorter decimal, nor another of 15 digits, rounds to it
-(DBL_DIG = 15). So `dumps_canonical` lays out every matrix whose parts are
-all such doubles or zeros with numpy, in one pass over a digit table and a
-table of repr's layouts, and leaves the target, the scalars and any other
-matrix to json.dumps.
+(DBL_DIG = 15). So `dumps_canonical` lays out every decimal matrix whose
+parts are all such doubles or zeros with numpy, in one pass over a digit
+table and a table of repr's layouts, and leaves the packed target, the
+scalars and any other matrix to json.dumps.
 """
 
+import base64
 import dataclasses
 import json
 from itertools import chain
@@ -38,7 +46,7 @@ from itertools import chain
 import numpy as np
 
 FORMAT_NAME = "waring-certificate"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # parts in [SHORT_MIN, SHORT_MAX) have decimal exponents e = -8..36, so the
 # 15-digit integer m of m 10^(e-14) is scaled by 10^|e-14| <= 10^22, an
@@ -116,23 +124,45 @@ def round_to_15_digits(a):
     return out
 
 
-def matrix_to_json(M):
-    M = np.ascontiguousarray(M, dtype=complex)
+def _square(M, dtype):
+    M = np.ascontiguousarray(M, dtype=dtype)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError(f"expected a square matrix, got {M.shape}")
+    return M, n
+
+
+def matrix_to_json(M):
+    M, n = _square(M, complex)
     # the (n*n, 2) real view holds each entry as its [re, im] pair
     return {"n": n, "entries": M.view(float).reshape(n * n, 2).tolist()}
 
 
+def packed_matrix_to_json(M):
+    """The packed matrix document of M: {"c16le": the standard base64 of
+    M's row-major little-endian complex128 bytes, "n": n}, bit for bit."""
+    M, n = _square(M, "<c16")
+    return {"c16le": base64.b64encode(M.tobytes()).decode("ascii"), "n": n}
+
+
 def matrix_from_json(doc):
+    """The n x n complex matrix of a matrix document, decimal
+    {"n", "entries"} or packed {"c16le", "n"}. Anything else raises
+    ValueError, a packed text that is not the canonical base64 of exactly
+    16 n^2 bytes or that packs a part that is not finite included (KeyError
+    for a missing key, OverflowError for an integer past the double
+    range)."""
     if not isinstance(doc, dict):
         raise ValueError("matrix document must be a JSON object with n and "
-                         f"entries, got a {type(doc).__name__}")
+                         f"entries or c16le, got a {type(doc).__name__}")
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError("matrix document's n must be a nonnegative "
                          f"integer, got {n!r}")
+    if "c16le" in doc:
+        if "entries" in doc:
+            raise ValueError("matrix document holds both entries and c16le")
+        return _unpacked(doc["c16le"], n)
     entries = doc["entries"]
     if not isinstance(entries, list):
         raise ValueError("matrix document's entries must be a list, got a "
@@ -162,6 +192,29 @@ def matrix_from_json(doc):
     return np.array(values).reshape(n, n)
 
 
+def _unpacked(text, n):
+    """The n x n matrix packed in text. The decode checks the alphabet and
+    padding, the length and the re-encoding, which must give text back: a
+    string with other trailing bits or padding reads as the same bytes."""
+    if not isinstance(text, str):
+        raise ValueError("matrix document's c16le must be a string, got a "
+                         f"{type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character past ASCII
+        raise ValueError("matrix document's c16le is not base64") from None
+    if len(raw) != 16 * n * n:
+        raise ValueError(f"matrix document claims n={n} but packs "
+                         f"{len(raw)} bytes")
+    if base64.b64encode(raw).decode("ascii") != text:
+        raise ValueError("matrix document's c16le is not canonical base64")
+    M = np.frombuffer(raw, dtype="<c16").astype(complex).reshape(n, n)
+    if not np.isfinite(M).all():
+        raise ValueError("matrix document's c16le packs a part that is not "
+                         "finite")
+    return M
+
+
 def complex_to_json(z):
     z = complex(z)
     return [z.real, z.imag]
@@ -185,7 +238,7 @@ def certificate_to_json(cert, tols):
         "mode": cert.mode,
         "n": int(cert.target.shape[0]),
         "polynomial": cert.polynomial,
-        "target": matrix_to_json(cert.target),
+        "target": packed_matrix_to_json(cert.target),
         "coefficients": [complex_to_json(c) for c in cert.coefficients],
         # the verifier re-evaluates f on the tuples
         "terms": None,
@@ -211,8 +264,8 @@ def dumps_canonical(doc):
     15 significant digits round to the same double (DBL_DIG), so repr's
     shortest round-trip digits of such a part are its 15-digit integer m
     with trailing zeros dropped, and repr's layout of them is a table. Every
-    other value, the target and the scalars included, goes through
-    json.dumps. The lists are read as the text is made, so an edit to the
+    other value, the packed target's string and the scalars included, goes
+    through json.dumps. The lists are read as the text is made, so an edit to the
     document is always what gets written.
 
     The encoder's cycle check is off: the documents are trees, built fresh
@@ -286,7 +339,8 @@ def _replaced(value, replace):
 def _float_parts(entries):
     """The parts of entries in a row when it is a nonempty list of [re, im]
     lists of Python floats, else None. A look at the first pair, which must
-    be 15-digit, passes over the target cheaply."""
+    be 15-digit, passes cheaply over a matrix of other doubles, such as a
+    decimal target of shortest-repr parts."""
     if (type(entries) is list and entries and type(entries[0]) is list
             and all(map(_is_15_digit, entries[0]))
             and set(map(type, entries)) == {list}

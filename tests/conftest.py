@@ -1,3 +1,4 @@
+import base64
 import functools
 
 import numpy as np
@@ -19,6 +20,55 @@ def random_traceless(rng, n):
 def random_unitary(rng, n):
     Q, _ = np.linalg.qr(random_complex(rng, n))
     return Q
+
+
+def packed(M):
+    """The packed matrix document {"c16le", "n"} of M, made with base64 and
+    numpy alone."""
+    M = np.ascontiguousarray(M, dtype="<c16")
+    return {"c16le": base64.b64encode(M.tobytes()).decode("ascii"),
+            "n": len(M)}
+
+
+def decimal(M):
+    """The decimal matrix document {"entries", "n"} of M, as version 1
+    certificates store their target."""
+    M = np.ascontiguousarray(M, dtype=complex)
+    return {"entries": M.view(float).reshape(-1, 2).tolist(), "n": len(M)}
+
+
+def target_of(doc):
+    """A certificate's stored target, packed or decimal, as a writable
+    complex array, read with base64 and numpy alone."""
+    target, n = doc["target"], doc["target"]["n"]
+    if "c16le" in target:
+        raw = base64.b64decode(target["c16le"], validate=True)
+        return np.frombuffer(raw, "<c16").astype(complex).reshape(n, n)
+    return np.array([complex(*pair) for pair in target["entries"]],
+                    dtype=complex).reshape(n, n)
+
+
+def in_form(doc, form):
+    """doc, changed in place so that its target is in form: "packed" is the
+    document as written (a version 2 document with a packed target), "v1"
+    the version 1 document with the same target as decimal [re, im] pairs."""
+    if form == "packed":
+        assert doc["version"] == 2 and doc["target"].keys() == {"c16le", "n"}
+    else:
+        doc["target"] = decimal(target_of(doc))
+        doc["version"] = 1
+    return doc
+
+
+TARGET_FORMS = ("packed", "v1")
+
+
+def edit_target(doc, edit):
+    """Replace the certificate's target M by edit(M), stored in the form
+    the target had."""
+    form = packed if "c16le" in doc["target"] else decimal
+    doc["target"] = form(edit(target_of(doc)))
+    return doc
 
 
 def planted_matrix(rng, spectrum):

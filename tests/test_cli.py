@@ -1,6 +1,9 @@
+import base64
+import copy
 import json
 import math
 import os
+import string
 import subprocess
 import sys
 import time
@@ -18,7 +21,16 @@ from matwaring.serialize import (
 )
 from matwaring.verify import check_certificate, verify_certificate
 
-from conftest import random_complex, random_traceless
+from conftest import (
+    TARGET_FORMS,
+    decimal,
+    edit_target,
+    in_form,
+    packed,
+    random_complex,
+    random_traceless,
+    target_of,
+)
 
 
 def write_matrix(path, A):
@@ -40,6 +52,21 @@ def a3(tmp_path, rng):
     return write_matrix(tmp_path / "a3.json", random_traceless(rng, 3))
 
 
+def _with_char(text, at, char):
+    return text[:at] + char + text[at + 1:]
+
+
+def _with_part(target, value):
+    """The matrix of a packed target, with the imaginary part of its middle
+    entry set to value."""
+    M = target_of({"target": target})
+    M.imag.flat[M.size // 2] = value
+    return M
+
+
+_B64 = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+
+
 class TestMatrixJson:
     def test_round_trip(self, rng):
         A = random_traceless(rng, 4)
@@ -59,6 +86,18 @@ class TestDecompose:
         assert code == 0
         doc = json.loads(open(out).read())
         assert doc["mode"] == "two-term"
+        assert verify_certificate(doc) == []
+
+    def test_packed_target_file(self, tmp_path, rng):
+        A = random_traceless(rng, 4)
+        A[0, 1] = complex(-0.0, -0.0)
+        path = tmp_path / "a4.json"
+        path.write_text(json.dumps(packed(A)))
+        out = str(tmp_path / "cert.json")
+        assert main(["decompose", "[X1,X2]", str(path), "--out", out]) == 0
+        doc = json.loads(open(out).read())
+        assert np.array_equal(target_of(doc).view(np.uint64),
+                              A.view(np.uint64))
         assert verify_certificate(doc) == []
 
     def test_central_polynomial_exits_3(self, tmp_path, rng):
@@ -257,13 +296,20 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", out]) == 0
         assert capsys.readouterr().out.endswith(f" <= {own:.1e})\n")
-        # a residual between the verifier's bound and the stored one fails
-        doc["target"]["entries"][0][0] += 10 * own
-        verdict = check_certificate(doc)
-        assert own < verdict.residual <= doc["residual_bound"]
-        assert verdict.bound == pytest.approx(own, rel=1e-3)
-        assert len(verdict.failures) == 1
-        assert verdict.failures[0].startswith("reconstruction residual")
+        # a residual between the verifier's bound and the stored one fails,
+        # on the packed target and on the same target at version 1
+        def moved(M):
+            M[0, 0] += 10 * own
+            return M
+
+        for form in TARGET_FORMS:
+            tampered = in_form(copy.deepcopy(doc), form)
+            assert verify_certificate(tampered) == []
+            verdict = check_certificate(edit_target(tampered, moved))
+            assert own < verdict.residual <= doc["residual_bound"]
+            assert verdict.bound == pytest.approx(own, rel=1e-3)
+            assert len(verdict.failures) == 1
+            assert verdict.failures[0].startswith("reconstruction residual")
 
     def test_raised_residual_bound_cannot_pass_a_replaced_target(
             self, tmp_path, rng, capsys):
@@ -309,11 +355,86 @@ class TestVerify:
     def test_target_size_that_is_not_an_integer_fails(self, tmp_path, a3,
                                                       n):
         doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
-        doc["target"]["n"] = n
-        if n is True:
-            doc["target"]["entries"] = doc["target"]["entries"][:1]
+        for form in TARGET_FORMS:
+            tampered = in_form(copy.deepcopy(doc), form)
+            assert verify_certificate(tampered) == []
+            if n is True:
+                # one entry, which a size read as 1 would take
+                edit_target(tampered, lambda M: M[:1, :1])
+            tampered["target"]["n"] = n
+            assert verify_certificate(tampered) == [
+                "malformed field 'target': not a matrix document"]
+
+    @pytest.mark.parametrize("n, tamper, reason", [
+        (3, lambda t: t.update(c16le=t["c16le"][:-1]), "not base64"),
+        (3, lambda t: t.update(c16le=t["c16le"][:-4]), "packs 141 bytes"),
+        (3, lambda t: t.update(c16le=_with_char(t["c16le"], 9, "!")),
+         "not base64"),
+        (3, lambda t: t.update(c16le=_with_char(t["c16le"], 9, "é")),
+         "not base64"),
+        (3, lambda t: t.update(c16le=t["c16le"] + "\n"), "not base64"),
+        # 144 bytes fill whole quartets; padding after them decodes to the
+        # same bytes, and only the re-encoding shows it
+        (3, lambda t: t.update(c16le=t["c16le"] + "=="), "not canonical"),
+        # 400 bytes end in a quartet "XY==" whose last four bits are zero;
+        # with one of them set it decodes to the same bytes
+        (5, lambda t: t.update(c16le=_with_char(
+            t["c16le"], -3, _B64[_B64.index(t["c16le"][-3]) ^ 1])),
+         "not canonical"),
+        (5, lambda t: t.update(c16le=t["c16le"][:-1]), "not base64"),
+        (5, lambda t: t.update(c16le=t["c16le"] + "="), "not base64"),
+        (3, lambda t: t.update(packed(_with_part(t, math.nan))), "finite"),
+        (3, lambda t: t.update(packed(_with_part(t, math.inf))), "finite"),
+        (3, lambda t: t.update(packed(_with_part(t, -math.inf))), "finite"),
+        # the bytes of a 2x2 matrix
+        (3, lambda t: t.update(c16le=packed(np.eye(2))["c16le"]),
+         "packs 64 bytes"),
+        (3, lambda t: t.update(c16le=packed(np.eye(2))["c16le"], n=2.0),
+         "nonnegative integer"),
+        (3, lambda t: t.update(c16le=packed(np.eye(1))["c16le"], n=True),
+         "nonnegative integer"),
+        (3, lambda t: t.update(c16le=packed(np.eye(2))["c16le"], n="2"),
+         "nonnegative integer"),
+        (3, lambda t: t.update(entries=decimal(np.eye(3))["entries"]),
+         "both entries and c16le"),
+        (3, lambda t: t.update(c16le=None), "must be a string"),
+    ], ids=["truncated", "truncated-quartet", "non-base64-character",
+            "non-ascii-character", "newline", "padding-after-whole-quartets",
+            "trailing-bits", "short-padding", "long-padding", "nan-part",
+            "inf-part", "minus-inf-part", "length-of-another-n",
+            "n-float", "n-true", "n-string", "entries-and-c16le",
+            "c16le-not-a-string"])
+    def test_malformed_packed_target_fails_cleanly(self, tmp_path, rng,
+                                                   capsys, n, tamper, reason):
+        path = write_matrix(tmp_path / "a.json", random_traceless(rng, n))
+        doc = json.loads(open(self.make_cert(tmp_path, path)).read())
+        assert verify_certificate(doc) == []
+        tamper(in_form(doc, "packed")["target"])
+        with pytest.raises(ValueError, match=reason):
+            matrix_from_json(doc["target"])
         assert verify_certificate(doc) == [
             "malformed field 'target': not a matrix document"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "FAIL: malformed field 'target': not a matrix document\n"
+        assert err == ""
+
+    @pytest.mark.parametrize("bit", [51, 52, 63])
+    def test_one_bit_flip_in_packed_target_fails(self, tmp_path, a3, bit):
+        # bits 51, 52 and 63 of the first entry's real part are the highest
+        # of its mantissa, the lowest of its exponent and its sign; each
+        # flip leaves a finite part, which the reconstruction gate refuses
+        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        raw = bytearray(base64.b64decode(in_form(doc, "packed")["target"][
+            "c16le"]))
+        raw[bit // 8] ^= 1 << bit % 8
+        doc["target"]["c16le"] = base64.b64encode(raw).decode("ascii")
+        failures = verify_certificate(doc)
+        assert len(failures) == 1
+        assert failures[0].startswith("reconstruction residual")
 
     def test_tampered_tuple_fails(self, tmp_path, a3):
         out = self.make_cert(tmp_path, a3)
@@ -370,20 +491,25 @@ class TestVerify:
     def test_infinite_bound_cannot_pass_an_overflowing_target(
             self, tmp_path, rng, capsys):
         # ||target||_F overflows, so the verifier's own bound is infinite too
-        def tamper(doc):
-            doc["target"]["entries"][1][0] = 1.5e308
-            doc["target"]["entries"][2][0] = 1.5e308
+        def overflowing(M):
+            M.real[0, 1:3] = 1.5e308
+            return M
+
+        def tamper(doc, form):
+            assert verify_certificate(in_form(doc, form)) == []
+            edit_target(doc, overflowing)
             doc["residual_bound"] = math.inf
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RuntimeWarning)
-            code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys,
-                                                     tamper)
-        assert code == 1
-        assert "reconstruction residual inf exceeds bound inf" in stdout
-        # and no NumPy overflow warning beside it
-        assert [str(w.message) for w in caught
-                if issubclass(w.category, RuntimeWarning)] == []
+        for form in TARGET_FORMS:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                code, stdout = self.nan_tampered_verdict(
+                    tmp_path, rng, capsys, lambda doc: tamper(doc, form))
+            assert code == 1
+            assert "reconstruction residual inf exceeds bound inf" in stdout
+            # and no NumPy overflow warning beside it
+            assert [str(w.message) for w in caught
+                    if issubclass(w.category, RuntimeWarning)] == []
 
     def test_overflowing_tuples_fail_without_numpy_warnings(self, tmp_path):
         # f's products on tuple parts of 1e200 overflow, and the residual is
@@ -460,13 +586,18 @@ class TestVerify:
     def test_construction_keys_are_ignored(self, tmp_path, a3, key, value):
         # older documents carried these keys; a pass rests on the
         # reconstruction gate over the tuples alone, whatever they hold
+        def moved(M):
+            M[0, 0] += 1e-2
+            return M
+
         doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
         doc[key] = value
-        assert verify_certificate(doc) == []
-        doc["target"]["entries"][0][0] += 1e-2
-        failures = verify_certificate(doc)
-        assert len(failures) == 1
-        assert failures[0].startswith("reconstruction residual")
+        for form in TARGET_FORMS:
+            tampered = in_form(copy.deepcopy(doc), form)
+            assert verify_certificate(tampered) == []
+            failures = verify_certificate(edit_target(tampered, moved))
+            assert len(failures) == 1
+            assert failures[0].startswith("reconstruction residual")
 
     def test_extra_tuple_matrix_ignored(self, tmp_path, a3):
         doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
@@ -503,8 +634,10 @@ class TestVerify:
          lambda doc: doc.update(residual_bound=10 ** 400)),
         ("malformed field 'cert_tol'",
          lambda doc: doc.update(cert_tol=10 ** 400)),
+        # only a decimal (version 1) target can hold an integer literal
         ("malformed field 'target'",
-         lambda doc: doc["target"]["entries"][0].__setitem__(0, 10 ** 400)),
+         lambda doc: in_form(doc, "v1")["target"]["entries"][0].__setitem__(
+             0, 10 ** 400)),
         ("malformed field 'tuples'",
          lambda doc: doc["tuples"][1][0]["entries"][0].__setitem__(
              0, 10 ** 400)),

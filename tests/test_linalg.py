@@ -260,6 +260,27 @@ class TestSylvester:
             triangular_sylvester(R1, R2, random_complex(rng, 3)[:, :2], tols)
         assert f"(gap {gap:.3e}, scale {scale:.3e})" in str(err.value)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e100, 1e160, 1e300])
+    def test_residual_gate_holds_at_every_scale(self, rng, scale):
+        # past about 2^512 (or below 2^-512) the squares in the gate's norms
+        # overflowed (underflowed), and a defect over an infinite (zero)
+        # norm passed any solve_tol
+        blocks = [np.array([[scale * (k + 1)]]) for k in range(6)]
+        off = scale * np.triu(random_complex(rng, 6), 1)
+        tols = dataclasses.replace(DEFAULT_TOLS, solve_tol=1e-300)
+        with pytest.raises(IllConditionedError,
+                           match="Sylvester solve residual"):
+            block_triangular_similarity(TriangularPlan(blocks), [off],
+                                        ["upper"], tols)
+
+    def test_transform_does_not_depend_on_a_power_of_two(self, rng):
+        upper = planted_triangular(rng, [1, 2, 5, 6, 7]) + np.triu(
+            random_complex(rng, 5), 1)
+        T = sylvester_solve((2, 1, 2), upper[None])
+        for k in (-600, -40, 40, 600):
+            scaled = sylvester_solve((2, 1, 2), upper[None] * 2.0 ** k)
+            assert scaled.tobytes() == T.tobytes()
+
 
 class TestSubspaces:
     def test_same_unit(self):

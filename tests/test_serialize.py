@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from matwaring.serialize import (
     dumps_canonical,
     matrix_from_json,
     matrix_to_json,
+    packed_matrix_to_json,
     round_to_15_digits,
     save_certificate,
 )
@@ -30,7 +33,15 @@ from matwaring.waring import (
     waring_express,
 )
 
-from conftest import planted_matrix, random_complex, random_traceless
+from conftest import (
+    TARGET_FORMS,
+    in_form,
+    packed,
+    planted_matrix,
+    random_complex,
+    random_traceless,
+    target_of,
+)
 
 
 def _write_value(value, out):
@@ -174,6 +185,31 @@ def test_matrix_round_trip_is_bit_exact():
         assert np.array_equal(back, A)
         assert np.array_equal(np.signbit(back.real), np.signbit(A.real))
         assert np.array_equal(np.signbit(back.imag), np.signbit(A.imag))
+
+
+def test_packed_matrix_round_trip_is_bit_exact():
+    M = np.empty((2, 2), dtype=complex)
+    M.real = [[-0.0, 0.1], [1e-310, -1.0]]
+    M.imag = [[0.0, 0.2], [-0.0, 1.7976931348623157e308]]
+    for A in (M, M.T, np.zeros((0, 0))):
+        doc = json.loads(dumps_canonical(packed_matrix_to_json(A)))
+        assert doc == packed(A)
+        back = matrix_from_json(doc)
+        assert back.flags.writeable and back.dtype == complex
+        assert np.array_equal(back.view(np.uint64),
+                              np.ascontiguousarray(A).view(np.uint64))
+
+
+def test_readme_decodes_a_packed_matrix_with_the_standard_library(rng):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
+    [code] = [block for block in blocks if "c16le" in block]
+    M = random_complex(rng, 3)
+    M[1, 2] = complex(-0.0, -0.0)
+    scope = {"doc": packed_matrix_to_json(M)}
+    exec(code, scope)
+    assert np.array_equal(np.array(scope["A"]).view(np.uint64),
+                          M.view(np.uint64))
 
 
 @pytest.mark.parametrize("entry", [["1", 0], [0, None], [1.0], 2.0,
@@ -448,14 +484,42 @@ def test_routes_store_15_digit_tuples(route, text, n, scale):
              for x in pair]
     assert max(significant_digits(x) for x in parts
                if SHORT_MIN <= abs(x) < SHORT_MAX) <= 15
-    # the target is written as given, every part at its shortest repr
-    given_target = [[z.real, z.imag] for z in T.ravel().tolist()]
-    assert dumps_canonical(doc["target"]) == dumps_canonical(
-        {"entries": given_target, "n": n})
-    assert max(significant_digits(x) for pair in given_target
-               for x in pair) > 15
-    # the route's gate ran on the tuples as written
-    assert check_certificate(doc).residual == cert.residual
+    # the target is stored as given: packed bit for bit, and at version 1
+    # as decimal parts at their shortest repr
+    assert max(map(significant_digits, T.view(float).ravel().tolist())) > 15
+    for form in TARGET_FORMS:
+        stored = in_form(copy.deepcopy(doc), form)
+        assert np.array_equal(target_of(stored).view(np.uint64),
+                              T.view(np.uint64))
+        # the route's gate ran on the tuples as written
+        assert check_certificate(stored).residual == cert.residual
+
+
+@pytest.mark.parametrize("route, text, n", [
+    (waring_express, "[X1,X2]", 8),
+    (two_term_decompose, "[X1,X2]", 7),
+    (five_term_express, "(X1+X2*X3+X3*X1)^4", 6),
+], ids=["four-term", "two-term", "five-term"])
+def test_document_layout(route, text, n):
+    # the tuples are decimal documents of 15-digit parts, which the
+    # benchmark's gate and the layout writer read; the target is packed,
+    # the caller's doubles bit for bit, -0.0 included
+    rng = np.random.default_rng([20261020, n])
+    A = random_complex(rng, n)
+    if route is not five_term_express:
+        A = A - np.trace(A) / n * np.eye(n)
+    A[0, 1], A[1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    cert = route(parse(text), A)
+    doc = json.loads(dumps_canonical(certificate_to_json(cert, DEFAULT_TOLS)))
+    assert doc["version"] == 2
+    assert doc["target"].keys() == {"c16le", "n"} and doc["target"]["n"] == n
+    assert np.array_equal(target_of(doc).view(np.uint64), A.view(np.uint64))
+    for matrix in (m for tp in doc["tuples"] for m in tp):
+        assert matrix.keys() == {"entries", "n"} and matrix["n"] == n
+        assert len(matrix["entries"]) == n * n
+        assert all(type(x) is float and significant_digits(x) <= 15
+                   for pair in matrix["entries"] for x in pair)
+    assert verify_certificate(doc) == []
 
 
 def test_decimal_has_a_15_digit_mantissa_next_to_powers_of_ten():
