@@ -7,7 +7,6 @@ clusters are contiguous because the Schur form is built in cluster order
 (linalg.eigendecompose with a key), not reordered afterwards.
 """
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -145,8 +144,13 @@ def _decoupled(B, T, Q, sizes, tols):
     blocks = [T[a:b, a:b].copy() for a, b in zip(edges, edges[1:])]
     plan = TriangularPlan(blocks)
     [tri] = block_triangular_similarity(plan, [T - plan.D], ["upper"], tols)
-    [cert] = certify_similarity((Q @ tri.t)[None], plan.D, B[None], tols,
-                                ["block-diagonalize"])
+    # inverted whole, once per witness (a warm route never gets here): the
+    # term transforms carry this inverse, and on an ill-conditioned witness
+    # their inverse residual sits at its rounding floor, which the factors'
+    # inverse t^-1 Q* does not lower but moves either way
+    X = Q @ tri.t
+    [cert] = certify_similarity(X[None], np.linalg.inv(X)[None], plan.D,
+                                B[None], tols, ["block-diagonalize"])
     return blocks, cert
 
 
@@ -238,39 +242,48 @@ def _fov_vector(a, b, c, d, s):
     return np.cos(theta / 2), phase * np.sin(theta / 2)
 
 
-def _isotropic_vector(B):
-    """Unit x with x* B x = 0 (to rounding) for a trace-zero B, d >= 2.
+def _isotropic_vectors(B):
+    """Unit x_g with x_g* B_g x_g = 0 (to rounding) for each trace-zero B_g
+    of the stack B (G, d, d), d >= 2, all in one pass.
 
     With b_i the diagonal entry of largest modulus, the other diagonal
     entries average to a point on the ray through -b_i. A 2x2 solve on the
     span of e_j, e_k, the entries angularly next to that ray, gives y with
     y* B y on it; 0 then lies between b_i and y* B y, and a second 2x2
-    solve on the span of e_i, y gives x. O(d) work, on scalars but for y.
+    solve on the span of e_i, y gives x. O(d) work per block, each step one
+    array operation over the stack.
     """
-    diag = np.diag(B).tolist()
-    i = max(range(len(diag)), key=lambda t: abs(diag[t]))
+    g = np.arange(len(B))
+    diag = np.diagonal(B, axis1=-2, axis2=-1)
+    i = np.argmax(np.abs(diag), axis=1)
+    bi = diag[g, i]
     # the other diagonal entries, turned so that -b_i points along +1
-    z = {t: zt * -diag[i].conjugate() for t, zt in enumerate(diag) if t != i}
-    angle = {t: cmath.phase(zt) % (2 * np.pi) for t, zt in z.items()}
-    j, k = min(z, key=angle.get), max(z, key=angle.get)
-    if z[j].imag > 0 > z[k].imag and (z[j].conjugate() * z[k]).imag < 0:
-        # the segment from z_j to z_k crosses the ray
-        s = z[j].imag / (z[j].imag - z[k].imag)
-    else:
-        # an entry lies on the ray (up to rounding of the trace)
-        s = 0.0 if abs(cmath.phase(z[j])) <= abs(cmath.phase(z[k])) else 1.0
+    z = diag * -np.conj(bi)[:, None]
+    angle = np.angle(z) % (2 * np.pi)
+    angle[g, i] = np.inf
+    j = np.argmin(angle, axis=1)
+    angle[g, i] = -np.inf
+    k = np.argmax(angle, axis=1)
+    zj, zk = z[g, j], z[g, k]
+    # the segment from z_j to z_k crosses the ray; else an entry lies on
+    # the ray (up to rounding of the trace)
+    crosses = (zj.imag > 0) & (zk.imag < 0) & ((np.conj(zj) * zk).imag < 0)
+    s = np.where(crosses,
+                 zj.imag / np.where(crosses, zj.imag - zk.imag, 1.0),
+                 np.abs(np.angle(zj)) > np.abs(np.angle(zk)))
     # j == k leaves v = (1, 0), so y = e_j
-    v0, v1 = _fov_vector(diag[j], B.item(j, k), B.item(k, j), diag[k], s)
-    y = np.zeros(len(diag), dtype=complex)
-    np.add.at(y, [j, k], [v0, v1])
-    By = B[:, j] * v0 + B[:, k] * v1
-    w = complex(y.conj() @ By)
-    c = complex(np.conj(v0) * B.item(j, i) + np.conj(v1) * B.item(k, i))
-    total = abs(diag[i]) + abs(w)
-    u0, u1 = _fov_vector(diag[i], complex(By[i]), c, w,
-                         abs(diag[i]) / total if total else 0.0)
-    x = u1 * y
-    x[i] += u0
+    v0, v1 = _fov_vector(diag[g, j], B[g, j, k], B[g, k, j], diag[g, k], s)
+    y = np.zeros(diag.shape, dtype=complex)
+    y[g, j] = v0
+    y[g, k] += v1
+    By = B[g, :, j] * v0[:, None] + B[g, :, k] * v1[:, None]
+    w = np.conj(v0) * By[g, j] + np.conj(v1) * By[g, k]
+    c = np.conj(v0) * B[g, j, i] + np.conj(v1) * B[g, k, i]
+    total = np.abs(bi) + np.abs(w)
+    u0, u1 = _fov_vector(bi, By[g, i], c, w,
+                         np.abs(bi) / np.where(total > 0, total, 1.0))
+    x = u1[:, None] * y
+    x[g, i] += u0
     return x
 
 
@@ -297,11 +310,13 @@ def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
     Householder reflector that maps it to a unit isotropic vector x of the
     group's principal block (x* W x = 0), which zeroes its diagonal entry
     and leaves the rest of the group of sum zero (Fillmore 1969); the
-    reflectors of all odd groups have disjoint supports, so they are one
-    update. Every group, now of even size, then takes one butterfly round:
-    a 2x2 rotation per pair of its even and odd members moves both
-    diagonal entries to their midpoint, which lies in the pair's field of
-    values (Toeplitz-Hausdorff), and the round is one vectorized update.
+    isotropic vectors of all odd groups are found in one pass over the
+    stack of their principal blocks, and the reflectors have disjoint
+    supports, so they are one update. Every group, now of even size, then
+    takes one butterfly round: a 2x2 rotation per pair of its even and odd
+    members moves both diagonal entries to their midpoint, which lies in
+    the pair's field of values (Toeplitz-Hausdorff), and the round is one
+    vectorized update.
     Each group splits into its even and odd members, two groups of sum
     zero; a group of one index is done. With m the largest power of two at
     most n, that is n - m reflectors in at most log2 m updates and log2 m
@@ -310,8 +325,9 @@ def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
     The steps and the gates act on 2^-e A, e the exponent of A's largest
     part, where no square of an entry under- or overflows; T does not
     depend on the scale, and M is scaled back. to_hollow certifies T on
-    that scaled pair. T is unitary, so its condition estimate is n. The
-    result records how many reflectors and rounds ran.
+    that scaled pair, with the accumulated unitary as T's inverse. T is
+    unitary, so its condition estimate is n. The result records how many
+    reflectors and rounds ran.
     """
     A = as_cmatrix(A)
     n = A.shape[0]
@@ -331,11 +347,11 @@ def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
             # reflector H = I - 2 u u* with H x = -e^{i arg x_1} e_1 on the
             # group, so H e_1 is a unit multiple of x and (H W H)[k, k] =
             # x* W x for k the group's first index
+            X = _isotropic_vectors(W[groups[:, :, None], groups[:, None]])
+            X[:, 0] += np.exp(1j * np.angle(X[:, 0]))
             U = np.zeros((n, len(groups)), dtype=complex)
-            for u, g in zip(U.T, groups):
-                x = _isotropic_vector(W[np.ix_(g, g)])
-                x[0] += np.exp(1j * np.angle(x[0]))
-                u[g] = x / np.linalg.norm(x)
+            U[groups.T, np.arange(len(groups))] = (
+                X / np.linalg.norm(X, axis=1, keepdims=True)).T
             W -= 2 * U @ (U.conj().T @ W)
             W -= 2 * (W @ U) @ U.conj().T
             P -= 2 * (P @ U) @ U.conj().T
@@ -345,8 +361,8 @@ def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
         _midpoint_round(W, P, groups[:, 0::2].ravel(), groups[:, 1::2].ravel())
         rounds += 1
         groups = np.concatenate([groups[:, 0::2], groups[:, 1::2]])
-    [cert] = certify_similarity(P.conj().T[None], scaled, W[None], tols,
-                                ["zero-diagonal"])
+    [cert] = certify_similarity(P.conj().T[None], P[None], scaled, W[None],
+                                tols, ["zero-diagonal"])
     hollow = HollowForm(_times_pow2(W, e), cert, reflectors, rounds)
     worst = float(np.abs(np.diag(W)).max(initial=0.0))
     if worst > tols.hollow_tol * fro(W):

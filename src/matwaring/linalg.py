@@ -4,7 +4,9 @@ A complex Schur form in a given eigenvalue order (unitary deflation from
 one eigendecomposition), similarity certificates, and block-triangular
 similarities: the block back-substitution (sylvester_solve) that makes a
 block upper-triangular matrix block diagonal, over a TriangularPlan of
-fixed blocks. certify_similarity, sylvester_solve and
+fixed blocks, and inverts its transform in the same loop. A certificate
+checks a transform against the inverse its caller built with it; nothing
+here calls np.linalg.inv. certify_similarity, sylvester_solve and
 block_triangular_similarity take stacks of problems, which the routes
 solve and certify together; one problem is a stack of one. Matrices are
 numpy complex arrays; everything here targets desk scale (n <= 64).
@@ -161,17 +163,37 @@ class SimilarityCertificate:
     label: str = ""
 
 
-def certify_similarity(Ts, source, targets, tols: Tolerances, labels):
+def certify_similarity(Ts, T_invs, source, targets, tols: Tolerances, labels):
     """Certificates of T source T^-1 = target for each T in the stack Ts
-    (S, n, n) with its target and label, all on one source, validating both
-    residual bounds of each in one pass; the first failing certificate in
-    stack order raises."""
-    T_invs = np.linalg.inv(Ts)
+    (S, n, n) with its inverse in T_invs, its target and label, all on one
+    source, validating both residual bounds of each in one pass; the first
+    failing certificate in stack order raises. Nothing is inverted here:
+    each caller passes the inverse its step built, and the inverse gate
+    checks it.
+
+    A gate passes when value <= bound < inf, so NaN and an infinite bound
+    fail. ||source||_F and the map residuals are taken as fro takes a norm:
+    when a plain norm of source or of a target leaves [2^-500, 2^500], both
+    are taken again on source and targets times 2^-e, e the exponent of
+    their largest part, and scaled back by 2^e.
+    """
     with np.errstate(all="ignore"):    # inf and nan fail the gates below
-        res_inv, res_map, norm_t, norm_inv, norm_source = (
-            np.linalg.norm(M, axis=(-2, -1)).tolist() for M in (
+        res_inv, res_map, norm_t, norm_inv, norm_target = (
+            np.linalg.norm(M, axis=(-2, -1)) for M in (
                 Ts @ T_invs - np.eye(Ts.shape[-1]),
-                Ts @ source @ T_invs - targets, Ts, T_invs, source))
+                Ts @ source @ T_invs - targets, Ts, T_invs, targets))
+        norm_source = float(np.linalg.norm(source))
+        plain = np.append(norm_target, norm_source)
+        if not ((2.0 ** -500 <= plain) & (plain <= 2.0 ** 500)).all():
+            pair = np.concatenate([np.asarray(source, dtype=complex)[None],
+                                   np.asarray(targets, dtype=complex)])
+            e = _exponent(pair) or 0
+            pair = _times_pow2(pair, -e)
+            res_map = np.ldexp(np.linalg.norm(
+                Ts @ pair[0] @ T_invs - pair[1:], axis=(-2, -1)), e)
+            norm_source = float(np.ldexp(np.linalg.norm(pair[0]), e))
+    res_inv, res_map, norm_t, norm_inv = (
+        a.tolist() for a in (res_inv, res_map, norm_t, norm_inv))
     certs = []
     for k, label in enumerate(labels):
         cond = norm_t[k] * norm_inv[k]
@@ -179,12 +201,12 @@ def certify_similarity(Ts, source, targets, tols: Tolerances, labels):
         if not cond < np.inf:
             raise IllConditionedError(
                 f"certificate transform exceeds the double range ({context})")
-        if res_inv[k] > tols.cert_tol:
+        if not res_inv[k] <= tols.cert_tol < np.inf:
             raise IllConditionedError(
                 f"certificate inverse residual {res_inv[k]:.3e} exceeds "
                 f"{tols.cert_tol:.1e} ({context})")
         bound = tols.cert_tol * cond * norm_source
-        if res_map[k] > bound:
+        if not res_map[k] <= bound < np.inf:
             raise IllConditionedError(
                 f"certificate map residual {res_map[k]:.3e} exceeds bound "
                 f"{bound:.3e} ({context})")
@@ -199,9 +221,9 @@ def certify_similarity(Ts, source, targets, tols: Tolerances, labels):
 # ---------------------------------------------------------------------------
 
 def sylvester_solve(sizes, upper, tols: Tolerances = DEFAULT_TOLS):
-    """Unit block-upper T with upper T = T D, so T D T^-1 = upper, where D
-    is the block diagonal of upper over the block sizes, for each problem
-    of the stack upper (S, n, n).
+    """(T, T_inv): unit block-upper T with upper T = T D, so T D T^-1 =
+    upper, where D is the block diagonal of upper over the block sizes, for
+    each problem of the stack upper (S, n, n), with its inverse.
 
     The diagonal blocks are upper triangular, with disjoint spectra. T is
     built bottom-up, one block row at a time (the ztrevc recurrence,
@@ -211,6 +233,8 @@ def sylvester_solve(sizes, upper, tols: Tolerances = DEFAULT_TOLS):
     which needs only the rows below it. When D[e:, e:] is diagonal in every
     problem this is a division, and a diagonal block's rows are one
     vectorized step; otherwise each row is a small solve, batched over S.
+    T_inv is built in the same loop, by back substitution: once block row
+    i of T is done, T_inv[i, e:] = -T[i, e:] T_inv[e:, e:].
     Column block J of T is the Sylvester solve of block J against
     everything before it, and is gated the same way, first failure first:
     the relative residual of (upper T - T D) above block J against upper
@@ -232,19 +256,23 @@ def sylvester_solve(sizes, upper, tols: Tolerances = DEFAULT_TOLS):
     coupled = np.logical_or.reduceat(np.triu(D, 1).any((0, 2)), edges[:-1])
     diagonal_on = (~np.logical_or.accumulate(coupled[::-1])[::-1]).tolist()
     T = np.broadcast_to(np.eye(n, dtype=complex), upper.shape).copy()
+    T_inv = T.copy()
     with np.errstate(all="ignore"):
         for b in range(len(sizes) - 2, -1, -1):
             s, e = edges[b], edges[b + 1]
             if diagonal_on[b]:
                 T[:, s:e, e:] = (-(upper[:, s:e, e:] @ T[:, e:, e:])
                                  / (lam[:, s:e, None] - lam[:, None, e:]))
-                continue
-            for i in range(e - 1, s - 1, -1):
-                rhs = -(upper[:, i, None, i + 1:] @ T[:, i + 1:, e:])
-                T[:, i, e:] = (rhs / (lam[:, i, None, None] - lam[:, None, e:])
-                               if diagonal_on[b + 1] else np.linalg.solve(
-                                   lam[:, i, None, None] * np.eye(n - e)
-                                   - D[:, e:, e:].mT, rhs.mT).mT)[:, 0]
+            else:
+                for i in range(e - 1, s - 1, -1):
+                    rhs = -(upper[:, i, None, i + 1:] @ T[:, i + 1:, e:])
+                    T[:, i, e:] = (
+                        rhs / (lam[:, i, None, None] - lam[:, None, e:])
+                        if diagonal_on[b + 1] else np.linalg.solve(
+                            lam[:, i, None, None] * np.eye(n - e)
+                            - D[:, e:, e:].mT, rhs.mT).mT)[:, 0]
+            # [[I, X], [0, Y]]^-1 = [[I, -X Y^-1], [0, Y^-1]]
+            T_inv[:, s:e, e:] = -T[:, s:e, e:] @ T_inv[:, e:, e:]
         # Frobenius norm of each column block; both vanish on and below
         # the block diagonal, exactly
         TD = T * lam[:, None] if diagonal_on[0] else T @ D
@@ -268,7 +296,7 @@ def sylvester_solve(sizes, upper, tols: Tolerances = DEFAULT_TOLS):
             f"Sylvester solve residual {residual[k, J]:.3e} exceeds "
             f"{tols.solve_tol:.1e} (gap {gap:.3e}, "
             f"scale {np.abs(given[k, :e]).max():.3e})")
-    return T
+    return T, T_inv
 
 
 class TriangularPlan:
@@ -304,10 +332,10 @@ def block_triangular_similarity(plan, offs, orientations,
     the diagonal; an off must vanish on and below (upper) or above (lower)
     the block diagonal. Each transform is I + N with N strictly block
     triangular, found by one bottom-up block back-substitution
-    (sylvester_solve); the lower orientation lists the blocks last to
-    first, an exact index permutation that makes the target block upper
-    over the same triangular blocks. One sylvester_solve call per block
-    pattern, one certification.
+    (sylvester_solve), which builds its inverse alongside; the lower
+    orientation lists the blocks last to first, an exact index permutation
+    that makes the target block upper over the same triangular blocks. One
+    sylvester_solve call per block pattern, one certification.
     """
     gap, i, j = plan.gap
     if gap <= tols.gap_tol * max(plan.scale, np.finfo(float).tiny):
@@ -324,12 +352,12 @@ def block_triangular_similarity(plan, offs, orientations,
             raise ValueError("off-diagonal part must vanish on and below "
                              f"the block diagonal (max violation {bad:.3e})")
     targets = plan.D + np.stack(offs)
-    Ts = np.empty_like(targets)
+    Ts, T_invs = np.empty_like(targets), np.empty_like(targets)
     for sizes in dict.fromkeys(map(plan.patterns.get, orientations)):
         ks = [k for k, o in enumerate(orientations)
               if plan.patterns[o] == sizes]
         p = np.stack([plan.perms[orientations[k]] for k in ks])
         ix = (np.array(ks)[:, None, None], p[:, :, None], p[:, None, :])
-        Ts[ix] = sylvester_solve(sizes, targets[ix], tols)
-    return certify_similarity(Ts, plan.D, targets, tols,
+        Ts[ix], T_invs[ix] = sylvester_solve(sizes, targets[ix], tols)
+    return certify_similarity(Ts, T_invs, plan.D, targets, tols,
                               [f"block-triangular-{o}" for o in orientations])

@@ -184,9 +184,12 @@ def _assemble(mode, target, partition, hollow, halves, tols):
         R += [Sh if U is None else U.conj().T @ Sh] * 2
     L, R = np.stack(L), np.stack(R)
     terms = L @ np.stack([tri.target for tri in tri_certs]) @ R
+    # the factors' inverse X tri.t_inv R fails the inverse gate on an
+    # ill-conditioned witness, where inverting the product does not
+    Ts = L @ np.stack([tri.t for tri in tri_certs]) @ Xinv
     term_certs = certify_similarity(
-        L @ np.stack([tri.t for tri in tri_certs]) @ Xinv, witness, terms,
-        tols, [f"term{k}-similar-to-witness" for k in range(1, len(L) + 1)])
+        Ts, np.linalg.inv(Ts), witness, terms, tols,
+        [f"term{k}-similar-to-witness" for k in range(1, len(L) + 1)])
     return WaringCertificate(
         mode=mode,
         witness=witness,
@@ -557,7 +560,8 @@ def _diagonalized(D0, tols):
         case_tag="distinct",
         block_sizes=(1,) * len(w),
         blocks=[np.array([[wi]]) for wi in w],
-        to_block_diag=certify_similarity(V[None], np.diag(w), D0[None], tols,
+        to_block_diag=certify_similarity(V[None], np.linalg.inv(V)[None],
+                                         np.diag(w), D0[None], tols,
                                          ["diagonalize-witness"])[0],
     )
 

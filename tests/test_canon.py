@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import re
 
@@ -12,7 +13,7 @@ from matwaring.canon import (
     _check_cluster_gaps,
     _decoupled,
     _fov_vector,
-    _isotropic_vector,
+    _isotropic_vectors,
     _midpoint_round,
     cluster_eigenvalues,
     partition_spectrum,
@@ -201,6 +202,14 @@ class TestZeroDiagonal:
         assert np.linalg.norm(cert.t @ A @ cert.t_inv - hol.m) <= 1e-9 * (
             cert.condition_estimate * np.linalg.norm(A))
 
+    @pytest.mark.parametrize("n", [2, 5, 12, 33, 64])
+    def test_certificate_inverse_is_the_adjoint(self, rng, n):
+        # the transform is the unitary's adjoint P*, certified with the
+        # accumulated P itself as its inverse
+        cert = zero_diagonal_similarity(random_traceless(rng, n)).to_hollow
+        assert np.array_equal(cert.t_inv, cert.t.conj().T)
+        assert cert.residual_inverse <= 1e-13 * n
+
 
 def fov_vector_stack_oracle(C, s):
     """_fov_vector as it was written for a stack C (..., 2, 2), with the
@@ -309,6 +318,37 @@ def test_zero_diagonal_sizes_around_powers_of_two(n):
 
 
 
+def isotropic_vector_scalar(B):
+    """_isotropic_vectors of one block, as it was written on Python scalars
+    before the stacked form: unit x with x* B x = 0 (to rounding) for a
+    trace-zero B, d >= 2."""
+    diag = np.diag(B).tolist()
+    i = max(range(len(diag)), key=lambda t: abs(diag[t]))
+    # the other diagonal entries, turned so that -b_i points along +1
+    z = {t: zt * -diag[i].conjugate() for t, zt in enumerate(diag) if t != i}
+    angle = {t: cmath.phase(zt) % (2 * np.pi) for t, zt in z.items()}
+    j, k = min(z, key=angle.get), max(z, key=angle.get)
+    if z[j].imag > 0 > z[k].imag and (z[j].conjugate() * z[k]).imag < 0:
+        # the segment from z_j to z_k crosses the ray
+        s = z[j].imag / (z[j].imag - z[k].imag)
+    else:
+        # an entry lies on the ray (up to rounding of the trace)
+        s = 0.0 if abs(cmath.phase(z[j])) <= abs(cmath.phase(z[k])) else 1.0
+    # j == k leaves v = (1, 0), so y = e_j
+    v0, v1 = _fov_vector(diag[j], B.item(j, k), B.item(k, j), diag[k], s)
+    y = np.zeros(len(diag), dtype=complex)
+    np.add.at(y, [j, k], [v0, v1])
+    By = B[:, j] * v0 + B[:, k] * v1
+    w = complex(y.conj() @ By)
+    c = complex(np.conj(v0) * B.item(j, i) + np.conj(v1) * B.item(k, i))
+    total = abs(diag[i]) + abs(w)
+    u0, u1 = _fov_vector(diag[i], complex(By[i]), c, w,
+                         abs(diag[i]) / total if total else 0.0)
+    x = u1 * y
+    x[i] += u0
+    return x
+
+
 def zero_diagonal_two_phase(A, tols=DEFAULT_TOLS):
     """zero_diagonal_similarity as it was written before the halving loop,
     on A as given: with m the largest power of two at most n, n - m
@@ -324,7 +364,7 @@ def zero_diagonal_two_phase(A, tols=DEFAULT_TOLS):
     for k in range(r):
         if np.abs(np.diag(W)[k:]).max() <= tols.hollow_tol * norm_a:
             break
-        u = _isotropic_vector(W[k:, k:])
+        u = isotropic_vector_scalar(W[k:, k:])
         u[0] += np.exp(1j * np.angle(u[0]))
         u /= np.linalg.norm(u)
         W[k:, :] -= 2 * np.outer(u, u.conj() @ W[k:, :])
@@ -437,8 +477,8 @@ _targets = st.tuples(st.sampled_from(_KINDS), st.integers(2, 64),
 
 
 def isotropic_vector_oracle(B):
-    """_isotropic_vector as it was written on numpy arrays, with the 2x2
-    solves on stacks of one."""
+    """The isotropic vector of one block as it was written on numpy arrays,
+    with the 2x2 solves on stacks of one."""
     diag = np.diag(B)
     i = int(np.argmax(np.abs(diag)))
     rest = np.delete(np.arange(B.shape[0]), i)
@@ -465,7 +505,7 @@ def isotropic_vector_oracle(B):
 
 def assert_isotropic(B, case):
     """A unit x with |x* B x| at rounding level relative to ||B||_F."""
-    x = _isotropic_vector(B)
+    x = _isotropic_vectors(B[None])[0]
     assert abs(np.linalg.norm(x) - 1) <= 4 * _EPS, case
     assert abs(x.conj() @ B @ x) <= 32 * _EPS * fro(B), case
 
@@ -475,11 +515,25 @@ def test_isotropic_vector_matches_array_form(rng, d):
     # d = 2 leaves one other diagonal entry, so j == k
     for kind, block in _test_blocks(rng, d):
         B = block - np.trace(block) / d * np.eye(d)
-        x, want = _isotropic_vector(B), isotropic_vector_oracle(B)
+        x, want = _isotropic_vectors(B[None])[0], isotropic_vector_oracle(B)
         for v in (x, want):
             assert abs(np.linalg.norm(v) - 1) <= 4 * _EPS, kind
             assert abs(v.conj() @ B @ v) <= 1e-14 * fro(B), kind
         assert np.abs(x - want).max() <= 1e-14, kind
+
+
+@pytest.mark.parametrize("d", range(3, 16))
+def test_isotropic_vectors_match_the_scalar_form(rng, d):
+    # one stack of every block kind, against the scalar form one block at
+    # a time; NumPy and Python round complex products differently, so they
+    # agree to rounding (d = 2 can also tie |b_0| = |b_1| differently)
+    kinds, blocks = zip(*(kind for _ in range(3)
+                          for kind in _test_blocks(rng, d)))
+    B = np.stack([b - np.trace(b) / d * np.eye(d) for b in blocks])
+    X = _isotropic_vectors(B)
+    for kind, Bg, x in zip(kinds, B, X):
+        assert np.abs(x - isotropic_vector_scalar(Bg)).max() <= 1e-14, kind
+        assert abs(x.conj() @ Bg @ x) <= 32 * _EPS * fro(Bg), kind
 
 
 @pytest.mark.parametrize("d", list(range(2, 21)) + [32, 33, 64])

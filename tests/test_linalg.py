@@ -48,7 +48,7 @@ def triangular_sylvester(R1, R2, C, tols=DEFAULT_TOLS):
     the unit block-upper transform of [[R1, -C], [0, R2]]."""
     p, q = len(R1), len(R2)
     upper = np.block([[R1, -C], [np.zeros((q, p)), R2]]).astype(complex)
-    return sylvester_solve((p, q), upper[None], tols)[0, :p, p:]
+    return sylvester_solve((p, q), upper[None], tols)[0][0, :p, p:]
 
 
 def checked_sylvester(R1, R2, C):
@@ -276,10 +276,24 @@ class TestSylvester:
     def test_transform_does_not_depend_on_a_power_of_two(self, rng):
         upper = planted_triangular(rng, [1, 2, 5, 6, 7]) + np.triu(
             random_complex(rng, 5), 1)
-        T = sylvester_solve((2, 1, 2), upper[None])
+        T, T_inv = sylvester_solve((2, 1, 2), upper[None])
         for k in (-600, -40, 40, 600):
-            scaled = sylvester_solve((2, 1, 2), upper[None] * 2.0 ** k)
+            scaled, scaled_inv = sylvester_solve((2, 1, 2),
+                                                 upper[None] * 2.0 ** k)
             assert scaled.tobytes() == T.tobytes()
+            assert scaled_inv.tobytes() == T_inv.tobytes()
+
+    def test_certificate_at_the_top_of_the_double_range(self, rng):
+        # at 1e300 the squares in the map residual's norm overflowed, and
+        # the certificate carried residual_map inf; it is taken on the pair
+        # times 2^-e and scaled back
+        blocks = [np.array([[1e300 * (k + 1)]]) for k in range(6)]
+        off = 1e300 * np.triu(random_complex(rng, 6), 1)
+        [cert] = block_triangular_similarity(TriangularPlan(blocks), [off],
+                                             ["upper"])
+        bound = (DEFAULT_TOLS.cert_tol * cert.condition_estimate
+                 * fro(cert.source))
+        assert 0 < cert.residual_map <= bound < np.inf
 
 
 class TestSubspaces:
@@ -335,7 +349,8 @@ class TestCertificates:
         T = random_complex(rng, 4)
         X = random_complex(rng, 4)
         Y = T @ X @ np.linalg.inv(T)
-        [cert] = certify_similarity(T[None], X, Y[None], DEFAULT_TOLS, [""])
+        [cert] = certify_similarity(T[None], np.linalg.inv(T)[None], X,
+                                    Y[None], DEFAULT_TOLS, [""])
         assert cert.residual_inverse <= DEFAULT_TOLS.cert_tol
         bound = (DEFAULT_TOLS.cert_tol * cert.condition_estimate
                  * np.linalg.norm(X))
@@ -345,18 +360,50 @@ class TestCertificates:
         T = random_complex(rng, 3)
         X = random_complex(rng, 3)
         with pytest.raises(IllConditionedError):
-            certify_similarity(T[None], X, (X + np.eye(3))[None],
-                               DEFAULT_TOLS, [""])
+            certify_similarity(T[None], np.linalg.inv(T)[None], X,
+                               (X + np.eye(3))[None], DEFAULT_TOLS, [""])
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e100, 1e160, 1e300])
+    def test_wrong_target_rejected_at_every_scale(self, rng, scale):
+        # at 1e160 both sides of the map gate were inf, and inf > inf let
+        # the wrong target through with residual_map inf
+        I = np.eye(3)
+        X = random_complex(rng, 3)
+        with pytest.raises(IllConditionedError,
+                           match="certificate map residual"):
+            certify_similarity(I[None], I[None], scale * X,
+                               (scale * (X + I))[None], DEFAULT_TOLS, ["x"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, rng, bad):
+        # a NaN residual compared false against its bound and passed
+        T = random_complex(rng, 3)
+        X = random_complex(rng, 3)
+        target = T @ X @ np.linalg.inv(T)
+        target[1, 2] = bad
+        with pytest.raises(IllConditionedError,
+                           match="certificate map residual"):
+            certify_similarity(T[None], np.linalg.inv(T)[None], X,
+                               target[None], DEFAULT_TOLS, ["x"])
+
+    def test_non_finite_inverse_rejected(self, rng):
+        T = random_complex(rng, 3)
+        T_inv = np.linalg.inv(T)
+        T_inv[0, 0] = np.nan
+        with pytest.raises(IllConditionedError):
+            certify_similarity(T[None], T_inv[None], T, T[None],
+                               DEFAULT_TOLS, ["x"])
 
     def test_messages_carry_condition_estimate(self, rng):
         # the Hilbert matrix fails the inverse gate, a wrong target the map gate
         X = random_complex(rng, 12)
         hilbert = scipy.linalg.hilbert(12).astype(complex)
         for T, target in ((hilbert, X), (random_complex(rng, 12), X + np.eye(12))):
-            cond = np.linalg.norm(T) * np.linalg.norm(np.linalg.inv(T))
+            T_inv = np.linalg.inv(T)
+            cond = np.linalg.norm(T) * np.linalg.norm(T_inv)
             with pytest.raises(IllConditionedError) as err:
-                certify_similarity(T[None], X, target[None], DEFAULT_TOLS,
-                                   [""])
+                certify_similarity(T[None], T_inv[None], X, target[None],
+                                   DEFAULT_TOLS, [""])
             assert f"condition estimate {cond:.3e}" in str(err.value)
 
 
@@ -613,21 +660,23 @@ def test_block_triangular_property(sizes, orientation, log_scale, seed):
 # replaced, kept here as the oracle
 # ---------------------------------------------------------------------------
 
-def oracle_certify(T, source, target):
-    """certify_similarity of one transform, as it was written per call:
-    (t_inv, residual_inverse, residual_map, condition_estimate)."""
-    T_inv = np.linalg.inv(T)
+def oracle_certify(T, T_inv, source, target):
+    """certify_similarity of one transform with its inverse, as it was
+    written per call: (residual_inverse, residual_map,
+    condition_estimate)."""
     cond = fro(T) * fro(T_inv)
     assert cond < np.inf
     residual_inverse = fro(T @ T_inv - np.eye(T.shape[0]))
     residual_map = fro(T @ source @ T_inv - target)
     assert residual_inverse <= DEFAULT_TOLS.cert_tol
     assert residual_map <= DEFAULT_TOLS.cert_tol * cond * fro(source)
-    return T_inv, residual_inverse, residual_map, cond
+    return residual_inverse, residual_map, cond
 
 
 def oracle_sylvester_solve(sizes, upper, tols=DEFAULT_TOLS):
-    """The unit block-upper transform of one (n, n) problem, row by row."""
+    """The unit block-upper transform of one (n, n) problem, row by row,
+    with its inverse by back substitution, block row by block row:
+    (T, T_inv)."""
     n = upper.shape[0]
     lam = np.diag(upper)
     labels = block_labels(sizes)
@@ -636,19 +685,21 @@ def oracle_sylvester_solve(sizes, upper, tols=DEFAULT_TOLS):
     coupled = np.logical_or.reduceat(np.triu(D, 1).any(axis=1), edges[:-1])
     diagonal_on = (~np.logical_or.accumulate(coupled[::-1])[::-1]).tolist()
     T = np.eye(n, dtype=complex)
+    T_inv = np.eye(n, dtype=complex)
     for b in range(len(sizes) - 2, -1, -1):
         s, e = edges[b], edges[b + 1]
         if diagonal_on[b]:
             T[s:e, e:] = (-(upper[s:e, e:] @ T[e:, e:])
                           / (lam[s:e, None] - lam[e:]))
-            continue
-        for i in range(e - 1, s - 1, -1):
-            rhs = -(upper[i, i + 1:] @ T[i + 1:, e:])
-            T[i, e:] = (rhs / (lam[i] - lam[e:]) if diagonal_on[b + 1]
-                        else np.linalg.solve(
-                            lam[i] * np.eye(n - e) - D[e:, e:].T, rhs))
+        else:
+            for i in range(e - 1, s - 1, -1):
+                rhs = -(upper[i, i + 1:] @ T[i + 1:, e:])
+                T[i, e:] = (rhs / (lam[i] - lam[e:]) if diagonal_on[b + 1]
+                            else np.linalg.solve(
+                                lam[i] * np.eye(n - e) - D[e:, e:].T, rhs))
+        T_inv[s:e, e:] = -T[s:e, e:] @ T_inv[e:, e:]
     assert np.isfinite(T).all()
-    return T
+    return T, T_inv
 
 
 def oracle_block_triangular(blocks, off, orientation):
@@ -663,10 +714,10 @@ def oracle_block_triangular(blocks, off, orientation):
     p = np.argsort(keys, kind="stable")
     ix = np.ix_(p, p)
     target = D + off
-    T = np.empty_like(target)
-    T[ix] = oracle_sylvester_solve(
+    T, T_inv = np.empty_like(target), np.empty_like(target)
+    T[ix], T_inv[ix] = oracle_sylvester_solve(
         sizes if orientation == "upper" else sizes[::-1], target[ix])
-    return (T, *oracle_certify(T, D, target))
+    return (T, T_inv, *oracle_certify(T, T_inv, D, target))
 
 
 def _stack_patterns(n):
@@ -719,6 +770,6 @@ def test_stacked_similarities_match_per_call_oracle(rng, n, pattern, S,
         # order) T is the identity, exactly
         keys = labels if o == "upper" else -labels
         fixed = keys[None, :] <= keys[:, None]
-        assert np.array_equal(cert.t[fixed], np.eye(n)[fixed])
-        assert np.array_equal(T[fixed], np.eye(n)[fixed])
+        for M in (cert.t, cert.t_inv, T, T_inv):
+            assert np.array_equal(M[fixed], np.eye(n)[fixed])
         assert np.array_equal(cert.target, blkdiag(blocks) + off)

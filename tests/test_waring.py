@@ -861,7 +861,8 @@ class TestWitnessMemo:
             transforms, linalg.sylvester_solve,
             lambda sizes, upper, tols: (tuple(sizes), len(upper))))
         certify = recording(passes, linalg.certify_similarity,
-                            lambda Ts, source, targets, tols, labels: labels)
+                            lambda Ts, T_invs, source, targets, tols,
+                            labels: labels)
         monkeypatch.setattr(linalg, "certify_similarity", certify)
         monkeypatch.setattr(waring, "certify_similarity", certify)
         f = parse("[X1,X2]")
@@ -919,6 +920,32 @@ class TestWitnessMemo:
             del calls[:]
             assert route(f, A).k != 0
             assert calls == [("evaluate", "_finish")]
+
+    @pytest.mark.parametrize("route, text, n", [
+        (waring_express, "[X1,X2]", 6),
+        (two_term_decompose, "[X1,X2]", 5),
+        (five_term_express, "(X1+X2*X3+X3*X1)^4", 4),
+    ])
+    def test_warm_route_inverts_only_the_term_transforms(self, monkeypatch,
+                                                         route, text, n):
+        # the zero-diagonal and triangular steps certify with the inverses
+        # they built; the witness's factorization, with its inverse, is
+        # the memo's, so one np.linalg.inv call is left: the term stack
+        inverted, inv = [], np.linalg.inv
+
+        def counting_inv(a):
+            inverted.append(np.shape(a))
+            return inv(a)
+
+        f = parse(text)
+        rng = np.random.default_rng(n)
+        targets = [s * random_complex(rng, n) for s in (1, 1e-8)]
+        if route is not five_term_express:
+            targets = [A - (np.trace(A) / n) * np.eye(n) for A in targets]
+        route(f, targets[0])
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        cert = route(f, targets[1])
+        assert inverted == [(len(cert.term_certs), n, n)]
 
     def test_memo_entry_dies_with_f(self):
         f = parse("[X1,X2]")
