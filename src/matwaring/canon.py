@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import CLUSTER_TOL, DEFAULT_TOLS, Tolerances
 from .errors import (
     ClusterGapTooSmallError,
     MultiplicityTooLargeError,
@@ -85,9 +85,8 @@ class SpectralPartition:
 
 @dataclass
 class HollowForm:
-    """M = T A T^-1 with (numerically) zero diagonal; to_hollow certifies T
-    on A and M scaled by one power of two (zero_diagonal_similarity), so
-    its t and t_inv map A to M. reflectors and rounds count the steps of
+    """M = T A T^-1 with (numerically) zero diagonal, certified on A and M
+    by to_hollow. reflectors and rounds count the steps of
     zero_diagonal_similarity that ran."""
 
     m: np.ndarray
@@ -158,7 +157,7 @@ def _grouped_clusters(eigs, tols):
     """partition_spectrum's clusters of eigs in block order, with the case
     tag, the group sizes and the number of clusters in each group."""
     n = len(eigs)
-    clusters = cluster_eigenvalues(eigs, tols.cluster_tol)
+    clusters = cluster_eigenvalues(eigs, CLUSTER_TOL)
     for value, mult in clusters:
         if 2 * mult > n:
             raise MultiplicityTooLargeError(value, mult, n)
@@ -325,9 +324,9 @@ def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
     The steps and the gates act on 2^-e A, e the exponent of A's largest
     part, where no square of an entry under- or overflows; T does not
     depend on the scale, and M is scaled back. to_hollow certifies T on
-    that scaled pair, with the accumulated unitary as T's inverse. T is
-    unitary, so its condition estimate is n. The result records how many
-    reflectors and rounds ran.
+    (A, M), with the accumulated unitary as T's inverse. T is unitary, so
+    its condition estimate is n. The result records how many reflectors and
+    rounds ran.
     """
     A = as_cmatrix(A)
     n = A.shape[0]
@@ -361,9 +360,10 @@ def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
         _midpoint_round(W, P, groups[:, 0::2].ravel(), groups[:, 1::2].ravel())
         rounds += 1
         groups = np.concatenate([groups[:, 0::2], groups[:, 1::2]])
-    [cert] = certify_similarity(P.conj().T[None], P[None], scaled, W[None],
-                                tols, ["zero-diagonal"])
-    hollow = HollowForm(_times_pow2(W, e), cert, reflectors, rounds)
+    M = _times_pow2(W, e)
+    [cert] = certify_similarity(P.conj().T[None], P[None], A, M[None], tols,
+                                ["zero-diagonal"])
+    hollow = HollowForm(M, cert, reflectors, rounds)
     worst = float(np.abs(np.diag(W)).max(initial=0.0))
     if worst > tols.hollow_tol * fro(W):
         raise ResidualTooLargeError(

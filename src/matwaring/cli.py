@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse/input error,
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -71,14 +72,21 @@ def _add_common(parser):
                             metavar="X", help=f"override {name}_tol")
 
 
+def _tolerance(flag, value):
+    """value, when it is a positive finite number; a tolerance of NaN or
+    inf passes or fails every gate whatever it measures."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{flag} must be a positive finite number, "
+                         f"got {value}")
+    return value
+
+
 def _tolerances(args):
     overrides = {}
     for name in _TOL_FLAGS:
         value = getattr(args, f"tol_{name}")
         if value is not None:
-            if value <= 0:
-                raise ValueError(f"--tol-{name} must be positive")
-            overrides[f"{name}_tol"] = value
+            overrides[f"{name}_tol"] = _tolerance(f"--tol-{name}", value)
     return replace(DEFAULT_TOLS, **overrides)
 
 
@@ -176,8 +184,9 @@ def cmd_verify(args):
 
 
 def cmd_classify(args):
+    tol = _tolerance("--tol", args.tol)
     f = parse(args.poly)
-    verdict = classify(f, args.n, samples=args.samples, tol=args.tol,
+    verdict = classify(f, args.n, samples=args.samples, tol=tol,
                        seed=args.seed)
     print(f"{verdict.describe()} (n={verdict.n}, samples={verdict.samples}, "
           f"tol={verdict.tolerance:g})")

@@ -13,21 +13,23 @@ class Tolerances:
     gap_tol: float = 1e-8
     # Sylvester solve relative residual
     solve_tol: float = 1e-10
-    # similarity certificates: inverse residual and (condition-weighted) map residual
+    # similarity certificates: inverse residual, and map residual relative
+    # to condition estimate * ||source||_F
     cert_tol: float = 1e-9
-    # eigenvalue clustering, relative to max |eigenvalue|
-    cluster_tol: float = 1e-7
     # zero-diagonal forms: |M_ii| <= hollow_tol * ||M||_F, and the trace-zero gate
     hollow_tol: float = 1e-8
     # hollow-split reconstruction residual, relative to max(1, ||M||_F)
     split_tol: float = 1e-9
     # end-to-end decomposition residual, relative to max(1, ||target||_F)
     end_tol: float = 1e-6
-    # nonzero-trace witness gate, relative to max(1, ||image||_F)
-    trace_tol: float = 1e-8
 
 
 DEFAULT_TOLS = Tolerances()
+
+# eigenvalue clustering, relative to max |eigenvalue|
+CLUSTER_TOL = 1e-7
+# nonzero-trace witness gate, relative to max(1, ||image||_F)
+TRACE_TOL = 1e-8
 
 # polynomial classification defaults
 CLASSIFY_TOL = 1e-8

@@ -72,13 +72,20 @@ def eigendecompose(A, key=None):
     the nearest ones they replace. Should its first vector miss too, the
     least right singular vector of W - lambda I replaces it (lambda is an
     eigenvalue of a matrix near W), and is kept in any case.
+
+    All of this runs on 2^-e A, e the exponent of A's largest part, where
+    no square of an entry over- or underflows: Q and the order do not
+    depend on a power-of-two scale of A, and T and the eigenvalues are
+    scaled back by 2^e. key sees A's own eigenvalues.
     """
     A = as_cmatrix(A)
     n = A.shape[0]
-    W, Q = A.copy(), np.eye(n, dtype=complex)
-    tol = np.sqrt(n) * np.finfo(float).eps * fro(A)
-    w, V = np.linalg.eig(A)
-    keys = np.zeros(n, dtype=int) if key is None else np.asarray(key(w))
+    e = _exponent(A) or 0
+    W, Q = _times_pow2(A, -e), np.eye(n, dtype=complex)
+    tol = np.sqrt(n) * np.finfo(float).eps * fro(W)
+    w, V = np.linalg.eig(W)
+    keys = (np.zeros(n, dtype=int) if key is None
+            else np.asarray(key(_times_pow2(w, e))))
     k = 0
     while n - k > 1:
         order = np.argsort(keys, kind="stable")
@@ -102,7 +109,7 @@ def eigendecompose(A, key=None):
                 raise SpectraOverlapError(
                     "the trailing eigenvalues could not be matched to their "
                     f"keys {left.tolist()}")
-    T = np.triu(W)
+    T = _times_pow2(np.triu(W), e)
     return np.diag(T).copy(), T, Q
 
 
@@ -172,26 +179,21 @@ def certify_similarity(Ts, T_invs, source, targets, tols: Tolerances, labels):
     checks it.
 
     A gate passes when value <= bound < inf, so NaN and an infinite bound
-    fail. ||source||_F and the map residuals are taken as fro takes a norm:
-    when a plain norm of source or of a target leaves [2^-500, 2^500], both
-    are taken again on source and targets times 2^-e, e the exponent of
-    their largest part, and scaled back by 2^e.
+    fail. The map residuals and ||source||_F are taken on source and
+    targets times 2^-e, e the exponent of their largest part, where no
+    square over- or underflows, and scaled back by 2^e.
     """
+    pair = np.concatenate([np.asarray(source, dtype=complex)[None],
+                           np.asarray(targets, dtype=complex)])
     with np.errstate(all="ignore"):    # inf and nan fail the gates below
-        res_inv, res_map, norm_t, norm_inv, norm_target = (
+        e = _exponent(pair) or 0
+        pair = _times_pow2(pair, -e)
+        res_inv, res_map, norm_t, norm_inv, norm_source = (
             np.linalg.norm(M, axis=(-2, -1)) for M in (
                 Ts @ T_invs - np.eye(Ts.shape[-1]),
-                Ts @ source @ T_invs - targets, Ts, T_invs, targets))
-        norm_source = float(np.linalg.norm(source))
-        plain = np.append(norm_target, norm_source)
-        if not ((2.0 ** -500 <= plain) & (plain <= 2.0 ** 500)).all():
-            pair = np.concatenate([np.asarray(source, dtype=complex)[None],
-                                   np.asarray(targets, dtype=complex)])
-            e = _exponent(pair) or 0
-            pair = _times_pow2(pair, -e)
-            res_map = np.ldexp(np.linalg.norm(
-                Ts @ pair[0] @ T_invs - pair[1:], axis=(-2, -1)), e)
-            norm_source = float(np.ldexp(np.linalg.norm(pair[0]), e))
+                Ts @ pair[0] @ T_invs - pair[1:], Ts, T_invs, pair[0]))
+        res_map = np.ldexp(res_map, e)
+        norm_source = float(np.ldexp(norm_source, e))
     res_inv, res_map, norm_t, norm_inv = (
         a.tolist() for a in (res_inv, res_map, norm_t, norm_inv))
     certs = []

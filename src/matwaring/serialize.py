@@ -240,12 +240,9 @@ def certificate_to_json(cert, tols):
         "polynomial": cert.polynomial,
         "target": packed_matrix_to_json(cert.target),
         "coefficients": [complex_to_json(c) for c in cert.coefficients],
-        # the verifier re-evaluates f on the tuples
-        "terms": None,
         "tuples": [[matrix_to_json(a) for a in tp] for tp in cert.tuples],
         "residual": cert.residual,
         "residual_bound": cert.residual_bound,
-        "cert_tol": tols.cert_tol,
         "tolerances": dataclasses.asdict(tols),
         "seed": cert.seed,
         "budget": cert.budget,
@@ -338,24 +335,14 @@ def _replaced(value, replace):
 
 def _float_parts(entries):
     """The parts of entries in a row when it is a nonempty list of [re, im]
-    lists of Python floats, else None. A look at the first pair, which must
-    be 15-digit, passes cheaply over a matrix of other doubles, such as a
-    decimal target of shortest-repr parts."""
-    if (type(entries) is list and entries and type(entries[0]) is list
-            and all(map(_is_15_digit, entries[0]))
+    lists of Python floats, else None."""
+    if (type(entries) is list and entries
             and set(map(type, entries)) == {list}
             and set(map(len, entries)) == {2}):
         parts = list(chain.from_iterable(entries))
         if set(map(type, parts)) == {float}:
             return parts
     return None
-
-
-def _is_15_digit(x):
-    """Whether x is a float 0.0 or one equal to its own 15-digit rounding
-    in [SHORT_MIN, SHORT_MAX); the same test as _entries_texts makes."""
-    return type(x) is float and (x == 0 or SHORT_MIN <= abs(x) < SHORT_MAX
-                                 and float(f"{x:.14e}") == x)
 
 
 def _entries_texts(matrices):

@@ -5,19 +5,17 @@ text into its program, without multiplying it out, runs it on every stored
 argument tuple and recomputes the signed sum against the target. That
 reconstruction gate is what a pass proves: the target is the signed sum of
 the images of f on the stored tuples, the paper's claim about f. A document
-without tuples fails, and other keys, such as the witness and similarity
-steps that older documents carried, are ignored. None of the construction
-pipeline is imported (tests/test_imports.py walks the imports), so a
-passing verdict does not trust it.
+without tuples fails, and other keys, such as the witness, similarity
+steps, terms and cert_tol that older documents carried, are ignored. None
+of the construction pipeline is imported (tests/test_imports.py walks the
+imports), so a passing verdict does not trust it.
 
 The verifier sets its own bound: the reconstruction residual must be at
 most `DEFAULT_TOLS.end_tol * max(1, ||target||_F)`. A stored bound may only
 tighten it, and a gate whose bound is NaN or infinite fails, so no document
 can loosen the check it is put to. Below ||target||_F = 1 the bound is
 absolute: the relative accuracy that the routes deliver there, by
-decomposing a graded f's target at scale, is not what a pass proves. The
-stored `cert_tol` is a field of the format that no gate uses; it must
-still be a number other than NaN.
+decomposing a graded f's target at scale, is not what a pass proves.
 """
 
 from dataclasses import dataclass, field
@@ -133,11 +131,6 @@ def _check(doc, verdict):
     else:
         return [f"unknown mode {mode!r}"]
 
-    cert_tol = _number(doc, "cert_tol")
-    if cert_tol is None:
-        return failures + ["malformed field 'cert_tol': not a number"]
-    if np.isnan(cert_tol):
-        failures.append("malformed field 'cert_tol': NaN")
     try:
         target = matrix_from_json(doc["target"])
     except (KeyError, TypeError, ValueError, OverflowError):

@@ -21,7 +21,13 @@ from .canon import (
     partition_spectrum,
     zero_diagonal_similarity,
 )
-from .config import DEFAULT_BUDGET, DEFAULT_TOLS, Tolerances
+from .config import (
+    CLUSTER_TOL,
+    DEFAULT_BUDGET,
+    DEFAULT_TOLS,
+    TRACE_TOL,
+    Tolerances,
+)
 from .errors import (
     BudgetExhaustedError,
     NonzeroTraceError,
@@ -77,9 +83,6 @@ class WaringCertificate:
     problem. k, weights and degree are kept here; the document does not
     hold them. k is 0 for an ungraded f, whose witness is scaled instead
     (`_scaled_toward`), and for a matrix-level `four_term_decompose` result.
-    An ungraded f's witness past 2^512 is factored as 2^-e times itself
-    (`_rescaled`): steps and term_certs then certify 2^-e times the witness
-    and the target.
     """
 
     mode: str
@@ -241,7 +244,7 @@ def _goal_satisfied(goal, image, tols):
     n = image.shape[0]
     if goal == GOAL_MULTIPLICITY_HALF:
         eigs = np.linalg.eigvals(image)
-        clusters = cluster_eigenvalues(eigs, tols.cluster_tol)
+        clusters = cluster_eigenvalues(eigs, CLUSTER_TOL)
         return all(2 * mult <= n for _, mult in clusters)
     if goal == GOAL_DISTINCT_EIGS:
         eigs = np.linalg.eigvals(image)
@@ -249,7 +252,7 @@ def _goal_satisfied(goal, image, tols):
         gap, _, _ = spectral_gap(eigs, np.arange(n))
         return gap > tols.gap_tol * scale
     if goal == GOAL_NONZERO_TRACE:
-        return abs(np.trace(image)) > tols.trace_tol * max(1.0, fro(image))
+        return abs(np.trace(image)) > TRACE_TOL * max(1.0, fro(image))
     raise ValueError(f"unknown goal {goal!r}")
 
 
@@ -381,19 +384,11 @@ def _rescaled(f, A, prep, factor):
     with k from _scale_exponent, and _finish multiplies tuple part j by
     2^(k w_j), so f of the result is 2^(k D) times the scaled terms. An
     ungraded f has its witness B _scaled_toward A instead, with k = 0.
-    Past 2^512 a square of B's largest part overflows, and with it the
-    norms of B's factorization and of the gates; B and A are then both
-    multiplied by 2^-e, e = _exponent(B), which leaves every transform as
-    it is, so the tuple is conjugated unscaled.
     """
     image, args = prep.found(f)
     if prep.grading is None:
         B, args = _scaled_toward(f, image, args, A, prep.goal, prep.tols)
-        e = _exponent(B) or 0
-        if e <= np.finfo(float).maxexp // 2:
-            return B, args, prep.factored(B, factor), A, (0, None, None)
-        return (B, args, prep.factored(_times_pow2(B, -e), factor),
-                _times_pow2(A, -e), (0, None, None))
+        return B, args, prep.factored(B, factor), A, (0, None, None)
     k = _scale_exponent(image, args, A, prep.grading)
     D = prep.grading[1]
     return (image, args, prep.factored(image, factor),
@@ -554,8 +549,12 @@ def two_term_applies(f, n):
 
 def _diagonalized(D0, tols):
     """The n 1x1 eigenvalue blocks of D0, with the certificate of its
-    eigendecomposition."""
-    w, V = np.linalg.eig(D0)
+    eigendecomposition. eig runs on 2^-e D0, e the exponent of D0's
+    largest part, so V does not depend on a power-of-two scale of D0, and
+    the eigenvalues are scaled back by 2^e."""
+    e = _exponent(D0) or 0
+    w, V = np.linalg.eig(_times_pow2(D0, -e))
+    w = _times_pow2(w, e)
     return SpectralPartition(
         case_tag="distinct",
         block_sizes=(1,) * len(w),

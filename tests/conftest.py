@@ -51,12 +51,13 @@ def target_of(doc):
 def in_form(doc, form):
     """doc, changed in place so that its target is in form: "packed" is the
     document as written (a version 2 document with a packed target), "v1"
-    the version 1 document with the same target as decimal [re, im] pairs."""
+    the version 1 document with the same target as decimal [re, im] pairs,
+    and the "terms": null and cert_tol keys that version 1 wrote."""
     if form == "packed":
         assert doc["version"] == 2 and doc["target"].keys() == {"c16le", "n"}
     else:
         doc["target"] = decimal(target_of(doc))
-        doc["version"] = 1
+        doc.update(version=1, terms=None, cert_tol=1e-9)
     return doc
 
 

@@ -19,7 +19,7 @@ from matwaring.canon import (
     partition_spectrum,
     zero_diagonal_similarity,
 )
-from matwaring.config import DEFAULT_TOLS
+from matwaring.config import CLUSTER_TOL, DEFAULT_TOLS
 from matwaring.errors import (
     ClusterGapTooSmallError,
     MultiplicityTooLargeError,
@@ -77,8 +77,7 @@ class TestBlockDiagonalize:
 
     def test_planted_five(self, rng):
         B = planted_matrix(rng, [1, 1, 2, 2, 3])
-        clusters = cluster_eigenvalues(np.linalg.eigvals(B),
-                                       DEFAULT_TOLS.cluster_tol)
+        clusters = cluster_eigenvalues(np.linalg.eigvals(B), CLUSTER_TOL)
         blocks, cert = decoupled_along(B, clusters)
         assert [b.shape[0] for b in blocks] == [2, 2, 1]
         recon = cert.t @ blkdiag(blocks) @ cert.t_inv
@@ -93,8 +92,7 @@ class TestBlockDiagonalize:
         J = np.array([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2.0]])
         Q = random_unitary(rng, 4)
         B = Q @ J @ Q.conj().T
-        clusters = cluster_eigenvalues(np.linalg.eigvals(B),
-                                       DEFAULT_TOLS.cluster_tol)
+        clusters = cluster_eigenvalues(np.linalg.eigvals(B), CLUSTER_TOL)
         blocks, cert = decoupled_along(B, clusters)
         recon = cert.t @ blkdiag(blocks) @ cert.t_inv
         assert np.linalg.norm(recon - B) <= 1e-9 * np.linalg.norm(B)
@@ -668,13 +666,13 @@ def test_reorder_schur_matches_bubble_oracle(rng, n):
     assert fro(Q @ T @ Q.conj().T - A) <= 1e-12 * fro(A)
 
 
-def grouping_oracle(B, tols=DEFAULT_TOLS):
+def grouping_oracle(B):
     """The three-branch group selection that partition_spectrum made before
     its one greedy pass: (case_tag, block_sizes, the clusters of each
     block)."""
     eigs = eigendecompose(B)[0]
     n = len(eigs)
-    clusters = cluster_eigenvalues(eigs, tols.cluster_tol)
+    clusters = cluster_eigenvalues(eigs, CLUSTER_TOL)
     if n % 2 == 0:
         half = n // 2
         halves = [i for i, c in enumerate(clusters) if c[1] == half]

@@ -185,6 +185,24 @@ class TestDecompose:
         assert code == 2
         assert "--tol-rank" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("command, flag", [
+        *(("decompose", f"--tol-{name}")
+          for name in ("gap", "hollow", "split", "cert", "end")),
+        ("classify", "--tol"),
+    ])
+    def test_tolerance_not_positive_and_finite_exits_2(
+            self, tmp_path, capsys, command, flag, value):
+        # a NaN or infinite tolerance reached the gates, which blamed the
+        # target or its clusters and exited 5
+        A = random_traceless(np.random.default_rng(5), 4)
+        path = write_matrix(tmp_path / "a4.json", A / np.linalg.norm(A))
+        args = ([path, "--out", str(tmp_path / "cert.json")]
+                if command == "decompose" else ["4"])
+        assert main([command, "[X1,X2]", *args, f"{flag}={value}"]) == 2
+        assert (f"{flag} must be a positive finite number"
+                in capsys.readouterr().err)
+
     def test_malformed_matrix_entry_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 2, "entries": [["1", 0], [0, 0], [0, 0], [0, 0]]}')
@@ -480,7 +498,7 @@ class TestVerify:
         assert code == 1
         assert "reconstruction residual" in stdout
 
-    @pytest.mark.parametrize("field", ["residual_bound", "cert_tol"])
+    @pytest.mark.parametrize("field", ["residual_bound"])
     def test_nan_stored_bound_alone_fails(self, tmp_path, rng, capsys, field):
         # an untampered certificate, but for one NaN bound
         code, stdout = self.nan_tampered_verdict(
@@ -556,7 +574,6 @@ class TestVerify:
         assert "Traceback" not in stderr
 
     @pytest.mark.parametrize("field, tamper", [
-        ("cert_tol", lambda doc: doc.update(cert_tol=[1])),
         ("residual_bound", lambda doc: doc.update(residual_bound=None)),
         ("target", lambda doc: doc.pop("target")),
         ("polynomial", lambda doc: doc.update(polynomial=5)),
@@ -609,9 +626,10 @@ class TestVerify:
          lambda doc: doc["tuples"][0].__setitem__(0, 5)),
         ("certificate has no argument tuples",
          lambda doc: doc.update(tuples=None)),
-        # terms are never read in place of the tuples
+        # terms are never read in place of the tuples, not even the null
+        # that older documents stored
         ("certificate has no argument tuples",
-         lambda doc: (doc.update(tuples=None), doc.pop("terms"))),
+         lambda doc: doc.update(tuples=None, terms=None)),
         ("certificate has no argument tuples",
          lambda doc: doc.update(
              tuples=None, terms=[matrix_to_json(np.eye(2))] * 2)),
@@ -632,8 +650,6 @@ class TestVerify:
                       doc["coefficients"][1].append(None))),
         ("malformed field 'residual_bound'",
          lambda doc: doc.update(residual_bound=10 ** 400)),
-        ("malformed field 'cert_tol'",
-         lambda doc: doc.update(cert_tol=10 ** 400)),
         # only a decimal (version 1) target can hold an integer literal
         ("malformed field 'target'",
          lambda doc: in_form(doc, "v1")["target"]["entries"][0].__setitem__(
@@ -649,7 +665,7 @@ class TestVerify:
             "terms-wrong-size", "polynomial-unparsable", "no-n",
             "target-n-infinite", "tuple-n-infinite", "coefficient-past-double",
             "coefficient-extra-elements",
-            "residual-bound-past-double", "cert-tol-past-double",
+            "residual-bound-past-double",
             "target-entry-past-double", "tuple-entry-past-double",
             "unknown-mode", "no-polynomial", "tuple-missing"])
     def test_hand_edited_document_never_raises(self, tmp_path, a3, capsys,

@@ -497,6 +497,38 @@ def test_relative_accuracy_at_every_scale(route, text, n, scale):
     assert fro(A - recon) <= 1e-9 * fro(A)
 
 
+def _stages(B, A):
+    """(transforms, scaled outputs) of every numeric stage on the witness
+    B and the target A."""
+    _, T, Q = linalg.eigendecompose(B)
+    part = partition_spectrum(B)
+    hollow = zero_diagonal_similarity(A)
+    four = four_term_decompose(part, A)
+    eig = waring._diagonalized(B, DEFAULT_TOLS)
+    transforms = [Q, part.to_block_diag.t, hollow.to_hollow.t,
+                  eig.to_block_diag.t, *(tc.t for tc in four.term_certs)]
+    outputs = [T, *part.blocks, hollow.m, *four.terms, *eig.blocks]
+    return transforms, outputs
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+@pytest.mark.parametrize("n", [8, 9])
+def test_every_stage_commutes_with_a_power_of_two(n, k):
+    # each stage works on 2^-e X, e the exponent of X's largest part, so
+    # on 2^k X it makes the same transforms and 2^k times the outputs;
+    # a NumPy overflow warning fails the suite
+    rng = np.random.default_rng(n)
+    B, A = random_complex(rng, n), random_traceless(rng, n)
+    transforms, outputs = _stages(B, A)
+    transforms_k, outputs_k = _stages(2.0 ** k * B, 2.0 ** k * A)
+    assert len(transforms_k) == len(transforms)
+    for M, M_k in zip(transforms, transforms_k):
+        assert M_k.tobytes() == M.tobytes()
+    assert len(outputs_k) == len(outputs)
+    for M, M_k in zip(outputs, outputs_k):
+        assert M_k.tobytes() == freealg._times_pow2(M, k).tobytes()
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-40, 1e-8, 1e-3, 1e150,
                                    1e200, 1e300])
 @pytest.mark.parametrize("route, n", [
@@ -526,8 +558,9 @@ def test_ungraded_f_at_every_scale(route, n, scale):
 ], ids=["two-term", "four-term"])
 def test_triangular_gate_holds_past_the_square_range(route, n):
     # at 1e160 the witness's parts are past 2^512, where their squares
-    # overflow; it is factored at 2^-e, so the Sylvester residual gate
-    # still compares finite norms, and a solve_tol of 1e-300 fails it
+    # overflow; the Sylvester solve runs on 2^-e times its problem, so its
+    # residual gate still compares finite norms, and a solve_tol of 1e-300
+    # fails it
     f = parse("X1 + X1^2")
     A = random_traceless(np.random.default_rng(5), n)
     A *= 1e160 / fro(A)
