@@ -7,7 +7,6 @@ together with similarity certificates for every construction step.
 """
 
 from .canon import (
-    HollowForm,
     SpectralPartition,
     cluster_eigenvalues,
     partition_spectrum,

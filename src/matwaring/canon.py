@@ -83,29 +83,6 @@ class SpectralPartition:
         return TriangularPlan(self.blocks)
 
 
-@dataclass
-class HollowForm:
-    """M = T A T^-1 with (numerically) zero diagonal, certified on A and M
-    by to_hollow. reflectors and rounds count the steps of
-    zero_diagonal_similarity that ran."""
-
-    m: np.ndarray
-    to_hollow: SimilarityCertificate
-    reflectors: int
-    rounds: int
-
-    @property
-    def step_counts(self):
-        return f"{self.reflectors} reflectors, {self.rounds} rounds"
-
-    @property
-    def off_diagonal(self):
-        """m with its diagonal dropped: the exactly hollow matrix that the
-        routes split. What is dropped is at most hollow_tol ||m||_F, within
-        the routes' end gate."""
-        return self.m - np.diag(np.diag(self.m))
-
-
 # ---------------------------------------------------------------------------
 # block diagonalization along eigenvalue clusters
 # ---------------------------------------------------------------------------
@@ -302,7 +279,8 @@ def _midpoint_round(W, P, p, q):
 
 
 def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
-    """Unitary similarity M = T A T* with zero diagonal; requires trace zero.
+    """Certificate of a unitary similarity T A T* = M with M hollow (zero
+    diagonal); requires trace zero.
 
     The steps run on groups of indices, each with diagonal sum zero, from
     the one group 0..n-1. A group of odd size sheds its first index by one
@@ -318,30 +296,29 @@ def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
     vectorized update.
     Each group splits into its even and odd members, two groups of sum
     zero; a group of one index is done. With m the largest power of two at
-    most n, that is n - m reflectors in at most log2 m updates and log2 m
-    rounds; stops early whenever the diagonal is already negligible.
+    most n, every call runs n - m reflectors in at most log2 m updates and
+    log2 m rounds.
 
     The steps and the gates act on 2^-e A, e the exponent of A's largest
     part, where no square of an entry under- or overflows; T does not
-    depend on the scale, and M is scaled back. to_hollow certifies T on
-    (A, M), with the accumulated unitary as T's inverse. T is unitary, so
-    its condition estimate is n. The result records how many reflectors and
-    rounds ran.
+    depend on the scale. What the steps leave on the diagonal is rounding:
+    the gate holds it to hollow_tol ||M||_F, and then it is set to exactly
+    zero, so M is hollow. The result certifies T on (A, M), with the
+    accumulated unitary as T's inverse and M, scaled back, as its target.
+    T is unitary, so its condition estimate is n.
     """
     A = as_cmatrix(A)
     n = A.shape[0]
     e = _exponent(A) or 0
     scaled = _times_pow2(A, -e)
-    tol = tols.hollow_tol * fro(scaled)
-    if abs(np.trace(scaled)) > tol:
+    if abs(np.trace(scaled)) > tols.hollow_tol * fro(scaled):
         raise NonzeroTraceError(
             f"matrix has trace {np.trace(A):.3e}; project it first"
         )
     W = scaled.copy()
     P = np.eye(n, dtype=complex)  # accumulated unitary: W = P* scaled P
     groups = np.arange(n)[None]   # one group a row; all have one size
-    reflectors = rounds = 0
-    while groups.shape[1] > 1 and np.abs(np.diag(W)).max() > tol:
+    while groups.shape[1] > 1:
         if groups.shape[1] % 2:
             # reflector H = I - 2 u u* with H x = -e^{i arg x_1} e_1 on the
             # group, so H e_1 is a unit multiple of x and (H W H)[k, k] =
@@ -354,20 +331,18 @@ def zero_diagonal_similarity(A, tols: Tolerances = DEFAULT_TOLS):
             W -= 2 * U @ (U.conj().T @ W)
             W -= 2 * (W @ U) @ U.conj().T
             P -= 2 * (P @ U) @ U.conj().T
-            reflectors += len(groups)
             groups = groups[:, 1:]
             continue
         _midpoint_round(W, P, groups[:, 0::2].ravel(), groups[:, 1::2].ravel())
-        rounds += 1
         groups = np.concatenate([groups[:, 0::2], groups[:, 1::2]])
-    M = _times_pow2(W, e)
-    [cert] = certify_similarity(P.conj().T[None], P[None], A, M[None], tols,
-                                ["zero-diagonal"])
-    hollow = HollowForm(M, cert, reflectors, rounds)
     worst = float(np.abs(np.diag(W)).max(initial=0.0))
     if worst > tols.hollow_tol * fro(W):
         raise ResidualTooLargeError(
-            "deflation left a nonzero diagonal on the result "
-            f"({hollow.step_counts})", float(np.ldexp(worst, e)),
+            f"deflation left a nonzero diagonal on the result (n = {n})",
+            float(np.ldexp(worst, e)),
         )
-    return hollow
+    np.fill_diagonal(W, 0)
+    M = _times_pow2(W, e)
+    [cert] = certify_similarity(P.conj().T[None], P[None], A, M[None], tols,
+                                ["zero-diagonal"])
+    return cert

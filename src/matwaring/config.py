@@ -16,7 +16,8 @@ class Tolerances:
     # similarity certificates: inverse residual, and map residual relative
     # to condition estimate * ||source||_F
     cert_tol: float = 1e-9
-    # zero-diagonal forms: |M_ii| <= hollow_tol * ||M||_F, and the trace-zero gate
+    # zero-diagonal forms: the rounding left on M's diagonal before it is set
+    # to zero, |M_ii| <= hollow_tol * ||M||_F, and the trace-zero gate
     hollow_tol: float = 1e-8
     # hollow-split reconstruction residual, relative to max(1, ||M||_F)
     split_tol: float = 1e-9

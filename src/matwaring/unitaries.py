@@ -248,8 +248,7 @@ def _split_plan(n, pattern):
                                 for I in groups for J in groups)
 
 
-def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS,
-                 step_counts=None):
+def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS):
     """Write a hollow M as C1 + U C2 U* with C1, C2 in V(pattern).
 
     U is zero between its cells, so the system splits into one
@@ -258,12 +257,11 @@ def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS,
     these. U and the pseudo-inverses of the cell systems are fixed by
     (n, pattern) and come from _split_plan, so each call only applies them
     to M's entries, batched by cell sizes. A solution exists for every valid
-    pattern when M's diagonal is zero, but the diagonal that hollow_tol lets
-    through is not absorbed: on a graded M it can exceed split_tol, so the
-    routes split HollowForm.off_diagonal. A failure reports ||M||_F, the
-    spread of M's entries and its largest diagonal entry, and names
-    `step_counts`, the zero-diagonal steps that made M, when given. The
-    returned u is the plan's read-only U.
+    pattern when M's diagonal is zero, as in the form zero_diagonal_similarity
+    returns; a diagonal within hollow_tol passes the input check but is not
+    absorbed, and on a graded M it can exceed split_tol. A failure reports
+    n, ||M||_F, the spread of M's entries and its largest diagonal entry.
+    The returned u is the plan's read-only U.
     """
     M = as_cmatrix(M)
     n = M.shape[0]
@@ -284,10 +282,9 @@ def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS,
     residual = fro(M - C1 - U @ C2 @ U.conj().T)
     if residual > tols.split_tol * max(1.0, fro(M)):
         mags = np.abs(M[M != 0])
-        made = f" ({step_counts})" if step_counts else ""
         raise ResidualTooLargeError(
-            f"hollow split of the zero-diagonal form M{made} over {pattern} "
-            f"failed (||M||_F {fro(M):.3e}, max/min nonzero |M_ij| "
+            f"hollow split of the zero-diagonal form M (n = {n}) over "
+            f"{pattern} failed (||M||_F {fro(M):.3e}, max/min nonzero |M_ij| "
             f"{mags.max() / mags.min():.3e}, max |M_ii| {diag_mag:.3e})",
             residual,
         )

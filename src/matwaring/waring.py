@@ -125,7 +125,7 @@ def diff_of_similar(partition: SpectralPartition, Cs,
         upper, lower = (np.where(plan.vanish[o], 0, C)
                         for o in ("upper", "lower"))
         leftover = fro(C - upper - lower)
-        if leftover > 1e-13 * max(1.0, fro(C)):
+        if leftover > 1e-13 * fro(C):
             raise ValueError("C must vanish on the partition's diagonal blocks")
         offs += [upper, -lower]
     certs = block_triangular_similarity(plan, offs,
@@ -168,16 +168,16 @@ def _assemble(mode, target, partition, hollow, halves, tols):
 
     partition.to_block_diag certifies witness = X blkdiag(blocks) X^-1,
     with the witness its target;
-    hollow takes the target to M = sum of U C U* over the halves (C, U),
-    where U None stands for the identity. Each half contributes
-    U Bp U* - U Bpp U* from diff_of_similar (all halves in one stack),
-    carried back through the hollow similarity; the term transforms are
-    certified in one pass. The residual is left to the caller's gate.
+    hollow certifies M = Sh target Sh^-1 for the zero-diagonal form M, the
+    sum of U C U* over the halves (C, U), where U None stands for the
+    identity. Each half contributes U Bp U* - U Bpp U* from diff_of_similar
+    (all halves in one stack), carried back through the hollow similarity;
+    the term transforms are certified in one pass. The residual is left to
+    the caller's gate.
     """
     witness = partition.to_block_diag.target
     Xinv = partition.to_block_diag.t_inv
-    Sh = hollow.to_hollow.t        # M = Sh A Sh^-1
-    Shinv = hollow.to_hollow.t_inv
+    Sh, Shinv = hollow.t, hollow.t_inv
     tri_certs = [tri for _, _, tris in diff_of_similar(
         partition, [C for C, _ in halves], tols) for tri in tris]
     # each half's two parts P are carried back as L P R, T as L tri.t Xinv
@@ -202,7 +202,7 @@ def _assemble(mode, target, partition, hollow, halves, tols):
         residual=np.nan,
         residual_bound=np.nan,
         term_certs=term_certs,
-        steps=[partition.to_block_diag, hollow.to_hollow, *tri_certs],
+        steps=[partition.to_block_diag, hollow, *tri_certs],
     )
 
 
@@ -227,8 +227,7 @@ def four_term_decompose(partition: SpectralPartition, A,
     _require_finite_bound(A, tols, name="A")
     _require_traceless(A, tols, name="A")
     hollow = zero_diagonal_similarity(A, tols)
-    split = split_hollow(hollow.off_diagonal, partition.block_sizes, tols,
-                         hollow.step_counts)
+    split = split_hollow(hollow.target, partition.block_sizes, tols)
     cert = _assemble(MODE_FOUR_TERM, A, partition, hollow,
                      [(split.c1, None), (split.c2, split.u)], tols)
     cert.residual, cert.residual_bound = _residual_gate(
@@ -591,7 +590,7 @@ def two_term_decompose(f, A, budget=DEFAULT_BUDGET, seed=0,
     D0, args, eig_blocks, scaled, scale = _rescaled(f, A, prep, _diagonalized)
     hollow = zero_diagonal_similarity(scaled, tols)
     cert = _assemble(MODE_TWO_TERM, scaled, eig_blocks, hollow,
-                     [(hollow.off_diagonal, None)], tols)
+                     [(hollow.target, None)], tols)
     return _finish(cert, f, D0, args, A, scale, prep, "two-term")
 
 

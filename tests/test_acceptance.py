@@ -238,4 +238,5 @@ def test_criterion_9_oracle_equivalence():
             n = int(rng.integers(2, 9))
             A = random_traceless(rng, n)
             hol = zero_diagonal_similarity(A)
-            assert np.abs(sorted_eigs(hol.m) - sorted_eigs(A)).max() <= 1e-8
+            M = hol.target
+            assert np.abs(sorted_eigs(M) - sorted_eigs(A)).max() <= 1e-8

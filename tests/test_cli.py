@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ class TestDecompose:
         out = str(tmp_path / "cert.json")
         code = main(["decompose", "[X1,X2]", a3, "--mode", "auto", "--out", out])
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["mode"] == "two-term"
         assert verify_certificate(doc) == []
 
@@ -95,7 +96,7 @@ class TestDecompose:
         path.write_text(json.dumps(packed(A)))
         out = str(tmp_path / "cert.json")
         assert main(["decompose", "[X1,X2]", str(path), "--out", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert np.array_equal(target_of(doc).view(np.uint64),
                               A.view(np.uint64))
         assert verify_certificate(doc) == []
@@ -111,7 +112,7 @@ class TestDecompose:
         out = str(tmp_path / "cert.json")
         code, stdout, _ = run_cli("decompose", "X1", z, "--out", out)
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["residual"] == 0.0
         assert verify_certificate(doc) == []
 
@@ -121,7 +122,7 @@ class TestDecompose:
             A = scale * random_traceless(rng, 3)
             path = write_matrix(tmp_path / "a.json", A)
             assert main(["decompose", "[X1,X2]", path, "--out", out]) == 0
-            residual = json.loads(open(out).read())["residual"]
+            residual = json.loads(Path(out).read_text())["residual"]
             shown = (f"(residual {residual:.3e}, relative "
                      f"{residual / np.linalg.norm(A):.3e}")
             tail = ")" if k is None else f", k = {k})"
@@ -167,7 +168,7 @@ class TestDecompose:
         code, _, _ = run_cli("decompose", "X1^2+X1", path, "--mode", "five",
                              "--out", out)
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["mode"] == "five-term"
         assert verify_certificate(doc) == []
 
@@ -176,7 +177,7 @@ class TestDecompose:
         code = main(["decompose", "[X1,X2]", a3, "--tol-end", "1e-4",
                      "--out", out])
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["tolerances"]["end_tol"] == 1e-4
 
     def test_rank_tolerance_flag_is_gone(self, a3):
@@ -255,7 +256,7 @@ class TestDecompose:
         out1, out2 = str(tmp_path / "c1.json"), str(tmp_path / "c2.json")
         run_cli("decompose", "[X1,X2]", a3, "--seed", "9", "--out", out1)
         run_cli("decompose", "[X1,X2]", a3, "--seed", "9", "--out", out2)
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     @pytest.mark.parametrize("poly, mode, n", [
         ("[X1,X2]", "four", 24), ("(X1+X2*X3+X3*X1)^4", "five", 12),
@@ -292,7 +293,7 @@ class TestVerify:
         assert code == 0 and stdout.startswith("OK")
 
     def test_ok_line_says_what_was_checked(self, tmp_path, a3, capsys):
-        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc = json.loads(Path(self.make_cert(tmp_path, a3)).read_text())
         target = matrix_from_json(doc["target"])
         bound = DEFAULT_TOLS.end_tol * max(1.0, np.linalg.norm(target))
         capsys.readouterr()
@@ -307,7 +308,7 @@ class TestVerify:
         out = str(tmp_path / "cert.json")
         assert main(["decompose", "[X1,X2]", a3, "--tol-end", "1e-4",
                      "--out", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         target = matrix_from_json(doc["target"])
         own = DEFAULT_TOLS.end_tol * max(1.0, np.linalg.norm(target))
         assert doc["residual_bound"] > own
@@ -341,7 +342,7 @@ class TestVerify:
         assert "reconstruction residual" in stdout
 
     def test_tighter_stored_bound_is_enforced(self, tmp_path, a3):
-        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc = json.loads(Path(self.make_cert(tmp_path, a3)).read_text())
         doc["residual_bound"] = doc["residual"] / 2
         failures = verify_certificate(doc)
         assert len(failures) == 1
@@ -361,7 +362,7 @@ class TestVerify:
             "deep-nesting"])
     def test_oversized_polynomial_fails_without_stalling(self, tmp_path, a3,
                                                          text, failure):
-        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc = json.loads(Path(self.make_cert(tmp_path, a3)).read_text())
         doc["polynomial"] = text
         start = time.perf_counter()
         failures = verify_certificate(doc)
@@ -372,7 +373,7 @@ class TestVerify:
     @pytest.mark.parametrize("n", [3.0, 3.5, True, "3"])
     def test_target_size_that_is_not_an_integer_fails(self, tmp_path, a3,
                                                       n):
-        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc = json.loads(Path(self.make_cert(tmp_path, a3)).read_text())
         for form in TARGET_FORMS:
             tampered = in_form(copy.deepcopy(doc), form)
             assert verify_certificate(tampered) == []
@@ -425,7 +426,7 @@ class TestVerify:
     def test_malformed_packed_target_fails_cleanly(self, tmp_path, rng,
                                                    capsys, n, tamper, reason):
         path = write_matrix(tmp_path / "a.json", random_traceless(rng, n))
-        doc = json.loads(open(self.make_cert(tmp_path, path)).read())
+        doc = json.loads(Path(self.make_cert(tmp_path, path)).read_text())
         assert verify_certificate(doc) == []
         tamper(in_form(doc, "packed")["target"])
         with pytest.raises(ValueError, match=reason):
@@ -445,7 +446,7 @@ class TestVerify:
         # bits 51, 52 and 63 of the first entry's real part are the highest
         # of its mantissa, the lowest of its exponent and its sign; each
         # flip leaves a finite part, which the reconstruction gate refuses
-        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc = json.loads(Path(self.make_cert(tmp_path, a3)).read_text())
         raw = bytearray(base64.b64decode(in_form(doc, "packed")["target"][
             "c16le"]))
         raw[bit // 8] ^= 1 << bit % 8
@@ -456,7 +457,7 @@ class TestVerify:
 
     def test_tampered_tuple_fails(self, tmp_path, a3):
         out = self.make_cert(tmp_path, a3)
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         doc["tuples"][0][0]["entries"][2][0] += 1e-2
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -468,7 +469,7 @@ class TestVerify:
         a4 = write_matrix(tmp_path / "a4.json", random_traceless(rng, 4))
         out = str(tmp_path / "cert.json")
         assert main(["decompose", "X1", a4, "--mode", "four", "--out", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["mode"] == "four-term"
         doc["coefficients"] = [[1, 0], [1, 0], [1, 0], [-1, 0]]
         bad = tmp_path / "bad.json"
@@ -481,7 +482,7 @@ class TestVerify:
         # json writes and reads the NaN literal; a NaN bound must not pass
         a4 = write_matrix(tmp_path / "a4.json", random_traceless(rng, 4))
         out = self.make_cert(tmp_path, a4)
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         tamper(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -553,7 +554,7 @@ class TestVerify:
         assert (code, stdout, stderr) == (1, f"FAIL: {failures[0]}\n", "")
 
     def malformed_verdict(self, tmp_path, a3, field, value):
-        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc = json.loads(Path(self.make_cert(tmp_path, a3)).read_text())
         doc[field] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -579,7 +580,7 @@ class TestVerify:
         ("polynomial", lambda doc: doc.update(polynomial=5)),
     ])
     def test_malformed_scalar_fails_cleanly(self, tmp_path, a3, field, tamper):
-        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc = json.loads(Path(self.make_cert(tmp_path, a3)).read_text())
         tamper(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -590,7 +591,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("keep", [1, 0])
     def test_short_tuple_is_named(self, tmp_path, a3, keep):
-        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc = json.loads(Path(self.make_cert(tmp_path, a3)).read_text())
         doc["tuples"][1] = doc["tuples"][1][:keep]
         assert verify_certificate(doc) == [
             f"tuple 1 has {keep} matrices; polynomial needs 2"]
@@ -607,7 +608,7 @@ class TestVerify:
             M[0, 0] += 1e-2
             return M
 
-        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc = json.loads(Path(self.make_cert(tmp_path, a3)).read_text())
         doc[key] = value
         for form in TARGET_FORMS:
             tampered = in_form(copy.deepcopy(doc), form)
@@ -617,7 +618,7 @@ class TestVerify:
             assert failures[0].startswith("reconstruction residual")
 
     def test_extra_tuple_matrix_ignored(self, tmp_path, a3):
-        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc = json.loads(Path(self.make_cert(tmp_path, a3)).read_text())
         doc["tuples"][0].append(doc["target"])
         assert verify_certificate(doc) == []
 
@@ -670,7 +671,7 @@ class TestVerify:
             "unknown-mode", "no-polynomial", "tuple-missing"])
     def test_hand_edited_document_never_raises(self, tmp_path, a3, capsys,
                                                failure, tamper):
-        doc = json.loads(open(self.make_cert(tmp_path, a3)).read())
+        doc = json.loads(Path(self.make_cert(tmp_path, a3)).read_text())
         tamper(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -755,7 +756,7 @@ class TestSearchImageCommand:
         code, _, _ = run_cli("search-image", "[X1, X2]", "3",
                              "--goal", "distinct-eigs", "--out", out)
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["polynomial"] == "[X1, X2]"    # the text as given
         image = matrix_from_json(doc["image"])
         args = [matrix_from_json(a) for a in doc["args"]]

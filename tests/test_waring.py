@@ -92,6 +92,18 @@ class TestDiffOfSimilar:
         with pytest.raises(ValueError):
             diff_of_similar(part, [np.eye(2)])
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 60])
+    def test_small_diagonal_block_entry_rejected(self, rng, scale):
+        # C's one entry lies in a diagonal block, where Bp - Bpp is zero:
+        # the check is relative to ||C||_F at every scale, with no floor
+        # that lets a small C through
+        part = partition_spectrum(planted_matrix(rng, range(1, 9)))
+        assert part.case_tag == "A"
+        C = np.zeros((8, 8), dtype=complex)
+        C[0, 0] = 1e-14 * scale
+        with pytest.raises(ValueError, match="must vanish"):
+            diff_of_similar(part, [C])
+
 
 class TestFourTerm:
     def test_zero_target(self):
@@ -270,9 +282,8 @@ class TestTwoTerm:
             two_term_decompose(parse("[X1,X2]"), random_traceless(rng, 2), seed=0)
 
     def test_nearly_hollow_target(self, rng):
-        # deflation stops once the diagonal is below hollow_tol, so the
-        # hollow form keeps this ~1e-10 diagonal; the triangular halves must
-        # drop it rather than fail the exact-assembly check on it
+        # a ~1e-10 diagonal is still taken to zero by the full deflation, so
+        # the triangular halves pass the exact-assembly check
         A = random_complex(rng, 5)
         np.fill_diagonal(A, 0.0)
         d = rng.standard_normal(5)
@@ -505,9 +516,9 @@ def _stages(B, A):
     hollow = zero_diagonal_similarity(A)
     four = four_term_decompose(part, A)
     eig = waring._diagonalized(B, DEFAULT_TOLS)
-    transforms = [Q, part.to_block_diag.t, hollow.to_hollow.t,
+    transforms = [Q, part.to_block_diag.t, hollow.t,
                   eig.to_block_diag.t, *(tc.t for tc in four.term_certs)]
-    outputs = [T, *part.blocks, hollow.m, *four.terms, *eig.blocks]
+    outputs = [T, *part.blocks, hollow.target, *four.terms, *eig.blocks]
     return transforms, outputs
 
 
@@ -675,30 +686,34 @@ def test_scale_exponent_band_and_clamp():
 
 @pytest.mark.parametrize("span", [4, 8, 12, 16])
 def test_graded_target_verifies(span):
-    # D A D^-1 keeps A's diagonal. Below hollow_tol of the graded norm it is
-    # left in the zero-diagonal form, and at span 8 it was more than the
-    # split could absorb within split_tol; the route splits the form with
-    # its diagonal dropped, which the end gate covers
-    D = np.logspace(0, span, 8)
-    A = D[:, None] / D * _ROADMAP_TARGET
-    cert = waring_express(parse("[X1,X2]"), A)
-    assert verify_certificate(json.loads(dumps_canonical(
-        certificate_to_json(cert, DEFAULT_TOLS)))) == []
+    # D A D^-1 keeps A's diagonal, which is below hollow_tol of the graded
+    # norm at span 8 and more. Zeroed only to hollow_tol, it cost 1e-8 of
+    # normwise accuracy; zeroed to rounding, both routes stay at 1e-12
+    f = parse("[X1,X2]")
+    for route, A0 in ((waring_express, _ROADMAP_TARGET),
+                      (two_term_decompose,
+                       random_traceless(np.random.default_rng(5), 7))):
+        D = np.logspace(0, span, len(A0))
+        A = D[:, None] / D * A0
+        cert = route(f, A)
+        assert verify_certificate(json.loads(dumps_canonical(
+            certificate_to_json(cert, DEFAULT_TOLS)))) == []
+        recon = sum(c * word_by_word_oracle(f, tp)
+                    for c, tp in zip(cert.coefficients, cert.tuples))
+        assert fro(A - recon) <= 1e-12 * fro(A), route.__name__
 
 
 def test_split_failure_names_its_stage():
-    # the span-8 graded form with its diagonal kept: within hollow_tol, so
-    # no reflector or butterfly round runs (M = A), but more than the split
-    # absorbs within split_tol
+    # the span-8 graded matrix with its diagonal kept: within hollow_tol,
+    # so it passes the input check, but more than the split absorbs within
+    # split_tol
     D = np.logspace(0, 8, 8)
     A = D[:, None] / D * _ROADMAP_TARGET
-    hollow = zero_diagonal_similarity(A)
     with pytest.raises(ResidualTooLargeError) as err:
-        split_hollow(hollow.m, (4, 4), DEFAULT_TOLS, hollow.step_counts)
+        split_hollow(A, (4, 4))
     mags = np.abs(A[A != 0])
     assert str(err.value).startswith(
-        "hollow split of the zero-diagonal form M (0 reflectors, 0 rounds) "
-        "over (4, 4) failed "
+        "hollow split of the zero-diagonal form M (n = 8) over (4, 4) failed "
         f"(||M||_F {fro(A):.3e}, max/min nonzero |M_ij| "
         f"{mags.max() / mags.min():.3e}, "
         f"max |M_ii| {np.abs(np.diag(A)).max():.3e}) (residual ")
