@@ -32,10 +32,13 @@ big-integer correction loop. The tuples stay decimal documents.
 The same rounding makes the writer fast. For a double equal to its own
 15-digit rounding m 10^(e-14), repr's digits are m's with trailing zeros
 dropped, since no shorter decimal, nor another of 15 digits, rounds to it
-(DBL_DIG = 15). So `dumps_canonical` lays out every decimal matrix whose
-parts are all such doubles or zeros with numpy, in one pass over a digit
-table and a table of repr's layouts, and leaves the packed target, the
-scalars and any other matrix to json.dumps.
+(DBL_DIG = 15). `certificate_to_json` hands the writer each tuple matrix
+as an array of its [re, im] pairs, not as lists, and `dumps_canonical`
+lays out every such array whose parts are all such doubles or zeros with
+numpy, in one pass over a digit table and a table of repr's layouts. The
+packed target, the scalars, list entries and any other array go to
+json.dumps. So a certificate document is not plain-json.dumps-able in
+memory; its text is json.dumps's with each array listed.
 """
 
 import base64
@@ -132,10 +135,15 @@ def _square(M, dtype):
     return M, n
 
 
-def matrix_to_json(M):
+def _pairs(M):
+    """(n, the (n*n, 2) float view of M's entries as [re, im] pairs)."""
     M, n = _square(M, complex)
-    # the (n*n, 2) real view holds each entry as its [re, im] pair
-    return {"n": n, "entries": M.view(float).reshape(n * n, 2).tolist()}
+    return n, M.view(float).reshape(n * n, 2)
+
+
+def matrix_to_json(M):
+    n, pairs = _pairs(M)
+    return {"n": n, "entries": pairs.tolist()}
 
 
 def packed_matrix_to_json(M):
@@ -164,6 +172,8 @@ def matrix_from_json(doc):
             raise ValueError("matrix document holds both entries and c16le")
         return _unpacked(doc["c16le"], n)
     entries = doc["entries"]
+    if type(entries) is np.ndarray:  # certificate_to_json's in-memory form
+        entries = entries.tolist()
     if not isinstance(entries, list):
         raise ValueError("matrix document's entries must be a list, got a "
                          f"{type(entries).__name__}")
@@ -240,7 +250,9 @@ def certificate_to_json(cert, tols):
         "polynomial": cert.polynomial,
         "target": packed_matrix_to_json(cert.target),
         "coefficients": [complex_to_json(c) for c in cert.coefficients],
-        "tuples": [[matrix_to_json(a) for a in tp] for tp in cert.tuples],
+        # each a fresh array, so an edit to the document never reaches cert
+        "tuples": [[{"n": n, "entries": pairs.copy()}
+                    for n, pairs in map(_pairs, tp)] for tp in cert.tuples],
         "residual": cert.residual,
         "residual_bound": cert.residual_bound,
         "tolerances": dataclasses.asdict(tols),
@@ -251,19 +263,23 @@ def certificate_to_json(cert, tols):
 
 def dumps_canonical(doc):
     """Deterministic JSON text: sorted keys, no spaces, floats as their
-    shortest round-trip repr; NaN and infinities raise ValueError. The text
-    is `json.dumps(doc, sort_keys=True, separators=(",", ":"),
-    allow_nan=False)` and a newline, for every document.
+    shortest round-trip repr; NaN and infinities raise ValueError. A matrix
+    document, a dict of exactly the keys "entries" and "n", may hold its
+    entries as a NumPy array, as certificate_to_json makes them; it is not
+    looked into further. The text is `json.dumps(doc, sort_keys=True,
+    separators=(",", ":"), allow_nan=False)` and a newline, with every such
+    array replaced by its tolist(), for every document.
 
-    A matrix document whose parts are all Python floats equal to their own
-    15-digit rounding (`round_to_15_digits`), or zeros, has its entries laid
-    out by numpy in one pass (`_entries_texts`): no two decimals of at most
-    15 significant digits round to the same double (DBL_DIG), so repr's
-    shortest round-trip digits of such a part are its 15-digit integer m
-    with trailing zeros dropped, and repr's layout of them is a table. Every
-    other value, the packed target's string and the scalars included, goes
-    through json.dumps. The lists are read as the text is made, so an edit to the
-    document is always what gets written.
+    An array of [re, im] pairs of doubles whose parts are all equal to
+    their own 15-digit rounding (`round_to_15_digits`), or zeros, is laid
+    out by numpy in one pass over all of them (`_entries_texts`): no two
+    decimals of at most 15 significant digits round to the same double
+    (DBL_DIG), so repr's shortest round-trip digits of such a part are its
+    15-digit integer m with trailing zeros dropped, and repr's layout of
+    them is a table. Every other value, any other array's list, list
+    entries, the packed target's string and the scalars included, goes
+    through json.dumps. The arrays are read as the text is made, so an
+    edit to the document is always what gets written.
 
     The encoder's cycle check is off: the documents are trees, built fresh
     by certificate_to_json and matrix_to_json, and the check's bookkeeping
@@ -271,11 +287,32 @@ def dumps_canonical(doc):
     contains itself still raises, as RecursionError instead of ValueError,
     and returns no text.
     """
-    try:
-        text = _with_laid_out_entries(doc)
-    except RecursionError:
-        text = None  # json.dumps raises, or writes a very deep document
-    return (_dumps(doc) if text is None else text) + "\n"
+    arrays = []
+
+    def stand_in(matrix):
+        entries = matrix["entries"]
+        if not (entries.size and entries.dtype == float
+                and entries.shape[1:] == (2,)):
+            return _listed(matrix)
+        arrays.append(entries)
+        return {"entries": f"\0{len(arrays) - 1}", "n": matrix["n"]}
+
+    text = _dumps(_replaced(doc, stand_in))
+    if not arrays:
+        return text + "\n"
+    head, *pieces = text.split(_STUB)
+    if len(pieces) != len(arrays):
+        # a string in the document holds NUL, which json.dumps writes like
+        # a stand-in
+        return _dumps(_replaced(doc, _listed)) + "\n"
+    texts = _entries_texts(arrays)
+    out = [head]
+    for piece in pieces:
+        # each stand-in is written '"\u0000<index>"'
+        index, _, rest = piece.partition('"')
+        out += (texts[int(index)], rest)
+    out.append("\n")
+    return "".join(out)
 
 
 def _dumps(doc):
@@ -283,49 +320,22 @@ def _dumps(doc):
                       allow_nan=False, check_circular=False)
 
 
-def _with_laid_out_entries(doc):
-    """dumps_canonical's text, without the newline, or None when a string
-    in the document holds NUL, so that json.dumps may write it like a
-    stand-in for entries."""
-    matrices = []
-    _replaced(doc, lambda matrix: matrices.append(matrix) or matrix)
-    found = [(matrix["entries"], parts) for matrix in matrices
-             if (parts := _float_parts(matrix["entries"])) is not None]
-    texts = _entries_texts([parts for _, parts in found])
-    laid_out = {id(entries): text for (entries, _), text in zip(found, texts)
-                if text is not None}
-    if not laid_out:
-        return _dumps(doc)
-    used = []
-
-    def stand_in(matrix):
-        text = laid_out.get(id(matrix["entries"]))
-        if text is None:
-            return matrix
-        used.append(text)
-        return {"entries": f"\0{len(used) - 1}", "n": matrix["n"]}
-
-    head, *pieces = _dumps(_replaced(doc, stand_in)).split(_STUB)
-    if len(pieces) != len(used):
-        return None
-    out = [head]
-    for piece in pieces:
-        # each stand-in is written '"\u0000<index>"'
-        index, _, rest = piece.partition('"')
-        out += (used[int(index)], rest)
-    return "".join(out)
-
-
-# a laid-out entries list stands in the document as the string "\0<index>",
-# which json.dumps writes as '"\u0000<index>"'
+# a laid-out array stands in the document as the string "\0<index>", which
+# json.dumps writes as '"\u0000<index>"'
 _STUB = '"\\u0000'
 
 
+def _listed(matrix):
+    return {"entries": matrix["entries"].tolist(), "n": matrix["n"]}
+
+
 def _replaced(value, replace):
-    """value with each matrix document d in it replaced by replace(d); the
-    dicts and lists on the way to one are copies."""
+    """value with each matrix document d in it whose entries is an array
+    replaced by replace(d); the dicts and lists on the way to one are
+    copies."""
     if type(value) is dict and value.keys() == {"entries", "n"}:
-        return replace(value)
+        return (replace(value) if type(value["entries"]) is np.ndarray
+                else value)
     if type(value) is dict:
         return {k: _replaced(v, replace) for k, v in value.items()}
     if type(value) is list:
@@ -333,33 +343,20 @@ def _replaced(value, replace):
     return value
 
 
-def _float_parts(entries):
-    """The parts of entries in a row when it is a nonempty list of [re, im]
-    lists of Python floats, else None."""
-    if (type(entries) is list and entries
-            and set(map(type, entries)) == {list}
-            and set(map(len, entries)) == {2}):
-        parts = list(chain.from_iterable(entries))
-        if set(map(type, parts)) == {float}:
-            return parts
-    return None
-
-
-def _entries_texts(matrices):
-    """For each list of parts, the JSON text of its [re, im] pairs when
-    every part is ±0.0 or a double equal to its own 15-digit rounding in
-    [SHORT_MIN, SHORT_MAX), else None."""
-    if not matrices:
-        return []
-    sizes = np.array([len(parts) for parts in matrices])
-    lengths, fits, text = _laid_out(np.fromiter(
-        chain.from_iterable(matrices), float, sizes.sum()))
+def _entries_texts(arrays):
+    """The JSON text of each nonempty float array of [re, im] pairs, as
+    json.dumps writes its list: laid out when every part is ±0.0 or a
+    double equal to its own 15-digit rounding in [SHORT_MIN, SHORT_MAX),
+    else by json.dumps, which refuses NaN and infinities."""
+    sizes = np.array([pairs.size for pairs in arrays])
+    lengths, fits, text = _laid_out(np.concatenate(
+        [pairs.ravel() for pairs in arrays]))
     starts = np.cumsum(sizes) - sizes
     ok = np.logical_and.reduceat(fits, starts).tolist()
     # each matrix's parts end in a comma, which its closing bracket replaces
     ends = np.cumsum(np.add.reduceat(lengths, starts)).tolist()
-    return [f"[{text[a:b - 1]}]" if good else None
-            for good, a, b in zip(ok, [0] + ends, ends)]
+    return [f"[{text[a:b - 1]}]" if good else _dumps(pairs.tolist())
+            for pairs, good, a, b in zip(arrays, ok, [0] + ends, ends)]
 
 
 # a part's text is gathered from a source row of 40 bytes: its 15 digits

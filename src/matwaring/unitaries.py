@@ -258,16 +258,16 @@ def split_hollow(M, pattern, tols: Tolerances = DEFAULT_TOLS):
     (n, pattern) and come from _split_plan, so each call only applies them
     to M's entries, batched by cell sizes. A solution exists for every valid
     pattern when M's diagonal is zero, as in the form zero_diagonal_similarity
-    returns; a diagonal within hollow_tol passes the input check but is not
-    absorbed, and on a graded M it can exceed split_tol. A failure reports
-    n, ||M||_F, the spread of M's entries and its largest diagonal entry.
-    The returned u is the plan's read-only U.
+    returns. The split cannot absorb a diagonal, so any nonzero diagonal
+    entry raises ValueError. A failure reports n, ||M||_F, the spread of M's
+    entries and its largest diagonal entry. The returned u is the plan's
+    read-only U.
     """
     M = as_cmatrix(M)
     n = M.shape[0]
     pattern = _validate_pattern(n, pattern)
     diag_mag = float(np.abs(np.diag(M)).max(initial=0.0))
-    if diag_mag > tols.hollow_tol * fro(M):
+    if diag_mag > 0:
         raise ValueError(f"input is not hollow (max diagonal {diag_mag:.3e})")
 
     U, batches = _split_plan(n, pattern)

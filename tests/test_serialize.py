@@ -86,6 +86,25 @@ def canonical_writer_oracle(doc):
     return "".join(out)
 
 
+def as_json(value):
+    """value with every NumPy array in it replaced by its tolist(): the
+    plain JSON value whose json.dumps text dumps_canonical writes."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if type(value) is dict:
+        return {k: as_json(v) for k, v in value.items()}
+    if type(value) is list:
+        return [as_json(v) for v in value]
+    return value
+
+
+def array_matrix(M):
+    """M's matrix document with its entries as a fresh float array of [re,
+    im] pairs, as certificate_to_json makes the tuples."""
+    M = np.ascontiguousarray(M, dtype=complex)
+    return {"n": M.shape[0], "entries": M.view(float).reshape(-1, 2).copy()}
+
+
 def bit_identical(a, b):
     """Same structure and types, every float equal by `float.hex` (so -0.0
     and 0.0 differ)."""
@@ -134,7 +153,7 @@ def test_writer_matches_oracle(certificate_doc):
 
 def assert_writer_matches_oracle(certificate_doc):
     text = dumps_canonical(certificate_doc)
-    oracle = canonical_writer_oracle(certificate_doc)
+    oracle = canonical_writer_oracle(as_json(certificate_doc))
     # `.17g` writes integral floats without a point ("1", "-0"), which a
     # plain parse reads back as ints; reading every number as a float
     # compares the doubles both writers put down, signed zeros included
@@ -142,7 +161,7 @@ def assert_writer_matches_oracle(certificate_doc):
     assert bit_identical(json.loads(text, **as_floats),
                          json.loads(oracle, **as_floats))
     # the new text keeps every int an int and every float a float
-    assert bit_identical(json.loads(text), certificate_doc)
+    assert bit_identical(json.loads(text), as_json(certificate_doc))
     assert text == json.dumps(json.loads(text), sort_keys=True,
                               separators=(",", ":")) + "\n"
 
@@ -150,7 +169,7 @@ def assert_writer_matches_oracle(certificate_doc):
 def test_writer_matches_cycle_checking_json(certificate_doc):
     # the cycle check only adds bookkeeping; the text is the same
     assert dumps_canonical(certificate_doc) == json.dumps(
-        certificate_doc, sort_keys=True, separators=(",", ":"),
+        as_json(certificate_doc), sort_keys=True, separators=(",", ":"),
         allow_nan=False, check_circular=True) + "\n"
 
 
@@ -540,8 +559,10 @@ def test_decimal_has_a_15_digit_mantissa_next_to_powers_of_ten():
 
 def _laid_out_only(entries):
     """The writer's text for entries, asserting that it laid them out."""
-    text, = serialize._entries_texts([[x for pair in entries for x in pair]])
-    assert text is not None
+    pairs = np.array(entries, dtype=float)
+    _, fits, _ = serialize._laid_out(pairs.ravel())
+    assert fits.all()
+    text, = serialize._entries_texts([pairs])
     return text
 
 
@@ -568,46 +589,47 @@ def test_writer_crosses_chunks_and_skips_other_matrices():
     # 8192 and 5000 parts span passes of _CHUNK parts; the target-like
     # matrix between them is written by json
     rng = np.random.default_rng(7)
-    doc = {"tuples": [matrix_to_json(round_to_15_digits(random_complex(
+    doc = {"tuples": [array_matrix(round_to_15_digits(random_complex(
         rng, n))) for n in (64, 3, 50)]}
-    doc["target"] = matrix_to_json(random_complex(rng, 5))
+    doc["target"] = array_matrix(random_complex(rng, 5))
     doc["tuples"].insert(1, doc["target"])
     assert dumps_canonical(doc) == json.dumps(
-        doc, sort_keys=True, separators=(",", ":")) + "\n"
+        as_json(doc), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_writer_writes_in_place_edits(waring_certificate, monkeypatch):
     # bench's tamper edits certificate_to_json's output in place, as here
     doc = certificate_to_json(waring_certificate, DEFAULT_TOLS)
-    laid_out = []
+    dumped = []
 
-    def spy(matrices):
-        texts = entries_texts(matrices)
-        laid_out.append([text is not None for text in texts])
-        return texts
+    def spy(value):
+        dumped.append(value)
+        return dumps(value)
 
-    entries_texts = serialize._entries_texts
-    monkeypatch.setattr(serialize, "_entries_texts", spy)
+    dumps = serialize._dumps
+    monkeypatch.setattr(serialize, "_dumps", spy)
     before = dumps_canonical(doc)
-    doc["tuples"][0][0]["entries"][0][0] += 1e-3
+    # every tuple matrix was laid out: json.dumps wrote the document alone
+    # (the packed target is a string in it)
+    assert len(dumped) == 1 and type(dumped[0]) is dict
+    first, last = doc["tuples"][0][0], doc["tuples"][-1][-1]
+    first["entries"][0][0] += 1e-3
     # a part with 17 digits sends its matrix to json.dumps
-    doc["tuples"][-1][-1]["entries"][-1][-1] = 0.1 + 0.2
+    last["entries"][-1][-1] = 0.1 + 0.2
     text = dumps_canonical(doc)
     assert text != before
-    assert text == json.dumps(doc, sort_keys=True,
+    assert text == json.dumps(as_json(doc), sort_keys=True,
                               separators=(",", ":")) + "\n"
-    edited = doc["tuples"][0][0]["entries"][0][0]
+    edited = float(first["entries"][0][0])
     assert f'"entries":[[{edited!r},' in text
     assert "0.30000000000000004]]" in text
-    # every tuple matrix was laid out; then the 17-digit one went to
-    # json.dumps, and the edited one too, unless its part is still a
-    # 15-digit double (the target is never laid out)
-    tuples = sum(map(len, doc["tuples"]))
-    assert laid_out[0] == [True] * tuples
-    assert laid_out[1][-1] is False
-    assert laid_out[1].count(True) == (
-        tuples - 2 + (edited == 0 or SHORT_MIN <= abs(edited) < SHORT_MAX
-                      and float(f"{edited:.14e}") == edited))
+    # then the 17-digit one went to json.dumps, and the edited one too,
+    # unless its part is still a 15-digit double
+    assert type(dumped[1]) is dict
+    fits = edited == 0 or (SHORT_MIN <= abs(edited) < SHORT_MAX
+                           and float(f"{edited:.14e}") == edited)
+    assert dumped[2:] == [m["entries"].tolist()
+                          for m in [first][fits:] + [last]]
 
 
 _ZEROS = st.sampled_from([0.0, -0.0])
@@ -670,3 +692,84 @@ def test_writer_is_json_dumps(doc):
             dumps_canonical(doc)
         return
     assert dumps_canonical(doc) == want
+
+
+# parts whose shortest repr has more than 15 digits: their matrix is not
+# laid out
+_LONG = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda x: significant_digits(x) > 15),
+    st.sampled_from([0.1 + 0.2, -1 / 3, 2 / 3 * 1e-5, 1e-300, 5e-324]))
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _array_docs(draw):
+    """Matrix documents whose entries is an array, as certificate_to_json
+    makes them: [re, im] pairs of 15-digit parts and zeros, empty ones
+    included, half of them with one part of 17 digits or one that is not
+    finite; now and then an array of ints or of another shape."""
+    size = 2 * draw(st.integers(0, 9))
+    parts = draw(st.lists(_SHORT, min_size=size, max_size=size))
+    flaw = draw(st.sampled_from([None] * 5 + ["long"] * 3
+                                + ["non-finite", "ints", "shape"]))
+    if flaw in ("long", "non-finite") and parts:
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(
+            _LONG if flaw == "long" else _NON_FINITE)
+    entries = np.array(parts, dtype=float).reshape(-1, 2)
+    if flaw == "ints":
+        entries = np.arange(len(parts)).reshape(-1, 2)
+    elif flaw == "shape":
+        entries = entries.ravel()
+    return {"n": draw(st.integers(0, 3)), "entries": entries}
+
+
+# certificate-like documents: lists of tuples of array documents beside
+# anything else, strings holding NUL included
+_MIXED_DOCS = st.fixed_dictionaries({
+    "tuples": st.lists(st.lists(_array_docs(), min_size=1, max_size=3),
+                       min_size=1, max_size=3),
+    "rest": st.recursive(
+        st.one_of(_array_docs(), _matrix_docs(), _SHORT, _OTHER),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.dictionaries(st.text(max_size=2), inner, max_size=4)),
+        max_leaves=8)})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_MIXED_DOCS)
+def test_writer_is_json_dumps_of_the_arrays_lists(doc):
+    try:
+        want = json.dumps(as_json(doc), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(ValueError):
+            dumps_canonical(doc)
+        return
+    assert dumps_canonical(doc) == want
+
+
+def test_edits_to_the_document_leave_the_certificate(waring_certificate):
+    # each tuple matrix of the document is a fresh array: five-term's first
+    # tuple is the memo's read-only arrays, which a view could not edit
+    cert = waring_certificate
+    if cert.mode == "five-term":
+        assert not any(a.flags.writeable for a in cert.tuples[0])
+    kept = [[a.copy() for a in tp] for tp in cert.tuples]
+    doc = certificate_to_json(cert, DEFAULT_TOLS)
+    for matrix in (m for tp in doc["tuples"] for m in tp):
+        matrix["entries"][0][0] += 1e-3
+        matrix["entries"][-1] = [0.5, -0.0]
+    text = dumps_canonical(doc)
+    assert text == json.dumps(as_json(doc), sort_keys=True,
+                              separators=(",", ":")) + "\n"
+    written = json.loads(text)["tuples"]
+    for tp, tp_written in zip(doc["tuples"], written):
+        for matrix, matrix_written in zip(tp, tp_written):
+            entries = matrix_written["entries"]
+            assert entries[0][0] == matrix["entries"][0][0]
+            assert bit_identical(entries[-1], [0.5, -0.0])
+    for tp, tp_kept in zip(cert.tuples, kept):
+        for a, a_kept in zip(tp, tp_kept):
+            assert a.tobytes() == a_kept.tobytes()

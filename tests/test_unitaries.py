@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from matwaring import unitaries
+from matwaring.config import DEFAULT_TOLS
 from matwaring.linalg import as_cmatrix, block_labels
 from matwaring.theory import (
     CORNER_K0,
@@ -244,6 +245,21 @@ class TestSplitHollow:
     def test_non_hollow_rejected(self, rng):
         with pytest.raises(ValueError):
             split_hollow(np.eye(4), (2, 2))
+
+    def test_any_nonzero_diagonal_rejected(self, rng):
+        # a trace-zero diagonal of max 5.2e-10 on a hollow 8x8 M: far
+        # within hollow_tol ||M||_F, but the split would drop it and miss M
+        # by about half its norm
+        M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        np.fill_diagonal(M, 0.0)
+        d = rng.standard_normal(8)
+        d -= d.mean()
+        d *= 5.2e-10 / np.abs(d).max()
+        assert 5.2e-10 < DEFAULT_TOLS.hollow_tol * np.linalg.norm(M)
+        with pytest.raises(ValueError,
+                           match=r"input is not hollow \(max diagonal "
+                                 r"5\.200e-10\)"):
+            split_hollow(M + np.diag(d), (4, 4))
 
 
 _ORACLE_CASES = [(n, pattern) for n in range(2, 10) for pattern in all_patterns(n)]

@@ -704,20 +704,21 @@ def test_graded_target_verifies(span):
 
 
 def test_split_failure_names_its_stage():
-    # the span-8 graded matrix with its diagonal kept: within hollow_tol,
-    # so it passes the input check, but more than the split absorbs within
-    # split_tol
+    # the span-8 graded matrix, exactly hollow: its split misses it by
+    # rounding, about 1e-15 ||A||_F, which a split_tol of 1e-17 refuses
     D = np.logspace(0, 8, 8)
     A = D[:, None] / D * _ROADMAP_TARGET
+    np.fill_diagonal(A, 0.0)
+    tols = replace(DEFAULT_TOLS, split_tol=1e-17)
     with pytest.raises(ResidualTooLargeError) as err:
-        split_hollow(A, (4, 4))
+        split_hollow(A, (4, 4), tols)
     mags = np.abs(A[A != 0])
     assert str(err.value).startswith(
         "hollow split of the zero-diagonal form M (n = 8) over (4, 4) failed "
         f"(||M||_F {fro(A):.3e}, max/min nonzero |M_ij| "
         f"{mags.max() / mags.min():.3e}, "
         f"max |M_ii| {np.abs(np.diag(A)).max():.3e}) (residual ")
-    assert err.value.residual > DEFAULT_TOLS.split_tol * fro(A)
+    assert err.value.residual > tols.split_tol * fro(A)
 
 
 def test_term_certificate_failure_names_the_first_term(rng):
