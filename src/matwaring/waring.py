@@ -11,7 +11,7 @@ the result to arbitrary matrices with five scalar coefficients.
 
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,15 +74,16 @@ class WaringCertificate:
     tuples instead, which re-verify the decomposition on their own, so a
     certificate without tuples has no document.
 
-    A graded f (`NcPolynomial.grading`, weights w and degree D) is
-    decomposed at scale: the construction runs on 2^(-k D) times the
-    target, and part j of each conjugated tuple is multiplied by
-    2^(k w[j]) before it is rounded. So steps, the intermediate
-    certificates of the construction, and term_certs, which carry the
-    witness to each term by a composed similarity, certify that scaled
-    problem. k, weights and degree are kept here; the document does not
-    hold them. k is 0 for an ungraded f, whose witness is scaled instead
-    (`_scaled_toward`), and for a matrix-level `four_term_decompose` result.
+    Every tuple route builds it on one path, `_spine`. A graded f
+    (`NcPolynomial.grading`, weights w and degree D) is decomposed at
+    scale: the construction runs on 2^(-k D) times the target, and part j
+    of each conjugated tuple is multiplied by 2^(k w[j]) before it is
+    rounded. So steps, the construction's intermediate certificates, and
+    term_certs, which carry the witness to each term by a composed
+    similarity, certify that scaled problem. k, weights and degree are kept
+    here; the document does not hold them. k is 0 for an ungraded f, whose
+    witness is scaled instead (`_scaled_toward`), and for a matrix-level
+    `four_term_decompose` result.
     """
 
     mode: str
@@ -153,9 +154,11 @@ def _require_finite_bound(A, tols, name="target"):
 def _residual_gate(target, coefficients, terms, tols, what):
     """(residual, bound) of the signed sum of terms against the target;
     raises unless residual <= bound < inf (the verifier's rule), with bound
-    end_tol * max(1, ||target||_F), so a NaN residual raises too."""
-    recon = sum(c * W for c, W in zip(coefficients, terms))
-    residual = fro(target - recon)
+    end_tol * max(1, ||target||_F), so a NaN residual, which overflowing
+    terms make with no warning, raises too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        recon = sum(c * W for c, W in zip(coefficients, terms))
+        residual = fro(target - recon)
     bound = tols.end_tol * max(1.0, fro(target))
     if not residual <= bound < np.inf:
         raise ResidualTooLargeError(f"{what} reconstruction failed", residual)
@@ -286,9 +289,9 @@ def image_search(f, n, goal, budget=DEFAULT_BUDGET, seed=0,
 # The band of ||B||_F / ||A||_F that a witness B is aimed at for a target
 # A. The transforms' condition grows like ||A||_F / (gap of B), so a larger
 # target loses conditioning; a smaller one keeps only accuracy absolute at
-# the scale of B. A graded f's target is rescaled into the band (_rescaled),
-# and an ungraded f's witness is scaled toward its lower edge
-# (_scaled_toward).
+# the scale of B. _spine rescales a graded f's target into the band
+# (_scale_exponent) and scales an ungraded f's witness toward its lower
+# edge (_scaled_toward).
 _RATIO_BAND = (10.0, 1e4)
 # A rescaled target's largest part, and each rescaled tuple part's, is kept
 # this many binary orders inside the normal double range: room for the term
@@ -298,7 +301,7 @@ _HEADROOM = 64
 
 def _scaled_toward(f, image, args, A, goal, tols):
     """The searched image and tuple, scaled toward the target; for an
-    ungraded f only (a graded one rescales the target, see _rescaled).
+    ungraded f only (a graded one rescales the target, see _spine).
 
     A Gaussian tuple's image has a fixed scale, while the coupling split
     from A grows with ||A||, and with it the condition of the transforms
@@ -346,7 +349,7 @@ def _scaled_toward(f, image, args, A, goal, tols):
 
 
 def _scale_exponent(B, args, A, grading):
-    """The k of _rescaled: the k nearest 0 that puts ||B||_F /
+    """The k of _spine: the k nearest 0 that puts ||B||_F /
     ||2^(-k D) A||_F in _RATIO_BAND, so 0 when the ratio is already in it.
     Where one step of 2^D would cross the whole band, the lower edge wins.
     k is then clamped so that the largest part of 2^(-k D) A and of each
@@ -372,57 +375,6 @@ def _scale_exponent(B, args, A, grading):
             ends = sorted(((emin - e) / weight, (emax - e) / weight))
             k = min(max(k, math.ceil(ends[0])), math.floor(ends[1]))
     return int(k)
-
-
-def _rescaled(f, A, prep, factor):
-    """(witness, its tuple, a factorization by factor, the target to
-    decompose, (k, w, D)) for target A.
-
-    A graded f keeps the memo's witness, its factorization and its
-    triangular plan for every target: the route decomposes 2^(-k D) A,
-    with k from _scale_exponent, and _finish multiplies tuple part j by
-    2^(k w_j), so f of the result is 2^(k D) times the scaled terms. An
-    ungraded f has its witness B _scaled_toward A instead, with k = 0.
-    """
-    image, args = prep.found(f)
-    if prep.grading is None:
-        B, args = _scaled_toward(f, image, args, A, prep.goal, prep.tols)
-        return B, args, prep.factored(B, factor), A, (0, None, None)
-    k = _scale_exponent(image, args, A, prep.grading)
-    D = prep.grading[1]
-    return (image, args, prep.factored(image, factor),
-            _times_pow2(A, -k * D) if k else A, (k, *prep.grading))
-
-
-def _finish(cert, f, witness, args, target, scale, prep, what):
-    """Turn a matrix-level certificate into tuples of f on witness = f(args)
-    and re-check it against target.
-
-    Conjugating the witness tuple by each term's transform makes f land on
-    the conjugated image. Part j of each conjugated tuple is multiplied by
-    2^(k w_j) for scale (k, w, D), its entries are rounded to 15
-    significant digits, the terms are replaced by f re-evaluated on exactly
-    those tuples, and their signed sum must reproduce the target.
-    """
-    tols = prep.tols
-    k, w, _ = scale
-    T, T_inv = (np.stack([getattr(tc, name) for tc in cert.term_certs])
-                [:, None] for name in ("t", "t_inv"))
-    tuples = T @ np.stack(args) @ T_inv
-    if k:
-        tuples = _times_pow2(tuples, k * np.array(w)[:, None, None])
-    tuples = round_to_15_digits(tuples)
-    images = list(evaluate(f, list(tuples.swapaxes(0, 1))))
-    cert.residual, cert.residual_bound = _residual_gate(
-        target, cert.coefficients, images, tols, what)
-    cert.witness, cert.target = witness, target
-    cert.tuples = [tuple(mats) for mats in tuples]
-    cert.terms = images
-    cert.polynomial = f.text
-    cert.seed = prep.seed
-    cert.budget = prep.budget
-    cert.k, cert.weights, cert.degree = scale
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +467,55 @@ def _require_not_central(f, prep, forbid_two_central=False):
     return cls
 
 
-def _four_term_tuples(f, A, prep):
-    """The four-term certificate of trace-zero A with its tuples of f, on the
-    image point of prep, which has all eigenvalue multiplicities <= n/2."""
-    B, args, part, scaled, scale = _rescaled(f, A, prep, partition_spectrum)
-    cert = four_term_decompose(part, scaled, prep.tols)
-    return _finish(cert, f, B, args, A, scale, prep, "re-evaluated four-term")
+def _spine(f, A, prep, factor, decompose, what, lead=None):
+    """The certificate of A in tuples of f: every tuple route's path after
+    its precondition checks.
+
+    The witness is aimed at A: a graded f (weights w, degree D) keeps
+    prep's image point, with its factorization, for every target and
+    decomposes 2^(-k D) A, k from _scale_exponent; an ungraded f's image
+    point is _scaled_toward A, with k = 0. decompose(factor(witness), A,
+    tols) is the matrix-level certificate. The witness tuple conjugated by
+    each term's transform, part j times 2^(k w_j), rounded to 15
+    significant digits, is what f is evaluated on, once; the signed sum of
+    those images must reproduce the target (gate name what).
+
+    Five-term passes lead = (T, c0, prep0): A is then T's trace-zero
+    remainder, and the certificate is of T, led by c0 f(t0) on prep0's
+    image point, with prep0's seed and budget, which are the caller's.
+    """
+    tols = prep.tols
+    image, args = prep.found(f)
+    k, (w, D) = 0, prep.grading or (None, None)
+    if prep.grading is None:
+        witness, args = _scaled_toward(f, image, args, A, prep.goal, tols)
+    else:
+        witness, k = image, _scale_exponent(image, args, A, prep.grading)
+    cert = decompose(prep.factored(witness, factor),
+                     _times_pow2(A, -k * D) if k else A, tols)
+    S, S_inv = (np.stack([getattr(tc, name) for tc in cert.term_certs])
+                [:, None] for name in ("t", "t_inv"))
+    tuples = S @ np.stack(args) @ S_inv
+    if k:
+        tuples = _times_pow2(tuples, k * np.array(w)[:, None, None])
+    tuples = round_to_15_digits(tuples)
+    terms = list(evaluate(f, list(tuples.swapaxes(0, 1))))
+    tuples = [tuple(mats) for mats in tuples]
+    target, owner = A, prep
+    if lead is not None:
+        target, c0, owner = lead
+        image0, args0 = owner.found(f)
+        cert.mode = MODE_FIVE_TERM
+        cert.coefficients = [complex(c0), *cert.coefficients]
+        terms, tuples = [image0, *terms], [args0, *tuples]
+    cert.residual, cert.residual_bound = _residual_gate(
+        target, cert.coefficients, terms, tols, what)
+    cert.witness, cert.target, cert.terms, cert.tuples = (
+        witness, target, terms, tuples)
+    cert.polynomial = f.text
+    cert.seed, cert.budget = owner.seed, owner.budget
+    cert.k, cert.weights, cert.degree = k, w, D
+    return cert
 
 
 def waring_express(f, A, budget=DEFAULT_BUDGET, seed=0,
@@ -537,7 +532,8 @@ def waring_express(f, A, budget=DEFAULT_BUDGET, seed=0,
     prep = _prepared(f, A.shape[0], GOAL_MULTIPLICITY_HALF, budget, seed,
                      tols)
     _require_not_central(f, prep)
-    return _four_term_tuples(f, A, prep)
+    return _spine(f, A, prep, partition_spectrum, four_term_decompose,
+                  "re-evaluated four-term")
 
 
 def two_term_applies(f, n):
@@ -564,6 +560,14 @@ def _diagonalized(D0, tols):
     )
 
 
+def _two_term_assemble(eig_blocks, A, tols):
+    """two_term_decompose's matrix-level step, A = B1 - B2 on the witness's
+    eigenvalue blocks; the residual is left to the caller's gate."""
+    hollow = zero_diagonal_similarity(A, tols)
+    return _assemble(MODE_TWO_TERM, A, eig_blocks, hollow,
+                     [(hollow.target, None)], tols)
+
+
 def two_term_decompose(f, A, budget=DEFAULT_BUDGET, seed=0,
                        tols: Tolerances = DEFAULT_TOLS):
     """Express trace-zero A as f(t1) - f(t2).
@@ -586,12 +590,7 @@ def two_term_decompose(f, A, budget=DEFAULT_BUDGET, seed=0,
     _require_traceless(A, tols)
     prep = _prepared(f, n, GOAL_DISTINCT_EIGS, budget, seed, tols)
     _require_not_central(f, prep, forbid_two_central=True)
-
-    D0, args, eig_blocks, scaled, scale = _rescaled(f, A, prep, _diagonalized)
-    hollow = zero_diagonal_similarity(scaled, tols)
-    cert = _assemble(MODE_TWO_TERM, scaled, eig_blocks, hollow,
-                     [(hollow.target, None)], tols)
-    return _finish(cert, f, D0, args, A, scale, prep, "two-term")
+    return _spine(f, A, prep, _diagonalized, _two_term_assemble, "two-term")
 
 
 def five_term_express(f, T, budget=DEFAULT_BUDGET, seed=0,
@@ -609,7 +608,7 @@ def five_term_express(f, T, budget=DEFAULT_BUDGET, seed=0,
     prep = _prepared(f, n, GOAL_NONZERO_TRACE, budget, seed, tols)
     _require_not_central(f, prep)
 
-    A0, args0 = prep.found(f)
+    A0, _ = prep.found(f)
     # relative to ||T|| alone: any floor would drop the trace of a small T
     if abs(np.trace(T)) <= tols.hollow_tol * fro(T):
         c0 = 0j
@@ -620,13 +619,6 @@ def five_term_express(f, T, budget=DEFAULT_BUDGET, seed=0,
     remainder = project_traceless(remainder)
 
     # the four-term path on the remainder, with f already classified
-    four = _four_term_tuples(f, remainder, _prepared(
-        f, n, GOAL_MULTIPLICITY_HALF, budget, seed + 1, tols))
-
-    coefficients = [complex(c0), 1.0, -1.0, 1.0, -1.0]
-    images = [A0] + four.terms
-    residual, bound = _residual_gate(T, coefficients, images, tols, "five-term")
-    return replace(four, mode=MODE_FIVE_TERM, target=T,
-                   coefficients=coefficients, terms=images, residual=residual,
-                   residual_bound=bound, tuples=[args0] + four.tuples,
-                   seed=seed, budget=budget)
+    four = _prepared(f, n, GOAL_MULTIPLICITY_HALF, budget, seed + 1, tols)
+    return _spine(f, remainder, four, partition_spectrum, four_term_decompose,
+                  "five-term", lead=(T, c0, prep))
