@@ -19,9 +19,9 @@ class Tolerances:
     # zero-diagonal forms: the rounding left on M's diagonal before it is set
     # to zero, |M_ii| <= hollow_tol * ||M||_F, and the trace-zero gate
     hollow_tol: float = 1e-8
-    # hollow-split reconstruction residual, relative to max(1, ||M||_F)
+    # hollow-split reconstruction residual, relative to ||M||_F
     split_tol: float = 1e-9
-    # end-to-end decomposition residual, relative to max(1, ||target||_F)
+    # end-to-end decomposition residual, relative to ||target||_F
     end_tol: float = 1e-6
 
 
@@ -29,7 +29,7 @@ DEFAULT_TOLS = Tolerances()
 
 # eigenvalue clustering, relative to max |eigenvalue|
 CLUSTER_TOL = 1e-7
-# nonzero-trace witness gate, relative to max(1, ||image||_F)
+# nonzero-trace witness gate, relative to ||image||_F
 TRACE_TOL = 1e-8
 
 # polynomial classification defaults

@@ -11,11 +11,9 @@ of the construction pipeline is imported (tests/test_imports.py walks the
 imports), so a passing verdict does not trust it.
 
 The verifier sets its own bound: the reconstruction residual must be at
-most `DEFAULT_TOLS.end_tol * max(1, ||target||_F)`. A stored bound may only
-tighten it, and a gate whose bound is NaN or infinite fails, so no document
-can loosen the check it is put to. Below ||target||_F = 1 the bound is
-absolute: the relative accuracy that the routes deliver there, by
-decomposing a graded f's target at scale, is not what a pass proves.
+most `DEFAULT_TOLS.end_tol * ||target||_F`. A stored bound may only tighten
+it, and a gate whose bound is NaN or infinite fails, so no document can
+loosen the check it is put to.
 """
 
 from dataclasses import dataclass, field
@@ -188,7 +186,7 @@ def _check(doc, verdict):
     if bound is None:
         return failures + ["malformed field 'residual_bound': not a number"]
     bound = verdict.bound = _tightened(
-        bound, DEFAULT_TOLS.end_tol * max(1.0, fro(target)))
+        bound, DEFAULT_TOLS.end_tol * fro(target))
     if not residual <= bound < np.inf:
         failures.append(
             f"reconstruction residual {residual:.3e} exceeds bound {bound:.3e}"

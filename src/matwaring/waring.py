@@ -142,11 +142,11 @@ def _require_traceless(A, tols, name="target"):
 
 def _require_finite_bound(A, tols, name="target"):
     """Refuses A before any work when the end gate's bound
-    end_tol * max(1, ||A||_F) is infinite, which no residual can pass."""
-    bound = tols.end_tol * max(1.0, fro(A))
+    end_tol * ||A||_F is infinite, which no residual can pass."""
+    bound = tols.end_tol * fro(A)
     if not bound < np.inf:
         raise ResidualTooLargeError(
-            f"{name} check: the end gate's bound end_tol * max(1, ||{name}||_F)"
+            f"{name} check: the end gate's bound end_tol * ||{name}||_F"
             f" is {bound} (||{name}||_F is past the double range), so no "
             "certificate of it can pass")
 
@@ -154,12 +154,12 @@ def _require_finite_bound(A, tols, name="target"):
 def _residual_gate(target, coefficients, terms, tols, what):
     """(residual, bound) of the signed sum of terms against the target;
     raises unless residual <= bound < inf (the verifier's rule), with bound
-    end_tol * max(1, ||target||_F), so a NaN residual, which overflowing
-    terms make with no warning, raises too."""
+    end_tol * ||target||_F, so a NaN residual, which overflowing terms make
+    with no warning, raises too."""
     with np.errstate(over="ignore", invalid="ignore"):
         recon = sum(c * W for c, W in zip(coefficients, terms))
         residual = fro(target - recon)
-    bound = tols.end_tol * max(1.0, fro(target))
+    bound = tols.end_tol * fro(target)
     if not residual <= bound < np.inf:
         raise ResidualTooLargeError(f"{what} reconstruction failed", residual)
     return residual, bound
@@ -254,7 +254,7 @@ def _goal_satisfied(goal, image, tols):
         gap, _, _ = spectral_gap(eigs, np.arange(n))
         return gap > tols.gap_tol * scale
     if goal == GOAL_NONZERO_TRACE:
-        return abs(np.trace(image)) > TRACE_TOL * max(1.0, fro(image))
+        return abs(np.trace(image)) > TRACE_TOL * fro(image)
     raise ValueError(f"unknown goal {goal!r}")
 
 
@@ -310,12 +310,13 @@ def _scaled_toward(f, image, args, A, goal, tols):
     outside _RATIO_BAND, this bisects on log2 sigma, of either sign, until
     ||f(sigma t)||_F is within a factor of 2 of the band's lower edge,
     10 ||A||_F, at one evaluation per step, and keeps sigma t only if its
-    image is finite and still meets the goal. A target in the band, or a
-    zero one, keeps the image as it is.
+    image is finite and still meets the goal. A target in the band, a zero
+    one, or one whose 10 ||A||_F overflows keeps the image as it is.
     """
     norm_a = fro(A)
     want = _RATIO_BAND[0] * norm_a
-    if not norm_a or want <= fro(image) <= _RATIO_BAND[1] * norm_a:
+    if (not norm_a or not want < np.inf
+            or want <= fro(image) <= _RATIO_BAND[1] * norm_a):
         return image, args
 
     def scaled(log2_sigma):
@@ -609,7 +610,6 @@ def five_term_express(f, T, budget=DEFAULT_BUDGET, seed=0,
     _require_not_central(f, prep)
 
     A0, _ = prep.found(f)
-    # relative to ||T|| alone: any floor would drop the trace of a small T
     if abs(np.trace(T)) <= tols.hollow_tol * fro(T):
         c0 = 0j
         remainder = T

@@ -295,7 +295,7 @@ class TestVerify:
     def test_ok_line_says_what_was_checked(self, tmp_path, a3, capsys):
         doc = json.loads(Path(self.make_cert(tmp_path, a3)).read_text())
         target = matrix_from_json(doc["target"])
-        bound = DEFAULT_TOLS.end_tol * max(1.0, np.linalg.norm(target))
+        bound = DEFAULT_TOLS.end_tol * np.linalg.norm(target)
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "cert.json")]) == 0
         stdout = capsys.readouterr().out
@@ -310,7 +310,7 @@ class TestVerify:
                      "--out", out]) == 0
         doc = json.loads(Path(out).read_text())
         target = matrix_from_json(doc["target"])
-        own = DEFAULT_TOLS.end_tol * max(1.0, np.linalg.norm(target))
+        own = DEFAULT_TOLS.end_tol * np.linalg.norm(target)
         assert doc["residual_bound"] > own
         capsys.readouterr()
         assert main(["verify", out]) == 0
@@ -340,6 +340,28 @@ class TestVerify:
         code, stdout = self.nan_tampered_verdict(tmp_path, rng, capsys, tamper)
         assert code == 1
         assert "reconstruction residual" in stdout
+
+    @pytest.mark.parametrize("edit", [
+        np.negative,
+        np.zeros_like,
+        lambda M: np.linalg.norm(M) * np.diag([1, -1] * 4) / np.sqrt(8),
+    ], ids=["negated", "zeroed", "diagonal"])
+    def test_small_target_replaced_fails(self, tmp_path, capsys, edit):
+        # the bound is end_tol ||target||_F at every scale, so a target of
+        # norm 1e-7 replaced by another of at most its size fails
+        A = random_traceless(np.random.default_rng(5), 8)
+        A *= 1e-7 / np.linalg.norm(A)
+        out = tmp_path / "cert.json"
+        assert main(["decompose", "[X1,X2]", write_matrix(
+            tmp_path / "a.json", A), "--mode", "four", "--out",
+            str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert verify_certificate(doc) == []
+        out.write_text(json.dumps(edit_target(doc, edit)))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert capsys.readouterr().out.startswith(
+            "FAIL: reconstruction residual")
 
     def test_tighter_stored_bound_is_enforced(self, tmp_path, a3):
         doc = json.loads(Path(self.make_cert(tmp_path, a3)).read_text())

@@ -3,6 +3,7 @@ import pytest
 
 from matwaring import unitaries
 from matwaring.config import DEFAULT_TOLS
+from matwaring.errors import ResidualTooLargeError
 from matwaring.linalg import as_cmatrix, block_labels
 from matwaring.theory import (
     CORNER_K0,
@@ -240,7 +241,17 @@ class TestSplitHollow:
             for a, b in zip(edges[:-1], edges[1:]):
                 assert np.abs(split.c1[a:b, a:b]).max() == 0
                 assert np.abs(split.c2[a:b, a:b]).max() == 0
-            assert split.residual <= 1e-9 * max(1, np.linalg.norm(M))
+            assert split.residual <= 1e-9 * np.linalg.norm(M)
+
+    def test_overflowing_split_fails_quietly(self, rng):
+        # with entries up to 1e308, ||M||_F and the solve overflow: the NaN
+        # residual fails the gate, with no NumPy warning
+        M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        np.fill_diagonal(M, 0.0)
+        M *= 1e308 / np.abs(M).max()
+        with pytest.raises(ResidualTooLargeError) as err:
+            split_hollow(M, (4, 4))
+        assert np.isnan(err.value.residual)
 
     def test_non_hollow_rejected(self, rng):
         with pytest.raises(ValueError):
