@@ -28,6 +28,7 @@ from .linalg import (
     block_triangular_similarity,
     certify_similarity,
     eigendecompose,
+    read_only,
     spectral_gap,
 )
 
@@ -114,20 +115,26 @@ def _check_cluster_gaps(clusters, tols):
 def _decoupled(B, T, Q, sizes, tols):
     """(blocks, cert) with B = cert.t blkdiag(blocks) cert.t_inv, from B's
     Schur form B = Q T Q*, whose diagonal blocks of the given sizes have
-    pairwise disjoint spectra: the blocks are T's, and the coupling above
-    them is stripped by block-triangular similarity."""
+    pairwise disjoint spectra: the coupling above T's blocks is stripped by
+    block-triangular similarity, and the transform's columns are scaled to
+    unit norm, with T's blocks scaled to match."""
     edges = np.cumsum((0, *sizes))
-    blocks = [T[a:b, a:b].copy() for a, b in zip(edges, edges[1:])]
-    plan = TriangularPlan(blocks)
+    plan = TriangularPlan([T[a:b, a:b] for a, b in zip(edges, edges[1:])])
     [tri] = block_triangular_similarity(plan, [T - plan.D], ["upper"], tols)
+    # X diag(s)^-1 with s its column norms is within sqrt(n) of X's
+    # best-conditioned column scaling (van der Sluis 1969), and takes
+    # D to diag(s) D diag(s)^-1, still upper triangular with D's diagonal
+    X = Q @ tri.t
+    s = np.linalg.norm(X, axis=0)
+    X /= s
+    D = read_only(plan.D * (s[:, None] / s))
     # inverted whole, once per witness (a warm route never gets here): the
     # term transforms carry this inverse, and on an ill-conditioned witness
     # their inverse residual sits at its rounding floor, which the factors'
-    # inverse t^-1 Q* does not lower but moves either way
-    X = Q @ tri.t
-    [cert] = certify_similarity(X[None], np.linalg.inv(X)[None], plan.D,
-                                B[None], tols, ["block-diagonalize"])
-    return blocks, cert
+    # inverse does not lower but moves either way
+    [cert] = certify_similarity(X[None], np.linalg.inv(X)[None], D, B[None],
+                                tols, ["block-diagonalize"])
+    return [D[a:b, a:b] for a, b in zip(edges, edges[1:])], cert
 
 
 def _grouped_clusters(eigs, tols):

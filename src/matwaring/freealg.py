@@ -56,12 +56,11 @@ class NcPolynomial:
     """A polynomial: the `text` that `parse` read and the `program` it
     compiled.
 
-    Every polynomial comes from `parse`. The operators `+`, `-`, `*`, `**`
-    and a scalar factor join their operands' text (a scalar written by
-    `_scalar_text`) and parse the result, so every bound of `parse` holds
-    for every polynomial. Equality is identity: two polynomials compare
-    equal only when they are one object; compare their text or their
-    images instead.
+    Every polynomial comes from `parse`, so every bound of `parse` holds
+    for every polynomial. It has no arithmetic: to combine polynomials,
+    write the combined text and parse it. Equality is identity: two
+    polynomials compare equal only when they are one object; compare their
+    text or their images instead.
     """
 
     def __init__(self, text, program):
@@ -72,35 +71,6 @@ class NcPolynomial:
     def num_vars(self):
         """The largest variable index: how many arguments evaluation reads."""
         return self.program.num_vars
-
-    # The grammar is left-associative, so a left operand needs parentheses
-    # only as a factor that may be a sum, and repeated operators keep text
-    # flat. Text never holds a brace.
-    def __add__(self, other):
-        return _composed(self.text + " + ({})", other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _composed("-({})", self)
-
-    def __sub__(self, other):
-        return _composed(self.text + " - ({})", other)
-
-    def __mul__(self, other):
-        left = self.text if _is_product(self.text) else f"({self.text})"
-        return _composed(left + "*({})", other)
-
-    __rmul__ = __mul__   # the reflected operand is a scalar, which commutes
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            # refused here: the grammar's exponent is unsigned, so parsing
-            # would name a position in text the caller never wrote
-            raise ValueError("negative polynomial powers are not defined")
-        return _composed(f"({{}})^{k:d}", self)
 
     def is_multilinear(self):
         """True when every word uses each of X1..Xm exactly once, read off
@@ -123,40 +93,6 @@ class NcPolynomial:
 
     def __repr__(self):
         return f"NcPolynomial({self.text!r})"
-
-
-def _composed(template, *operands):
-    """parse(template) with each operand's text or scalar literal in place
-    of a {}; NotImplemented for an operand that is neither."""
-    texts = []
-    for value in operands:
-        if isinstance(value, NcPolynomial):
-            texts.append(value.text)
-        elif isinstance(value, (int, float, complex)):
-            texts.append(_scalar_text(value))
-        else:
-            return NotImplemented
-    return parse(template.format(*texts))
-
-
-def _is_product(text):
-    """True when text has no '+' or '-' outside parentheses and brackets."""
-    depth = 0
-    for ch in text:
-        depth += (ch in "([") - (ch in ")]")
-        if depth == 0 and ch in "+-":
-            return False
-    return True
-
-
-def _scalar_text(c):
-    """Text that parses to the scalar c: a signed decimal or complex
-    literal. A scalar that is not finite has no text and is refused."""
-    c = complex(_finite(c))
-    sign, c = ("-", -c) if c.real < 0 else ("", c)
-    if c.imag == 0:
-        return f"{sign}{c.real!r}"
-    return f"{sign}({c.real!r}{c.imag:+}i)"   # '+' format: shortest repr
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,13 @@ class TestBlockDiagonalize:
 
     def test_two_by_two_hand_value(self):
         # Sylvester relation: X - 2X = -5 gives X = 5, so T = [[1, 5], [0, 1]]
+        # before its columns are scaled to unit norm
         B = np.array([[1.0, 5.0], [0.0, 2.0]], dtype=complex)
         blocks, cert = _decoupled(B, B, np.eye(2), (1, 1), DEFAULT_TOLS)
         assert np.allclose([b.item() for b in blocks], [1.0, 2.0])
-        assert np.allclose(cert.t, [[1, 5], [0, 1]])
+        assert np.allclose(np.linalg.norm(cert.t, axis=0), 1.0)
+        assert np.allclose(cert.t, np.array([[1, 5], [0, 1]]) / [1, 26 ** 0.5])
+        assert np.allclose(cert.t @ blkdiag(blocks) @ cert.t_inv, B)
 
     def test_planted_five(self, rng):
         B = planted_matrix(rng, [1, 1, 2, 2, 3])

@@ -1,6 +1,7 @@
 """matwaring runs on numpy alone: no route, classification, CLI command or
 the verifier imports scipy, which the tests use only as an oracle. And the
-verifier imports none of the construction modules.
+verifier imports none of the construction modules. And no module keeps an
+import it never reads or a private function or class that nothing names.
 
 Each scipy check runs in a fresh interpreter, because this test process has
 imported scipy long before.
@@ -189,3 +190,50 @@ def test_import_walk_sees_the_construction_modules():
     assert {"canon", "linalg", "unitaries", "verify",
             "waring"} <= import_closure("cli")
     assert {"linalg", "unitaries"} <= import_closure("theory")
+
+
+def unread_imports(tree):
+    """Names that tree's imports bind and tree never reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).partition(".")[0]
+                         for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
+def unreferenced_privates(trees):
+    """(module, name) of each private top-level function or class of the
+    modules trees (module -> ast) that no module names outside its own
+    definition: as a name, an attribute or an imported name."""
+    defined, named = set(), set()
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined.add((module, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    named.add(name)
+    return sorted((m, name) for m, name in defined if name not in named)
+
+
+def test_no_dead_code():
+    # an import no code reads, or a private function or class nothing
+    # calls, is code no pipeline runs; __init__ imports to re-export
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    unread = {m: unread_imports(t) for m, t in trees.items() if m != "__init__"}
+    assert {m: names for m, names in unread.items() if names} == {}
+    assert unreferenced_privates(trees) == []
